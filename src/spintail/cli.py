@@ -34,7 +34,9 @@ Sequence grammar (a tree of kind tags)::
 Local operators OP are ``{"matrix": MAT, "sites": [s...]}`` where MAT is a
 named constant (pauli1, pauli2, pauli3, identity), an explicit row-major
 array with entries ``x`` or ``[re, im]``, or a list of such matrices (one
-per site, tensored).  Classical observables are
+per site, tensored).  A list is read per-site when it starts with a name, or
+when it holds exactly one matrix per site; otherwise it is one d^k x d^k
+literal.  Classical observables are
 ``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]}, ...]}`` or the
 shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site": s}``; classical
 sequences use kinds classical-local | cyclic-average | tail-shifted with an
@@ -148,6 +150,23 @@ def _parse_matrix(spec, errors: _Problems, path: str):
     return None
 
 
+def _is_per_site_list(mat_spec, n_sites: int) -> bool:
+    """Whether ``mat_spec`` lists one matrix per site rather than one d^k x d^k literal.
+
+    The rows of a complex literal are lists of ``[re, im]`` pairs, so they
+    look like matrices too; only the count tells them apart, since a literal
+    on k sites has d^k != k rows.  A name is never a literal row.
+    """
+    if not isinstance(mat_spec, list) or not mat_spec:
+        return False
+    if isinstance(mat_spec[0], str):
+        return True
+    return len(mat_spec) == n_sites and all(
+        isinstance(m, str) or (isinstance(m, list) and m and all(isinstance(r, list) for r in m))
+        for m in mat_spec
+    )
+
+
 def _parse_local_operator(spec, errors: _Problems, path: str) -> LocalOperator | None:
     if not isinstance(spec, dict):
         errors.add(path, "expected an object with 'matrix' and 'sites'")
@@ -158,10 +177,7 @@ def _parse_local_operator(spec, errors: _Problems, path: str) -> LocalOperator |
         return None
     mat_spec = spec.get("matrix")
     try:
-        if isinstance(mat_spec, list) and mat_spec and (
-            isinstance(mat_spec[0], str)
-            or (isinstance(mat_spec[0], list) and mat_spec[0] and isinstance(mat_spec[0][0], list))
-        ):
+        if _is_per_site_list(mat_spec, len(sites)):
             # one matrix per site, tensored
             if len(mat_spec) != len(sites):
                 errors.add(path, "per-site matrix list must match 'sites' length")

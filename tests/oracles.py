@@ -72,3 +72,26 @@ def random_hermitian(rng, dim: int) -> np.ndarray:
 
 def random_complex(rng, dim: int) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def kron_term_dense(scalar, blocks, sites, d: int) -> np.ndarray:
+    """``scalar * (x) blocks`` on the ascending ``sites``, one full Kronecker product per term.
+
+    The blocks are folded left to right with an identity on the remaining
+    sites, scaled, and their tensor legs permuted into site order -- the
+    per-term construction the in-place assembler replaced, kept as its
+    bit-exact reference.  Scaling is an explicit ufunc call so that numpy
+    never evaluates it in place with the operands swapped.
+    """
+    covered = [s for b in blocks for s in b.sites]
+    rest = [s for s in sites if s not in covered]
+    mats = [b.matrix for b in blocks]
+    if rest:
+        mats.append(np.eye(d ** len(rest), dtype=complex))
+    out = np.multiply(scalar, kron_chain(mats))
+    order = covered + rest
+    if order == list(sites):
+        return out
+    n = len(order)
+    axes = [order.index(s) for s in sites]
+    return out.reshape((d,) * (2 * n)).transpose(axes + [a + n for a in axes]).reshape(out.shape)

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spintail
+from spintail import dense_matrix
 from spintail.cli import main, parse_config, run
 from spintail.errors import ConfigError
 from spintail.report import Report, emit
@@ -18,6 +22,28 @@ GAMMA_BOUND = {
     "seed": 42,
     "sequence": {"kind": "gamma", "seed": {"matrix": "pauli3", "sites": [1]}},
     "probe": {"matrix": "pauli1", "sites": [1]},
+}
+
+# a two-site seed given as per-site [re, im] literals, probed by a name next
+# to a literal
+PER_SITE_GAMMA_BOUND = {
+    "experiment": "gamma-bound",
+    "schedule": [4, 6, 8, 10],
+    "seed": 42,
+    "sequence": {
+        "kind": "gamma",
+        "seed": {
+            "matrix": [
+                [[[0.5, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+            ],
+            "sites": [1, 2],
+        },
+    },
+    "probe": {
+        "matrix": ["pauli1", [[[0.5, 0.5], [0, 0.25]], [[0.25, 0], [-0.5, 0.5]]]],
+        "sites": [1, 2],
+    },
 }
 
 EXPECT = {
@@ -136,6 +162,23 @@ class TestParseConfig:
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("{nope")
+
+
+class TestLocalOperatorLiterals:
+    def test_complex_two_site_literal_is_one_matrix(self):
+        rng = np.random.default_rng(44)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        literal = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+        cfg = parse_config(dict(GAMMA_BOUND, probe={"matrix": literal, "sites": [1, 2]}))
+        _, op = cfg.probe
+        assert op.support == (1, 2)
+        assert np.array_equal(dense_matrix(op, 2), m)
+
+    def test_per_site_lists_unchanged(self):
+        # frozen with the parser that read every list of matrices as per-site
+        golden = (DATA / "gamma_bound_per_site_seed42.json").read_bytes()
+        report, _ = run(parse_config(json.dumps(PER_SITE_GAMMA_BOUND)))
+        assert emit(report, "json") == golden
 
 
 class TestRun:
@@ -283,9 +326,13 @@ class TestMainExitCodes:
     def test_console_entry_point(self, tmp_path):
         # exercise the process-level contract end to end
         path = write_config(tmp_path, MUTUAL)
+        # the child process imports the same package as this session
+        src = str(Path(spintail.__file__).resolve().parents[1])
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         proc = subprocess.run(
             [sys.executable, "-m", "spintail.cli", "run", path],
             capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
         )
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
 import spintail as st
+from spintail import localops
 from spintail.errors import CapacityError, ContractViolation, EmbeddingError
 
-from oracles import I2, SX, SY, SZ, embed_dense, random_complex, svd_norm
+from oracles import I2, SX, SY, SZ, embed_dense, kron_term_dense, random_complex, svd_norm
 
 
 def random_block_op(rng, sites, d=2):
     dim = d ** len(sites)
-    return st.local_operator(random_complex(rng, dim), sites)
+    return st.local_operator(random_complex(rng, dim), sites, site_dim=d)
 
 
 class TestEmbed:
@@ -259,6 +260,51 @@ class TestNorm:
         for m in facs.values():
             expected *= svd_norm(m)
         assert st.norm(op.as_sum(), 14).value == pytest.approx(expected, rel=1e-10)
+
+
+def random_mixed_sum(rng, d, sites):
+    """Complex-weighted sum on ``sites`` (at least four): a bond joining the
+    first and last site, a product with one block per site, a two-block
+    product, and one single-site term per site."""
+    ops = [
+        random_block_op(rng, (sites[0], sites[-1]), d),
+        st.from_site_factors({x: random_complex(rng, d) for x in sites[::2]}, d),
+        st.product(random_block_op(rng, sites[1:3], d), random_block_op(rng, sites[-1:], d)),
+    ] + [random_block_op(rng, (x,), d) for x in sites]
+    return st.operator_sum([(complex(rng.normal(), rng.normal()), op) for op in ops], d)
+
+
+def per_term_kron_sum(terms, sites, d):
+    out = np.zeros((d ** len(sites),) * 2, dtype=complex)
+    for w, op in terms:
+        out += np.multiply(w, kron_term_dense(op.scalar, op.blocks, sites, d))
+    return out
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("d, sites, n", [(2, (2, 3, 5, 7), 8), (3, (1, 2, 3, 5), 5)])
+    def test_bit_exact_against_per_term_kron(self, d, sites, n):
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            s = random_mixed_sum(rng, d, sites)
+            assert any(len(op.blocks) > 1 for _, op in s.terms)
+            full = tuple(range(1, n + 1))
+            assert np.array_equal(st.dense_matrix(s, n), per_term_kron_sum(s.terms, full, d))
+            # after compaction the (first, last) bond joins sites 1 and m
+            terms, m = localops._compact_terms(s)
+            compact = tuple(range(1, m + 1))
+            assert any(b.sites == (1, m) for _, op in terms for b in op.blocks)
+            got = localops._assemble(
+                [(w, op.scalar, op.blocks) for w, op in terms], compact, d, st.DENSE_DIM_CAP
+            )
+            assert np.array_equal(got, per_term_kron_sum(terms, compact, d))
+
+    def test_single_operator_bit_exact(self):
+        rng = np.random.default_rng(37)
+        op = st.product(random_block_op(rng, (1, 4)), random_block_op(rng, (2,))).scale(0.5j)
+        assert np.array_equal(
+            st.dense_matrix(op, 5), kron_term_dense(op.scalar, op.blocks, tuple(range(1, 6)), 2)
+        )
 
 
 class TestReduceSupport:

@@ -126,6 +126,37 @@ class TestOperatorNorm:
             a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             assert operator_norm_dense(a) == pytest.approx(svd_norm(a), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["complex hermitian", "real symmetric", "real nonsymmetric", "general complex", "zero", "1x1"],
+    )
+    def test_every_route_matches_lapack_norm(self, kind):
+        rng = np.random.default_rng(14)
+        m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        a = {
+            "complex hermitian": m + m.conj().T,
+            "real symmetric": m.real + m.real.T,
+            "real nonsymmetric": m.real,
+            "general complex": m,
+            "zero": np.zeros((8, 8)),
+            "1x1": np.array([[-3 + 4j]]),
+        }[kind]
+        assert operator_norm_dense(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("skew, gram", [(0.0, False), (1e-9, True)])
+    def test_skew_defect_selects_route(self, monkeypatch, skew, gram):
+        rng = np.random.default_rng(15)
+        m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        k = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        a = (m + m.conj().T) + skew * (k - k.conj().T)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: solved.append(x) or eigvalsh(x))
+        value = operator_norm_dense(a)
+        assert len(solved) == 1
+        assert np.array_equal(solved[0], a.conj().T @ a if gram else a)
+        assert value == pytest.approx(svd_norm(a), rel=1e-12)
+
 
 finite_complex = st.complex_numbers(
     min_magnitude=0, max_magnitude=3, allow_nan=False, allow_infinity=False
