@@ -21,17 +21,14 @@ from .asymptotics import (
     quotient_norm_estimate,
     vanishing_test,
 )
-from .errors import CapacityError, ConfigError, ContractViolation, EmbeddingError
+from .errors import CapacityError, ConfigError, ContractViolation
 from .localops import (
     Block,
     LocalOperator,
     NormResult,
     OperatorSum,
-    StateVector,
-    Volume,
     commutator,
     dense_matrix,
-    embed,
     from_site_factors,
     identity_op,
     local_operator,
@@ -39,16 +36,13 @@ from .localops import (
     operator_sum,
     pauli_at,
     product,
-    reduce_support,
     scalar_op,
-    state_vector,
-    sum_apply,
     sum_commutator,
     sum_product,
     zero_op,
     zero_sum,
 )
-from .matrices import DENSE_DIM_CAP, adjoint, kron, kron_all, operator_norm_dense, pauli
+from .matrices import DENSE_DIM_CAP, adjoint, operator_norm_dense, pauli
 from .sequences import (
     BlockProduct,
     GammaSeq,

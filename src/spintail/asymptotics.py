@@ -15,7 +15,6 @@ undecided.  Thresholds are deliberately explicit and conservative:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from .localops import (
     norm,
     pauli_at,
     sum_commutator,
-    zero_sum,
 )
 from .matrices import pauli
 from .sequences import ObservableSequence, TranslatedToInfinity, as_schedule
@@ -120,8 +118,11 @@ def fit_loglog(points: tuple[TracePoint, ...]):
     return slope, resid
 
 
-def classify_trace(points, tol_exponent: float = 0.5) -> DecayReport:
-    """Build a :class:`DecayReport` from (n, value, converged) points."""
+def classify_trace(points, tol_exponent: float = 0.5, seconds=()) -> DecayReport:
+    """Build a :class:`DecayReport` from (n, value[, converged]) points.
+
+    ``seconds`` holds the wall-clock time of each point, kept as a diagnostic.
+    """
     pts = tuple(
         p if isinstance(p, TracePoint) else TracePoint(*p) for p in points
     )
@@ -142,18 +143,13 @@ def classify_trace(points, tol_exponent: float = 0.5) -> DecayReport:
         cls = "bounded_nonvanishing"
     else:
         cls = "unconverged"
-    return DecayReport(pts, exponent, residual, cls)
+    return DecayReport(pts, exponent, residual, cls, point_seconds=tuple(seconds))
 
 
-def _norm_trace(values, schedule, method, **norm_kwargs):
-    pts = []
-    secs = []
-    for n in schedule.points:
-        t0 = time.perf_counter()
-        res = norm(values(n), n, method, **norm_kwargs)
-        secs.append(time.perf_counter() - t0)
-        pts.append(TracePoint(n, res.value, res.converged))
-    return pts, tuple(secs)
+def _norm_report(values, schedule, method, tol_exponent=0.5, **norm_kwargs) -> DecayReport:
+    """Classified trace of ``norm(values(n), n)`` along the schedule."""
+    pairs, secs = schedule.trace(lambda n: norm(values(n), n, method, **norm_kwargs))
+    return classify_trace([(n, r.value, r.converged) for n, r in pairs], tol_exponent, secs)
 
 
 def quotient_norm_estimate(
@@ -164,10 +160,7 @@ def quotient_norm_estimate(
     Returns ``(estimate, report)``; the full trace is always reported so a
     caller can judge stabilization rather than trust one number.
     """
-    schedule = as_schedule(schedule)
-    _need_points(schedule, 4)
-    pts, secs = _norm_trace(seq.eval, schedule, method, **norm_kwargs)
-    report = replace(classify_trace(pts), point_seconds=secs)
+    report = vanishing_test(seq, schedule, method=method, **norm_kwargs)
     estimate = max(p.value for p in report.tail())
     return estimate, report
 
@@ -188,18 +181,9 @@ def equivalence_test(
     """Trace of the difference norm; vanishing means the sequences are identified."""
     schedule = as_schedule(schedule)
     _need_points(schedule, 4)
-    pts, secs = _norm_trace(
-        lambda n: a.eval(n) - b.eval(n), schedule, method, **norm_kwargs
+    return _norm_report(
+        lambda n: a.eval(n) - b.eval(n), schedule, method, tol_exponent, **norm_kwargs
     )
-    return replace(classify_trace(pts, tol_exponent), point_seconds=secs)
-
-
-class _ZeroSeq(ObservableSequence):
-    def __init__(self, site_dim):
-        self.site_dim = site_dim
-
-    def eval(self, n):
-        return zero_sum(self.site_dim)
 
 
 def vanishing_test(
@@ -210,9 +194,9 @@ def vanishing_test(
     **norm_kwargs,
 ) -> DecayReport:
     """Membership test for the ideal of sequences whose norms tend to zero."""
-    return equivalence_test(
-        seq, _ZeroSeq(seq.site_dim), schedule, tol_exponent, method, **norm_kwargs
-    )
+    schedule = as_schedule(schedule)
+    _need_points(schedule, 4)
+    return _norm_report(seq.eval, schedule, method, tol_exponent, **norm_kwargs)
 
 
 def default_probes(site_dim: int = 2) -> list[tuple[str, LocalOperator]]:
@@ -271,13 +255,13 @@ def commutant_membership(
             )
             continue
         probe_sum = probe.as_sum()
-        pts, secs = _norm_trace(
+        rep = _norm_report(
             lambda n: sum_commutator(seq.eval(n), probe_sum),
             schedule,
             method,
+            tol_exponent,
             **norm_kwargs,
         )
-        rep = replace(classify_trace(pts, tol_exponent), point_seconds=secs)
         results.append(ProbeResult(label, rep))
     return results
 
@@ -307,7 +291,7 @@ def gamma_bound_check(
     wp = _hull_size(probe.support)
     amp = 2.0 * (w0 + wp) * spec.seed.norm_exact() * probe.norm_exact()
     probe_sum = probe.as_sum()
-    pts, secs = _norm_trace(
+    rep = _norm_report(
         lambda n: sum_commutator(eval_gamma_sequence(spec, n), probe_sum),
         schedule,
         method,
@@ -315,14 +299,9 @@ def gamma_bound_check(
     )
     bound_points = tuple((n, amp / n) for n in schedule.points)
     violations = tuple(
-        p.n for p, (_, b) in zip(pts, bound_points) if p.value > b + slack
+        p.n for p, (_, b) in zip(rep.points, bound_points) if p.value > b + slack
     )
-    return replace(
-        classify_trace(pts),
-        bound_points=bound_points,
-        bound_violations=violations,
-        point_seconds=secs,
-    )
+    return replace(rep, bound_points=bound_points, bound_violations=violations)
 
 
 def mutual_commutator_trace(
@@ -341,7 +320,7 @@ def mutual_commutator_trace(
     are recorded as violations.
     """
     schedule = as_schedule(schedule)
-    pts, secs = _norm_trace(
+    rep = _norm_report(
         lambda n: sum_commutator(a.eval(n), c.eval(n)), schedule, method, **norm_kwargs
     )
     bound_points = None
@@ -353,11 +332,6 @@ def mutual_commutator_trace(
             ref = float(np.linalg.svd(m, compute_uv=False)[0])
             bound_points = tuple((n, ref) for n in schedule.points)
             violations = tuple(
-                p.n for p in pts if abs(p.value - ref) > slack
+                p.n for p in rep.points if abs(p.value - ref) > slack
             )
-    return replace(
-        classify_trace(pts),
-        bound_points=bound_points,
-        bound_violations=violations,
-        point_seconds=secs,
-    )
+    return replace(rep, bound_points=bound_points, bound_violations=violations)

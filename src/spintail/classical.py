@@ -13,20 +13,18 @@ Vanishing claims use the upper bound, non-vanishing claims the lower.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .asymptotics import DecayReport, TracePoint, classify_trace
+from .asymptotics import DecayReport, classify_trace
 from .errors import CapacityError, ContractViolation
 from .sequences import as_schedule
 
 __all__ = [
     "TrigObservable",
     "trig_term",
-    "harmonic",
     "constant",
     "cos_q",
     "sin_q",
@@ -165,10 +163,6 @@ def trig_term(amplitude, freqs) -> TrigObservable:
     return TrigObservable({_canonical_key(freqs): amplitude})
 
 
-def harmonic(site: int, m: int, n: int) -> TrigObservable:
-    return trig_term(1.0, [(site, m, n)])
-
-
 def constant(c) -> TrigObservable:
     return trig_term(c, [])
 
@@ -288,9 +282,6 @@ class ClassicalSequence:
     def eval(self, n: int) -> TrigObservable:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 @dataclass
 class ClassicalLocalEmbed(ClassicalSequence):
@@ -302,9 +293,6 @@ class ClassicalLocalEmbed(ClassicalSequence):
             return TrigObservable({})
         return self.f
 
-    def describe(self) -> str:
-        return "classical-local"
-
 
 @dataclass
 class ClassicalCyclicAverage(ClassicalSequence):
@@ -314,9 +302,6 @@ class ClassicalCyclicAverage(ClassicalSequence):
         if self.f.support and self.f.support[-1] > n:
             return TrigObservable({})
         return cyclic_average_eval(self.f, n)
-
-    def describe(self) -> str:
-        return "cyclic-average"
 
 
 @dataclass
@@ -341,9 +326,6 @@ class TailShifted(ClassicalSequence):
             )
         return self.f.translate(first - sup[0])
 
-    def describe(self) -> str:
-        return "tail-shifted"
-
 
 def tail_sequence(f: TrigObservable, floor_rule=None) -> TailShifted:
     return TailShifted(f, floor_rule)
@@ -360,12 +342,7 @@ def bracket_decay_test(
     Upper bounds suffice for vanishing claims; they are exact for the
     single-translate overlaps exercised here.
     """
-    schedule = as_schedule(schedule)
-    pts = []
-    secs = []
-    for n in schedule.points:
-        t0 = time.perf_counter()
-        val = poisson_bracket(seq.eval(n), probe).l1_norm()
-        secs.append(time.perf_counter() - t0)
-        pts.append(TracePoint(n, val, True))
-    return replace(classify_trace(pts, tol_exponent), point_seconds=tuple(secs))
+    pairs, secs = as_schedule(schedule).trace(
+        lambda n: poisson_bracket(seq.eval(n), probe).l1_norm()
+    )
+    return classify_trace(pairs, tol_exponent, secs)

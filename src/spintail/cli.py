@@ -3,20 +3,23 @@
 A config is one JSON file.  Common fields::
 
     {
-      "experiment": "gamma-bound",      # norm | decay | equiv | commutant |
-                                        # gamma-bound | expect | variance |
-                                        # classical-decay | mutual
+      "experiment": KIND,               # a key of EXPERIMENTS
       "schedule": [4, 6, 8, 10],        # strictly increasing volumes
       "method": "auto",                 # dense | iterative | auto
       "seed": 42,
-      "sequence": {...},                # see sequence grammar below
-      "sequence2": {...},               # equiv / mutual only
-      "probe": {...}, "probes": [...],  # local-operator specs
-      "observable": {...},              # variance only (single-site op)
-      "state": {"rho": [[0.8, 0], [0, 0.2]]},
-      "assert": {"classification": "vanishing", "all_converged": true},
+      "dense_cap": 4096,
+      ...                               # the fields the kind reads
+      "assert": {"classification": "vanishing", "series": LABEL,
+                 "all_converged": true, "max_value": 2.0},
       "output": {"format": "json", "path": "out.json"}
     }
+
+Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
+each is parsed, the fewest schedule points it accepts and the handler that
+runs it.  The fields are ``sequence`` and ``sequence2`` (see the sequence
+grammar below), ``probe`` and ``probes`` (local-operator specs, or a
+classical observable), ``observable`` (a single-site local operator) and
+``state`` (``{"rho": MAT}``, one site's density matrix).
 
 Sequence grammar (a tree of kind tags)::
 
@@ -53,14 +56,13 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import classical as cl
 from .asymptotics import (
-    TracePoint,
     classify_trace,
     commutant_membership,
     equivalence_test,
@@ -71,7 +73,7 @@ from .asymptotics import (
 from .errors import CapacityError, ConfigError, ContractViolation
 from .localops import LocalOperator, from_site_factors, local_operator
 from .matrices import DENSE_DIM_CAP, pauli
-from .report import REPORT_SCHEMA, Report, Series, emit, series_from_decay
+from .report import REPORT_SCHEMA, Report, emit, series_from_decay
 from .sequences import (
     BlockProduct,
     GammaSeq,
@@ -86,21 +88,10 @@ from .sequences import (
     TranslatedToInfinity,
     UniformProduct,
     VolumeSchedule,
+    default_block_lengths,
     seq_norm_trace,
 )
 from .states import average_variance, expectation, product_state
-
-EXPERIMENT_KINDS = (
-    "norm",
-    "decay",
-    "equiv",
-    "commutant",
-    "gamma-bound",
-    "expect",
-    "variance",
-    "classical-decay",
-    "mutual",
-)
 
 _NAMED_MATRICES = {
     "pauli1": lambda: pauli(1),
@@ -198,90 +189,90 @@ def _parse_local_operator(spec, errors: _Problems, path: str) -> LocalOperator |
         return None
 
 
-def _parse_sequence(spec, errors: _Problems, path: str) -> ObservableSequence | None:
+def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
+    """Build what a ``{"kind": K, ...}`` spec describes, from a table of kinds.
+
+    ``kinds`` maps each tag to a constructor and its ``(field, parser)``
+    pairs, with an optional third entry as the field's default; the parsed
+    fields go to the constructor in that order.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         errors.add(path, "expected an object with a 'kind' tag")
         return None
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        errors.add(f"{path}.kind", f"unknown {what} kind {kind!r}")
+        return None
+    build, fields = kinds[kind]
+    known = len(errors.items)
+    args = [
+        parse(spec.get(name, *default), errors, f"{path}.{name}")
+        for name, parse, *default in fields
+    ]
+    if len(errors.items) > known:
+        return None
     try:
-        if kind == "local":
-            op = _parse_local_operator(spec.get("op"), errors, f"{path}.op")
-            return LocalEmbedSeq(op) if op is not None else None
-        if kind == "translated":
-            mat = _parse_matrix(spec.get("op"), errors, f"{path}.op")
-            if mat is None:
-                return None
-            offset = spec.get("offset", 0)
-            if not isinstance(offset, int) or offset < 0:
-                errors.add(f"{path}.offset", "expected a nonnegative integer")
-                return None
-            rule = None if offset == 0 else (lambda n, k=offset: max(1, n - k))
-            return TranslatedToInfinity(mat, rule)
-        if kind == "gamma":
-            op = _parse_local_operator(spec.get("seed"), errors, f"{path}.seed")
-            return GammaSeq.from_seed(op) if op is not None else None
-        if kind == "uniform-product":
-            mat = _parse_matrix(spec.get("op"), errors, f"{path}.op")
-            return UniformProduct(mat) if mat is not None else None
-        if kind == "parity-product":
-            odd = _parse_matrix(spec.get("odd"), errors, f"{path}.odd")
-            even = _parse_matrix(spec.get("even"), errors, f"{path}.even")
-            if odd is None or even is None:
-                return None
-            return ParityProduct(odd, even)
-        if kind == "block-product":
-            even = _parse_matrix(spec.get("even"), errors, f"{path}.even")
-            odd = _parse_matrix(spec.get("odd"), errors, f"{path}.odd")
-            if even is None or odd is None:
-                return None
-            lengths = spec.get("lengths")
-            if lengths is None:
-                return BlockProduct(even, odd)
-            if not (
-                isinstance(lengths, list)
-                and lengths
-                and all(isinstance(x, int) and x > 0 for x in lengths)
-                and all(a < b for a, b in zip(lengths, lengths[1:]))
-            ):
-                errors.add(
-                    f"{path}.lengths",
-                    "expected a strictly increasing list of positive integers",
-                )
-                return None
-
-            def rule(n, ls=tuple(lengths)):
-                if n >= len(ls):
-                    raise ContractViolation(
-                        f"block length list exhausted at block {n}"
-                    )
-                return ls[n]
-
-            return BlockProduct(even, odd, rule)
-        if kind == "half-chain":
-            mat = _parse_matrix(spec.get("op"), errors, f"{path}.op")
-            return HalfChain(mat) if mat is not None else None
-        if kind in ("sum", "product"):
-            left = _parse_sequence(spec.get("left"), errors, f"{path}.left")
-            right = _parse_sequence(spec.get("right"), errors, f"{path}.right")
-            if left is None or right is None:
-                return None
-            return SeqSum(left, right) if kind == "sum" else SeqProduct(left, right)
-        if kind == "adjoint":
-            inner = _parse_sequence(spec.get("inner"), errors, f"{path}.inner")
-            return SeqAdjoint(inner) if inner is not None else None
-        if kind == "scale":
-            inner = _parse_sequence(spec.get("inner"), errors, f"{path}.inner")
-            if inner is None:
-                return None
-            factor = spec.get("factor")
-            if factor == "1/N":
-                return SeqScale(lambda n: 1.0 / n, inner)
-            return SeqScale(_parse_scalar(factor, errors, f"{path}.factor"), inner)
+        return build(*args)
     except ContractViolation as exc:
         errors.add(path, str(exc))
         return None
-    errors.add(f"{path}.kind", f"unknown sequence kind {kind!r}")
-    return None
+
+
+def _parse_sequence(spec, errors: _Problems, path: str) -> ObservableSequence | None:
+    return _parse_tagged(spec, errors, path, _SEQUENCE_KINDS, "sequence")
+
+
+def _parse_offset(offset, errors: _Problems, path: str):
+    """Site rule of a translated sequence: site max(1, N - offset), or N itself."""
+    if not isinstance(offset, int) or offset < 0:
+        errors.add(path, "expected a nonnegative integer")
+        return None
+    return None if offset == 0 else (lambda n: max(1, n - offset))
+
+
+def _parse_block_lengths(value, errors: _Problems, path: str):
+    """Block-length rule of a block product: an explicit list, or B_n = n + 1."""
+    if value is None:
+        return default_block_lengths
+    if not (
+        isinstance(value, list)
+        and value
+        and all(isinstance(x, int) and x > 0 for x in value)
+        and all(a < b for a, b in zip(value, value[1:]))
+    ):
+        errors.add(path, "expected a strictly increasing list of positive integers")
+        return None
+
+    def rule(n, ls=tuple(value)):
+        if n >= len(ls):
+            raise ContractViolation(f"block length list exhausted at block {n}")
+        return ls[n]
+
+    return rule
+
+
+def _parse_factor(value, errors: _Problems, path: str):
+    if value == "1/N":
+        return lambda n: 1.0 / n
+    return _parse_scalar(value, errors, path)
+
+
+_SEQUENCE_KINDS = {
+    "local": (LocalEmbedSeq, (("op", _parse_local_operator),)),
+    "translated": (TranslatedToInfinity, (("op", _parse_matrix), ("offset", _parse_offset, 0))),
+    "gamma": (GammaSeq.from_seed, (("seed", _parse_local_operator),)),
+    "uniform-product": (UniformProduct, (("op", _parse_matrix),)),
+    "parity-product": (ParityProduct, (("odd", _parse_matrix), ("even", _parse_matrix))),
+    "block-product": (
+        BlockProduct,
+        (("even", _parse_matrix), ("odd", _parse_matrix), ("lengths", _parse_block_lengths)),
+    ),
+    "half-chain": (HalfChain, (("op", _parse_matrix),)),
+    "sum": (SeqSum, (("left", _parse_sequence), ("right", _parse_sequence))),
+    "product": (SeqProduct, (("left", _parse_sequence), ("right", _parse_sequence))),
+    "adjoint": (SeqAdjoint, (("inner", _parse_sequence),)),
+    "scale": (SeqScale, (("factor", _parse_factor), ("inner", _parse_sequence))),
+}
 
 
 _NAMED_TRIG = {
@@ -327,22 +318,182 @@ def _parse_trig(spec, errors: _Problems, path: str):
     return None
 
 
+_CLASSICAL_KINDS = {
+    "classical-local": (cl.ClassicalLocalEmbed, (("f", _parse_trig),)),
+    "cyclic-average": (cl.ClassicalCyclicAverage, (("f", _parse_trig),)),
+    "tail-shifted": (cl.tail_sequence, (("f", _parse_trig),)),
+}
+
+
 def _parse_classical_sequence(spec, errors: _Problems, path: str):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        errors.add(path, "expected an object with a 'kind' tag")
+    return _parse_tagged(spec, errors, path, _CLASSICAL_KINDS, "classical sequence")
+
+
+def _parse_gamma_sequence(spec, errors: _Problems, path: str):
+    seq = _parse_sequence(spec, errors, path)
+    if seq is not None and not isinstance(seq, GammaSeq):
+        errors.add(path, "gamma-bound needs a sequence of kind 'gamma'")
+    return seq
+
+
+def _op_label(spec, op: LocalOperator) -> str:
+    if isinstance(spec, dict) and isinstance(spec.get("label"), str):
+        return spec["label"]
+    sites = ",".join(map(str, op.support)) or "scalar"
+    mat = spec.get("matrix") if isinstance(spec, dict) else None
+    if isinstance(mat, str):
+        return f"{mat}@{sites}"
+    if isinstance(mat, list) and all(isinstance(m, str) for m in mat):
+        return f"{'*'.join(mat)}@{sites}"
+    return f"op@{sites}"
+
+
+def _parse_probe(spec, errors: _Problems, path: str):
+    op = _parse_local_operator(spec, errors, path)
+    return None if op is None else (_op_label(spec, op), op)
+
+
+def _parse_probes(spec, errors: _Problems, path: str):
+    if not isinstance(spec, list):
+        errors.add(path, "expected a list of local-operator specs")
         return None
-    kind = spec["kind"]
-    f = _parse_trig(spec.get("f"), errors, f"{path}.f")
-    if f is None:
+    return [_parse_probe(p, errors, f"{path}[{i}]") for i, p in enumerate(spec)]
+
+
+def _parse_state(spec, errors: _Problems, path: str):
+    if not isinstance(spec, dict) or "rho" not in spec:
+        errors.add(path, "expected {'rho': row-major matrix}")
         return None
-    if kind == "classical-local":
-        return cl.ClassicalLocalEmbed(f)
-    if kind == "cyclic-average":
-        return cl.ClassicalCyclicAverage(f)
-    if kind == "tail-shifted":
-        return cl.tail_sequence(f)
-    errors.add(f"{path}.kind", f"unknown classical sequence kind {kind!r}")
-    return None
+    rho = _parse_matrix(spec["rho"], errors, f"{path}.rho")
+    if rho is None:
+        return None
+    try:
+        return product_state(rho)
+    except ContractViolation as exc:
+        errors.add(f"{path}.rho", str(exc))
+        return None
+
+
+# ---------------------------------------------------------------------------
+# experiment handlers: each runs one kind and returns its series, appending to
+# the report's warnings and assertion failures.  Estimators are called through
+# their module-level names so that wrappers installed on them see the calls.
+
+
+def _run_norm(config, warnings, failures):
+    pairs, secs = seq_norm_trace(config.sequence, config.schedule, **config.norm_kwargs)
+    rep = classify_trace([(n, r.value, r.converged) for n, r in pairs], seconds=secs)
+    return [series_from_decay("norm", rep)]
+
+
+def _run_decay(config, warnings, failures):
+    rep = vanishing_test(config.sequence, config.schedule, **config.norm_kwargs)
+    return [series_from_decay("vanishing", rep)]
+
+
+def _run_equiv(config, warnings, failures):
+    rep = equivalence_test(
+        config.sequence, config.sequence2, config.schedule, **config.norm_kwargs
+    )
+    return [series_from_decay("difference", rep)]
+
+
+def _run_commutant(config, warnings, failures):
+    series = []
+    results = commutant_membership(
+        config.sequence, config.probes, config.schedule, **config.norm_kwargs
+    )
+    for res in results:
+        if res.skipped:
+            warnings.append(f"probe {res.label} skipped: {res.reason}")
+        else:
+            series.append(series_from_decay(res.label, res.report))
+    return series
+
+
+def _run_gamma_bound(config, warnings, failures):
+    rep = gamma_bound_check(
+        config.sequence.spec, config.probe[1], config.schedule, **config.norm_kwargs
+    )
+    if rep.bound_violations:
+        failures.append(f"commutator bound violated at N in {list(rep.bound_violations)}")
+    return [series_from_decay("commutator", rep)]
+
+
+def _run_expect(config, warnings, failures):
+    pairs, secs = config.schedule.trace(
+        lambda n: expectation(config.state, config.sequence.eval(n), n)
+    )
+    series = []
+    for part, of in (("re", lambda v: v.real), ("im", lambda v: v.imag)):
+        values = [(n, float(of(v))) for n, v in pairs]
+        ser = series_from_decay(
+            f"expectation.{part}", classify_trace([(n, abs(v)) for n, v in values], seconds=secs)
+        )
+        ser.points = [{"n": n, "value": v, "converged": True} for n, v in values]
+        series.append(ser)
+    return series
+
+
+def _run_variance(config, warnings, failures):
+    pairs, secs = config.schedule.trace(
+        lambda n: average_variance(config.state, config.observable, n)
+    )
+    return [series_from_decay("variance", classify_trace(pairs, seconds=secs))]
+
+
+def _run_classical_decay(config, warnings, failures):
+    rep = cl.bracket_decay_test(config.sequence, config.probe, config.schedule)
+    return [series_from_decay("bracket.l1", rep)]
+
+
+def _run_mutual(config, warnings, failures):
+    rep = mutual_commutator_trace(
+        config.sequence, config.sequence2, config.schedule, **config.norm_kwargs
+    )
+    if rep.bound_violations:
+        failures.append(
+            f"constant-trace reference violated at N in {list(rep.bound_violations)}"
+        )
+    return [series_from_decay("commutator", rep)]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind: the config fields it reads, and how it runs."""
+
+    # config fields, each with its parser (spec, errors, path) -> value
+    fields: tuple[tuple[str, Callable], ...]
+    # (config, warnings, failures) -> list of report series
+    handler: Callable
+    min_points: int = 1
+    # the fields a config may leave out
+    optional: tuple[str, ...] = ()
+
+
+_SEQUENCE = ("sequence", _parse_sequence)
+_SEQUENCE2 = ("sequence2", _parse_sequence)
+_STATE = ("state", _parse_state)
+
+EXPERIMENTS = {
+    "norm": Experiment((_SEQUENCE,), _run_norm),
+    "decay": Experiment((_SEQUENCE,), _run_decay, 4),
+    "equiv": Experiment((_SEQUENCE, _SEQUENCE2), _run_equiv, 4),
+    "commutant": Experiment(
+        (_SEQUENCE, ("probes", _parse_probes)), _run_commutant, 4, optional=("probes",)
+    ),
+    "gamma-bound": Experiment(
+        (("sequence", _parse_gamma_sequence), ("probe", _parse_probe)), _run_gamma_bound, 4
+    ),
+    "expect": Experiment((_SEQUENCE, _STATE), _run_expect),
+    "variance": Experiment((_STATE, ("observable", _parse_local_operator)), _run_variance),
+    "classical-decay": Experiment(
+        (("sequence", _parse_classical_sequence), ("probe", _parse_trig)),
+        _run_classical_decay,
+        4,
+    ),
+    "mutual": Experiment((_SEQUENCE, _SEQUENCE2), _run_mutual),
+}
 
 
 @dataclass
@@ -353,17 +504,20 @@ class ExperimentConfig:
     seed: int
     dense_cap: int
     echo: dict
-    sequence: ObservableSequence | None = None
+    # each holds what the kind's parser for that field returned
+    sequence: object = None
     sequence2: ObservableSequence | None = None
-    probe: tuple[str, LocalOperator] | None = None
+    probe: object = None
     probes: list[tuple[str, LocalOperator]] | None = None
     observable: LocalOperator | None = None
     state: object = None
-    classical_sequence: object = None
-    classical_probe: object = None
     assert_spec: dict = field(default_factory=dict)
     out_format: str = "json"
     out_path: str | None = None
+
+    @property
+    def norm_kwargs(self) -> dict:
+        return dict(method=self.method, dense_cap=self.dense_cap, seed=self.seed)
 
 
 def parse_config(text_or_dict) -> ExperimentConfig:
@@ -380,9 +534,9 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         raise ConfigError(["config: top level must be an object"])
 
     kind = raw.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        errors.add("experiment", f"unknown kind {kind!r}; one of {', '.join(EXPERIMENT_KINDS)}")
-        kind = None
+    experiment = EXPERIMENTS.get(kind) if isinstance(kind, str) else None
+    if experiment is None:
+        errors.add("experiment", f"unknown kind {kind!r}; one of {', '.join(EXPERIMENTS)}")
 
     schedule = None
     pts = raw.get("schedule")
@@ -393,9 +547,11 @@ def parse_config(text_or_dict) -> ExperimentConfig:
             schedule = VolumeSchedule(tuple(pts))
         except ContractViolation as exc:
             errors.add("schedule", str(exc))
-    fit_kinds = ("decay", "equiv", "commutant", "gamma-bound", "classical-decay")
-    if schedule is not None and kind in fit_kinds and len(schedule.points) < 4:
-        errors.add("schedule", f"{kind} experiments need at least 4 points")
+    if schedule is not None and experiment is not None:
+        if len(schedule.points) < experiment.min_points:
+            errors.add(
+                "schedule", f"{kind} experiments need at least {experiment.min_points} points"
+            )
 
     method = raw.get("method", "auto")
     if method not in ("dense", "iterative", "auto"):
@@ -412,7 +568,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         dense_cap = DENSE_DIM_CAP
 
     cfg = ExperimentConfig(
-        kind=kind or "norm",
+        kind=kind,
         schedule=schedule or VolumeSchedule((1,)),
         method=method if method in ("dense", "iterative", "auto") else "auto",
         seed=seed,
@@ -420,56 +576,12 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         echo=raw,
     )
 
-    def need(fld):
-        if fld not in raw:
-            errors.add(fld, f"required for {kind!r} experiments")
-            return False
-        return True
-
-    if kind in ("norm", "decay", "equiv", "commutant", "gamma-bound", "expect", "mutual"):
-        if need("sequence"):
-            cfg.sequence = _parse_sequence(raw["sequence"], errors, "sequence")
-    if kind in ("equiv", "mutual"):
-        if need("sequence2"):
-            cfg.sequence2 = _parse_sequence(raw["sequence2"], errors, "sequence2")
-    if kind == "gamma-bound":
-        if cfg.sequence is not None and not isinstance(cfg.sequence, GammaSeq):
-            errors.add("sequence", "gamma-bound needs a sequence of kind 'gamma'")
-        if need("probe"):
-            op = _parse_local_operator(raw["probe"], errors, "probe")
-            if op is not None:
-                cfg.probe = (_op_label(raw["probe"], op), op)
-    if kind == "commutant" and "probes" in raw:
-        cfg.probes = []
-        if not isinstance(raw["probes"], list):
-            errors.add("probes", "expected a list of local-operator specs")
-        else:
-            for i, p in enumerate(raw["probes"]):
-                op = _parse_local_operator(p, errors, f"probes[{i}]")
-                if op is not None:
-                    cfg.probes.append((_op_label(p, op), op))
-    if kind in ("expect", "variance"):
-        if need("state"):
-            spec = raw["state"]
-            if not isinstance(spec, dict) or "rho" not in spec:
-                errors.add("state", "expected {'rho': row-major matrix}")
-            else:
-                rho = _parse_matrix(spec["rho"], errors, "state.rho")
-                if rho is not None:
-                    try:
-                        cfg.state = product_state(rho)
-                    except ContractViolation as exc:
-                        errors.add("state.rho", str(exc))
-    if kind == "variance":
-        if need("observable"):
-            cfg.observable = _parse_local_operator(raw["observable"], errors, "observable")
-    if kind == "classical-decay":
-        if need("sequence"):
-            cfg.classical_sequence = _parse_classical_sequence(
-                raw["sequence"], errors, "sequence"
-            )
-        if need("probe"):
-            cfg.classical_probe = _parse_trig(raw["probe"], errors, "probe")
+    if experiment is not None:
+        for name, parse in experiment.fields:
+            if name in raw:
+                setattr(cfg, name, parse(raw[name], errors, name))
+            elif name not in experiment.optional:
+                errors.add(name, f"required for {kind!r} experiments")
 
     assert_spec = raw.get("assert", {})
     if not isinstance(assert_spec, dict):
@@ -479,6 +591,15 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         cls = assert_spec.get("classification")
         if cls is not None and cls not in ("vanishing", "bounded_nonvanishing", "unconverged"):
             errors.add("assert.classification", f"unknown classification {cls!r}")
+        target = assert_spec.get("series")
+        if target is not None and not isinstance(target, str):
+            errors.add("assert.series", f"expected a series label, got {target!r}")
+        converged = assert_spec.get("all_converged")
+        if converged is not None and not isinstance(converged, bool):
+            errors.add("assert.all_converged", f"expected true or false, got {converged!r}")
+        cap = assert_spec.get("max_value")
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, float))):
+            errors.add("assert.max_value", f"expected a number, got {cap!r}")
 
     output = raw.get("output", {})
     if isinstance(output, dict):
@@ -487,7 +608,11 @@ def parse_config(text_or_dict) -> ExperimentConfig:
             errors.add("output.format", f"expected json|csv, got {fmt!r}")
         else:
             cfg.out_format = fmt
-        cfg.out_path = output.get("path")
+        path = output.get("path")
+        if path is not None and not isinstance(path, str):
+            errors.add("output.path", f"expected a file path, got {path!r}")
+        else:
+            cfg.out_path = path
     elif output is not None:
         errors.add("output", "expected an object")
 
@@ -496,105 +621,11 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     return cfg
 
 
-def _op_label(spec, op: LocalOperator) -> str:
-    if isinstance(spec, dict) and isinstance(spec.get("label"), str):
-        return spec["label"]
-    sites = ",".join(map(str, op.support)) or "scalar"
-    mat = spec.get("matrix") if isinstance(spec, dict) else None
-    if isinstance(mat, str):
-        return f"{mat}@{sites}"
-    if isinstance(mat, list) and all(isinstance(m, str) for m in mat):
-        return f"{'*'.join(mat)}@{sites}"
-    return f"op@{sites}"
-
-
 def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     """Execute one experiment; returns the report and assertion failures."""
-    kind = config.kind
-    schedule = config.schedule
     warnings: list[str] = []
     failures: list[str] = []
-    series: list[Series] = []
-    kw = dict(dense_cap=config.dense_cap, seed=config.seed)
-
-    if kind == "norm":
-        trace = seq_norm_trace(config.sequence, schedule, config.method, **kw)
-        pts = [TracePoint(n, r.value, r.converged) for n, r in trace]
-        series.append(series_from_decay("norm", classify_trace(pts)))
-    elif kind == "decay":
-        rep = vanishing_test(config.sequence, schedule, method=config.method, **kw)
-        series.append(series_from_decay("vanishing", rep))
-    elif kind == "equiv":
-        rep = equivalence_test(
-            config.sequence, config.sequence2, schedule, method=config.method, **kw
-        )
-        series.append(series_from_decay("difference", rep))
-    elif kind == "commutant":
-        results = commutant_membership(
-            config.sequence, config.probes, schedule, method=config.method, **kw
-        )
-        for res in results:
-            if res.skipped:
-                warnings.append(f"probe {res.label} skipped: {res.reason}")
-            else:
-                series.append(series_from_decay(res.label, res.report))
-    elif kind == "gamma-bound":
-        rep = gamma_bound_check(
-            config.sequence.spec,
-            config.probe[1],
-            schedule,
-            method=config.method,
-            **kw,
-        )
-        series.append(series_from_decay("commutator", rep))
-        if rep.bound_violations:
-            failures.append(
-                f"commutator bound violated at N in {list(rep.bound_violations)}"
-            )
-    elif kind == "mutual":
-        rep = mutual_commutator_trace(
-            config.sequence, config.sequence2, schedule, method=config.method, **kw
-        )
-        series.append(series_from_decay("commutator", rep))
-        if rep.bound_violations:
-            failures.append(
-                f"constant-trace reference violated at N in {list(rep.bound_violations)}"
-            )
-    elif kind == "expect":
-        re_pts, im_pts, secs = [], [], []
-        for n in schedule.points:
-            t0 = time.perf_counter()
-            val = expectation(config.state, config.sequence.eval(n), n)
-            secs.append(time.perf_counter() - t0)
-            re_pts.append(TracePoint(n, float(val.real)))
-            im_pts.append(TracePoint(n, float(val.imag)))
-        for label, pts in (("expectation.re", re_pts), ("expectation.im", im_pts)):
-            mag = [TracePoint(p.n, abs(p.value), p.converged) for p in pts]
-            rep = classify_trace(mag)
-            ser = series_from_decay(label, rep)
-            ser.points = [
-                {"n": p.n, "value": p.value, "converged": p.converged} for p in pts
-            ]
-            ser.point_seconds = list(secs)
-            series.append(ser)
-    elif kind == "variance":
-        pts, secs = [], []
-        for n in schedule.points:
-            t0 = time.perf_counter()
-            val = average_variance(config.state, config.observable, n)
-            secs.append(time.perf_counter() - t0)
-            pts.append(TracePoint(n, val))
-        rep = classify_trace(pts)
-        ser = series_from_decay("variance", rep)
-        ser.point_seconds = list(secs)
-        series.append(ser)
-    elif kind == "classical-decay":
-        rep = cl.bracket_decay_test(
-            config.classical_sequence, config.classical_probe, schedule
-        )
-        series.append(series_from_decay("bracket.l1", rep))
-    else:  # pragma: no cover - parse_config rejects unknown kinds
-        raise ContractViolation(f"unhandled experiment kind {kind!r}")
+    series = EXPERIMENTS[config.kind].handler(config, warnings, failures)
 
     spec = config.assert_spec
     if "classification" in spec:
@@ -614,7 +645,7 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
             bad = [p["n"] for p in s.points if not p["converged"]]
             if bad:
                 failures.append(f"series {s.label}: unconverged at N in {bad}")
-    if "max_value" in spec:
+    if spec.get("max_value") is not None:
         cap = float(spec["max_value"])
         for s in series:
             over = [p["n"] for p in s.points if p["value"] > cap]
@@ -622,7 +653,7 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
                 failures.append(f"series {s.label}: value above {cap} at N in {over}")
 
     meta = {
-        "experiment": kind,
+        "experiment": config.kind,
         "seed": config.seed,
         "method": config.method,
         "dense_cap": config.dense_cap,
@@ -630,12 +661,8 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
         "warnings": warnings,
         "assertions": {"passed": not failures, "failures": failures},
     }
-    report = Report(meta, list(schedule.points), series)
+    report = Report(meta, list(config.schedule.points), series)
     return report, failures
-
-
-def _verbose() -> bool:
-    return os.environ.get("SPINTAIL_VERBOSE", "") not in ("", "0")
 
 
 def main(argv=None) -> int:
@@ -704,12 +731,16 @@ def main(argv=None) -> int:
 
     payload = emit(report, config.out_format)
     if config.out_path:
-        with open(config.out_path, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.buffer.write(payload)
 
-    if _verbose():
+    if os.environ.get("SPINTAIL_VERBOSE", "") not in ("", "0"):
         for s in report.series:
             total = sum(s.point_seconds)
             print(

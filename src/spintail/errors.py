@@ -5,10 +5,6 @@ class ContractViolation(ValueError):
     """An argument breaks a documented precondition."""
 
 
-class EmbeddingError(ContractViolation):
-    """An operator's support does not fit inside the target volume."""
-
-
 class CapacityError(RuntimeError):
     """A dense object would exceed the configured dimension cap.
 

@@ -18,15 +18,13 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, EmbeddingError
+from .errors import CapacityError, ContractViolation
 from .matrices import DENSE_DIM_CAP, _frozen, adjoint, check_finite, operator_norm_dense
 
 __all__ = [
-    "Volume",
     "Block",
     "LocalOperator",
     "OperatorSum",
-    "StateVector",
     "NormResult",
     "local_operator",
     "from_site_factors",
@@ -36,39 +34,24 @@ __all__ = [
     "pauli_at",
     "operator_sum",
     "zero_sum",
-    "embed",
     "product",
     "commutator",
     "sum_commutator",
     "sum_product",
-    "reduce_support",
-    "sum_apply",
     "norm",
     "dense_matrix",
-    "state_vector",
 ]
 
 # Iterative norms hold two state vectors of this many amplitudes at most.
 ITERATIVE_STATE_CAP = 2**24
 
 
-@dataclass(frozen=True)
-class Volume:
-    """The chain segment {1, ..., size}."""
-
-    size: int
-
-    def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ContractViolation(f"volume size must be a positive integer, got {self.size!r}")
-
-    @property
-    def sites(self) -> range:
-        return range(1, self.size + 1)
-
-
-def as_volume(v) -> Volume:
-    return v if isinstance(v, Volume) else Volume(int(v))
+def check_volume(n) -> int:
+    """Site count of the chain segment {1, ..., n}; at least one site."""
+    n = int(n)
+    if n < 1:
+        raise ContractViolation(f"volumes have at least one site, got {n}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +93,6 @@ class LocalOperator:
     @property
     def is_zero(self) -> bool:
         return self.scalar == 0
-
-    @property
-    def is_scalar(self) -> bool:
-        return not self.blocks
 
     def adjoint(self) -> LocalOperator:
         return _make_op(
@@ -345,7 +324,7 @@ def _assemble(terms, sites, d, dim_cap) -> np.ndarray:
 
 def dense_matrix(obj, volume, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
     """Full d^N x d^N matrix of an operator or sum on the given volume."""
-    n = as_volume(volume).size
+    n = check_volume(volume)
     _check_support_fits(obj.support, n)
     if isinstance(obj, LocalOperator):
         terms = [(1.0, obj.scalar, obj.blocks)]
@@ -359,23 +338,6 @@ def _check_support_fits(support, n):
         raise ContractViolation(
             f"support {support} does not fit in volume of {n} sites"
         )
-
-
-def embed(a: LocalOperator, target, dim_cap: int = DENSE_DIM_CAP) -> LocalOperator:
-    """Tensor ``a`` with identities so it becomes a dense operator on the full volume.
-
-    This is the explicit embedding used by oracles and small-volume work; the
-    support-aware operations never need it.  Raises :class:`EmbeddingError`
-    when the support sticks out of the target volume.
-    """
-    n = as_volume(target).size
-    sup = a.support
-    if sup and sup[-1] > n:
-        raise EmbeddingError(
-            f"support {sup} does not fit in volume of {n} sites"
-        )
-    mat = dense_matrix(a, n, dim_cap)
-    return _make_op(a.site_dim, 1.0, [_check_block(tuple(range(1, n + 1)), mat, a.site_dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -490,74 +452,7 @@ def sum_commutator(a: OperatorSum, b: OperatorSum, dim_cap: int = DENSE_DIM_CAP)
 
 
 # ---------------------------------------------------------------------------
-# support reduction
-
-
-def reduce_support(a: LocalOperator, tol: float = 1e-12) -> LocalOperator:
-    """Drop sites whose tensor factor is the identity (within ``tol``).
-
-    Each candidate site is tested by comparing the block against identity
-    tensor its normalized partial trace over that site; exact constructors
-    produce exact identities, the tolerance only guards float noise.
-    """
-    d = a.site_dim
-    if a.is_zero:
-        return a
-    new_blocks = []
-    new_scalar = a.scalar
-    for blk in a.blocks:
-        sites = list(blk.sites)
-        mat = np.array(blk.matrix)
-        changed = True
-        while changed and sites:
-            changed = False
-            k = len(sites)
-            if k == 1:
-                c = np.trace(mat) / d
-                if np.max(np.abs(mat - c * np.eye(d))) <= tol:
-                    new_scalar *= c
-                    sites, mat = [], None
-                    changed = True
-                continue
-            tensor = mat.reshape((d,) * (2 * k))
-            for t in range(k):
-                rest = np.trace(tensor, axis1=t, axis2=k + t).reshape(
-                    (d ** (k - 1),) * 2
-                ) / d
-                order = [sites[t]] + sites[:t] + sites[t + 1 :]
-                cand = _permute_site_axes(
-                    np.kron(np.eye(d, dtype=complex), rest), order, sites, d
-                )
-                if np.max(np.abs(mat - cand)) <= tol:
-                    sites = sites[:t] + sites[t + 1 :]
-                    mat = rest
-                    changed = True
-                    break
-        if sites:
-            new_blocks.append(Block(tuple(sites), _frozen(mat)))
-    return _make_op(d, new_scalar, new_blocks)
-
-
-# ---------------------------------------------------------------------------
-# state vectors and matrix-free application
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    volume: Volume
-    site_dim: int
-    amplitudes: np.ndarray
-
-
-def state_vector(amplitudes, volume, site_dim: int = 2) -> StateVector:
-    vol = as_volume(volume)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (site_dim**vol.size,):
-        raise ContractViolation(
-            f"state on {vol.size} sites needs length {site_dim**vol.size}, "
-            f"got {amplitudes.shape}"
-        )
-    return StateVector(vol, site_dim, amplitudes)
+# matrix-free application
 
 
 def _apply_block_tensor(vec_t: np.ndarray, blk: Block, d: int) -> np.ndarray:
@@ -578,17 +473,6 @@ def _apply_terms(vec_t: np.ndarray, terms, d: int) -> np.ndarray:
     return out
 
 
-def sum_apply(s: OperatorSum, v: StateVector) -> StateVector:
-    """Apply a sum to a state, touching only each term's support legs."""
-    n = v.volume.size
-    if s.site_dim != v.site_dim:
-        raise ContractViolation("operator and state disagree on site dimension")
-    _check_support_fits(s.support, n)
-    vec_t = v.amplitudes.reshape((v.site_dim,) * n) if n else v.amplitudes
-    out = _apply_terms(vec_t, s.terms, v.site_dim)
-    return StateVector(v.volume, v.site_dim, out.reshape(v.amplitudes.shape))
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -598,9 +482,6 @@ class NormResult:
     value: float
     converged: bool
     iterations: int = 0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _compact_terms(s: OperatorSum):
@@ -694,7 +575,7 @@ def norm(
     """
     if isinstance(s, LocalOperator):
         s = s.as_sum()
-    n = as_volume(volume).size
+    n = check_volume(volume)
     _check_support_fits(s.support, n)
     if method not in ("dense", "iterative", "auto"):
         raise ContractViolation(f"unknown norm method {method!r}")

@@ -1,12 +1,10 @@
-"""Dense complex matrix kernels: Kronecker products, adjoints, exact operator norms.
+"""Dense complex matrix kernels: Pauli matrices, adjoints, exact operator norms.
 
 All functions work on plain ``numpy.ndarray`` with ``complex128`` entries and
 are pure; matrices returned by constructors are marked read-only.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -63,31 +61,6 @@ def check_finite(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ContractViolation("matrix entries must be finite (no NaN/Inf)")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
-
-    Raises :class:`CapacityError` if the result would exceed ``dim_cap`` rows
-    or columns.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > dim_cap:
-        raise CapacityError(
-            f"kron result would be {rows}x{cols}, above the dense cap {dim_cap}"
-        )
-    return np.kron(a, b)
-
-
-def kron_all(mats, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Left-fold Kronecker product of a sequence of matrices."""
-    mats = list(mats)
-    if not mats:
-        return np.eye(1, dtype=complex)
-    return reduce(lambda x, y: kron(x, y, dim_cap), mats)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ filling pattern, and pointwise *-algebra combinations of all of these.
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +22,7 @@ from .localops import (
     LocalOperator,
     NormResult,
     OperatorSum,
+    check_volume,
     from_site_factors,
     identity_op,
     norm,
@@ -58,9 +60,6 @@ class ObservableSequence:
     def eval(self, n: int) -> OperatorSum:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
     def __add__(self, other: "ObservableSequence") -> "ObservableSequence":
         return SeqSum(self, other)
 
@@ -72,13 +71,6 @@ class ObservableSequence:
 
     def scale(self, factor) -> "ObservableSequence":
         return SeqScale(factor, self)
-
-
-def _check_volume(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ContractViolation(f"volumes have at least one site, got {n}")
-    return n
 
 
 def _bounded_site_op(mat, d) -> np.ndarray:
@@ -102,14 +94,11 @@ class LocalEmbedSeq(ObservableSequence):
         self.site_dim = self.seed.site_dim
 
     def eval(self, n: int) -> OperatorSum:
-        n = _check_volume(n)
+        n = check_volume(n)
         sup = self.seed.support
         if sup and sup[-1] > n:
             return zero_sum(self.site_dim)
         return self.seed.as_sum()
-
-    def describe(self) -> str:
-        return f"local@{','.join(map(str, self.seed.support)) or 'scalar'}"
 
 
 @dataclass
@@ -136,11 +125,8 @@ class TranslatedToInfinity(ObservableSequence):
         return x
 
     def eval(self, n: int) -> OperatorSum:
-        n = _check_volume(n)
+        n = check_volume(n)
         return from_site_factors({self.site_at(n): self.site_op}, self.site_dim).as_sum()
-
-    def describe(self) -> str:
-        return "translated"
 
 
 @dataclass
@@ -157,10 +143,7 @@ class GammaSeq(ObservableSequence):
         return cls(gamma_sequence_spec(seed))
 
     def eval(self, n: int) -> OperatorSum:
-        return eval_gamma_sequence(self.spec, _check_volume(n))
-
-    def describe(self) -> str:
-        return f"gamma(window={self.spec.window})"
+        return eval_gamma_sequence(self.spec, check_volume(n))
 
 
 @dataclass
@@ -174,13 +157,10 @@ class UniformProduct(ObservableSequence):
         self.site_op = _bounded_site_op(self.site_op, self.site_dim)
 
     def eval(self, n: int) -> OperatorSum:
-        n = _check_volume(n)
+        n = check_volume(n)
         return from_site_factors(
             {x: self.site_op for x in range(1, n + 1)}, self.site_dim
         ).as_sum()
-
-    def describe(self) -> str:
-        return "uniform-product"
 
 
 @dataclass
@@ -196,14 +176,11 @@ class ParityProduct(ObservableSequence):
         self.even_op = _bounded_site_op(self.even_op, self.site_dim)
 
     def eval(self, n: int) -> OperatorSum:
-        n = _check_volume(n)
+        n = check_volume(n)
         factors = {
             x: (self.odd_op if x % 2 == 1 else self.even_op) for x in range(1, n + 1)
         }
         return from_site_factors(factors, self.site_dim).as_sum()
-
-    def describe(self) -> str:
-        return "parity-product"
 
 
 def make_block_partition(rule: Callable[[int], int]) -> Callable[[int], int]:
@@ -259,15 +236,12 @@ class BlockProduct(ObservableSequence):
         self._block_of = make_block_partition(self.block_lengths)
 
     def eval(self, n: int) -> OperatorSum:
-        n = _check_volume(n)
+        n = check_volume(n)
         factors = {
             x: (self.even_op if self._block_of(x) % 2 == 0 else self.odd_op)
             for x in range(1, n + 1)
         }
         return from_site_factors(factors, self.site_dim).as_sum()
-
-    def describe(self) -> str:
-        return "block-product"
 
 
 @dataclass
@@ -284,16 +258,13 @@ class HalfChain(ObservableSequence):
         self.site_op = _bounded_site_op(self.site_op, self.site_dim)
 
     def eval(self, n: int) -> OperatorSum:
-        n = _check_volume(n)
+        n = check_volume(n)
         first = n - n // 2 + 1
         if first > n:
             return identity_op(self.site_dim).as_sum()
         return from_site_factors(
             {x: self.site_op for x in range(first, n + 1)}, self.site_dim
         ).as_sum()
-
-    def describe(self) -> str:
-        return "half-chain"
 
 
 @dataclass
@@ -307,9 +278,6 @@ class SeqSum(ObservableSequence):
     def eval(self, n: int) -> OperatorSum:
         return self.left.eval(n) + self.right.eval(n)
 
-    def describe(self) -> str:
-        return f"sum({self.left.describe()},{self.right.describe()})"
-
 
 @dataclass
 class SeqProduct(ObservableSequence):
@@ -322,9 +290,6 @@ class SeqProduct(ObservableSequence):
     def eval(self, n: int) -> OperatorSum:
         return sum_product(self.left.eval(n), self.right.eval(n))
 
-    def describe(self) -> str:
-        return f"product({self.left.describe()},{self.right.describe()})"
-
 
 @dataclass
 class SeqAdjoint(ObservableSequence):
@@ -335,9 +300,6 @@ class SeqAdjoint(ObservableSequence):
 
     def eval(self, n: int) -> OperatorSum:
         return self.inner.eval(n).adjoint()
-
-    def describe(self) -> str:
-        return f"adjoint({self.inner.describe()})"
 
 
 @dataclass
@@ -353,10 +315,6 @@ class SeqScale(ObservableSequence):
     def eval(self, n: int) -> OperatorSum:
         c = self.factor(n) if callable(self.factor) else self.factor
         return self.inner.eval(n).scale(complex(c))
-
-    def describe(self) -> str:
-        tag = "fn" if callable(self.factor) else str(self.factor)
-        return f"scale({tag},{self.inner.describe()})"
 
 
 @dataclass(frozen=True)
@@ -374,6 +332,21 @@ class VolumeSchedule:
                 f"schedule points must be strictly increasing positive integers, got {pts}"
             )
 
+    def trace(self, point: Callable[[int], object]) -> tuple[list[tuple], tuple[float, ...]]:
+        """Evaluate ``point(n)`` at every volume in order, timing each call.
+
+        Returns the ``(n, point(n))`` pairs and the wall-clock seconds of each
+        call.  Every trace in the package, quantum or classical, is built by
+        this loop.
+        """
+        pairs = []
+        seconds = []
+        for n in self.points:
+            t0 = time.perf_counter()
+            pairs.append((n, point(n)))
+            seconds.append(time.perf_counter() - t0)
+        return pairs, tuple(seconds)
+
 
 def as_schedule(points) -> VolumeSchedule:
     if isinstance(points, VolumeSchedule):
@@ -386,11 +359,10 @@ def seq_norm_trace(
     schedule,
     method: str = "auto",
     **norm_kwargs,
-) -> list[tuple[int, NormResult]]:
-    """Per-volume norms of a sequence along a schedule.
+) -> tuple[list[tuple[int, NormResult]], tuple[float, ...]]:
+    """Per-volume norms of a sequence along a schedule, and the seconds per point.
 
     Points where the iterative solver fails to converge are reported with
     their flag rather than aborting the trace.
     """
-    schedule = as_schedule(schedule)
-    return [(n, norm(seq.eval(n), n, method, **norm_kwargs)) for n in schedule.points]
+    return as_schedule(schedule).trace(lambda n: norm(seq.eval(n), n, method, **norm_kwargs))

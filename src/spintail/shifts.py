@@ -19,7 +19,7 @@ from .localops import (
     OperatorSum,
     _make_op,
     _permute_site_axes,
-    as_volume,
+    check_volume,
     norm,
     operator_sum,
     zero_sum,
@@ -59,7 +59,7 @@ def _relabel_block(b: Block, j: int, n: int, d: int) -> Block:
 
 def gamma_pow(a, volume, j: int):
     """Apply j cyclic left shifts; pure support relabeling, norm-preserving."""
-    n = as_volume(volume).size
+    n = check_volume(volume)
     j = int(j) % n
     if isinstance(a, OperatorSum):
         if a.support and a.support[-1] > n:
@@ -81,7 +81,7 @@ def gamma_average(a, volume) -> OperatorSum:
     Accepts a :class:`LocalOperator` or an :class:`OperatorSum`; no
     densification happens.
     """
-    n = as_volume(volume).size
+    n = check_volume(volume)
     if isinstance(a, LocalOperator):
         a = a.as_sum()
     terms = []
@@ -113,7 +113,7 @@ def gamma_sequence_spec(seed: LocalOperator) -> GammaSequenceSpec:
 
 
 def eval_gamma_sequence(spec: GammaSequenceSpec, volume) -> OperatorSum:
-    n = as_volume(volume).size
+    n = check_volume(volume)
     if n < spec.window:
         return zero_sum(spec.seed.site_dim)
     return gamma_average(spec.seed, n)
@@ -121,7 +121,7 @@ def eval_gamma_sequence(spec: GammaSequenceSpec, volume) -> OperatorSum:
 
 def is_gamma_invariant(a, volume, tol: float = 1e-10, method: str = "auto") -> bool:
     """True iff one shift moves the operator by at most ``tol`` in norm."""
-    n = as_volume(volume).size
+    n = check_volume(volume)
     s = a.as_sum() if isinstance(a, LocalOperator) else a
     diff = gamma_pow(s, n, 1) - s
     return norm(diff, n, method).value <= tol

@@ -17,7 +17,7 @@ from .localops import (
     LocalOperator,
     OperatorSum,
     _check_support_fits,
-    as_volume,
+    check_volume,
 )
 from .matrices import check_finite
 from .shifts import gamma_average, gamma_pow
@@ -75,7 +75,7 @@ def expectation(state: ProductState, s: OperatorSum | LocalOperator, volume) -> 
         s = s.as_sum()
     if state.site_dim != s.site_dim:
         raise ContractViolation("state and operator disagree on site dimension")
-    n = as_volume(volume).size
+    n = check_volume(volume)
     _check_support_fits(s.support, n)
     total = 0j
     for w, op in s.terms:
@@ -105,7 +105,7 @@ def average_variance(state: ProductState, seed: LocalOperator, volume) -> float:
     one-site variance divided by N.
     """
     _check_averaging_seed(seed)
-    n = as_volume(volume).size
+    n = check_volume(volume)
     avg = gamma_average(seed, n)
     second = expectation(state, avg * avg, n)
     first = expectation(state, avg, n)
@@ -121,7 +121,7 @@ def induced_invariance_residual(
     Cyclic averaging absorbs shifts, so this vanishes identically at every
     finite volume; the returned residual only measures float noise.
     """
-    n = as_volume(volume).size
+    n = check_volume(volume)
     shifted = gamma_average(gamma_pow(seed, n, j), n)
     plain = gamma_average(seed, n)
     return float(

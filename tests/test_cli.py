@@ -111,6 +111,26 @@ ALL_KINDS = {
     "mutual": MUTUAL,
 }
 
+# report bytes frozen under tests/data, one config per kind; the commutant
+# config lists a probe beyond the smallest volume so its skip warning is frozen
+GOLDEN = {
+    f"{kind.replace('-', '_')}_seed42.json": (cfg, "json")
+    for kind, cfg in ALL_KINDS.items()
+    if kind not in ("commutant", "gamma-bound")
+}
+GOLDEN["commutant_seed42.json"] = (
+    dict(
+        ALL_KINDS["commutant"],
+        probes=[
+            {"matrix": "pauli1", "sites": [1]},
+            {"matrix": ["pauli1", "pauli3"], "sites": [1, 2]},
+            {"matrix": "pauli3", "sites": [6]},
+        ],
+    ),
+    "json",
+)
+GOLDEN["gamma_bound_seed42.csv"] = (GAMMA_BOUND, "csv")
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -162,6 +182,20 @@ class TestParseConfig:
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("{nope")
+
+    @pytest.mark.parametrize(
+        "field, patch",
+        [
+            ("output.path", {"output": {"path": 7}}),
+            ("assert.max_value", {"assert": {"max_value": "big"}}),
+            ("assert.series", {"assert": {"classification": "vanishing", "series": 5}}),
+            ("assert.all_converged", {"assert": {"all_converged": "yes"}}),
+        ],
+    )
+    def test_field_types_checked(self, field, patch):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(GAMMA_BOUND, **patch))
+        assert [p.split(":")[0] for p in exc.value.problems] == [field]
 
 
 class TestLocalOperatorLiterals:
@@ -245,6 +279,12 @@ class TestEmit:
         report, _ = run(parse_config(json.dumps(GAMMA_BOUND)))
         assert emit(report, "json") == golden
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_every_kind(self, name):
+        cfg, fmt = GOLDEN[name]
+        report, _ = run(parse_config(json.dumps(cfg)))
+        assert emit(report, fmt) == (DATA / name).read_bytes()
+
 
 class TestMainExitCodes:
     def test_exit_zero_and_output(self, tmp_path, capsys):
@@ -270,6 +310,19 @@ class TestMainExitCodes:
         assert code == 2
         assert "assertion failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+    def test_verbose_times_every_point(self, kind, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPINTAIL_VERBOSE", "1")
+        out = tmp_path / "r.json"
+        main(["run", write_config(tmp_path, ALL_KINDS[kind]), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        series = json.loads(out.read_text())["series"]
+        assert series
+        for s in series:
+            for p in s["points"]:
+                prefix = f"[timing] {s['label']} N={p['n']}: "
+                assert sum(line.startswith(prefix) for line in err) == 1, prefix
+
     def test_validate_ok(self, tmp_path, capsys):
         code = main(["validate", write_config(tmp_path, GAMMA_BOUND)])
         assert code == 0
@@ -281,6 +334,12 @@ class TestMainExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "experiment" in err and "schedule" in err
+
+    def test_exit_one_on_unwritable_report(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = main(["run", write_config(tmp_path, GAMMA_BOUND), "--out", str(out)])
+        assert code == 1
+        assert "error: cannot write report:" in capsys.readouterr().err
 
     def test_schema_subcommand(self, capsys):
         assert main(["schema"]) == 0
@@ -337,3 +396,20 @@ class TestMainExitCodes:
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
         assert obj["meta"]["experiment"] == "mutual"
+
+
+def test_trace_mode_names_bound():
+    # the benchmark's --trace mode wraps these module attributes by name
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    from spintail import asymptotics, classical, cli, localops, sequences, shifts, states
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(cli=cli, asymptotics=asymptotics, sequences=sequences, shifts=shifts,
+                       localops=localops, states=states, classical=classical)
+    finally:
+        tracer.uninstall()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st_h
 
 import spintail as st
 from spintail import localops
-from spintail.errors import CapacityError, ContractViolation, EmbeddingError
+from spintail.errors import CapacityError, ContractViolation
 
 from oracles import I2, SX, SY, SZ, embed_dense, kron_term_dense, random_complex, svd_norm
 
@@ -15,29 +15,31 @@ def random_block_op(rng, sites, d=2):
     return st.local_operator(random_complex(rng, dim), sites, site_dim=d)
 
 
+def apply_sum(s, v, n):
+    """The matrix-free kernel behind iterative norms, on a flat state of ``n`` sites."""
+    vec_t = v.reshape((s.site_dim,) * n)
+    return localops._apply_terms(vec_t, s.terms, s.site_dim).reshape(v.shape)
+
+
 class TestEmbed:
+    # dense_matrix is the embedding of a local operator into the full volume
     def test_single_site_between_identities(self):
-        out = st.embed(st.pauli_at(3, 2), 3)
         expected = np.kron(I2, np.kron(SZ, I2))
-        assert np.array_equal(st.dense_matrix(out, 3), expected)
-        assert out.support == (1, 2, 3)
+        assert np.array_equal(st.dense_matrix(st.pauli_at(3, 2), 3), expected)
 
     def test_scalar_embeds_to_identity(self):
-        out = st.embed(st.scalar_op(1.0), 2)
-        assert np.array_equal(st.dense_matrix(out, 2), np.eye(4))
+        assert np.array_equal(st.dense_matrix(st.scalar_op(1.0), 2), np.eye(4))
 
     def test_embedding_is_isometric(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             a = random_block_op(rng, (1,))
-            embedded = st.embed(a, 5)
-            assert st.norm(embedded.as_sum(), 5, "dense").value == pytest.approx(
-                a.norm_exact(), abs=1e-10
-            )
+            embedded = st.dense_matrix(a, 5)
+            assert st.operator_norm_dense(embedded) == pytest.approx(a.norm_exact(), abs=1e-10)
 
     def test_support_outside_volume(self):
-        with pytest.raises(EmbeddingError):
-            st.embed(st.pauli_at(1, 5), 3)
+        with pytest.raises(ContractViolation):
+            st.dense_matrix(st.pauli_at(1, 5), 3)
 
     def test_interleaved_supports(self):
         # block on {1,4} with another on {2,3}: leg permutation must untangle
@@ -131,17 +133,16 @@ class TestCommutator:
 
 class TestSumApply:
     def test_zero_sum(self):
-        v = st.state_vector(np.ones(8), 3)
-        out = st.sum_apply(st.zero_sum(), v)
-        assert np.array_equal(out.amplitudes, np.zeros(8))
+        out = apply_sum(st.zero_sum(), np.ones(8, dtype=complex), 3)
+        assert np.array_equal(out, np.zeros(8))
 
     def test_diagonal_action_on_all_up(self):
         # sigma3 at site 1 leaves |00...0> (index 0) alone with eigenvalue +1
         n = 5
-        v = np.zeros(2**n)
+        v = np.zeros(2**n, dtype=complex)
         v[0] = 1.0
-        out = st.sum_apply(st.pauli_at(3, 1).as_sum(), st.state_vector(v, n))
-        assert np.array_equal(out.amplitudes, v)
+        out = apply_sum(st.pauli_at(3, 1).as_sum(), v, n)
+        assert np.array_equal(out, v)
 
     def test_matches_dense_matvec(self):
         rng = np.random.default_rng(28)
@@ -150,8 +151,7 @@ class TestSumApply:
         s = st.gamma_average(seed, n)
         mat = st.dense_matrix(s, n)
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        out = st.sum_apply(s, st.state_vector(v, n))
-        assert np.allclose(out.amplitudes, mat @ v, atol=1e-10)
+        assert np.allclose(apply_sum(s, v, n), mat @ v, atol=1e-10)
 
     def test_multi_block_apply(self):
         rng = np.random.default_rng(29)
@@ -159,13 +159,7 @@ class TestSumApply:
         op = st.from_site_factors({2: random_complex(rng, 2), 5: random_complex(rng, 2)})
         s = op.as_sum()
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        out = st.sum_apply(s, st.state_vector(v, n))
-        assert np.allclose(out.amplitudes, st.dense_matrix(s, n) @ v, atol=1e-10)
-
-    def test_support_outside_volume(self):
-        v = st.state_vector(np.ones(4), 2)
-        with pytest.raises(ContractViolation):
-            st.sum_apply(st.pauli_at(1, 3).as_sum(), v)
+        assert np.allclose(apply_sum(s, v, n), st.dense_matrix(s, n) @ v, atol=1e-10)
 
 
 class TestNorm:
@@ -307,34 +301,6 @@ class TestAssembly:
         )
 
 
-class TestReduceSupport:
-    def test_explicit_identity_factor(self):
-        op = st.local_operator(np.kron(I2, SZ), (1, 2))
-        red = st.reduce_support(op)
-        assert red.support == (2,)
-        assert np.array_equal(red.blocks[0].matrix, SZ)
-
-    def test_already_minimal(self):
-        op = st.pauli_at(1, 3)
-        red = st.reduce_support(op)
-        assert red.support == (3,)
-        assert np.array_equal(st.dense_matrix(red, 3), st.dense_matrix(op, 3))
-
-    def test_round_trip_through_embed(self):
-        rng = np.random.default_rng(32)
-        for _ in range(5):
-            a = random_block_op(rng, (2,))
-            red = st.reduce_support(st.embed(a, 4))
-            assert red.support == (2,)
-            assert np.allclose(st.dense_matrix(red, 4), st.dense_matrix(a, 4), atol=1e-10)
-
-    def test_scalar_multiple_of_identity(self):
-        op = st.local_operator(3.5 * np.eye(2), (2,))
-        red = st.reduce_support(op)
-        assert red.support == ()
-        assert red.scalar == pytest.approx(3.5)
-
-
 class TestConfigurableSiteDimension:
     def test_qutrit_commutator_matches_dense(self):
         rng = np.random.default_rng(34)
@@ -404,7 +370,7 @@ def test_product_associative(seed, supports):
 def test_embedding_isometry_property(seed, site, volume):
     rng = np.random.default_rng(seed)
     a = st.local_operator(random_complex(rng, 2), (site,))
-    assert st.norm(st.embed(a, volume).as_sum(), volume, "dense").value == pytest.approx(
+    assert st.operator_norm_dense(st.dense_matrix(a, volume)) == pytest.approx(
         a.norm_exact(), abs=1e-10
     )
 
@@ -412,11 +378,7 @@ def test_embedding_isometry_property(seed, site, volume):
 class TestValidation:
     def test_volume_must_be_positive(self):
         with pytest.raises(ContractViolation):
-            st.Volume(0)
-
-    def test_state_vector_length(self):
-        with pytest.raises(ContractViolation):
-            st.state_vector(np.ones(3), 2)
+            localops.check_volume(0)
 
     def test_block_dimension_checked(self):
         with pytest.raises(ContractViolation):

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spintail.errors import CapacityError, ContractViolation
-from spintail.matrices import adjoint, kron, kron_all, operator_norm_dense, pauli
+from spintail.localops import (
+    dense_matrix,
+    from_site_factors,
+    identity_op,
+    local_operator,
+    pauli_at,
+    product,
+)
+from spintail.matrices import adjoint, operator_norm_dense, pauli
 
 from oracles import SX, SY, SZ, svd_norm
 
@@ -37,31 +45,37 @@ class TestPauli:
 
 
 class TestKron:
+    """Dense matrices are Kronecker products with site 1 the most significant factor."""
+
     def test_identity_case(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(dense_matrix(identity_op(), 2), np.eye(4))
 
     def test_pauli3_with_identity(self):
         # hand expansion of 2x2 (x) 2x2
-        assert np.array_equal(kron(pauli(3), np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
+        assert np.array_equal(
+            dense_matrix(pauli_at(3, 1), 2), np.diag([1, 1, -1, -1]).astype(complex)
+        )
 
     def test_pauli1_with_pauli1(self):
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1
-        assert np.array_equal(kron(pauli(1), pauli(1)), expected)
+        both = from_site_factors({1: pauli(1), 2: pauli(1)})
+        assert np.array_equal(dense_matrix(both, 2), expected)
 
     def test_block_structure(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = kron(a, b)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        out = dense_matrix(product(local_operator(a, (1,)), local_operator(b, (2, 3))), 3)
         for i in range(2):
             for j in range(2):
-                assert np.array_equal(out[3 * i : 3 * i + 3, 3 * j : 3 * j + 3], a[i, j] * b)
+                assert np.array_equal(out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4], a[i, j] * b)
 
     def test_left_fold_bit_exact(self):
         rng = np.random.default_rng(5)
         mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-        assert np.array_equal(kron_all(mats), np.kron(np.kron(mats[0], mats[1]), mats[2]))
+        out = dense_matrix(from_site_factors(dict(enumerate(mats, start=1))), 3)
+        assert np.array_equal(out, np.kron(np.kron(mats[0], mats[1]), mats[2]))
 
     def test_bilinearity_exact(self):
         # dyadic entries keep every product representable, so distributivity
@@ -75,11 +89,12 @@ class TestKron:
 
         for _ in range(20):
             a, b, c = dyadic(), dyadic(), dyadic()
-            assert np.array_equal(kron(a + b, c), np.kron(a, c) + np.kron(b, c))
+            out = dense_matrix(from_site_factors({1: a + b, 2: c}), 2)
+            assert np.array_equal(out, np.kron(a, c) + np.kron(b, c))
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            kron(np.eye(64), np.eye(2), dim_cap=100)
+            dense_matrix(pauli_at(1, 7), 7, dim_cap=100)
 
 
 class TestAdjoint:
