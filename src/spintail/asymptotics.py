@@ -3,13 +3,16 @@
 Traces of norms along a growing schedule stand in for nets indexed by all
 finite volumes; the tail maximum is the limsup proxy, and a log-log fit over
 the tail classifies each trace as vanishing, bounded away from zero, or
-undecided.  Thresholds are deliberately explicit and conservative:
+undecided.  The thresholds are explicit, conservative named constants:
 
-* vanishing    -- fitted exponent <= -tol_exponent (default 0.5), or every
-                  tail value below the absolute floor 1e-9;
-* bounded_nonvanishing -- tail minimum above 1e-6 and |exponent| < 0.1;
+* vanishing    -- fitted exponent <= -VANISHING_EXPONENT (0.5), or every
+                  tail value below the absolute VANISHING_FLOOR (1e-9);
+* bounded_nonvanishing -- tail minimum above NONVANISHING_FLOOR (1e-6) and
+                  |exponent| < NONVANISHING_EXPONENT (0.1);
 * unconverged  -- anything else, including any norm point whose iterative
                   solver did not converge.
+
+A :class:`DecayReport` is also the record a report series is written from.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ __all__ = [
     "TracePoint",
     "DecayReport",
     "ProbeResult",
+    "VANISHING_EXPONENT",
     "VANISHING_FLOOR",
+    "NONVANISHING_EXPONENT",
     "NONVANISHING_FLOOR",
     "fit_loglog",
     "classify_trace",
@@ -48,7 +53,9 @@ __all__ = [
     "default_probes",
 ]
 
+VANISHING_EXPONENT = 0.5
 VANISHING_FLOOR = 1e-9
+NONVANISHING_EXPONENT = 0.1
 NONVANISHING_FLOOR = 1e-6
 
 
@@ -118,7 +125,7 @@ def fit_loglog(points: tuple[TracePoint, ...]):
     return slope, resid
 
 
-def classify_trace(points, tol_exponent: float = 0.5, seconds=()) -> DecayReport:
+def classify_trace(points, seconds=()) -> DecayReport:
     """Build a :class:`DecayReport` from (n, value[, converged]) points.
 
     ``seconds`` holds the wall-clock time of each point, kept as a diagnostic.
@@ -133,11 +140,11 @@ def classify_trace(points, tol_exponent: float = 0.5, seconds=()) -> DecayReport
         cls = "unconverged"
     elif all(p.value < VANISHING_FLOOR for p in tail):
         cls = "vanishing"
-    elif exponent is not None and exponent <= -tol_exponent:
+    elif exponent is not None and exponent <= -VANISHING_EXPONENT:
         cls = "vanishing"
     elif (
         exponent is not None
-        and abs(exponent) < 0.1
+        and abs(exponent) < NONVANISHING_EXPONENT
         and min(p.value for p in tail) > NONVANISHING_FLOOR
     ):
         cls = "bounded_nonvanishing"
@@ -146,10 +153,10 @@ def classify_trace(points, tol_exponent: float = 0.5, seconds=()) -> DecayReport
     return DecayReport(pts, exponent, residual, cls, point_seconds=tuple(seconds))
 
 
-def _norm_report(values, schedule, method, tol_exponent=0.5, **norm_kwargs) -> DecayReport:
+def _norm_report(values, schedule, method, **norm_kwargs) -> DecayReport:
     """Classified trace of ``norm(values(n), n)`` along the schedule."""
     pairs, secs = schedule.trace(lambda n: norm(values(n), n, method, **norm_kwargs))
-    return classify_trace([(n, r.value, r.converged) for n, r in pairs], tol_exponent, secs)
+    return classify_trace([(n, r.value, r.converged) for n, r in pairs], secs)
 
 
 def quotient_norm_estimate(
@@ -171,32 +178,21 @@ def _need_points(schedule, k):
 
 
 def equivalence_test(
-    a: ObservableSequence,
-    b: ObservableSequence,
-    schedule,
-    tol_exponent: float = 0.5,
-    method: str = "auto",
-    **norm_kwargs,
+    a: ObservableSequence, b: ObservableSequence, schedule, method: str = "auto", **norm_kwargs
 ) -> DecayReport:
     """Trace of the difference norm; vanishing means the sequences are identified."""
     schedule = as_schedule(schedule)
     _need_points(schedule, 4)
-    return _norm_report(
-        lambda n: a.eval(n) - b.eval(n), schedule, method, tol_exponent, **norm_kwargs
-    )
+    return _norm_report(lambda n: a.eval(n) - b.eval(n), schedule, method, **norm_kwargs)
 
 
 def vanishing_test(
-    seq: ObservableSequence,
-    schedule,
-    tol_exponent: float = 0.5,
-    method: str = "auto",
-    **norm_kwargs,
+    seq: ObservableSequence, schedule, method: str = "auto", **norm_kwargs
 ) -> DecayReport:
     """Membership test for the ideal of sequences whose norms tend to zero."""
     schedule = as_schedule(schedule)
     _need_points(schedule, 4)
-    return _norm_report(seq.eval, schedule, method, tol_exponent, **norm_kwargs)
+    return _norm_report(seq.eval, schedule, method, **norm_kwargs)
 
 
 def default_probes(site_dim: int = 2) -> list[tuple[str, LocalOperator]]:
@@ -221,12 +217,7 @@ def _probe_label(probe, i):
 
 
 def commutant_membership(
-    seq: ObservableSequence,
-    probes=None,
-    schedule=None,
-    tol_exponent: float = 0.5,
-    method: str = "auto",
-    **norm_kwargs,
+    seq: ObservableSequence, probes=None, schedule=None, method: str = "auto", **norm_kwargs
 ) -> list[ProbeResult]:
     """Commutator-norm traces against finitely many fixed local probes.
 
@@ -256,11 +247,7 @@ def commutant_membership(
             continue
         probe_sum = probe.as_sum()
         rep = _norm_report(
-            lambda n: sum_commutator(seq.eval(n), probe_sum),
-            schedule,
-            method,
-            tol_exponent,
-            **norm_kwargs,
+            lambda n: sum_commutator(seq.eval(n), probe_sum), schedule, method, **norm_kwargs
         )
         results.append(ProbeResult(label, rep))
     return results
@@ -305,19 +292,14 @@ def gamma_bound_check(
 
 
 def mutual_commutator_trace(
-    a: ObservableSequence,
-    c: ObservableSequence,
-    schedule,
-    method: str = "auto",
-    slack: float = 1e-9,
-    **norm_kwargs,
+    a: ObservableSequence, c: ObservableSequence, schedule, method: str = "auto", **norm_kwargs
 ) -> DecayReport:
     """Trace of the commutator norm between two sequences.
 
     When both sequences are single-site observables translated along the same
     site rule, the trace must be the constant one-site commutator norm; that
-    reference is attached as the bound trace and deviations beyond ``slack``
-    are recorded as violations.
+    reference is attached as the bound trace and deviations beyond 1e-9 are
+    recorded as violations.
     """
     schedule = as_schedule(schedule)
     rep = _norm_report(
@@ -332,6 +314,6 @@ def mutual_commutator_trace(
             ref = float(np.linalg.svd(m, compute_uv=False)[0])
             bound_points = tuple((n, ref) for n in schedule.points)
             violations = tuple(
-                p.n for p in rep.points if abs(p.value - ref) > slack
+                p.n for p in rep.points if abs(p.value - ref) > 1e-9
             )
     return replace(rep, bound_points=bound_points, bound_violations=violations)

@@ -14,7 +14,6 @@ Vanishing claims use the upper bound, non-vanishing claims the lower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "poisson_bracket",
     "sup_norm_bounds",
     "cyclic_average_eval",
-    "ClassicalSequence",
     "ClassicalLocalEmbed",
     "ClassicalCyclicAverage",
     "TailShifted",
@@ -77,10 +75,10 @@ class TrigObservable:
     def l1_norm(self) -> float:
         return float(sum(abs(c) for c in self.coeffs.values()))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
         for key, c in self.coeffs.items():
             mirror = tuple((s, -m, -n) for s, m, n in key)
-            if abs(self.coeffs.get(mirror, 0j) - np.conj(c)) > tol:
+            if abs(self.coeffs.get(mirror, 0j) - np.conj(c)) > 1e-12:
                 return False
         return True
 
@@ -209,18 +207,19 @@ def poisson_bracket(f: TrigObservable, g: TrigObservable) -> TrigObservable:
     return _build(out)
 
 
-def sup_norm_bounds(
-    f: TrigObservable,
-    grid_points: int = 64,
-    max_active_sites: int = 3,
-    chunk: int = 1 << 16,
-) -> tuple[float, float]:
+# Grid lower bounds cover at most this many active sites, and evaluate at
+# most GRID_CHUNK grid points at once so memory stays bounded.
+GRID_SITE_CAP = 3
+GRID_CHUNK = 1 << 16
+
+
+def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, float]:
     """(lower, upper) enclosure of the sup norm.
 
     upper: l1 norm of coefficients (rigorous).  lower: max |f| over a uniform
     grid with ``grid_points`` angles per active coordinate, streamed in
-    chunks so memory stays bounded.  Grids over more than
-    ``max_active_sites`` active sites are refused.
+    chunks of ``GRID_CHUNK`` points.  Grids over more than ``GRID_SITE_CAP``
+    active sites are refused.
     """
     if grid_points < 8:
         raise ContractViolation("grids need at least 8 points per angle")
@@ -233,10 +232,10 @@ def sup_norm_bounds(
         lower = abs(sum(f.coeffs.values())) if f.coeffs else 0.0
         return float(lower), upper
     active_sites = {s for s, _ in coords}
-    if len(active_sites) > max_active_sites:
+    if len(active_sites) > GRID_SITE_CAP:
         raise CapacityError(
             f"grid evaluation over {len(active_sites)} active sites exceeds the "
-            f"cap of {max_active_sites}; reduce the support"
+            f"cap of {GRID_SITE_CAP}; reduce the support"
         )
     keys = list(f.coeffs.items())
     coord_index = {c: i for i, c in enumerate(coords)}
@@ -252,8 +251,8 @@ def sup_norm_bounds(
     total = grid_points**ncoords
     step = 2.0 * np.pi / grid_points
     lower = 0.0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, GRID_CHUNK):
+        idx = np.arange(start, min(start + GRID_CHUNK, total))
         digits = np.empty((ncoords, idx.size), dtype=float)
         rem = idx
         for c in range(ncoords - 1, -1, -1):
@@ -276,15 +275,12 @@ def cyclic_average_eval(f: TrigObservable, n: int) -> TrigObservable:
     return out.scale(1.0 / n)
 
 
-class ClassicalSequence:
-    """Evaluation rule N -> TrigObservable."""
-
-    def eval(self, n: int) -> TrigObservable:
-        raise NotImplementedError
+# The classical sequences: plain evaluation rules N -> TrigObservable.  Like
+# every sequence a trace reads, each needs only ``eval(n)``.
 
 
 @dataclass
-class ClassicalLocalEmbed(ClassicalSequence):
+class ClassicalLocalEmbed:
     f: TrigObservable
 
     def eval(self, n: int) -> TrigObservable:
@@ -295,7 +291,7 @@ class ClassicalLocalEmbed(ClassicalSequence):
 
 
 @dataclass
-class ClassicalCyclicAverage(ClassicalSequence):
+class ClassicalCyclicAverage:
     f: TrigObservable
 
     def eval(self, n: int) -> TrigObservable:
@@ -305,44 +301,32 @@ class ClassicalCyclicAverage(ClassicalSequence):
 
 
 @dataclass
-class TailShifted(ClassicalSequence):
-    """The observable pushed past the volume: support lies in sites > N.
+class TailShifted:
+    """The observable pushed past the volume: its support starts at site N + 1.
 
     By construction its bracket with anything supported in {1, ..., N_0}
     vanishes exactly once N >= N_0.
     """
 
     f: TrigObservable
-    floor_rule: Callable[[int], int] | None = None
 
     def eval(self, n: int) -> TrigObservable:
         sup = self.f.support
-        if not sup:
-            return self.f
-        first = n + 1 if self.floor_rule is None else int(self.floor_rule(n))
-        if first <= n:
-            raise ContractViolation(
-                f"tail floor {first} must exceed the volume {n}"
-            )
-        return self.f.translate(first - sup[0])
+        return self.f.translate(n + 1 - sup[0]) if sup else self.f
 
 
-def tail_sequence(f: TrigObservable, floor_rule=None) -> TailShifted:
-    return TailShifted(f, floor_rule)
+def tail_sequence(f: TrigObservable) -> TailShifted:
+    return TailShifted(f)
 
 
-def bracket_decay_test(
-    seq: ClassicalSequence,
-    probe: TrigObservable,
-    schedule,
-    tol_exponent: float = 0.5,
-) -> DecayReport:
+def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     """Trace of l1 upper bounds of {a_N, probe}; classification as for norms.
 
-    Upper bounds suffice for vanishing claims; they are exact for the
-    single-translate overlaps exercised here.
+    ``seq`` is any classical sequence, that is anything with ``eval(n)``
+    returning a :class:`TrigObservable`.  Upper bounds suffice for vanishing
+    claims; they are exact for the single-translate overlaps exercised here.
     """
     pairs, secs = as_schedule(schedule).trace(
         lambda n: poisson_bracket(seq.eval(n), probe).l1_norm()
     )
-    return classify_trace(pairs, tol_exponent, secs)
+    return classify_trace(pairs, secs)

@@ -56,13 +56,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import classical as cl
 from .asymptotics import (
+    TracePoint,
     classify_trace,
     commutant_membership,
     equivalence_test,
@@ -73,7 +74,7 @@ from .asymptotics import (
 from .errors import CapacityError, ConfigError, ContractViolation
 from .localops import LocalOperator, from_site_factors, local_operator
 from .matrices import DENSE_DIM_CAP, pauli
-from .report import REPORT_SCHEMA, Report, emit, series_from_decay
+from .report import REPORT_SCHEMA, Report, emit
 from .sequences import (
     BlockProduct,
     GammaSeq,
@@ -109,15 +110,18 @@ class _Problems:
         self.items.append(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    """Whether a config value is an integer; JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_scalar(value, errors: _Problems, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if all(_is_int(x) or isinstance(x, float) for x in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:  # an integer beyond the float range
+            pass
     errors.add(path, f"expected a number or [re, im], got {value!r}")
     return 0j
 
@@ -129,14 +133,12 @@ def _parse_matrix(spec, errors: _Problems, path: str):
         errors.add(path, f"unknown matrix name {spec!r}")
         return None
     if isinstance(spec, list) and spec and all(isinstance(r, list) for r in spec):
-        rows = []
-        for i, r in enumerate(spec):
-            rows.append([_parse_scalar(x, errors, f"{path}[{i}]") for x in r])
-        mat = np.array(rows, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            errors.add(path, f"matrix literal must be square, got shape {mat.shape}")
+        rows = [[_parse_scalar(x, errors, f"{path}[{i}]") for x in r] for i, r in enumerate(spec)]
+        if any(len(r) != len(rows) for r in rows):
+            lengths = [len(r) for r in rows]
+            errors.add(path, f"matrix literal must be square, got rows of lengths {lengths}")
             return None
-        return mat
+        return np.array(rows, dtype=complex)
     errors.add(path, "expected a matrix name or a row-major array")
     return None
 
@@ -163,7 +165,7 @@ def _parse_local_operator(spec, errors: _Problems, path: str) -> LocalOperator |
         errors.add(path, "expected an object with 'matrix' and 'sites'")
         return None
     sites = spec.get("sites")
-    if not isinstance(sites, list) or not all(isinstance(s, int) for s in sites):
+    if not isinstance(sites, list) or not all(_is_int(s) for s in sites):
         errors.add(f"{path}.sites", "expected a list of integer sites")
         return None
     mat_spec = spec.get("matrix")
@@ -224,7 +226,7 @@ def _parse_sequence(spec, errors: _Problems, path: str) -> ObservableSequence | 
 
 def _parse_offset(offset, errors: _Problems, path: str):
     """Site rule of a translated sequence: site max(1, N - offset), or N itself."""
-    if not isinstance(offset, int) or offset < 0:
+    if not _is_int(offset) or offset < 0:
         errors.add(path, "expected a nonnegative integer")
         return None
     return None if offset == 0 else (lambda n: max(1, n - offset))
@@ -237,7 +239,7 @@ def _parse_block_lengths(value, errors: _Problems, path: str):
     if not (
         isinstance(value, list)
         and value
-        and all(isinstance(x, int) and x > 0 for x in value)
+        and all(_is_int(x) and x > 0 for x in value)
         and all(a < b for a, b in zip(value, value[1:]))
     ):
         errors.add(path, "expected a strictly increasing list of positive integers")
@@ -287,14 +289,17 @@ def _parse_trig(spec, errors: _Problems, path: str):
     if isinstance(spec, dict) and "named" in spec:
         name = spec["named"]
         site = spec.get("site", 1)
-        if name not in _NAMED_TRIG:
+        if not isinstance(name, str) or name not in _NAMED_TRIG:
             errors.add(f"{path}.named", f"unknown observable {name!r}")
             return None
-        if not isinstance(site, int) or site < 1:
+        if not _is_int(site) or site < 1:
             errors.add(f"{path}.site", "expected a positive integer site")
             return None
         return _NAMED_TRIG[name](site)
     if isinstance(spec, dict) and "terms" in spec:
+        if not isinstance(spec["terms"], list):
+            errors.add(f"{path}.terms", "expected a list of terms")
+            return None
         out = cl.TrigObservable({})
         for i, term in enumerate(spec["terms"]):
             if not isinstance(term, dict):
@@ -304,9 +309,12 @@ def _parse_trig(spec, errors: _Problems, path: str):
             freqs = term.get("freqs", [])
             if not (
                 isinstance(freqs, list)
-                and all(isinstance(f, list) and len(f) == 3 for f in freqs)
+                and all(
+                    isinstance(f, list) and len(f) == 3 and all(_is_int(x) for x in f)
+                    for f in freqs
+                )
             ):
-                errors.add(f"{path}.terms[{i}].freqs", "expected [[site, m, n], ...]")
+                errors.add(f"{path}.terms[{i}].freqs", "expected [[site, m, n], ...] of integers")
                 return None
             try:
                 out = out + cl.trig_term(amp, [tuple(f) for f in freqs])
@@ -375,27 +383,27 @@ def _parse_state(spec, errors: _Problems, path: str):
 
 
 # ---------------------------------------------------------------------------
-# experiment handlers: each runs one kind and returns its series, appending to
-# the report's warnings and assertion failures.  Estimators are called through
-# their module-level names so that wrappers installed on them see the calls.
+# experiment handlers: each runs one kind and returns its series as (label,
+# DecayReport) pairs, appending to the report's warnings and assertion
+# failures.  Estimators are called through their module-level names so that
+# wrappers installed on them see the calls.
 
 
 def _run_norm(config, warnings, failures):
     pairs, secs = seq_norm_trace(config.sequence, config.schedule, **config.norm_kwargs)
-    rep = classify_trace([(n, r.value, r.converged) for n, r in pairs], seconds=secs)
-    return [series_from_decay("norm", rep)]
+    return [("norm", classify_trace([(n, r.value, r.converged) for n, r in pairs], secs))]
 
 
 def _run_decay(config, warnings, failures):
     rep = vanishing_test(config.sequence, config.schedule, **config.norm_kwargs)
-    return [series_from_decay("vanishing", rep)]
+    return [("vanishing", rep)]
 
 
 def _run_equiv(config, warnings, failures):
     rep = equivalence_test(
         config.sequence, config.sequence2, config.schedule, **config.norm_kwargs
     )
-    return [series_from_decay("difference", rep)]
+    return [("difference", rep)]
 
 
 def _run_commutant(config, warnings, failures):
@@ -407,7 +415,7 @@ def _run_commutant(config, warnings, failures):
         if res.skipped:
             warnings.append(f"probe {res.label} skipped: {res.reason}")
         else:
-            series.append(series_from_decay(res.label, res.report))
+            series.append((res.label, res.report))
     return series
 
 
@@ -417,7 +425,7 @@ def _run_gamma_bound(config, warnings, failures):
     )
     if rep.bound_violations:
         failures.append(f"commutator bound violated at N in {list(rep.bound_violations)}")
-    return [series_from_decay("commutator", rep)]
+    return [("commutator", rep)]
 
 
 def _run_expect(config, warnings, failures):
@@ -426,12 +434,10 @@ def _run_expect(config, warnings, failures):
     )
     series = []
     for part, of in (("re", lambda v: v.real), ("im", lambda v: v.imag)):
-        values = [(n, float(of(v))) for n, v in pairs]
-        ser = series_from_decay(
-            f"expectation.{part}", classify_trace([(n, abs(v)) for n, v in values], seconds=secs)
-        )
-        ser.points = [{"n": n, "value": v, "converged": True} for n, v in values]
-        series.append(ser)
+        points = tuple(TracePoint(n, float(of(v))) for n, v in pairs)
+        # classified on the moduli, reported with their signs
+        rep = classify_trace([(p.n, abs(p.value)) for p in points], secs)
+        series.append((f"expectation.{part}", replace(rep, points=points)))
     return series
 
 
@@ -439,12 +445,11 @@ def _run_variance(config, warnings, failures):
     pairs, secs = config.schedule.trace(
         lambda n: average_variance(config.state, config.observable, n)
     )
-    return [series_from_decay("variance", classify_trace(pairs, seconds=secs))]
+    return [("variance", classify_trace(pairs, secs))]
 
 
 def _run_classical_decay(config, warnings, failures):
-    rep = cl.bracket_decay_test(config.sequence, config.probe, config.schedule)
-    return [series_from_decay("bracket.l1", rep)]
+    return [("bracket.l1", cl.bracket_decay_test(config.sequence, config.probe, config.schedule))]
 
 
 def _run_mutual(config, warnings, failures):
@@ -455,7 +460,7 @@ def _run_mutual(config, warnings, failures):
         failures.append(
             f"constant-trace reference violated at N in {list(rep.bound_violations)}"
         )
-    return [series_from_decay("commutator", rep)]
+    return [("commutator", rep)]
 
 
 @dataclass(frozen=True)
@@ -464,7 +469,7 @@ class Experiment:
 
     # config fields, each with its parser (spec, errors, path) -> value
     fields: tuple[tuple[str, Callable], ...]
-    # (config, warnings, failures) -> list of report series
+    # (config, warnings, failures) -> list of (label, DecayReport) series
     handler: Callable
     min_points: int = 1
     # the fields a config may leave out
@@ -528,7 +533,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     else:
         try:
             raw = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
@@ -540,7 +545,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
 
     schedule = None
     pts = raw.get("schedule")
-    if not isinstance(pts, list) or not all(isinstance(p, int) for p in pts):
+    if not isinstance(pts, list) or not all(_is_int(p) for p in pts):
         errors.add("schedule", "expected a list of integers")
     else:
         try:
@@ -558,12 +563,12 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         errors.add("method", f"expected dense|iterative|auto, got {method!r}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         errors.add("seed", "expected an integer")
         seed = 0
 
     dense_cap = raw.get("dense_cap", DENSE_DIM_CAP)
-    if not isinstance(dense_cap, int) or dense_cap < 2:
+    if not _is_int(dense_cap) or dense_cap < 2:
         errors.add("dense_cap", "expected an integer >= 2")
         dense_cap = DENSE_DIM_CAP
 
@@ -631,26 +636,25 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     if "classification" in spec:
         want = spec["classification"]
         target = spec.get("series")
-        checked = [s for s in series if target is None or s.label == target]
+        checked = [(label, rep) for label, rep in series if target in (None, label)]
         if target is not None and not checked:
             failures.append(f"assert.series: no series labeled {target!r}")
-        for s in checked:
-            if s.classification != want:
+        for label, rep in checked:
+            if rep.classification != want:
                 failures.append(
-                    f"series {s.label}: classification {s.classification!r}, "
-                    f"expected {want!r}"
+                    f"series {label}: classification {rep.classification!r}, expected {want!r}"
                 )
     if spec.get("all_converged"):
-        for s in series:
-            bad = [p["n"] for p in s.points if not p["converged"]]
+        for label, rep in series:
+            bad = [p.n for p in rep.points if not p.converged]
             if bad:
-                failures.append(f"series {s.label}: unconverged at N in {bad}")
+                failures.append(f"series {label}: unconverged at N in {bad}")
     if spec.get("max_value") is not None:
         cap = float(spec["max_value"])
-        for s in series:
-            over = [p["n"] for p in s.points if p["value"] > cap]
+        for label, rep in series:
+            over = [p.n for p in rep.points if p.value > cap]
             if over:
-                failures.append(f"series {s.label}: value above {cap} at N in {over}")
+                failures.append(f"series {label}: value above {cap} at N in {over}")
 
     meta = {
         "experiment": config.kind,
@@ -717,7 +721,7 @@ def main(argv=None) -> int:
                     out["path"] = args.out
                 raw["output"] = out
         config = parse_config(raw)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError) as exc:
         problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
@@ -741,15 +745,15 @@ def main(argv=None) -> int:
         sys.stdout.buffer.write(payload)
 
     if os.environ.get("SPINTAIL_VERBOSE", "") not in ("", "0"):
-        for s in report.series:
-            total = sum(s.point_seconds)
+        for label, rep in report.series:
+            total = sum(rep.point_seconds)
             print(
-                f"[timing] {s.label}: {total:.3f}s over {len(s.points)} points",
+                f"[timing] {label}: {total:.3f}s over {len(rep.points)} points",
                 file=sys.stderr,
             )
-        for s in report.series:
-            for p, sec in zip(s.points, s.point_seconds):
-                print(f"[timing] {s.label} N={p['n']}: {sec:.4f}s", file=sys.stderr)
+        for label, rep in report.series:
+            for p, sec in zip(rep.points, rep.point_seconds):
+                print(f"[timing] {label} N={p.n}: {sec:.4f}s", file=sys.stderr)
 
     if failures:
         for f in failures:

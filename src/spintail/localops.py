@@ -44,6 +44,8 @@ __all__ = [
 
 # Iterative norms hold two state vectors of this many amplitudes at most.
 ITERATIVE_STATE_CAP = 2**24
+# Relative accuracy at which power iteration declares convergence.
+ITERATIVE_TOL = 1e-9
 
 
 def check_volume(n) -> int:
@@ -376,7 +378,7 @@ def _overlap_components(blocks_a, blocks_b):
     return list(comps.values())
 
 
-def product(a: LocalOperator, b: LocalOperator, dim_cap: int = DENSE_DIM_CAP) -> LocalOperator:
+def product(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     """Operator product; densifies only on support-overlap components."""
     _same_dim(a, b)
     d = a.site_dim
@@ -391,13 +393,13 @@ def product(a: LocalOperator, b: LocalOperator, dim_cap: int = DENSE_DIM_CAP) ->
             out_blocks.extend(bblks)
         else:
             sites = tuple(sorted({s for blk in ablks + bblks for s in blk.sites}))
-            am = _assemble([(1.0, 1.0, ablks)], sites, d, dim_cap)
-            bm = _assemble([(1.0, 1.0, bblks)], sites, d, dim_cap)
+            am = _assemble([(1.0, 1.0, ablks)], sites, d, DENSE_DIM_CAP)
+            bm = _assemble([(1.0, 1.0, bblks)], sites, d, DENSE_DIM_CAP)
             out_blocks.append(Block(sites, am @ bm))
     return _make_op(d, scalar, out_blocks)
 
 
-def commutator(a: LocalOperator, b: LocalOperator, dim_cap: int = DENSE_DIM_CAP) -> LocalOperator:
+def commutator(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     """``a b - b a``; exactly zero, with no matrix work, for disjoint supports."""
     _same_dim(a, b)
     d = a.site_dim
@@ -412,24 +414,24 @@ def commutator(a: LocalOperator, b: LocalOperator, dim_cap: int = DENSE_DIM_CAP)
         else:
             spectators.extend(ablks or bblks)
     sites = tuple(sorted({s for blk in mixed_a + mixed_b for s in blk.sites}))
-    am = _assemble([(1.0, 1.0, mixed_a)], sites, d, dim_cap)
-    bm = _assemble([(1.0, 1.0, mixed_b)], sites, d, dim_cap)
+    am = _assemble([(1.0, 1.0, mixed_a)], sites, d, DENSE_DIM_CAP)
+    bm = _assemble([(1.0, 1.0, mixed_b)], sites, d, DENSE_DIM_CAP)
     comm = am @ bm - bm @ am
     if not np.count_nonzero(comm):
         return zero_op(d)
     return _make_op(d, a.scalar * b.scalar, spectators + [Block(sites, comm)])
 
 
-def sum_product(a: OperatorSum, b: OperatorSum, dim_cap: int = DENSE_DIM_CAP) -> OperatorSum:
+def sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     _same_dim(a, b)
     terms = []
     for wa, oa in a.terms:
         for wb, ob in b.terms:
-            terms.append((wa * wb, product(oa, ob, dim_cap)))
+            terms.append((wa * wb, product(oa, ob)))
     return operator_sum(terms, a.site_dim)
 
 
-def sum_commutator(a: OperatorSum, b: OperatorSum, dim_cap: int = DENSE_DIM_CAP) -> OperatorSum:
+def sum_commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Termwise commutator with the disjoint-support short-circuit.
 
     When a single term pair overlaps on a region too large to densify (two
@@ -441,10 +443,10 @@ def sum_commutator(a: OperatorSum, b: OperatorSum, dim_cap: int = DENSE_DIM_CAP)
     for wa, oa in a.terms:
         for wb, ob in b.terms:
             try:
-                c = commutator(oa, ob, dim_cap)
+                c = commutator(oa, ob)
             except CapacityError:
-                terms.append((wa * wb, product(oa, ob, dim_cap)))
-                terms.append((-wa * wb, product(ob, oa, dim_cap)))
+                terms.append((wa * wb, product(oa, ob)))
+                terms.append((-wa * wb, product(ob, oa)))
                 continue
             if not c.is_zero:
                 terms.append((wa * wb, c))
@@ -495,17 +497,17 @@ def _compact_terms(s: OperatorSum):
     return terms, len(union)
 
 
-def _power_iteration_norm(gram_apply, dim, rng, tol, max_iter, block=4, confirm=8):
+def _power_iteration_norm(gram_apply, dim, rng, max_iter, block=4, confirm=8):
     """Largest singular value via block power iteration on ``a* a``.
 
     The top Ritz value of the iterated block is nondecreasing for a PSD
     operator; convergence is declared once the geometric-tail estimate of
-    the remaining increase stays below ``tol * max(1, rho)`` for ``confirm``
-    consecutive iterations.  A single iterated vector is not enough: a tight
-    cluster at the top makes its Rayleigh quotient stall convincingly below
-    the true value, while a block of ``block`` vectors resolves clusters up
-    to that size outright and converges at the much faster rate set by the
-    (block+1)-th eigenvalue.
+    the remaining increase stays below ``ITERATIVE_TOL * max(1, rho)`` for
+    ``confirm`` consecutive iterations.  A single iterated vector is not
+    enough: a tight cluster at the top makes its Rayleigh quotient stall
+    convincingly below the true value, while a block of ``block`` vectors
+    resolves clusters up to that size outright and converges at the much
+    faster rate set by the (block+1)-th eigenvalue.
     """
     b = min(block, dim)
     for _restart in range(3):
@@ -530,7 +532,7 @@ def _power_iteration_norm(gram_apply, dim, rng, tol, max_iter, block=4, confirm=
                 if delta <= 0.0:
                     # monotone sequence exhausted by float precision
                     return NormResult(float(np.sqrt(max(rho, 0.0))), True, it)
-                scale = tol * max(1.0, rho)
+                scale = ITERATIVE_TOL * max(1.0, rho)
                 ok = False
                 if delta <= scale and delta_prev is not None and delta_prev > 0.0:
                     ratio = delta / delta_prev
@@ -554,7 +556,6 @@ def norm(
     method: str = "auto",
     *,
     dense_cap: int = DENSE_DIM_CAP,
-    tol: float = 1e-9,
     max_iter: int = 10000,
     seed: int = 7,
 ) -> NormResult:
@@ -619,4 +620,4 @@ def norm(
         return t.reshape(v.shape)
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    return _power_iteration_norm(gram_apply, dim, rng, tol, max_iter)
+    return _power_iteration_norm(gram_apply, dim, rng, max_iter)

@@ -1,104 +1,75 @@
 """Machine-readable experiment reports.
 
-The JSON layout is fixed: ``{meta, schedule, series}`` where each series is
-``{label, points: [{n, value, converged}], fit: {exponent, residual},
-classification, bound?, bound_violations?}``.  ``fit`` is omitted for traces
-with fewer than three points.  Serialization is byte-stable for identical
-inputs: keys are sorted, floats use shortest round-trip repr, and wall-clock
-timings are deliberately kept off the wire (they live on the Report object
-and go to stderr in verbose mode).
+A report's series are labeled :class:`~spintail.asymptotics.DecayReport`
+traces, held as ``(label, trace)`` pairs in report order.  The JSON layout is
+fixed: ``{meta, schedule, series}`` where each series is ``{label, points:
+[{n, value, converged}], fit: {exponent, residual}, classification, bound?,
+bound_violations?}``.  ``fit`` is omitted for traces with fewer than three
+points.  Serialization is byte-stable for identical inputs: keys are sorted,
+floats use shortest round-trip repr, and wall-clock timings are deliberately
+kept off the wire (they stay on each trace's ``point_seconds`` and go to
+stderr in verbose mode).
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .asymptotics import DecayReport
 
-__all__ = ["Series", "Report", "series_from_decay", "emit", "REPORT_SCHEMA"]
-
-
-@dataclass
-class Series:
-    label: str
-    points: list[dict]
-    fit: dict | None = None
-    classification: str | None = None
-    bound: list[dict] | None = None
-    bound_violations: list[int] | None = None
-    point_seconds: list[float] = field(default_factory=list)
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "label": self.label,
-            "points": self.points,
-            "classification": self.classification,
-        }
-        if self.fit is not None:
-            obj["fit"] = self.fit
-        if self.bound is not None:
-            obj["bound"] = self.bound
-            obj["bound_violations"] = list(self.bound_violations or [])
-        return obj
+__all__ = ["Report", "series_json", "emit", "REPORT_SCHEMA"]
 
 
 @dataclass
 class Report:
     meta: dict
     schedule: list[int]
-    series: list[Series]
+    # (label, trace) pairs in report order
+    series: list[tuple[str, DecayReport]]
 
     def to_json_obj(self) -> dict:
         return {
             "meta": self.meta,
             "schedule": self.schedule,
-            "series": [s.to_json_obj() for s in self.series],
+            "series": [series_json(label, rep) for label, rep in self.series],
         }
 
 
-def series_from_decay(label: str, rep: DecayReport) -> Series:
-    points = [
-        {"n": p.n, "value": p.value, "converged": p.converged} for p in rep.points
-    ]
-    fit = None
+def series_json(label: str, rep: DecayReport) -> dict:
+    """The JSON object of one labeled trace; JSON and CSV both read it."""
+    obj = {
+        "label": label,
+        "points": [{"n": p.n, "value": p.value, "converged": p.converged} for p in rep.points],
+        "classification": rep.classification,
+    }
     if rep.fitted_exponent is not None:
-        fit = {"exponent": rep.fitted_exponent, "residual": rep.fit_residual}
-    bound = None
-    violations = None
+        obj["fit"] = {"exponent": rep.fitted_exponent, "residual": rep.fit_residual}
     if rep.bound_points is not None:
-        bound = [{"n": n, "value": v} for n, v in rep.bound_points]
-        violations = list(rep.bound_violations)
-    return Series(
-        label,
-        points,
-        fit,
-        rep.classification,
-        bound,
-        violations,
-        list(rep.point_seconds),
-    )
+        obj["bound"] = [{"n": n, "value": v} for n, v in rep.bound_points]
+        obj["bound_violations"] = list(rep.bound_violations)
+    return obj
 
 
 def emit(report: Report, format: str = "json") -> bytes:
     """Serialize a report; byte-stable given an identical report."""
+    obj = report.to_json_obj()
     if format == "json":
-        text = json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
+        text = json.dumps(obj, sort_keys=True, indent=2)
         return (text + "\n").encode("utf-8")
     if format == "csv":
         buf = io.StringIO()
         buf.write("label,n,value,converged,classification,exponent,residual,bound\n")
-        for s in report.series:
-            fit = s.fit or {}
-            exp = repr(fit["exponent"]) if "exponent" in fit else ""
-            res = repr(fit["residual"]) if "residual" in fit else ""
-            bounds = {b["n"]: b["value"] for b in (s.bound or [])}
-            for p in s.points:
+        for s in obj["series"]:
+            fit = s.get("fit")
+            exp, res = (repr(fit["exponent"]), repr(fit["residual"])) if fit else ("", "")
+            bounds = {b["n"]: b["value"] for b in s.get("bound", ())}
+            for p in s["points"]:
                 b = repr(bounds[p["n"]]) if p["n"] in bounds else ""
                 buf.write(
-                    f"{s.label},{p['n']},{p['value']!r},{int(p['converged'])},"
-                    f"{s.classification or ''},{exp},{res},{b}\n"
+                    f"{s['label']},{p['n']},{p['value']!r},{int(p['converged'])},"
+                    f"{s['classification'] or ''},{exp},{res},{b}\n"
                 )
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown output format {format!r}")

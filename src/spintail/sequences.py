@@ -6,6 +6,13 @@ kinds cover embedded local observables, observables translated to the moving
 edge of the volume, shift averages of a fixed seed, sitewise product
 operators (uniform, parity-alternating, block-alternating), the half-chain
 filling pattern, and pointwise *-algebra combinations of all of these.
+
+The one sequence protocol is ``eval(n)``: :meth:`VolumeSchedule.trace` calls
+nothing else, so the classical sequences (plain dataclasses in
+:mod:`spintail.classical`) and anything else with ``eval`` trace the same
+way.  :class:`ObservableSequence` is only the base of the operator-valued
+kinds, because its ``+``, ``*``, adjoint and scale combinators need operator
+algebra.
 """
 
 from __future__ import annotations

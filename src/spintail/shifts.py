@@ -119,9 +119,9 @@ def eval_gamma_sequence(spec: GammaSequenceSpec, volume) -> OperatorSum:
     return gamma_average(spec.seed, n)
 
 
-def is_gamma_invariant(a, volume, tol: float = 1e-10, method: str = "auto") -> bool:
-    """True iff one shift moves the operator by at most ``tol`` in norm."""
+def is_gamma_invariant(a, volume) -> bool:
+    """True iff one shift moves the operator by at most 1e-10 in norm."""
     n = check_volume(volume)
     s = a.as_sum() if isinstance(a, LocalOperator) else a
     diff = gamma_pow(s, n, 1) - s
-    return norm(diff, n, method).value <= tol
+    return norm(diff, n).value <= 1e-10

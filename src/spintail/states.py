@@ -39,20 +39,24 @@ class ProductState:
     site_dim: int
 
 
-def product_state(rho, atol: float = 1e-12) -> ProductState:
+# Absolute tolerance of the self-adjointness, trace and positivity checks.
+ATOL = 1e-12
+
+
+def product_state(rho) -> ProductState:
     """Validate and freeze a one-site density matrix.
 
-    Requires self-adjointness and unit trace within ``atol`` and eigenvalues
-    above ``-atol``.
+    Requires self-adjointness and unit trace within ``ATOL`` and eigenvalues
+    above ``-ATOL``.
     """
     rho = check_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ContractViolation(f"density matrix must be square, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > ATOL:
         raise ContractViolation("density matrix must be self-adjoint")
-    if abs(np.trace(rho) - 1.0) > atol:
+    if abs(np.trace(rho) - 1.0) > ATOL:
         raise ContractViolation(f"density matrix trace is {np.trace(rho):.6g}, expected 1")
-    if np.linalg.eigvalsh(rho)[0] < -atol:
+    if np.linalg.eigvalsh(rho)[0] < -ATOL:
         raise ContractViolation("density matrix must be positive semidefinite")
     rho = np.array(rho, dtype=complex)
     rho.flags.writeable = False
@@ -86,14 +90,14 @@ def expectation(state: ProductState, s: OperatorSum | LocalOperator, volume) -> 
     return total
 
 
-def _check_averaging_seed(seed: LocalOperator, atol: float = 1e-12) -> None:
+def _check_averaging_seed(seed: LocalOperator) -> None:
     if len(seed.support) > 1:
         raise ContractViolation("variance seeds act on at most one site")
-    if abs(np.imag(seed.scalar)) > atol:
+    if abs(np.imag(seed.scalar)) > ATOL:
         raise ContractViolation("variance seeds must be self-adjoint")
     for blk in seed.blocks:
         eff = seed.scalar * blk.matrix
-        if np.max(np.abs(eff - eff.conj().T)) > atol:
+        if np.max(np.abs(eff - eff.conj().T)) > ATOL:
             raise ContractViolation("variance seeds must be self-adjoint")
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import spintail
 from spintail import dense_matrix
@@ -111,6 +114,8 @@ ALL_KINDS = {
     "mutual": MUTUAL,
 }
 
+CLASSICAL = ALL_KINDS["classical-decay"]
+
 # report bytes frozen under tests/data, one config per kind; the commutant
 # config lists a probe beyond the smallest volume so its skip warning is frozen
 GOLDEN = {
@@ -183,6 +188,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("{nope")
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_integer_too_long_for_json(self, command, tmp_path, capsys):
+        # json refuses integer literals of more than 4300 digits with a ValueError
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "norm", "seed": ' + "9" * 5000 + "}")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("invalid: ") for line in err)
+
     @pytest.mark.parametrize(
         "field, patch",
         [
@@ -196,6 +210,96 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(GAMMA_BOUND, **patch))
         assert [p.split(":")[0] for p in exc.value.problems] == [field]
+
+    @pytest.mark.parametrize(
+        "field, cfg",
+        [
+            ("sequence.op", dict(ALL_KINDS["norm"], sequence={
+                "kind": "uniform-product", "op": [[1, 0], [0]]})),
+            ("sequence.op[0]", dict(ALL_KINDS["norm"], sequence={
+                "kind": "uniform-product", "op": [[10**400, 0], [0, 1]]})),
+            ("probe.terms", dict(CLASSICAL, probe={"terms": 5})),
+            ("probe.named", dict(CLASSICAL, probe={"named": ["cos_q"]})),
+            ("probe.terms[0].freqs", dict(CLASSICAL, probe={
+                "terms": [{"amplitude": 1, "freqs": [["a", 1, 0]]}]})),
+        ],
+        ids=["ragged_matrix", "huge_entry", "terms_not_list", "named_not_string",
+             "freq_not_int"],
+    )
+    def test_malformed_literal_named(self, field, cfg, tmp_path, capsys):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert [p.split(":")[0] for p in exc.value.problems] == [field]
+        assert main(["validate", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("invalid: ") for line in err)
+
+    @pytest.mark.parametrize(
+        "field, cfg",
+        [
+            ("seed", dict(GAMMA_BOUND, seed=True)),
+            ("schedule", dict(GAMMA_BOUND, schedule=[True, 2, 3, 4])),
+            ("probe.sites", dict(GAMMA_BOUND, probe={"matrix": "pauli1", "sites": [True]})),
+            ("sequence.offset", dict(MUTUAL, sequence={
+                "kind": "translated", "op": "pauli1", "offset": True})),
+            ("sequence.lengths", dict(ALL_KINDS["norm"], sequence={
+                "kind": "block-product", "even": "pauli1", "odd": "pauli3",
+                "lengths": [True, 2, 3]})),
+            ("probe.site", dict(CLASSICAL, probe={"named": "cos_p", "site": True})),
+            ("probe.terms[0].freqs", dict(CLASSICAL, probe={
+                "terms": [{"amplitude": 1, "freqs": [[1.7, 1, 0]]}]})),
+            ("probe.terms[0].amplitude", dict(CLASSICAL, probe={
+                "terms": [{"amplitude": True, "freqs": [[1, 0, 1]]}]})),
+        ],
+        ids=["seed", "schedule", "sites", "offset", "lengths", "classical_site",
+             "freq_site", "scalar"],
+    )
+    def test_booleans_and_fractions_not_integers(self, field, cfg):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert [p.split(":")[0] for p in exc.value.problems] == [field]
+
+
+# every value a JSON document can hold
+JSON_VALUES = hst.recursive(
+    hst.none()
+    | hst.booleans()
+    | hst.integers()
+    | hst.floats(allow_nan=False, allow_infinity=False)
+    | hst.text(max_size=8),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _field_paths():
+    """(kind, key path) of every field of every ALL_KINDS config, and of the
+    optional top-level fields, down into ``sequence``, ``probe``, ``state``
+    and a classical sequence's ``f``."""
+    for kind, cfg in sorted(ALL_KINDS.items()):
+        for key in sorted(set(cfg) | {"method", "dense_cap", "assert", "output"}):
+            yield kind, (key,)
+        for outer in ("sequence", "probe", "state"):
+            for key in cfg.get(outer, {}):
+                yield kind, (outer, key)
+        for key in cfg.get("sequence", {}).get("f", {}):
+            yield kind, ("sequence", "f", key)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hst.sampled_from(list(_field_paths())), JSON_VALUES)
+def test_parse_config_returns_or_raises_config_error(where, value):
+    kind, path = where
+    cfg = copy.deepcopy(ALL_KINDS[kind])
+    owner = cfg
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    try:
+        parse_config(cfg)
+    except ConfigError:
+        pass
 
 
 class TestLocalOperatorLiterals:
@@ -219,28 +323,102 @@ class TestRun:
     def test_gamma_bound_passes(self):
         report, failures = run(parse_config(json.dumps(GAMMA_BOUND)))
         assert failures == []
-        series = report.series[0]
-        assert series.fit["exponent"] == pytest.approx(-1.0, abs=0.05)
-        assert series.bound_violations == []
+        label, rep = report.series[0]
+        assert label == "commutator"
+        assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.05)
+        assert rep.bound_violations == ()
 
     def test_expect_alternating_values(self):
         report, failures = run(parse_config(json.dumps(EXPECT)))
         assert failures == []
-        re_series = next(s for s in report.series if s.label == "expectation.re")
-        values = [p["value"] for p in re_series.points]
+        re_series = next(rep for label, rep in report.series if label == "expectation.re")
+        values = [p.value for p in re_series.points]
         assert values == pytest.approx([(-1.0) ** n for n in range(1, 9)], abs=1e-12)
 
     def test_mutual_constant_two(self):
         report, failures = run(parse_config(json.dumps(MUTUAL)))
         assert failures == []
-        series = report.series[0]
-        assert [p["value"] for p in series.points] == pytest.approx([2.0] * 3, abs=1e-9)
+        _, rep = report.series[0]
+        assert [p.value for p in rep.points] == pytest.approx([2.0] * 3, abs=1e-9)
 
     def test_commutant_warns_and_reports(self):
         report, _ = run(parse_config(json.dumps(ALL_KINDS["commutant"])))
         assert len(report.series) == 7
-        for s in report.series:
-            assert s.classification == "vanishing"
+        for _, rep in report.series:
+            assert rep.classification == "vanishing"
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            (
+                dict(ALL_KINDS["norm"], **{"assert": {"max_value": 0.5}}),
+                ["series norm: value above 0.5 at N in [2, 4, 6, 8]"],
+            ),
+            # the cap reads the signed expectation values, not their moduli
+            (
+                dict(EXPECT, **{"assert": {"max_value": 0.5}}),
+                ["series expectation.re: value above 0.5 at N in [2, 4, 6, 8]"],
+            ),
+            (
+                dict(EXPECT, **{"assert": {"classification": "vanishing", "series": "nope"}}),
+                ["assert.series: no series labeled 'nope'"],
+            ),
+            (
+                dict(
+                    EXPECT,
+                    **{"assert": {"classification": "vanishing", "series": "expectation.re"}},
+                ),
+                [
+                    "series expectation.re: classification 'bounded_nonvanishing', "
+                    "expected 'vanishing'"
+                ],
+            ),
+            (
+                dict(
+                    ALL_KINDS["commutant"],
+                    **{
+                        "assert": {
+                            "classification": "bounded_nonvanishing",
+                            "series": "pauli1@1",
+                            "max_value": 0.4,
+                        }
+                    },
+                ),
+                [
+                    "series pauli1@1: classification 'vanishing', "
+                    "expected 'bounded_nonvanishing'",
+                    "series pauli1@1: value above 0.4 at N in [4]",
+                    "series pauli2@1: value above 0.4 at N in [4]",
+                    "series pauli1@2: value above 0.4 at N in [4]",
+                    "series pauli2@2: value above 0.4 at N in [4]",
+                    "series pauli1*pauli3@1,2: value above 0.4 at N in [4]",
+                ],
+            ),
+            (
+                dict(
+                    GAMMA_BOUND,
+                    **{
+                        "assert": {
+                            "classification": "unconverged",
+                            "all_converged": True,
+                            "max_value": 0.3,
+                        }
+                    },
+                ),
+                [
+                    "series commutator: classification 'vanishing', expected 'unconverged'",
+                    "series commutator: value above 0.3 at N in [4, 6]",
+                ],
+            ),
+        ],
+        ids=["max_value", "max_value_signed", "missing_series", "classification",
+             "targeted_and_capped", "every_check"],
+    )
+    def test_assertion_failure_strings(self, cfg, expected):
+        report, failures = run(parse_config(cfg))
+        assert failures == expected
+        meta = json.loads(emit(report, "json"))["meta"]
+        assert meta["assertions"] == {"passed": False, "failures": expected}
 
     @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
     def test_every_kind_deterministic(self, kind):

@@ -200,4 +200,4 @@ class TestGammaInvariance:
         rng = np.random.default_rng(48)
         seed = st.local_operator(random_complex(rng, 2), (1,))
         avg = st.gamma_average(seed, 6)
-        assert st.is_gamma_invariant(avg, 6, tol=1e-10)
+        assert st.is_gamma_invariant(avg, 6)
