@@ -269,10 +269,11 @@ def cyclic_average_eval(f: TrigObservable, n: int) -> TrigObservable:
     sup = f.support
     if sup and sup[-1] > n:
         raise ContractViolation(f"support {sup} outside volume of {n} sites")
-    out = TrigObservable({})
+    acc: dict[FreqKey, complex] = {}
     for j in range(n):
-        out = out + f.translate_cyclic(j, n)
-    return out.scale(1.0 / n)
+        for key, c in f.translate_cyclic(j, n).coeffs.items():
+            acc[key] = acc.get(key, 0j) + c
+    return _build(acc).scale(1.0 / n)
 
 
 # The classical sequences: plain evaluation rules N -> TrigObservable.  Like

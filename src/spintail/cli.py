@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -115,14 +116,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """Whether a config value is a finite number; NaN, Infinity, true and false are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_scalar(value, errors: _Problems, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if all(_is_int(x) or isinstance(x, float) for x in parts):
-        try:
-            return complex(*parts)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    errors.add(path, f"expected a number or [re, im], got {value!r}")
+    if all(_is_finite(x) for x in parts):
+        return complex(*parts)
+    errors.add(path, f"expected a finite number or [re, im], got {value!r}")
     return 0j
 
 
@@ -603,8 +611,8 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         if converged is not None and not isinstance(converged, bool):
             errors.add("assert.all_converged", f"expected true or false, got {converged!r}")
         cap = assert_spec.get("max_value")
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, float))):
-            errors.add("assert.max_value", f"expected a number, got {cap!r}")
+        if cap is not None and not _is_finite(cap):
+            errors.add("assert.max_value", f"expected a finite number, got {cap!r}")
 
     output = raw.get("output", {})
     if isinstance(output, dict):
@@ -713,8 +721,11 @@ def main(argv=None) -> int:
                 raw["seed"] = args.seed
             if args.dense_cap is not None:
                 raw["dense_cap"] = args.dense_cap
-            if args.format is not None or args.out is not None:
-                out = dict(raw.get("output", {}))
+            # a null output counts as absent, as in parse_config; any other
+            # non-object is left for parse_config to report
+            out = {} if raw.get("output") is None else raw["output"]
+            if isinstance(out, dict) and (args.format is not None or args.out is not None):
+                out = dict(out)
                 if args.format is not None:
                     out["format"] = args.format
                 if args.out is not None:

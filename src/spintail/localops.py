@@ -46,6 +46,8 @@ __all__ = [
 ITERATIVE_STATE_CAP = 2**24
 # Relative accuracy at which power iteration declares convergence.
 ITERATIVE_TOL = 1e-9
+# Power-iteration steps per start block before a norm is reported unconverged.
+ITERATIVE_MAX_ITER = 10000
 
 
 def check_volume(n) -> int:
@@ -497,7 +499,7 @@ def _compact_terms(s: OperatorSum):
     return terms, len(union)
 
 
-def _power_iteration_norm(gram_apply, dim, rng, max_iter, block=4, confirm=8):
+def _power_iteration_norm(gram_apply, dim, rng, block=4, confirm=8):
     """Largest singular value via block power iteration on ``a* a``.
 
     The top Ritz value of the iterated block is nondecreasing for a PSD
@@ -518,7 +520,7 @@ def _power_iteration_norm(gram_apply, dim, rng, max_iter, block=4, confirm=8):
         best = 0.0
         hits = 0
         annihilated = False
-        for it in range(1, max_iter + 1):
+        for it in range(1, ITERATIVE_MAX_ITER + 1):
             w = np.column_stack([gram_apply(v[:, j]) for j in range(b)])
             if not np.any(w):
                 annihilated = True
@@ -545,7 +547,7 @@ def _power_iteration_norm(gram_apply, dim, rng, max_iter, block=4, confirm=8):
             rho_prev = rho
             v, _ = np.linalg.qr(w)
         if not annihilated:
-            return NormResult(float(np.sqrt(max(best, 0.0))), False, max_iter)
+            return NormResult(float(np.sqrt(max(best, 0.0))), False, ITERATIVE_MAX_ITER)
     # three independent start blocks annihilated: the operator is zero
     return NormResult(0.0, True, 0)
 
@@ -556,7 +558,6 @@ def norm(
     method: str = "auto",
     *,
     dense_cap: int = DENSE_DIM_CAP,
-    max_iter: int = 10000,
     seed: int = 7,
 ) -> NormResult:
     """Operator norm of a sum (or single operator) on the given volume.
@@ -620,4 +621,4 @@ def norm(
         return t.reshape(v.shape)
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    return _power_iteration_norm(gram_apply, dim, rng, max_iter)
+    return _power_iteration_norm(gram_apply, dim, rng)

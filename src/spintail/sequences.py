@@ -3,9 +3,11 @@
 A sequence is an evaluation rule N -> OperatorSum on the volume {1,...,N},
 not a stored array; schedules pick which volumes to look at.  The built-in
 kinds cover embedded local observables, observables translated to the moving
-edge of the volume, shift averages of a fixed seed, sitewise product
-operators (uniform, parity-alternating, block-alternating), the half-chain
-filling pattern, and pointwise *-algebra combinations of all of these.
+edge of the volume, shift averages of a fixed seed, sitewise products, and
+pointwise *-algebra combinations of all of these.  The sitewise products
+(uniform, parity-alternating, block-alternating, and the half-chain filling
+pattern) are one class, :class:`SiteProduct`, whose constructors differ only in
+their factors and in the rule that picks a factor, or the identity, per site.
 
 The one sequence protocol is ``eval(n)``: :meth:`VolumeSchedule.trace` calls
 nothing else, so the classical sequences (plain dataclasses in
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +33,6 @@ from .localops import (
     OperatorSum,
     check_volume,
     from_site_factors,
-    identity_op,
     norm,
     sum_product,
     zero_sum,
@@ -44,6 +45,7 @@ __all__ = [
     "LocalEmbedSeq",
     "TranslatedToInfinity",
     "GammaSeq",
+    "SiteProduct",
     "UniformProduct",
     "ParityProduct",
     "BlockProduct",
@@ -154,40 +156,38 @@ class GammaSeq(ObservableSequence):
 
 
 @dataclass
-class UniformProduct(ObservableSequence):
-    """The same single-site factor on every site of the volume."""
+class SiteProduct(ObservableSequence):
+    """Sitewise product: site x of volume n carries ``factors[pick(x, n)]``.
 
-    site_op: np.ndarray
+    A ``pick`` of ``None`` leaves the site as the identity.  Every factor needs
+    norm <= 1 so the sequence stays uniformly bounded.
+    """
+
+    factors: tuple[np.ndarray, ...]
+    pick: Callable[[int, int], int | None]
     site_dim: int = 2
 
     def __post_init__(self):
-        self.site_op = _bounded_site_op(self.site_op, self.site_dim)
-
-    def eval(self, n: int) -> OperatorSum:
-        n = check_volume(n)
-        return from_site_factors(
-            {x: self.site_op for x in range(1, n + 1)}, self.site_dim
-        ).as_sum()
-
-
-@dataclass
-class ParityProduct(ObservableSequence):
-    """Sitewise product alternating by site parity; site 1 counts as odd."""
-
-    odd_op: np.ndarray
-    even_op: np.ndarray
-    site_dim: int = 2
-
-    def __post_init__(self):
-        self.odd_op = _bounded_site_op(self.odd_op, self.site_dim)
-        self.even_op = _bounded_site_op(self.even_op, self.site_dim)
+        self.factors = tuple(_bounded_site_op(m, self.site_dim) for m in self.factors)
 
     def eval(self, n: int) -> OperatorSum:
         n = check_volume(n)
         factors = {
-            x: (self.odd_op if x % 2 == 1 else self.even_op) for x in range(1, n + 1)
+            x: self.factors[k]
+            for x in range(1, n + 1)
+            if (k := self.pick(x, n)) is not None
         }
         return from_site_factors(factors, self.site_dim).as_sum()
+
+
+def UniformProduct(site_op, site_dim: int = 2) -> SiteProduct:
+    """The same single-site factor on every site of the volume."""
+    return SiteProduct((site_op,), lambda x, n: 0, site_dim)
+
+
+def ParityProduct(odd_op, even_op, site_dim: int = 2) -> SiteProduct:
+    """Sitewise product alternating by site parity; site 1 counts as odd."""
+    return SiteProduct((odd_op, even_op), lambda x, n: 1 - x % 2, site_dim)
 
 
 def make_block_partition(rule: Callable[[int], int]) -> Callable[[int], int]:
@@ -224,54 +224,21 @@ def default_block_lengths(n: int) -> int:
     return n + 1
 
 
-@dataclass
-class BlockProduct(ObservableSequence):
+def BlockProduct(
+    even_op, odd_op, block_lengths: Callable[[int], int] = default_block_lengths, site_dim: int = 2
+) -> SiteProduct:
     """Sitewise product alternating between blocks of strictly increasing length.
 
     Sites in even-indexed blocks carry ``even_op``, odd-indexed blocks carry
     ``odd_op``.
     """
-
-    even_op: np.ndarray
-    odd_op: np.ndarray
-    block_lengths: Callable[[int], int] = field(default=default_block_lengths)
-    site_dim: int = 2
-
-    def __post_init__(self):
-        self.even_op = _bounded_site_op(self.even_op, self.site_dim)
-        self.odd_op = _bounded_site_op(self.odd_op, self.site_dim)
-        self._block_of = make_block_partition(self.block_lengths)
-
-    def eval(self, n: int) -> OperatorSum:
-        n = check_volume(n)
-        factors = {
-            x: (self.even_op if self._block_of(x) % 2 == 0 else self.odd_op)
-            for x in range(1, n + 1)
-        }
-        return from_site_factors(factors, self.site_dim).as_sum()
+    block_of = make_block_partition(block_lengths)
+    return SiteProduct((even_op, odd_op), lambda x, n: block_of(x) % 2, site_dim)
 
 
-@dataclass
-class HalfChain(ObservableSequence):
-    """Identity on the left ceil(N/2) sites, a fixed factor on the rest.
-
-    Requires ``norm(site_op) <= 1`` so the sequence stays uniformly bounded.
-    """
-
-    site_op: np.ndarray
-    site_dim: int = 2
-
-    def __post_init__(self):
-        self.site_op = _bounded_site_op(self.site_op, self.site_dim)
-
-    def eval(self, n: int) -> OperatorSum:
-        n = check_volume(n)
-        first = n - n // 2 + 1
-        if first > n:
-            return identity_op(self.site_dim).as_sum()
-        return from_site_factors(
-            {x: self.site_op for x in range(first, n + 1)}, self.site_dim
-        ).as_sum()
+def HalfChain(site_op, site_dim: int = 2) -> SiteProduct:
+    """Identity on the left ceil(N/2) sites, a fixed factor on the rest."""
+    return SiteProduct((site_op,), lambda x, n: 0 if x > n - n // 2 else None, site_dim)
 
 
 @dataclass

@@ -139,6 +139,22 @@ class TestCyclicAverage:
         expected = expected.scale(0.25)
         assert (avg - expected).l1_norm() <= 1e-15
 
+    def test_equals_running_sum_of_translates(self):
+        # the running sum of translates is the reference; one dict accumulates
+        # the same additions per key in the same order, so values are equal
+        rng = np.random.default_rng(81)
+        fs = [
+            cl.cos_q(1) - cl.cos_q(2) + cl.cos_q(3),
+            random_trig(rng, sites=(1, 2), n_terms=3),
+            random_trig(rng, sites=(1, 3), n_terms=4),
+        ]
+        for f in fs:
+            for n in (3, 4, 7):
+                ref = cl.TrigObservable({})
+                for j in range(n):
+                    ref = ref + f.translate_cyclic(j, n)
+                assert cl.cyclic_average_eval(f, n).coeffs == ref.scale(1.0 / n).coeffs
+
     def test_l1_preserved(self):
         f = cl.cos_q(1)
         avg = cl.cyclic_average_eval(f, 6)

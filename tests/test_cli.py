@@ -222,9 +222,20 @@ class TestParseConfig:
             ("probe.named", dict(CLASSICAL, probe={"named": ["cos_q"]})),
             ("probe.terms[0].freqs", dict(CLASSICAL, probe={
                 "terms": [{"amplitude": 1, "freqs": [["a", 1, 0]]}]})),
+            ("sequence.factor", dict(ALL_KINDS["norm"], sequence={
+                "kind": "scale", "factor": float("nan"), "inner": ALL_KINDS["norm"]["sequence"]})),
+            ("sequence.factor", dict(ALL_KINDS["norm"], sequence={
+                "kind": "scale", "factor": [1, -float("inf")],
+                "inner": ALL_KINDS["norm"]["sequence"]})),
+            ("probe.terms[0].amplitude", dict(CLASSICAL, probe={
+                "terms": [{"amplitude": float("inf"), "freqs": [[1, 0, 1]]}]})),
+            ("assert.max_value", dict(GAMMA_BOUND, **{"assert": {"max_value": float("nan")}})),
+            ("assert.max_value", dict(GAMMA_BOUND, **{"assert": {"max_value": -float("inf")}})),
+            ("assert.max_value", dict(GAMMA_BOUND, **{"assert": {"max_value": 10**400}})),
         ],
         ids=["ragged_matrix", "huge_entry", "terms_not_list", "named_not_string",
-             "freq_not_int"],
+             "freq_not_int", "nan_factor", "infinite_imag_factor", "infinite_amplitude",
+             "nan_max_value", "infinite_max_value", "huge_max_value"],
     )
     def test_malformed_literal_named(self, field, cfg, tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:
@@ -518,6 +529,21 @@ class TestMainExitCodes:
         code = main(["run", write_config(tmp_path, GAMMA_BOUND), "--out", str(out)])
         assert code == 1
         assert "error: cannot write report:" in capsys.readouterr().err
+
+    def test_out_flag_with_non_object_output(self, tmp_path, capsys):
+        cfg = dict(GAMMA_BOUND, output=5)
+        out = tmp_path / "r.json"
+        code = main(["run", write_config(tmp_path, cfg), "--out", str(out), "--format", "csv"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["invalid: output: expected an object"]
+        assert not out.exists()
+
+    def test_out_flag_with_null_output(self, tmp_path):
+        cfg = dict(GAMMA_BOUND, output=None)
+        out = tmp_path / "r.csv"
+        code = main(["run", write_config(tmp_path, cfg), "--out", str(out), "--format", "csv"])
+        assert code == 0
+        assert out.read_text().startswith("label,n,value")
 
     def test_schema_subcommand(self, capsys):
         assert main(["schema"]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spintail as st
+from spintail.cli import _parse_block_lengths, _Problems
 from spintail.sequences import default_block_lengths
 
 from oracles import SX, SZ, embed_dense, kron_chain, random_complex
@@ -96,6 +97,72 @@ class TestBlockPartition:
         # blocks: [1], [2,3], [4,5,6] -> x, z, z, x, x, x
         expected = kron_chain([SX, SZ, SZ, SX, SX, SX])
         assert np.allclose(st.dense_matrix(seq.eval(6), 6), expected, atol=1e-14)
+
+
+def _contraction(rng, d):
+    a = random_complex(rng, d)
+    return a / np.linalg.svd(a, compute_uv=False)[0]
+
+
+def _explicit_lengths(lengths):
+    # the block-length rule a config's "lengths" list parses to
+    return _parse_block_lengths(lengths, _Problems(), "lengths")
+
+
+def _block_index(x, lengths):
+    ends = np.cumsum(lengths)
+    return int(np.searchsorted(ends, x))
+
+
+# kind -> (number of factors, builder from (factors, d), the factor index the
+# kind puts at site x of volume n, None for the identity)
+PRODUCT_KINDS = {
+    "uniform": (1, lambda ms, d: st.UniformProduct(*ms, d), lambda x, n: 0),
+    "parity": (2, lambda ms, d: st.ParityProduct(*ms, d), lambda x, n: 0 if x % 2 else 1),
+    "block": (
+        2,
+        lambda ms, d: st.BlockProduct(*ms, site_dim=d),
+        lambda x, n: _block_index(x, [1, 2, 3, 4, 5]) % 2,
+    ),
+    "block-explicit": (
+        2,
+        lambda ms, d: st.BlockProduct(*ms, _explicit_lengths([2, 3, 5, 9]), d),
+        lambda x, n: _block_index(x, [2, 3, 5, 9]) % 2,
+    ),
+    "half-chain": (
+        1,
+        lambda ms, d: st.HalfChain(*ms, d),
+        lambda x, n: 0 if x > (n + 1) // 2 else None,
+    ),
+}
+
+
+class TestSiteProductStructure:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
+    def test_single_term_with_expected_factors(self, kind, d):
+        # n = 1 covers the half chain's all-identity volume
+        count, build, expected_pick = PRODUCT_KINDS[kind]
+        rng = np.random.default_rng(53)
+        mats = [_contraction(rng, d) for _ in range(count)]
+        seq = build(mats, d)
+        for n in range(1, 14):
+            out = seq.eval(n)
+            assert out.site_dim == d
+            ((w, op),) = out.terms
+            assert w == 1 and op.scalar == 1
+            expected = {
+                x: mats[k] for x in range(1, n + 1) if (k := expected_pick(x, n)) is not None
+            }
+            assert [b.sites for b in op.blocks] == [(x,) for x in expected]
+            for b in op.blocks:
+                assert np.array_equal(b.matrix, expected[b.sites[0]])
+
+    def test_explicit_block_lengths_run_out(self):
+        seq = st.BlockProduct(SX, SZ, _explicit_lengths([2, 3]))
+        assert len(seq.eval(5).terms[0][1].blocks) == 5
+        with pytest.raises(st.ContractViolation, match="exhausted"):
+            seq.eval(6)
 
 
 class TestPointwiseAlgebra:
