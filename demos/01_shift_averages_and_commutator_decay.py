@@ -10,10 +10,10 @@ import spintail as st
 
 seed = st.from_site_factors({1: st.pauli(1), 2: st.pauli(1)})  # two-site seed
 probe = st.pauli_at(3, 1)
-spec = st.gamma_sequence_spec(seed)
+seq = st.GammaSeq.from_seed(seed)
 
 schedule = list(range(4, 15))
-report = st.gamma_bound_check(spec, probe, schedule)
+report = st.gamma_bound_check(seq, probe, schedule)
 
 print("shift-averaged two-site seed vs probe at site 1")
 print(f"{'N':>4}  {'measured':>12}  {'envelope 2(W0+Wp)/N':>20}")
@@ -25,7 +25,6 @@ print(f"classification: {report.classification}")
 
 # The same machinery, probe by probe, is the membership test for the
 # asymptotically-commuting algebra: every shift average passes.
-seq = st.GammaSeq(spec)
 results = st.commutant_membership(seq, None, schedule)
 print("\nmembership against the default probe set:")
 for res in results:

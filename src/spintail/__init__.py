@@ -9,13 +9,11 @@ brackets of trigonometric observables on torus phase spaces.
 
 from .asymptotics import (
     DecayReport,
-    ProbeResult,
     TracePoint,
     classify_trace,
     commutant_membership,
     default_probes,
     equivalence_test,
-    fit_loglog,
     gamma_bound_check,
     mutual_commutator_trace,
     quotient_norm_estimate,
@@ -25,22 +23,17 @@ from .errors import CapacityError, ConfigError, ContractViolation
 from .localops import (
     Block,
     LocalOperator,
-    NormResult,
     OperatorSum,
     commutator,
     dense_matrix,
     from_site_factors,
-    identity_op,
     local_operator,
     norm,
     operator_sum,
     pauli_at,
     product,
-    scalar_op,
     sum_commutator,
     sum_product,
-    zero_op,
-    zero_sum,
 )
 from .matrices import DENSE_DIM_CAP, adjoint, operator_norm_dense, pauli
 from .sequences import (
@@ -57,25 +50,9 @@ from .sequences import (
     TranslatedToInfinity,
     UniformProduct,
     VolumeSchedule,
-    as_schedule,
-    make_block_partition,
     seq_norm_trace,
 )
-from .shifts import (
-    GammaSequenceSpec,
-    eval_gamma_sequence,
-    gamma_average,
-    gamma_pow,
-    gamma_sequence_spec,
-    is_gamma_invariant,
-    translate,
-)
-from .states import (
-    ProductState,
-    average_variance,
-    expectation,
-    induced_invariance_residual,
-    product_state,
-)
+from .shifts import eval_gamma_sequence, gamma_average, gamma_pow
+from .states import average_variance, expectation, induced_invariance_residual, product_state
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from .localops import (
     sum_commutator,
 )
 from .matrices import pauli
-from .sequences import ObservableSequence, TranslatedToInfinity, as_schedule
-from .shifts import GammaSequenceSpec, eval_gamma_sequence
+from .sequences import GammaSeq, ObservableSequence, TranslatedToInfinity, as_schedule
+from .shifts import eval_gamma_sequence
 
 __all__ = [
     "TracePoint",
@@ -258,7 +258,7 @@ def _hull_size(support) -> int:
 
 
 def gamma_bound_check(
-    spec: GammaSequenceSpec,
+    seq: GammaSeq,
     probe: LocalOperator,
     schedule,
     slack: float = 1e-9,
@@ -274,12 +274,12 @@ def gamma_bound_check(
     """
     schedule = as_schedule(schedule)
     _need_points(schedule, 4)
-    w0 = _hull_size(spec.seed.support)
+    w0 = _hull_size(seq.seed.support)
     wp = _hull_size(probe.support)
-    amp = 2.0 * (w0 + wp) * spec.seed.norm_exact() * probe.norm_exact()
+    amp = 2.0 * (w0 + wp) * seq.seed.norm_exact() * probe.norm_exact()
     probe_sum = probe.as_sum()
     rep = _norm_report(
-        lambda n: sum_commutator(eval_gamma_sequence(spec, n), probe_sum),
+        lambda n: sum_commutator(eval_gamma_sequence(seq, n), probe_sum),
         schedule,
         method,
         **norm_kwargs,

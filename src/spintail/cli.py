@@ -429,7 +429,7 @@ def _run_commutant(config, warnings, failures):
 
 def _run_gamma_bound(config, warnings, failures):
     rep = gamma_bound_check(
-        config.sequence.spec, config.probe[1], config.schedule, **config.norm_kwargs
+        config.sequence, config.probe[1], config.schedule, **config.norm_kwargs
     )
     if rep.bound_violations:
         failures.append(f"commutator bound violated at N in {list(rep.bound_violations)}")
@@ -541,7 +541,8 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     else:
         try:
             raw = json.loads(text_or_dict)
-        except ValueError as exc:  # bad JSON, or an integer too long to convert
+        # bad JSON, an integer too long to convert, or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
@@ -592,7 +593,10 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     if experiment is not None:
         for name, parse in experiment.fields:
             if name in raw:
-                setattr(cfg, name, parse(raw[name], errors, name))
+                try:
+                    setattr(cfg, name, parse(raw[name], errors, name))
+                except RecursionError:  # a sequence nested past the recursion limit
+                    errors.add(name, "nested too deeply")
             elif name not in experiment.optional:
                 errors.add(name, f"required for {kind!r} experiments")
 
@@ -700,7 +704,7 @@ def main(argv=None) -> int:
 
     try:
         text = open(args.config, "r", encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
@@ -732,7 +736,7 @@ def main(argv=None) -> int:
                     out["path"] = args.out
                 raw["output"] = out
         config = parse_config(raw)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, RecursionError) as exc:
         problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)

@@ -28,12 +28,8 @@ __all__ = [
     "NormResult",
     "local_operator",
     "from_site_factors",
-    "identity_op",
-    "zero_op",
-    "scalar_op",
     "pauli_at",
     "operator_sum",
-    "zero_sum",
     "product",
     "commutator",
     "sum_commutator",
@@ -42,12 +38,18 @@ __all__ = [
     "dense_matrix",
 ]
 
-# Iterative norms hold two state vectors of this many amplitudes at most.
+# Longest state vector an iterative norm works on.  Power iteration peaks at
+# about 16 complex vectors of this length (tracemalloc, rotated-sigma3 shift
+# average at N = 14 and 16), so about 4 GiB at the cap.
 ITERATIVE_STATE_CAP = 2**24
 # Relative accuracy at which power iteration declares convergence.
 ITERATIVE_TOL = 1e-9
 # Power-iteration steps per start block before a norm is reported unconverged.
 ITERATIVE_MAX_ITER = 10000
+# Vectors per power-iteration block: top clusters up to this size resolve outright.
+ITERATIVE_BLOCK = 4
+# Consecutive iterations whose tail estimate must stay below tolerance.
+ITERATIVE_CONFIRM = 8
 
 
 def check_volume(n) -> int:
@@ -174,16 +176,8 @@ def from_site_factors(factors: dict[int, np.ndarray], site_dim: int = 2) -> Loca
     return _make_op(site_dim, 1.0, blocks)
 
 
-def identity_op(site_dim: int = 2) -> LocalOperator:
-    return LocalOperator(site_dim, 1.0 + 0j, ())
-
-
 def zero_op(site_dim: int = 2) -> LocalOperator:
     return LocalOperator(site_dim, 0j, ())
-
-
-def scalar_op(c: complex, site_dim: int = 2) -> LocalOperator:
-    return _make_op(site_dim, c, [])
 
 
 def pauli_at(kind, site: int) -> LocalOperator:
@@ -499,19 +493,20 @@ def _compact_terms(s: OperatorSum):
     return terms, len(union)
 
 
-def _power_iteration_norm(gram_apply, dim, rng, block=4, confirm=8):
+def _power_iteration_norm(gram_apply, dim, rng):
     """Largest singular value via block power iteration on ``a* a``.
 
     The top Ritz value of the iterated block is nondecreasing for a PSD
     operator; convergence is declared once the geometric-tail estimate of
     the remaining increase stays below ``ITERATIVE_TOL * max(1, rho)`` for
-    ``confirm`` consecutive iterations.  A single iterated vector is not
-    enough: a tight cluster at the top makes its Rayleigh quotient stall
-    convincingly below the true value, while a block of ``block`` vectors
-    resolves clusters up to that size outright and converges at the much
-    faster rate set by the (block+1)-th eigenvalue.
+    ``ITERATIVE_CONFIRM`` consecutive iterations.  A single iterated vector
+    is not enough: a tight cluster at the top makes its Rayleigh quotient
+    stall convincingly below the true value, while a block of
+    ``ITERATIVE_BLOCK`` vectors resolves clusters up to that size outright
+    and converges at the much faster rate set by the (ITERATIVE_BLOCK + 1)-th
+    eigenvalue.
     """
-    b = min(block, dim)
+    b = min(ITERATIVE_BLOCK, dim)
     for _restart in range(3):
         v = rng.normal(size=(dim, b)) + 1j * rng.normal(size=(dim, b))
         v, _ = np.linalg.qr(v)
@@ -541,7 +536,7 @@ def _power_iteration_norm(gram_apply, dim, rng, block=4, confirm=8):
                     remaining = delta * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
                     ok = remaining <= scale
                 hits = hits + 1 if ok else 0
-                if hits >= confirm:
+                if hits >= ITERATIVE_CONFIRM:
                     return NormResult(float(np.sqrt(max(rho, 0.0))), True, it)
                 delta_prev = delta
             rho_prev = rho

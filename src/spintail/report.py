@@ -13,6 +13,7 @@ stderr in verbose mode).
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass
@@ -61,15 +62,16 @@ def emit(report: Report, format: str = "json") -> bytes:
     if format == "csv":
         buf = io.StringIO()
         buf.write("label,n,value,converged,classification,exponent,residual,bound\n")
+        rows = csv.writer(buf, lineterminator="\n")
         for s in obj["series"]:
             fit = s.get("fit")
             exp, res = (repr(fit["exponent"]), repr(fit["residual"])) if fit else ("", "")
             bounds = {b["n"]: b["value"] for b in s.get("bound", ())}
             for p in s["points"]:
                 b = repr(bounds[p["n"]]) if p["n"] in bounds else ""
-                buf.write(
-                    f"{s['label']},{p['n']},{p['value']!r},{int(p['converged'])},"
-                    f"{s['classification'] or ''},{exp},{res},{b}\n"
+                rows.writerow(
+                    [s["label"], p["n"], repr(p["value"]), int(p["converged"]),
+                     s["classification"] or "", exp, res, b]
                 )
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown output format {format!r}")

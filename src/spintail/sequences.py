@@ -38,7 +38,7 @@ from .localops import (
     zero_sum,
 )
 from .matrices import check_finite, operator_norm_dense
-from .shifts import GammaSequenceSpec, eval_gamma_sequence, gamma_sequence_spec
+from .shifts import eval_gamma_sequence, gamma_pow
 
 __all__ = [
     "ObservableSequence",
@@ -140,19 +140,29 @@ class TranslatedToInfinity(ObservableSequence):
 
 @dataclass
 class GammaSeq(ObservableSequence):
-    """Shift average of a fixed seed over each volume; zero below the window."""
+    """Shift average of a fixed seed over each volume; zero below the window.
 
-    spec: GammaSequenceSpec
+    ``window`` is the length of the interval {1, ..., window} holding the
+    seed's support; :meth:`from_seed` moves any seed there first.
+    """
+
+    seed: LocalOperator
+    window: int
 
     def __post_init__(self):
-        self.site_dim = self.spec.seed.site_dim
+        self.site_dim = self.seed.site_dim
 
     @classmethod
     def from_seed(cls, seed: LocalOperator) -> "GammaSeq":
-        return cls(gamma_sequence_spec(seed))
+        sup = seed.support
+        if not sup:
+            raise ContractViolation("gamma-sequence seeds need nonempty support")
+        # shifting sites sup[0]..sup[-1] left by sup[0] - 1 never wraps
+        seed = gamma_pow(seed, sup[-1], sup[0] - 1)
+        return cls(seed, seed.support[-1])
 
     def eval(self, n: int) -> OperatorSum:
-        return eval_gamma_sequence(self.spec, check_volume(n))
+        return eval_gamma_sequence(self, check_volume(n))
 
 
 @dataclass

@@ -8,8 +8,6 @@ a_1 (x) a_2 (x) ... (x) a_N to a_2 (x) ... (x) a_N (x) a_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation
@@ -28,23 +26,9 @@ from .localops import (
 __all__ = [
     "gamma_pow",
     "gamma_average",
-    "GammaSequenceSpec",
-    "gamma_sequence_spec",
     "eval_gamma_sequence",
     "is_gamma_invariant",
-    "translate",
 ]
-
-
-def translate(a: LocalOperator, shift: int) -> LocalOperator:
-    """Plain (non-cyclic) translation of every site by ``shift``."""
-    blocks = []
-    for b in a.blocks:
-        sites = tuple(s + shift for s in b.sites)
-        if sites and sites[0] < 1:
-            raise ContractViolation(f"translation by {shift} pushes support below site 1")
-        blocks.append(Block(sites, b.matrix))
-    return _make_op(a.site_dim, a.scalar, blocks)
 
 
 def _relabel_block(b: Block, j: int, n: int, d: int) -> Block:
@@ -91,32 +75,12 @@ def gamma_average(a, volume) -> OperatorSum:
     return operator_sum(terms, a.site_dim)
 
 
-@dataclass(frozen=True)
-class GammaSequenceSpec:
-    """Seed of a shift-averaged sequence, normalized to leftmost position.
-
-    ``window`` is the length of the interval {1, ..., window} holding the
-    seed's support after normalization; volumes smaller than the window
-    evaluate to the zero sum.
-    """
-
-    seed: LocalOperator
-    window: int
-
-
-def gamma_sequence_spec(seed: LocalOperator) -> GammaSequenceSpec:
-    sup = seed.support
-    if not sup:
-        raise ContractViolation("gamma-sequence seeds need nonempty support")
-    seed = translate(seed, 1 - sup[0])
-    return GammaSequenceSpec(seed, seed.support[-1])
-
-
-def eval_gamma_sequence(spec: GammaSequenceSpec, volume) -> OperatorSum:
+def eval_gamma_sequence(seq, volume) -> OperatorSum:
+    """Shift average of ``seq.seed`` over the volume; zero below ``seq.window`` sites."""
     n = check_volume(volume)
-    if n < spec.window:
-        return zero_sum(spec.seed.site_dim)
-    return gamma_average(spec.seed, n)
+    if n < seq.window:
+        return zero_sum(seq.seed.site_dim)
+    return gamma_average(seq.seed, n)
 
 
 def is_gamma_invariant(a, volume) -> bool:

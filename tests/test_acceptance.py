@@ -44,7 +44,7 @@ def test_criterion_01_shift_average_bound_suite():
         }
         schedule = list(range(4, 15))
         for sname, seed in seeds.items():
-            spec = st.gamma_sequence_spec(seed)
+            spec = st.GammaSeq.from_seed(seed)
             for pname, probe in probes.items():
                 rep = st.gamma_bound_check(spec, probe, schedule, slack=1e-9)
                 assert rep.bound_violations == (), (sname, pname)

@@ -199,23 +199,23 @@ class TestCommutantMembership:
 
 class TestGammaBound:
     def test_single_site_case(self):
-        spec = st.gamma_sequence_spec(st.pauli_at(3, 1))
-        rep = st.gamma_bound_check(spec, st.pauli_at(1, 1), [4, 6, 8, 10])
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
+        rep = st.gamma_bound_check(seq, st.pauli_at(1, 1), [4, 6, 8, 10])
         assert rep.points[0].value == pytest.approx(0.5, abs=1e-12)
         assert rep.bound_points[0] == (4, pytest.approx(1.0))
         assert rep.bound_violations == ()
 
     def test_identity_probe_degenerate(self):
-        spec = st.gamma_sequence_spec(st.pauli_at(3, 1))
-        rep = st.gamma_bound_check(spec, st.identity_op(), [4, 6, 8, 10])
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
+        rep = st.gamma_bound_check(seq, st.from_site_factors({}), [4, 6, 8, 10])
         assert all(p.value == 0.0 for p in rep.points)
         assert all(b > 0 for _, b in rep.bound_points)
         assert rep.bound_violations == ()
 
     def test_two_site_seed(self):
         seed = st.from_site_factors({1: SX, 2: SX})
-        spec = st.gamma_sequence_spec(seed)
-        rep = st.gamma_bound_check(spec, st.pauli_at(3, 1), list(range(4, 13)))
+        seq = st.GammaSeq.from_seed(seed)
+        rep = st.gamma_bound_check(seq, st.pauli_at(3, 1), list(range(4, 13)))
         for p, (_, b) in zip(rep.points, rep.bound_points):
             assert b == pytest.approx(2.0 * 3.0 / p.n)
             assert p.value <= b + 1e-9
@@ -224,8 +224,8 @@ class TestGammaBound:
     def test_violations_reported_not_raised(self):
         # absurd negative slack forces every nonzero point over the line;
         # the report carries the violating volumes instead of crashing
-        spec = st.gamma_sequence_spec(st.pauli_at(3, 1))
-        rep = st.gamma_bound_check(spec, st.pauli_at(1, 1), [4, 6, 8, 10], slack=-10.0)
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
+        rep = st.gamma_bound_check(seq, st.pauli_at(1, 1), [4, 6, 8, 10], slack=-10.0)
         assert rep.bound_violations == (4, 6, 8, 10)
 
 

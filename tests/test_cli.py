@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import os
 import subprocess
@@ -193,6 +195,28 @@ class TestParseConfig:
         # json refuses integer literals of more than 4300 digits with a ValueError
         path = tmp_path / "config.json"
         path.write_text('{"experiment": "norm", "seed": ' + "9" * 5000 + "}")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("invalid: ") for line in err)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_not_utf8(self, command, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
+
+    # 400 levels pass json but not the sequence grammar's recursion; 3000
+    # levels stop json itself
+    @pytest.mark.parametrize("depth", [400, 3000])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_deep_nesting_refused(self, command, depth, tmp_path, capsys):
+        text = json.dumps({"kind": "local", "op": {"matrix": "pauli3", "sites": [1]}})
+        for _ in range(depth):
+            text = '{"kind": "adjoint", "inner": ' + text + "}"
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "norm", "schedule": [2, 3], "sequence": ' + text + "}")
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err and all(line.startswith("invalid: ") for line in err)
@@ -461,6 +485,30 @@ class TestEmit:
         lines = emit(report, "csv").decode().strip().splitlines()
         assert lines[0] == "label,n,value,converged,classification,exponent,residual,bound"
         assert len(lines) == 1 + len(GAMMA_BOUND["schedule"])
+
+    @pytest.mark.parametrize(
+        "probes",
+        [
+            None,
+            [
+                {"matrix": "pauli1", "sites": [1], "label": 'odd, "quoted"\nlabel'},
+                {"matrix": ["pauli1", "pauli3"], "sites": [1, 2]},
+            ],
+        ],
+        ids=["default_probes", "awkward_label"],
+    )
+    def test_csv_round_trip(self, probes):
+        # labels holding commas, quotes or newlines stay one field of one row
+        cfg = dict(ALL_KINDS["commutant"], schedule=[4, 5, 6, 7])
+        if probes is not None:
+            cfg["probes"] = probes
+        report, _ = run(parse_config(json.dumps(cfg)))
+        rows = list(csv.reader(io.StringIO(emit(report, "csv").decode(), newline="")))
+        assert all(len(row) == 8 for row in rows)
+        series = json.loads(emit(report, "json"))["series"]
+        assert [row[0] for row in rows[1:]] == [
+            s["label"] for s in series for _ in s["points"]
+        ]
 
     def test_golden_gamma_bound_seed42(self):
         # frozen once from the first working build; byte-for-byte since

@@ -28,7 +28,7 @@ class TestEmbed:
         assert np.array_equal(st.dense_matrix(st.pauli_at(3, 2), 3), expected)
 
     def test_scalar_embeds_to_identity(self):
-        assert np.array_equal(st.dense_matrix(st.scalar_op(1.0), 2), np.eye(4))
+        assert np.array_equal(st.dense_matrix(st.local_operator([[1.0]], ()), 2), np.eye(4))
 
     def test_embedding_is_isometric(self):
         rng = np.random.default_rng(21)
@@ -66,7 +66,7 @@ class TestProduct:
     def test_identity_is_unit(self):
         rng = np.random.default_rng(23)
         a = random_block_op(rng, (2, 3))
-        out = st.product(a, st.identity_op())
+        out = st.product(a, st.from_site_factors({}))
         assert np.array_equal(st.dense_matrix(out, 3), st.dense_matrix(a, 3))
 
     def test_mismatched_site_dim(self):
@@ -133,7 +133,7 @@ class TestCommutator:
 
 class TestSumApply:
     def test_zero_sum(self):
-        out = apply_sum(st.zero_sum(), np.ones(8, dtype=complex), 3)
+        out = apply_sum(st.operator_sum([], 2), np.ones(8, dtype=complex), 3)
         assert np.array_equal(out, np.zeros(8))
 
     def test_diagonal_action_on_all_up(self):
@@ -164,7 +164,7 @@ class TestSumApply:
 
 class TestNorm:
     def test_identity_iterative(self):
-        assert st.norm(st.identity_op().as_sum(), 10, "iterative").value == 1.0
+        assert st.norm(st.from_site_factors({}).as_sum(), 10, "iterative").value == 1.0
 
     def test_half_sum_of_sigma3(self):
         # eigenvalues of (Z1 + Z2)/2 are {1, 0, 0, -1}
@@ -173,7 +173,7 @@ class TestNorm:
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_sum(self):
-        assert st.norm(st.zero_sum(), 4).value == 0.0
+        assert st.norm(st.operator_sum([], 2), 4).value == 0.0
 
     def test_exactly_cancelling_sum(self):
         a = st.pauli_at(1, 1)

@@ -8,7 +8,6 @@ from spintail.errors import CapacityError, ContractViolation
 from spintail.localops import (
     dense_matrix,
     from_site_factors,
-    identity_op,
     local_operator,
     pauli_at,
     product,
@@ -48,7 +47,7 @@ class TestKron:
     """Dense matrices are Kronecker products with site 1 the most significant factor."""
 
     def test_identity_case(self):
-        assert np.array_equal(dense_matrix(identity_op(), 2), np.eye(4))
+        assert np.array_equal(dense_matrix(from_site_factors({}), 2), np.eye(4))
 
     def test_pauli3_with_identity(self):
         # hand expansion of 2x2 (x) 2x2

@@ -3,7 +3,7 @@ import pytest
 
 import spintail as st
 from spintail.cli import _parse_block_lengths, _Problems
-from spintail.sequences import default_block_lengths
+from spintail.sequences import as_schedule, default_block_lengths, make_block_partition
 
 from oracles import SX, SZ, embed_dense, kron_chain, random_complex
 
@@ -69,16 +69,16 @@ class TestProducts:
 
 class TestBlockPartition:
     def test_default_prefix(self):
-        block_of = st.make_block_partition(default_block_lengths)
+        block_of = make_block_partition(default_block_lengths)
         assert [block_of(x) for x in range(1, 7)] == [0, 1, 1, 2, 2, 2]
 
     def test_site_six_in_even_block(self):
-        block_of = st.make_block_partition(default_block_lengths)
+        block_of = make_block_partition(default_block_lengths)
         assert block_of(6) == 2
         assert block_of(6) % 2 == 0  # even-indexed block
 
     def test_first_site_of_each_block(self):
-        block_of = st.make_block_partition(default_block_lengths)
+        block_of = make_block_partition(default_block_lengths)
         prefix = 0
         for n in range(6):
             first = 1 + prefix
@@ -88,7 +88,7 @@ class TestBlockPartition:
             prefix += n + 1
 
     def test_non_increasing_rule_rejected(self):
-        block_of = st.make_block_partition(lambda n: 3)
+        block_of = make_block_partition(lambda n: 3)
         with pytest.raises(st.ContractViolation):
             block_of(4)
 
@@ -245,5 +245,5 @@ class TestSchedule:
             st.VolumeSchedule(())
 
     def test_coercion(self):
-        sched = st.as_schedule([2, 4, 6])
+        sched = as_schedule([2, 4, 6])
         assert sched.points == (2, 4, 6)

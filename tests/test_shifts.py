@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spintail as st
+from spintail.shifts import is_gamma_invariant
 
 from oracles import (
     SX,
@@ -129,7 +130,7 @@ class TestGammaAverage:
         assert st.norm(avg, 2, "dense").value == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_seed(self):
-        avg = st.gamma_average(st.identity_op(), 4)
+        avg = st.gamma_average(st.from_site_factors({}), 4)
         assert np.allclose(st.dense_matrix(avg, 4), np.eye(16), atol=1e-14)
 
     def test_two_site_seed_wraparound(self):
@@ -154,50 +155,50 @@ class TestGammaAverage:
 
 class TestGammaSequence:
     def test_seed_normalized_to_leftmost(self):
-        spec = st.gamma_sequence_spec(st.pauli_at(3, 4))
-        assert spec.seed.support == (1,)
-        assert spec.window == 1
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 4))
+        assert seq.seed.support == (1,)
+        assert seq.window == 1
 
     def test_window_spans_hull(self):
         seed = st.from_site_factors({2: SX, 4: SX})
-        spec = st.gamma_sequence_spec(seed)
-        assert spec.seed.support == (1, 3)
-        assert spec.window == 3
+        seq = st.GammaSeq.from_seed(seed)
+        assert seq.seed.support == (1, 3)
+        assert seq.window == 3
 
     def test_below_window_is_zero(self):
         seed = st.from_site_factors({1: SX, 2: SX, 3: SX})
-        spec = st.gamma_sequence_spec(seed)
-        assert st.eval_gamma_sequence(spec, 2).is_zero
+        seq = st.GammaSeq.from_seed(seed)
+        assert st.eval_gamma_sequence(seq, 2).is_zero
 
     def test_four_site_eval(self):
-        spec = st.gamma_sequence_spec(st.pauli_at(3, 1))
-        out = st.eval_gamma_sequence(spec, 4)
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
+        out = st.eval_gamma_sequence(seq, 4)
         expected = sum(embed_dense({x: SZ}, 4) for x in range(1, 5)) / 4
         assert np.allclose(st.dense_matrix(out, 4), expected, atol=1e-14)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_norm_one_at_every_volume(self, n):
         # the all-up product state is an eigenvector with eigenvalue 1
-        spec = st.gamma_sequence_spec(st.pauli_at(3, 1))
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
         method = "dense" if 2**n <= 1024 else "iterative"
-        res = st.norm(st.eval_gamma_sequence(spec, n), n, method)
+        res = st.norm(st.eval_gamma_sequence(seq, n), n, method)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_seed_rejected(self):
         with pytest.raises(st.ContractViolation):
-            st.gamma_sequence_spec(st.identity_op())
+            st.GammaSeq.from_seed(st.from_site_factors({}))
 
 
 class TestGammaInvariance:
     def test_identity_invariant(self):
-        assert st.is_gamma_invariant(st.identity_op(), 4)
+        assert is_gamma_invariant(st.from_site_factors({}), 4)
 
     def test_localized_not_invariant(self):
-        assert not st.is_gamma_invariant(st.pauli_at(3, 1), 3)
+        assert not is_gamma_invariant(st.pauli_at(3, 1), 3)
 
     def test_average_is_invariant(self):
         rng = np.random.default_rng(48)
         seed = st.local_operator(random_complex(rng, 2), (1,))
         avg = st.gamma_average(seed, 6)
-        assert st.is_gamma_invariant(avg, 6)
+        assert is_gamma_invariant(avg, 6)

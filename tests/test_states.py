@@ -33,7 +33,7 @@ class TestProductStateValidation:
 class TestExpectation:
     def test_identity_normalization(self):
         state = st.product_state(RHO_UP06)
-        assert st.expectation(state, st.identity_op().as_sum(), 5) == pytest.approx(1.0)
+        assert st.expectation(state, st.from_site_factors({}).as_sum(), 5) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_gamma_average_of_sigma3(self, n):
@@ -109,7 +109,7 @@ class TestAverageVariance:
     def test_identity_constant(self):
         state = st.product_state(RHO_UP06)
         for n in (2, 5, 9):
-            assert st.average_variance(state, st.scalar_op(1.0), n) == pytest.approx(
+            assert st.average_variance(state, st.local_operator([[1.0]], ()), n) == pytest.approx(
                 0.0, abs=1e-14
             )
 
