@@ -533,17 +533,19 @@ class ExperimentConfig:
         return dict(method=self.method, dense_cap=self.dense_cap, seed=self.seed)
 
 
+def _decode(text: str):
+    """The JSON value of a config's text; raises :class:`ConfigError` if there is none."""
+    try:
+        return json.loads(text)
+    # bad JSON, an integer too long to convert, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
+
+
 def parse_config(text_or_dict) -> ExperimentConfig:
     """Validate a config; raises :class:`ConfigError` listing every problem."""
     errors = _Problems()
-    if isinstance(text_or_dict, dict):
-        raw = text_or_dict
-    else:
-        try:
-            raw = json.loads(text_or_dict)
-        # bad JSON, an integer too long to convert, or nesting past the recursion limit
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
+    raw = text_or_dict if isinstance(text_or_dict, dict) else _decode(text_or_dict)
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
 
@@ -719,7 +721,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        raw = json.loads(text)
+        raw = _decode(text)
         if isinstance(raw, dict):
             if args.seed is not None:
                 raw["seed"] = args.seed
@@ -736,9 +738,8 @@ def main(argv=None) -> int:
                     out["path"] = args.out
                 raw["output"] = out
         config = parse_config(raw)
-    except (ConfigError, ValueError, RecursionError) as exc:
-        problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
-        for p in problems:
+    except ConfigError as exc:
+        for p in exc.problems:
             print(f"invalid: {p}", file=sys.stderr)
         return 1
 

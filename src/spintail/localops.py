@@ -38,18 +38,19 @@ __all__ = [
     "dense_matrix",
 ]
 
-# Longest state vector an iterative norm works on.  Power iteration peaks at
-# about 16 complex vectors of this length (tracemalloc, rotated-sigma3 shift
-# average at N = 14 and 16), so about 4 GiB at the cap.
-ITERATIVE_STATE_CAP = 2**24
-# Relative accuracy at which power iteration declares convergence.
+# Longest state vector an iterative norm works on.  Block Lanczos peaks at
+# about 38 complex vectors of this length, its ITERATIVE_BASIS rows plus the
+# apply temporaries (tracemalloc, rotated-sigma3 shift average: 38.0 vectors at
+# N = 14, 37.2 at N = 16), so about 4.75 GiB at the cap.
+ITERATIVE_STATE_CAP = 2**23
+# Convergence: the top Ritz pair's residual norm is at most this times max(1, theta).
 ITERATIVE_TOL = 1e-9
-# Power-iteration steps per start block before a norm is reported unconverged.
+# gram_apply calls before a norm is reported unconverged.
 ITERATIVE_MAX_ITER = 10000
-# Vectors per power-iteration block: top clusters up to this size resolve outright.
+# Vectors in the Lanczos start block: top clusters up to this size resolve outright.
 ITERATIVE_BLOCK = 4
-# Consecutive iterations whose tail estimate must stay below tolerance.
-ITERATIVE_CONFIRM = 8
+# Basis vectors kept before a restart from the top Ritz vectors; at least 2 * ITERATIVE_BLOCK.
+ITERATIVE_BASIS = 32
 
 
 def check_volume(n) -> int:
@@ -493,58 +494,81 @@ def _compact_terms(s: OperatorSum):
     return terms, len(union)
 
 
-def _power_iteration_norm(gram_apply, dim, rng):
-    """Largest singular value via block power iteration on ``a* a``.
+# Columns per step of the in-place restart rotation.
+_ROTATE_CHUNK = 2**14
 
-    The top Ritz value of the iterated block is nondecreasing for a PSD
-    operator; convergence is declared once the geometric-tail estimate of
-    the remaining increase stays below ``ITERATIVE_TOL * max(1, rho)`` for
-    ``ITERATIVE_CONFIRM`` consecutive iterations.  A single iterated vector
-    is not enough: a tight cluster at the top makes its Rayleigh quotient
-    stall convincingly below the true value, while a block of
-    ``ITERATIVE_BLOCK`` vectors resolves clusters up to that size outright
-    and converges at the much faster rate set by the (ITERATIVE_BLOCK + 1)-th
-    eigenvalue.
+
+def _cgs2(basis, w):
+    """Orthogonalize ``w`` in place against the orthonormal rows of ``basis``
+    by classical Gram-Schmidt, twice; returns the coefficients and ``||w||``."""
+    coeffs = np.zeros(len(basis), dtype=complex)
+    for _ in range(2):
+        c = np.conj(basis @ np.conj(w))
+        w -= c @ basis
+        coeffs += c
+    return coeffs, float(np.linalg.norm(w))
+
+
+def _power_iteration_norm(gram_apply, dim, rng):
+    """Largest singular value via block Lanczos on ``a* a``.
+
+    Band Lanczos with full reorthogonalization, one vector at a time: each
+    basis row in turn is applied, orthogonalized against the whole basis and
+    appended, so the coefficients form ``T = Q* (a* a) Q``.  The start block
+    holds ``ITERATIVE_BLOCK`` random vectors, which resolves top clusters up
+    to that size.  Once every vector of the start block has been applied, the
+    top Ritz pair ``(theta, y)`` of the applied part is tested after each
+    apply.  Its residual norm is ``||T[done:size, :done] y||`` combined with
+    ``|y_last| * beta`` when the basis was too full to take the last residual,
+    of norm ``beta``; convergence is declared when it is at most
+    ``ITERATIVE_TOL * max(1, theta)``, which puts ``theta`` that close to an
+    eigenvalue of ``a* a``.  A full basis of ``ITERATIVE_BASIS`` vectors
+    restarts from the top Ritz vectors, unless it can hold the whole space.
+    ``iterations`` counts ``gram_apply`` calls.  (The name predates the
+    Lanczos kernel; ``bench/tracing.py`` wraps it by name.)
     """
     b = min(ITERATIVE_BLOCK, dim)
-    for _restart in range(3):
-        v = rng.normal(size=(dim, b)) + 1j * rng.normal(size=(dim, b))
-        v, _ = np.linalg.qr(v)
-        rho_prev = None
-        delta_prev = None
-        best = 0.0
-        hits = 0
-        annihilated = False
-        for it in range(1, ITERATIVE_MAX_ITER + 1):
-            w = np.column_stack([gram_apply(v[:, j]) for j in range(b)])
-            if not np.any(w):
-                annihilated = True
-                break  # whole block in the kernel; restart afresh
-            ritz = v.conj().T @ w
-            ritz = (ritz + ritz.conj().T) / 2
-            rho = float(np.linalg.eigvalsh(ritz)[-1])
-            best = max(best, rho)
-            if rho_prev is not None:
-                delta = rho - rho_prev
-                if delta <= 0.0:
-                    # monotone sequence exhausted by float precision
-                    return NormResult(float(np.sqrt(max(rho, 0.0))), True, it)
-                scale = ITERATIVE_TOL * max(1.0, rho)
-                ok = False
-                if delta <= scale and delta_prev is not None and delta_prev > 0.0:
-                    ratio = delta / delta_prev
-                    remaining = delta * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
-                    ok = remaining <= scale
-                hits = hits + 1 if ok else 0
-                if hits >= ITERATIVE_CONFIRM:
-                    return NormResult(float(np.sqrt(max(rho, 0.0))), True, it)
-                delta_prev = delta
-            rho_prev = rho
-            v, _ = np.linalg.qr(w)
-        if not annihilated:
-            return NormResult(float(np.sqrt(max(best, 0.0))), False, ITERATIVE_MAX_ITER)
-    # three independent start blocks annihilated: the operator is zero
-    return NormResult(0.0, True, 0)
+    cap = min(ITERATIVE_BASIS, dim)
+    q = np.zeros((cap, dim), dtype=complex)
+    t = np.zeros((cap, cap), dtype=complex)
+    for i in range(b):
+        rng.standard_normal(out=q[i].view(np.float64))
+        _, length = _cgs2(q[:i], q[i])
+        q[i] /= length
+    size = b
+    done = applies = 0
+    best = 0.0
+    while done < size and applies < ITERATIVE_MAX_ITER:
+        w = gram_apply(q[done])
+        applies += 1
+        scale = float(np.linalg.norm(w))
+        t[:size, done], beta = _cgs2(q[:size], w)
+        done += 1
+        if beta <= 1e-12 * scale or size == dim:
+            beta = 0.0  # nothing outside the basis span but rounding
+        elif size < cap:
+            np.divide(w, beta, out=q[size])
+            t[size, done - 1] = beta
+            size += 1
+            beta = 0.0
+        vals, vecs = np.linalg.eigh(t[:done, :done])
+        theta = float(vals[-1])
+        best = max(best, theta)
+        if done < b:
+            continue
+        y = vecs[:, -1]
+        res = np.hypot(np.linalg.norm(t[done:size, :done] @ y), abs(y[-1]) * beta)
+        if res <= ITERATIVE_TOL * max(1.0, theta):
+            return NormResult(float(np.sqrt(max(theta, 0.0))), True, applies)
+        if beta:
+            # the basis is full: restart from the top Ritz vectors, top first
+            ritz = vecs[:, : -b - 1 : -1].T
+            for c in range(0, dim, _ROTATE_CHUNK):
+                q[:b, c : c + _ROTATE_CHUNK] = ritz @ q[:done, c : c + _ROTATE_CHUNK]
+            t[:] = 0.0
+            size = b
+            done = 0
+    return NormResult(float(np.sqrt(max(best, 0.0))), False, applies)
 
 
 def norm(
@@ -558,7 +582,7 @@ def norm(
     """Operator norm of a sum (or single operator) on the given volume.
 
     ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
-    (matrix-free power iteration on ``a* a``, deterministic seeded start), or
+    (matrix-free block Lanczos on ``a* a``, deterministic seeded start), or
     ``"auto"``, which takes dense up to ``dense_cap``.  Both paths first
     compact the sum onto its union support, which leaves the norm unchanged.
     The dense path assembles the compacted sum in one ``dim x dim`` array and
@@ -566,9 +590,9 @@ def norm(
     the imaginary part is exactly zero, ``max |eigvalsh(a)|`` when the skew
     defect ``||a - a*||_F`` proves that within 1e-13 relative of the norm,
     ``sqrt(lambda_max(a* a))`` otherwise.  Single-term sums are exact
-    products of per-block dense norms for every method.  An unconverged power
-    iteration is reported via the ``converged`` flag, never as a silent wrong
-    answer.
+    products of per-block dense norms for every method.  An iterative norm
+    that has not converged within ``ITERATIVE_MAX_ITER`` applies of ``a* a``
+    is reported via the ``converged`` flag, never as a silent wrong answer.
     """
     if isinstance(s, LocalOperator):
         s = s.as_sum()

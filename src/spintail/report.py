@@ -63,13 +63,17 @@ def emit(report: Report, format: str = "json") -> bytes:
         buf = io.StringIO()
         buf.write("label,n,value,converged,classification,exponent,residual,bound\n")
         rows = csv.writer(buf, lineterminator="\n")
+        # with a "\n" terminator csv.writer leaves a lone "\r" unquoted, and
+        # csv.reader would end the row there
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         for s in obj["series"]:
+            out = quoted if "\r" in s["label"] else rows
             fit = s.get("fit")
             exp, res = (repr(fit["exponent"]), repr(fit["residual"])) if fit else ("", "")
             bounds = {b["n"]: b["value"] for b in s.get("bound", ())}
             for p in s["points"]:
                 b = repr(bounds[p["n"]]) if p["n"] in bounds else ""
-                rows.writerow(
+                out.writerow(
                     [s["label"], p["n"], repr(p["value"]), int(p["converged"]),
                      s["classification"] or "", exp, res, b]
                 )

@@ -207,6 +207,27 @@ class TestParseConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"experiment": "norm", "schedule": [2, ',
+            '{"experiment": "norm", "sequence": '
+            + '{"kind": "adjoint", "inner": ' * 3000
+            + "{}"
+            + "}" * 3001,
+        ],
+        ids=["truncated", "nested_3000"],
+    )
+    def test_run_and_validate_decode_alike(self, text, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        err = []
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            err.append(capsys.readouterr().err.splitlines())
+        assert err[0] == err[1]
+        assert len(err[0]) == 1 and err[0][0].startswith("invalid: config: not valid JSON (")
+
     # 400 levels pass json but not the sequence grammar's recursion; 3000
     # levels stop json itself
     @pytest.mark.parametrize("depth", [400, 3000])
@@ -494,11 +515,16 @@ class TestEmit:
                 {"matrix": "pauli1", "sites": [1], "label": 'odd, "quoted"\nlabel'},
                 {"matrix": ["pauli1", "pauli3"], "sites": [1, 2]},
             ],
+            [
+                {"matrix": "pauli1", "sites": [1], "label": "carriage\rreturn"},
+                {"matrix": "pauli3", "sites": [1], "label": 'crlf\r\nlabel, "quoted"'},
+            ],
         ],
-        ids=["default_probes", "awkward_label"],
+        ids=["default_probes", "awkward_label", "carriage_return"],
     )
     def test_csv_round_trip(self, probes):
-        # labels holding commas, quotes or newlines stay one field of one row
+        # labels holding commas, quotes, newlines or carriage returns stay one
+        # field of one row
         cfg = dict(ALL_KINDS["commutant"], schedule=[4, 5, 6, 7])
         if probes is not None:
             cfg["probes"] = probes

@@ -7,12 +7,28 @@ import spintail as st
 from spintail import localops
 from spintail.errors import CapacityError, ContractViolation
 
-from oracles import I2, SX, SY, SZ, embed_dense, kron_term_dense, random_complex, svd_norm
+from oracles import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    embed_dense,
+    kron_term_dense,
+    random_complex,
+    random_hermitian,
+    svd_norm,
+)
 
 
 def random_block_op(rng, sites, d=2):
     dim = d ** len(sites)
     return st.local_operator(random_complex(rng, dim), sites, site_dim=d)
+
+
+def rotated_sigma3_average(rng):
+    """Shift average of ``u SZ u*`` for a random unitary ``u``; norm 1 at every volume."""
+    u, _ = np.linalg.qr(random_complex(rng, 2))
+    return st.GammaSeq.from_seed(st.local_operator(u @ SZ @ u.conj().T, (1,)))
 
 
 def apply_sum(s, v, n):
@@ -223,6 +239,70 @@ class TestNorm:
         dense = st.norm(s, 3, "dense").value
         res = st.norm(s, 3, "iterative")
         assert (not res.converged) or abs(res.value - dense) <= 1e-8
+
+    def test_near_degenerate_top_pair(self):
+        # top singular values 1 + 1e-3 mu and 1 - 1e-7 + 1e-3 mu: a single
+        # Krylov vector cannot separate them within the apply budget, and a
+        # squared-residual test accepts a Ritz value between them
+        rng = np.random.default_rng(37)
+        diag = np.concatenate([[1.0, 1.0 - 1e-7], rng.uniform(0.0, 0.99, 1022)])
+        h = random_hermitian(rng, 2)
+        s = st.operator_sum(
+            [
+                (1.0, st.local_operator(np.diag(diag).astype(complex), tuple(range(1, 11)))),
+                (1e-3, st.local_operator(h, (11,))),
+            ]
+        )
+        res = st.norm(s, 11, "iterative")
+        assert res.converged
+        exact = 1.0 + 1e-3 * np.linalg.eigvalsh(h)[-1]
+        assert res.value == pytest.approx(exact, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_restarted_basis_keeps_top_value(self, monkeypatch, n):
+        # a basis of 12 restarts several times; testing convergence before
+        # the restarted start block is applied returns the second value 11/13
+        monkeypatch.setattr(localops, "ITERATIVE_BASIS", 12)
+        seq = rotated_sigma3_average(np.random.default_rng(38))
+        res = st.norm(seq.eval(n), n, "iterative")
+        assert res.converged
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_restarted_basis_on_non_normal_commutator(self, monkeypatch, n):
+        rng = np.random.default_rng(39 + n)
+        a, b = (st.GammaSeq.from_seed(random_block_op(rng, (1, 2))).eval(n) for _ in range(2))
+        c = st.sum_commutator(a, b)
+        dense = st.norm(c, n, "dense").value
+        monkeypatch.setattr(localops, "ITERATIVE_BASIS", 12)
+        res = st.norm(c, n, "iterative")
+        assert res.converged
+        assert res.value == pytest.approx(dense, abs=1e-8, rel=1e-8)
+
+    def test_space_smaller_than_block(self):
+        # dimension 2 < ITERATIVE_BLOCK: the start block spans the space
+        s = st.operator_sum([(1.0, st.pauli_at(1, 1)), (0.7, st.pauli_at(3, 1))])
+        res = st.norm(s, 1, "iterative")
+        assert res.converged
+        assert res.value == pytest.approx(np.sqrt(1.49), rel=1e-12)
+
+    def test_iterations_count_applies(self, monkeypatch):
+        calls = []
+        kernel = localops._power_iteration_norm
+
+        def counted(gram_apply, dim, rng):
+            return kernel(lambda v: calls.append(1) or gram_apply(v), dim, rng)
+
+        monkeypatch.setattr(localops, "_power_iteration_norm", counted)
+        res = st.norm(rotated_sigma3_average(np.random.default_rng(40)).eval(9), 9, "iterative")
+        assert res.converged and res.iterations == len(calls) > 0
+
+    def test_state_cap_named(self, monkeypatch):
+        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 8)
+        # four one-site terms compact to dimension 16, above the cap
+        s = st.operator_sum([(1.0, st.pauli_at(1, x)) for x in range(1, 5)])
+        with pytest.raises(CapacityError, match="cap 8"):
+            st.norm(s, 4, "iterative")
 
     def test_compaction_beats_volume_cap(self):
         # union support is small, so dense works even when d^N would not

@@ -207,7 +207,7 @@ class TestBoundedness:
             (st.GammaSeq.from_seed(seed), seed.norm_exact()),
         ]
         for seq, bound in cases:
-            # dense up to 2^10, matrix-free power iteration beyond
+            # dense up to 2^10, matrix-free block Lanczos beyond
             trace, _ = st.seq_norm_trace(seq, range(2, 13), "auto", dense_cap=1024)
             assert all(res.converged for _, res in trace)
             assert max(res.value for _, res in trace) <= bound + 1e-9
