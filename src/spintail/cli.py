@@ -574,8 +574,8 @@ def parse_config(text_or_dict) -> ExperimentConfig:
         errors.add("method", f"expected dense|iterative|auto, got {method!r}")
 
     seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        errors.add("seed", "expected an integer")
+    if not _is_int(seed) or seed < 0:
+        errors.add("seed", "expected a nonnegative integer")
         seed = 0
 
     dense_cap = raw.get("dense_cap", DENSE_DIM_CAP)
@@ -705,7 +705,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        text = open(args.config, "r", encoding="utf-8").read()
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1

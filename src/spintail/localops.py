@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .matrices import DENSE_DIM_CAP, _frozen, adjoint, check_finite, operator_norm_dense
+from .matrices import DENSE_DIM_CAP, adjoint, check_finite, operator_norm_dense
 
 __all__ = [
     "Block",
@@ -36,6 +36,7 @@ __all__ = [
     "sum_product",
     "norm",
     "dense_matrix",
+    "relabel",
 ]
 
 # Longest state vector an iterative norm works on.  Block Lanczos peaks at
@@ -63,10 +64,13 @@ def check_volume(n) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """Dense matrix acting on an ascending tuple of sites."""
+    """Dense matrix acting on an ascending tuple of sites; the matrix is made read-only."""
 
     sites: tuple[int, ...]
     matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
 
 
 def _check_block(sites, matrix, d) -> Block:
@@ -82,7 +86,7 @@ def _check_block(sites, matrix, d) -> Block:
             f"block on {len(sites)} sites of local dimension {d} needs shape "
             f"({dim}, {dim}), got {matrix.shape}"
         )
-    return Block(sites, _frozen(matrix))
+    return Block(sites, matrix.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +105,18 @@ class LocalOperator:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
+    # adjoint and scale keep canonical form (see _make_op); ``or 0j`` stores any zero as 0j
+
     def adjoint(self) -> LocalOperator:
-        return _make_op(
-            self.site_dim,
-            np.conj(self.scalar),
-            [Block(b.sites, adjoint(b.matrix)) for b in self.blocks],
-        )
+        blocks = tuple(Block(b.sites, adjoint(b.matrix)) for b in self.blocks)
+        return LocalOperator(self.site_dim, self.scalar.conjugate() or 0j, blocks)
 
     def scale(self, c: complex) -> LocalOperator:
-        return _make_op(self.site_dim, self.scalar * c, list(self.blocks))
+        scalar = complex(self.scalar * c) or 0j
+        return LocalOperator(self.site_dim, scalar, self.blocks if scalar else ())
 
     def as_sum(self) -> OperatorSum:
-        return operator_sum([(1.0, self)], self.site_dim)
+        return OperatorSum(self.site_dim, () if self.is_zero else ((1 + 0j, self),))
 
     def norm_exact(self, dim_cap: int = DENSE_DIM_CAP) -> float:
         """Operator norm, exact via multiplicativity across disjoint factors."""
@@ -133,7 +137,7 @@ class LocalOperator:
 
 
 def _make_op(site_dim, scalar, blocks) -> LocalOperator:
-    """Canonicalize: sort blocks, fold exact identities, collapse exact zeros."""
+    """Canonicalize new blocks: sort them, fold exact identities, collapse exact zeros."""
     scalar = complex(scalar)
     kept = []
     for b in blocks:
@@ -202,13 +206,15 @@ class OperatorSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    # one-to-one on canonical terms: nothing merges, only exact-0 weights drop
+
     def scale(self, c: complex) -> OperatorSum:
-        return operator_sum([(c * w, op) for w, op in self.terms], self.site_dim)
+        terms = ((complex(c * w), op) for w, op in self.terms)
+        return OperatorSum(self.site_dim, tuple(t for t in terms if t[0] != 0))
 
     def adjoint(self) -> OperatorSum:
-        return operator_sum(
-            [(np.conj(w), op.adjoint()) for w, op in self.terms], self.site_dim
-        )
+        terms = tuple((w.conjugate(), op.adjoint()) for w, op in self.terms)
+        return OperatorSum(self.site_dim, terms)
 
     def __add__(self, other: OperatorSum) -> OperatorSum:
         _same_dim(self, other)
@@ -267,21 +273,31 @@ def zero_sum(site_dim: int = 2) -> OperatorSum:
     return OperatorSum(site_dim, ())
 
 
+def relabel(op: LocalOperator, site_map) -> LocalOperator:
+    """Move the factor at each site ``x`` of ``op`` to site ``site_map[x]``.
+
+    ``site_map`` is one-to-one on the support, so canonical form is kept.  A
+    block whose sites change order has its tensor legs permuted to match.
+    """
+    d = op.site_dim
+    blocks = []
+    for b in op.blocks:
+        new = [site_map[s] for s in b.sites]
+        sites = tuple(sorted(new))
+        mat = b.matrix
+        if list(sites) != new:
+            legs = sorted(range(len(new)), key=new.__getitem__)
+            axes = legs + [i + len(legs) for i in legs]
+            mat = mat.reshape((d,) * len(axes)).transpose(axes).reshape(mat.shape)
+        blocks.append(Block(sites, mat))
+    blocks.sort(key=lambda b: b.sites[0])
+    return LocalOperator(d, op.scalar, tuple(blocks))
+
+
 # ---------------------------------------------------------------------------
 # dense materialization
 
 _ONE = np.ones((1, 1), dtype=complex)
-
-
-def _permute_site_axes(mat: np.ndarray, site_order, target_order, d: int) -> np.ndarray:
-    """Reorder the tensor legs of ``mat`` from ``site_order`` to ``target_order``."""
-    if tuple(site_order) == tuple(target_order):
-        return mat
-    n = len(site_order)
-    pos = {s: i for i, s in enumerate(site_order)}
-    axes_row = [pos[s] for s in target_order]
-    axes = axes_row + [a + n for a in axes_row]
-    return mat.reshape((d,) * (2 * n)).transpose(axes).reshape(mat.shape)
 
 
 def _digit_offsets(legs, place, d) -> np.ndarray:
@@ -487,11 +503,7 @@ def _compact_terms(s: OperatorSum):
     """Relabel the union support to {1..m}; norms are invariant under this."""
     union = s.support
     rank = {site: i + 1 for i, site in enumerate(union)}
-    terms = []
-    for w, op in s.terms:
-        blocks = [Block(tuple(rank[x] for x in b.sites), b.matrix) for b in op.blocks]
-        terms.append((w, LocalOperator(op.site_dim, op.scalar, tuple(blocks))))
-    return terms, len(union)
+    return [(w, relabel(op, rank)) for w, op in s.terms], len(union)
 
 
 # Columns per step of the in-place restart rotation.
@@ -600,6 +612,8 @@ def norm(
     _check_support_fits(s.support, n)
     if method not in ("dense", "iterative", "auto"):
         raise ContractViolation(f"unknown norm method {method!r}")
+    if seed < 0:
+        raise ContractViolation(f"norm seeds are nonnegative integers, got {seed}")
     if s.is_zero:
         return NormResult(0.0, True, 0)
     if len(s.terms) == 1:

@@ -1,7 +1,8 @@
 """Dense complex matrix kernels: Pauli matrices, adjoints, exact operator norms.
 
 All functions work on plain ``numpy.ndarray`` with ``complex128`` entries and
-are pure; matrices returned by constructors are marked read-only.
+are pure; matrices returned by constructors are marked read-only, as is the
+matrix of every ``localops.Block``.
 """
 
 from __future__ import annotations

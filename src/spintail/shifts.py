@@ -8,18 +8,14 @@ a_1 (x) a_2 (x) ... (x) a_N to a_2 (x) ... (x) a_N (x) a_1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ContractViolation
 from .localops import (
-    Block,
     LocalOperator,
     OperatorSum,
-    _make_op,
-    _permute_site_axes,
     check_volume,
     norm,
     operator_sum,
+    relabel,
     zero_sum,
 )
 
@@ -31,32 +27,18 @@ __all__ = [
 ]
 
 
-def _relabel_block(b: Block, j: int, n: int, d: int) -> Block:
-    new_sites = [((s - 1 - j) % n) + 1 for s in b.sites]
-    order = np.argsort(new_sites)
-    sorted_sites = tuple(new_sites[i] for i in order)
-    if tuple(order) == tuple(range(len(new_sites))):
-        return Block(sorted_sites, b.matrix)
-    mat = _permute_site_axes(b.matrix, new_sites, sorted_sites, d)
-    return Block(sorted_sites, mat)
-
-
 def gamma_pow(a, volume, j: int):
     """Apply j cyclic left shifts; pure support relabeling, norm-preserving."""
     n = check_volume(volume)
     j = int(j) % n
-    if isinstance(a, OperatorSum):
-        if a.support and a.support[-1] > n:
-            raise ContractViolation(f"support {a.support} outside volume of {n} sites")
-        return operator_sum(
-            [(w, gamma_pow(op, n, j)) for w, op in a.terms], a.site_dim
-        )
-    if a.support and a.support[-1] > n:
-        raise ContractViolation(f"support {a.support} outside volume of {n} sites")
+    sup = a.support
+    if sup and sup[-1] > n:
+        raise ContractViolation(f"support {sup} outside volume of {n} sites")
     if j == 0:
         return a
-    blocks = [_relabel_block(b, j, n, a.site_dim) for b in a.blocks]
-    return _make_op(a.site_dim, a.scalar, blocks)
+    if isinstance(a, OperatorSum):
+        return OperatorSum(a.site_dim, tuple((w, gamma_pow(op, n, j)) for w, op in a.terms))
+    return relabel(a, {s: (s - 1 - j) % n + 1 for s in sup})
 
 
 def gamma_average(a, volume) -> OperatorSum:

@@ -199,6 +199,14 @@ class TestParseConfig:
         err = capsys.readouterr().err.splitlines()
         assert err and all(line.startswith("invalid: ") for line in err)
 
+    def test_negative_seed_flag_refused(self, tmp_path, capsys):
+        # the iterative route seeds numpy's generator, which refuses negative seeds
+        cfg = dict(ALL_KINDS["norm"], method="iterative")
+        assert main(["run", write_config(tmp_path, cfg), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid: seed: expected a nonnegative integer"
+        ]
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_config_not_utf8(self, command, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -277,10 +285,11 @@ class TestParseConfig:
             ("assert.max_value", dict(GAMMA_BOUND, **{"assert": {"max_value": float("nan")}})),
             ("assert.max_value", dict(GAMMA_BOUND, **{"assert": {"max_value": -float("inf")}})),
             ("assert.max_value", dict(GAMMA_BOUND, **{"assert": {"max_value": 10**400}})),
+            ("seed", dict(GAMMA_BOUND, seed=-1)),
         ],
         ids=["ragged_matrix", "huge_entry", "terms_not_list", "named_not_string",
              "freq_not_int", "nan_factor", "infinite_imag_factor", "infinite_amplitude",
-             "nan_max_value", "infinite_max_value", "huge_max_value"],
+             "nan_max_value", "infinite_max_value", "huge_max_value", "negative_seed"],
     )
     def test_malformed_literal_named(self, field, cfg, tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:

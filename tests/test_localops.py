@@ -197,6 +197,13 @@ class TestNorm:
         res = st.norm(s, 3, "iterative")
         assert res.value == 0.0 and res.converged
 
+    @pytest.mark.parametrize("method", ["dense", "iterative", "auto"])
+    def test_negative_seed_refused(self, method):
+        multi = rotated_sigma3_average(np.random.default_rng(61)).eval(5)
+        for s in (multi, st.pauli_at(1, 2)):
+            with pytest.raises(ContractViolation, match="seed"):
+                st.norm(s, 5, method, seed=-3)
+
     def test_dense_capacity_error_mentions_iterative(self):
         s = st.operator_sum(
             [(1.0, st.pauli_at(1, i)) for i in range(1, 8)]
@@ -473,3 +480,19 @@ class TestValidation:
     def test_sites_must_increase(self):
         with pytest.raises(ContractViolation):
             st.local_operator(np.eye(4), (2, 1))
+
+    def test_every_block_matrix_read_only(self):
+        rng = np.random.default_rng(62)
+        a = random_block_op(rng, (1, 2))
+        b = random_block_op(rng, (2, 4))
+        wrapped = st.gamma_pow(a, 3, 1)  # sites (1, 2) -> (3, 1): legs permuted
+        assert [blk.sites for blk in wrapped.blocks] == [(1, 3)]
+        compacted, m = localops._compact_terms(st.operator_sum([(1.0, a), (1.0, b)]))
+        assert m == 3
+        made = [a.adjoint(), a.scale(2j), st.product(a, b), st.commutator(a, b), wrapped]
+        made += [op for _, op in compacted]
+        for op in made:
+            assert op.blocks
+            for blk in op.blocks:
+                with pytest.raises(ValueError):
+                    blk.matrix[0, 0] = 0

@@ -80,17 +80,17 @@ class TestGammaPow:
         assert moved.norm_exact() == pytest.approx(a.norm_exact(), abs=1e-12)
 
     def test_entangled_block_wraparound_dense(self):
-        # a swap-asymmetric two-site block: the wraparound relabeling must
-        # also permute the tensor legs, which norm preservation alone
-        # cannot distinguish
+        # swap-asymmetric two-site blocks, qubit and qutrit: the wraparound
+        # relabeling must also permute the tensor legs, which norm
+        # preservation alone cannot distinguish
         rng = np.random.default_rng(49)
-        n = 4
-        op = st.local_operator(random_complex(rng, 4), (1, 2))
-        dense0 = st.dense_matrix(op, n)
-        for j in range(n):
-            lhs = st.dense_matrix(st.gamma_pow(op, n, j), n)
-            rhs = shifted_dense(dense0, j, 2, n)
-            assert np.allclose(lhs, rhs, atol=1e-12), f"shift {j}"
+        for d, n in ((2, 4), (3, 3)):
+            op = st.local_operator(random_complex(rng, d * d), (1, 2), site_dim=d)
+            dense0 = st.dense_matrix(op, n)
+            for j in range(n):
+                lhs = st.dense_matrix(st.gamma_pow(op, n, j), n)
+                rhs = shifted_dense(dense0, j, d, n)
+                assert np.allclose(lhs, rhs, atol=1e-12), f"d={d}, shift {j}"
 
     def test_three_site_entangled_block_shifts(self):
         rng = np.random.default_rng(53)
