@@ -7,12 +7,17 @@ A config is one JSON file.  Common fields::
       "schedule": [4, 6, 8, 10],        # strictly increasing volumes
       "method": "auto",                 # dense | iterative | auto
       "seed": 42,
-      "dense_cap": 4096,
+      "dense_cap": 4096,                # memory cap on dense matrices
       ...                               # the fields the kind reads
       "assert": {"classification": "vanishing", "series": LABEL,
                  "all_converged": true, "max_value": 2.0},
       "output": {"format": "json", "path": "out.json"}
     }
+
+``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
+up to compacted dimension 256, the measured crossover, and block Lanczos
+above it.  ``dense_cap`` is a separate memory limit: ``dense`` refuses a
+larger matrix, and a cap below 256 moves ``auto`` to block Lanczos sooner.
 
 Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
 each is parsed, the fewest schedule points it accepts and the handler that

@@ -53,6 +53,21 @@ ITERATIVE_BLOCK = 4
 # Basis vectors kept before a restart from the top Ritz vectors; at least 2 * ITERATIVE_BLOCK.
 ITERATIVE_BASIS = 32
 
+# Largest compacted dimension that method="auto" sends to the dense eigensolve;
+# above it (and above dense_cap) auto takes block Lanczos.  Best-of-5
+# milliseconds per norm, dense vs iterative, for shift averages of three seeds
+# at one OpenBLAS thread on a 2-vCPU Intel Xeon VM (numpy 2.4):
+#
+#   dim   rotated sigma3   rotated sigma1 sigma1   real symmetric two-site
+#   128     2.8 vs  6.7        2.5 vs 11.3             1.4 vs 27
+#   256    12.6 vs 10.5       11.4 vs  9.3             4.6 vs 38
+#   512    74   vs 12.6       69   vs 21              22   vs 51
+#  1024   503   vs 21        496   vs 14             132   vs 67
+#
+# Both routes agree to 4e-15 relative.  One crossover for every dtype: at 512
+# the complex seeds save about 55 ms a norm where the real one loses 29.
+_AUTO_DENSE_DIM = 256
+
 
 def check_volume(n) -> int:
     """Site count of the chain segment {1, ..., n}; at least one site."""
@@ -595,8 +610,13 @@ def norm(
 
     ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
     (matrix-free block Lanczos on ``a* a``, deterministic seeded start), or
-    ``"auto"``, which takes dense up to ``dense_cap``.  Both paths first
-    compact the sum onto its union support, which leaves the norm unchanged.
+    ``"auto"``.  Two separate limits apply to the compacted dimension.
+    ``dense_cap`` is the memory cap: ``"dense"`` refuses a larger matrix with
+    a :class:`CapacityError` that names the iterative route.  ``"auto"`` is a
+    router on measured speed: it takes dense only up to the crossover
+    ``_AUTO_DENSE_DIM`` (256), or ``dense_cap`` when that is lower, and block
+    Lanczos above.  Both paths first compact the sum onto its union support,
+    which leaves the norm unchanged.
     The dense path assembles the compacted sum in one ``dim x dim`` array and
     hands it to :func:`~spintail.matrices.operator_norm_dense`: float64 when
     the imaginary part is exactly zero, ``max |eigvalsh(a)|`` when the skew
@@ -628,7 +648,7 @@ def norm(
     d = s.site_dim
     dim = d**m
     if method == "auto":
-        method = "dense" if dim <= dense_cap else "iterative"
+        method = "dense" if dim <= min(_AUTO_DENSE_DIM, dense_cap) else "iterative"
     if method == "dense":
         if dim > dense_cap:
             raise CapacityError(

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .localops import (
+    Block,
     LocalOperator,
     NormResult,
     OperatorSum,
@@ -179,15 +180,20 @@ class SiteProduct(ObservableSequence):
 
     def __post_init__(self):
         self.factors = tuple(_bounded_site_op(m, self.site_dim) for m in self.factors)
+        # each factor is canonicalized once, as a one-site operator: exact zero,
+        # exact identity (no block) or one read-only block, whose matrix eval
+        # shares between all the sites that carry it
+        self._site_ops = tuple(from_site_factors({1: m}, self.site_dim) for m in self.factors)
 
     def eval(self, n: int) -> OperatorSum:
         n = check_volume(n)
-        factors = {
-            x: self.factors[k]
-            for x in range(1, n + 1)
-            if (k := self.pick(x, n)) is not None
-        }
-        return from_site_factors(factors, self.site_dim).as_sum()
+        picked = [
+            (x, self._site_ops[k]) for x in range(1, n + 1) if (k := self.pick(x, n)) is not None
+        ]
+        if any(op.is_zero for _, op in picked):
+            return zero_sum(self.site_dim)
+        blocks = tuple(Block((x,), op.blocks[0].matrix) for x, op in picked if op.blocks)
+        return LocalOperator(self.site_dim, 1 + 0j, blocks).as_sum()
 
 
 def UniformProduct(site_op, site_dim: int = 2) -> SiteProduct:

@@ -31,6 +31,12 @@ def rotated_sigma3_average(rng):
     return st.GammaSeq.from_seed(st.local_operator(u @ SZ @ u.conj().T, (1,)))
 
 
+def real_two_site_average(rng):
+    """Shift average of a random real symmetric two-site seed."""
+    a = rng.normal(size=(4, 4))
+    return st.GammaSeq.from_seed(st.local_operator((a + a.T) / 2, (1, 2)))
+
+
 def apply_sum(s, v, n):
     """The matrix-free kernel behind iterative norms, on a flat state of ``n`` sites."""
     vec_t = v.reshape((s.site_dim,) * n)
@@ -210,6 +216,26 @@ class TestNorm:
         )
         with pytest.raises(CapacityError, match="iterative"):
             st.norm(s, 7, "dense", dense_cap=16)
+
+    @pytest.mark.parametrize("average", [rotated_sigma3_average, real_two_site_average])
+    def test_auto_routes_on_compacted_dimension(self, average):
+        seq = average(np.random.default_rng(41))
+        for n in (6, 8):  # dimension 64 and 256, at or below the crossover
+            s = seq.eval(n)
+            assert st.norm(s, n) == st.norm(s, n, "dense")
+        for n in (9, 10):  # dimension 512 and 1024
+            s = seq.eval(n)
+            auto = st.norm(s, n)
+            assert auto == st.norm(s, n, "iterative") and auto.iterations > 0
+            assert auto.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
+
+    def test_dense_cap_below_crossover_wins(self):
+        # dimension 128 is below the crossover but above the cap
+        s = rotated_sigma3_average(np.random.default_rng(42)).eval(7)
+        auto = st.norm(s, 7, dense_cap=64)
+        assert auto == st.norm(s, 7, "iterative") and auto.iterations > 0
+        with pytest.raises(CapacityError, match="iterative"):
+            st.norm(s, 7, "dense", dense_cap=64)
 
     def test_unconverged_flag(self, monkeypatch):
         monkeypatch.setattr(localops, "ITERATIVE_MAX_ITER", 1)

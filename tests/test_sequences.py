@@ -5,7 +5,7 @@ import spintail as st
 from spintail.cli import _parse_block_lengths, _Problems
 from spintail.sequences import as_schedule, default_block_lengths, make_block_partition
 
-from oracles import SX, SZ, embed_dense, kron_chain, random_complex
+from oracles import I2, SX, SZ, embed_dense, kron_chain, random_complex
 
 
 class TestHalfChain:
@@ -158,6 +158,22 @@ class TestSiteProductStructure:
             for b in op.blocks:
                 assert np.array_equal(b.matrix, expected[b.sites[0]])
 
+    def test_exact_identity_and_zero_factors(self):
+        # canonical form: identity sites stay implicit, and one zero site
+        # makes the whole product the empty sum
+        ((_, op),) = st.ParityProduct(SX, I2).eval(5).terms
+        assert [b.sites for b in op.blocks] == [(1,), (3,), (5,)]
+        with_zero = st.ParityProduct(SX, np.zeros((2, 2)))
+        assert len(with_zero.eval(1).terms) == 1
+        assert with_zero.eval(2).is_zero
+
+    def test_factor_checked_at_construction_is_the_one_placed(self):
+        m = SX.copy()
+        seq = st.UniformProduct(m)
+        m[0, 1] = 5.0  # past the norm bound checked at construction
+        ((_, op),) = seq.eval(3).terms
+        assert all(np.array_equal(b.matrix, SX) for b in op.blocks)
+
     def test_explicit_block_lengths_run_out(self):
         seq = st.BlockProduct(SX, SZ, _explicit_lengths([2, 3]))
         assert len(seq.eval(5).terms[0][1].blocks) == 5
@@ -207,7 +223,7 @@ class TestBoundedness:
             (st.GammaSeq.from_seed(seed), seed.norm_exact()),
         ]
         for seq, bound in cases:
-            # dense up to 2^10, matrix-free block Lanczos beyond
+            # auto: dense up to 2^8, matrix-free block Lanczos beyond
             trace, _ = st.seq_norm_trace(seq, range(2, 13), "auto", dense_cap=1024)
             assert all(res.converged for _, res in trace)
             assert max(res.value for _, res in trace) <= bound + 1e-9
