@@ -15,9 +15,10 @@ A config is one JSON file.  Common fields::
     }
 
 ``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
-up to compacted dimension 256, the measured crossover, and block Lanczos
-above it.  ``dense_cap`` is a separate memory limit: ``dense`` refuses a
-larger matrix, and a cap below 256 moves ``auto`` to block Lanczos sooner.
+up to the measured crossover ``localops._AUTO_DENSE_DIM`` of the compacted
+dimension, and block Lanczos above it.  ``dense_cap`` is a separate memory
+limit: ``dense`` refuses a larger matrix, and a cap below the crossover
+moves ``auto`` to block Lanczos sooner.
 
 Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
 each is parsed, the fewest schedule points it accepts and the handler that

@@ -13,6 +13,7 @@ site ``x`` of a volume of ``N`` sites has index ``sum_x j_x * d**(N - x)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -44,7 +45,8 @@ __all__ = [
 # apply temporaries (tracemalloc, rotated-sigma3 shift average: 38.0 vectors at
 # N = 14, 37.2 at N = 16), so about 4.75 GiB at the cap.
 ITERATIVE_STATE_CAP = 2**23
-# Convergence: the top Ritz pair's residual norm is at most this times max(1, theta).
+# Convergence: the top Ritz pair's residual norm is at most this times theta
+# (or at the rounding level _ROUNDING_RESIDUAL, whichever is larger).
 ITERATIVE_TOL = 1e-9
 # gram_apply calls before a norm is reported unconverged.
 ITERATIVE_MAX_ITER = 10000
@@ -59,14 +61,22 @@ ITERATIVE_BASIS = 32
 # at one OpenBLAS thread on a 2-vCPU Intel Xeon VM (numpy 2.4):
 #
 #   dim   rotated sigma3   rotated sigma1 sigma1   real symmetric two-site
-#   128     2.8 vs  6.7        2.5 vs 11.3             1.4 vs 27
-#   256    12.6 vs 10.5       11.4 vs  9.3             4.6 vs 38
-#   512    74   vs 12.6       69   vs 21              22   vs 51
-#  1024   503   vs 21        496   vs 14             132   vs 67
+#   128     2.2 vs  5.1        2.6 vs 12.7             1.5 vs 32
+#   256    13.1 vs  8.7        8.6 vs  7.8             4.7 vs 41
+#   512    68   vs 12.1       66   vs 22              21   vs 57
+#  1024   384   vs 22        429   vs 12             147   vs 77
 #
-# Both routes agree to 4e-15 relative.  One crossover for every dtype: at 512
-# the complex seeds save about 55 ms a norm where the real one loses 29.
+# Both routes agree to 2e-15 relative.  One crossover for every dtype: at 512
+# the complex seeds save about 50 ms a norm where the real one loses 36.
+# DENSE_DIM_CAP, the memory cap, is a separate limit.
 _AUTO_DENSE_DIM = 256
+
+# Rounding in one apply of a* a, scaled to norm bound sum |w| ||op|| <= 1, is
+# about eps * ||a||, so the residual of the top Ritz pair cannot fall much
+# below eps * sqrt(theta).  The iterative norm also stops once that residual is
+# at most this times sqrt(theta), which only matters for a sum that cancels to
+# a norm below about 1e-5 of its bound.
+_ROUNDING_RESIDUAL = 64 * float(np.finfo(float).eps)
 
 
 def check_volume(n) -> int:
@@ -514,6 +524,20 @@ class NormResult:
     iterations: int = 0
 
 
+def _norm_bound(terms, dense_cap) -> float:
+    """``sum |w| ||op||``, an upper bound on the norm of the sum of the terms;
+    a block above ``dense_cap`` counts with its Frobenius norm."""
+    total = 0.0
+    for w, op in terms:
+        try:
+            total += abs(w) * op.norm_exact(dense_cap)
+        except CapacityError:
+            total += abs(w * op.scalar) * math.prod(
+                float(np.linalg.norm(b.matrix)) for b in op.blocks
+            )
+    return total
+
+
 def _compact_terms(s: OperatorSum):
     """Relabel the union support to {1..m}; norms are invariant under this."""
     union = s.support
@@ -548,9 +572,12 @@ def _power_iteration_norm(gram_apply, dim, rng):
     apply.  Its residual norm is ``||T[done:size, :done] y||`` combined with
     ``|y_last| * beta`` when the basis was too full to take the last residual,
     of norm ``beta``; convergence is declared when it is at most
-    ``ITERATIVE_TOL * max(1, theta)``, which puts ``theta`` that close to an
-    eigenvalue of ``a* a``.  A full basis of ``ITERATIVE_BASIS`` vectors
-    restarts from the top Ritz vectors, unless it can hold the whole space.
+    ``ITERATIVE_TOL * theta``, which puts ``theta`` that close to an
+    eigenvalue of ``a* a``, or at most ``_ROUNDING_RESIDUAL * sqrt(theta)``,
+    the rounding level of ``gram_apply`` once :func:`norm` has scaled ``a``
+    to a norm bound of at most 1.  A full basis of ``ITERATIVE_BASIS``
+    vectors restarts from the top Ritz vectors, unless it can hold the whole
+    space.
     ``iterations`` counts ``gram_apply`` calls.  (The name predates the
     Lanczos kernel; ``bench/tracing.py`` wraps it by name.)
     """
@@ -585,7 +612,7 @@ def _power_iteration_norm(gram_apply, dim, rng):
             continue
         y = vecs[:, -1]
         res = np.hypot(np.linalg.norm(t[done:size, :done] @ y), abs(y[-1]) * beta)
-        if res <= ITERATIVE_TOL * max(1.0, theta):
+        if res <= max(ITERATIVE_TOL * theta, _ROUNDING_RESIDUAL * np.sqrt(max(theta, 0.0))):
             return NormResult(float(np.sqrt(max(theta, 0.0))), True, applies)
         if beta:
             # the basis is full: restart from the top Ritz vectors, top first
@@ -614,7 +641,7 @@ def norm(
     ``dense_cap`` is the memory cap: ``"dense"`` refuses a larger matrix with
     a :class:`CapacityError` that names the iterative route.  ``"auto"`` is a
     router on measured speed: it takes dense only up to the crossover
-    ``_AUTO_DENSE_DIM`` (256), or ``dense_cap`` when that is lower, and block
+    ``_AUTO_DENSE_DIM``, or ``dense_cap`` when that is lower, and block
     Lanczos above.  Both paths first compact the sum onto its union support,
     which leaves the norm unchanged.
     The dense path assembles the compacted sum in one ``dim x dim`` array and
@@ -664,6 +691,10 @@ def norm(
             f"iterative norm needs state vectors of length {dim}, above the cap "
             f"{ITERATIVE_STATE_CAP}"
         )
+    # weights scaled by the power of two just above the norm bound, which is
+    # exact, give a* a norm at most 1, so the kernel's stop test is relative
+    scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
+    terms = [(scale * w, op) for w, op in terms]
     adj_terms = [(np.conj(w), op.adjoint()) for w, op in terms]
     shape = (d,) * m if m else (1,)
 
@@ -674,4 +705,5 @@ def norm(
         return t.reshape(v.shape)
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    return _power_iteration_norm(gram_apply, dim, rng)
+    res = _power_iteration_norm(gram_apply, dim, rng)
+    return NormResult(res.value / scale, res.converged, res.iterations)

@@ -13,17 +13,16 @@ from .errors import CapacityError, ContractViolation
 
 # Largest total dimension for which dense matrices are materialized: a memory
 # cap, not the dimension above which localops.norm's "auto" route leaves the
-# dense eigensolve (localops._AUTO_DENSE_DIM, 256).  4096 = 2^12, i.e. twelve
-# qubit sites.  Seconds per eigvalsh, measured once per size at one OpenBLAS
-# thread on an Intel Xeon VM (numpy 2.4), beside seconds per block-Lanczos
-# norm (Krylov, best of 5) of a complex rotated-sigma3 and of a real symmetric
-# two-site shift average of the same dimension:
+# dense eigensolve (the measured crossover localops._AUTO_DENSE_DIM, whose
+# table compares both routes).  4096 = 2^12, i.e. twelve qubit sites.  Seconds
+# per eigvalsh, measured once per size at one OpenBLAS thread on an Intel Xeon
+# VM (numpy 2.4):
 #
-#   dim   complex Hermitian   real symmetric   complex Gram + solve   Krylov complex   Krylov real
-#    512        0.08               0.02                0.11               0.011            0.046
-#   1024        0.55               0.14                0.79               0.015            0.053
-#   2048        3.9                0.9                 4.8                0.021            0.068
-#   4096       31                  7.0                41                  0.035            0.12
+#   dim   complex Hermitian   real symmetric   complex Gram product + solve
+#    512        0.08               0.02                  0.11
+#   1024        0.55               0.14                  0.79
+#   2048        3.9                0.9                   4.8
+#   4096       31                  7.0                  41
 DENSE_DIM_CAP = 4096
 
 # operator_norm_dense takes the self-adjoint route when the skew defect

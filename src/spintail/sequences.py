@@ -179,21 +179,26 @@ class SiteProduct(ObservableSequence):
     site_dim: int = 2
 
     def __post_init__(self):
-        self.factors = tuple(_bounded_site_op(m, self.site_dim) for m in self.factors)
-        # each factor is canonicalized once, as a one-site operator: exact zero,
-        # exact identity (no block) or one read-only block, whose matrix eval
-        # shares between all the sites that carry it
-        self._site_ops = tuple(from_site_factors({1: m}, self.site_dim) for m in self.factors)
+        # each factor is checked and canonicalized once: None for an exact
+        # identity, otherwise a read-only copy that eval shares between sites;
+        # an exact zero factor makes every product it enters zero
+        checked = [_bounded_site_op(m, self.site_dim) for m in self.factors]
+        self._zeros = frozenset(k for k, m in enumerate(checked) if not np.count_nonzero(m))
+        self.factors = tuple(
+            None if np.array_equal(m, np.eye(self.site_dim)) else Block((1,), m.copy()).matrix
+            for m in checked
+        )
 
     def eval(self, n: int) -> OperatorSum:
         n = check_volume(n)
-        picked = [
-            (x, self._site_ops[k]) for x in range(1, n + 1) if (k := self.pick(x, n)) is not None
-        ]
-        if any(op.is_zero for _, op in picked):
-            return zero_sum(self.site_dim)
-        blocks = tuple(Block((x,), op.blocks[0].matrix) for x, op in picked if op.blocks)
-        return LocalOperator(self.site_dim, 1 + 0j, blocks).as_sum()
+        blocks = []
+        for x in range(1, n + 1):
+            k = self.pick(x, n)
+            if k in self._zeros:
+                return zero_sum(self.site_dim)
+            if k is not None and self.factors[k] is not None:
+                blocks.append(Block((x,), self.factors[k]))
+        return LocalOperator(self.site_dim, 1 + 0j, tuple(blocks)).as_sum()
 
 
 def UniformProduct(site_op, site_dim: int = 2) -> SiteProduct:

@@ -37,6 +37,11 @@ def real_two_site_average(rng):
     return st.GammaSeq.from_seed(st.local_operator((a + a.T) / 2, (1, 2)))
 
 
+def tiny_rotated_sigma3_average(rng):
+    """The rotated-sigma3 shift average scaled to norm 1e-6."""
+    return rotated_sigma3_average(rng).scale(1e-6)
+
+
 def apply_sum(s, v, n):
     """The matrix-free kernel behind iterative norms, on a flat state of ``n`` sites."""
     vec_t = v.reshape((s.site_dim,) * n)
@@ -217,25 +222,53 @@ class TestNorm:
         with pytest.raises(CapacityError, match="iterative"):
             st.norm(s, 7, "dense", dense_cap=16)
 
-    @pytest.mark.parametrize("average", [rotated_sigma3_average, real_two_site_average])
+    @pytest.mark.parametrize(
+        "average", [rotated_sigma3_average, real_two_site_average, tiny_rotated_sigma3_average]
+    )
     def test_auto_routes_on_compacted_dimension(self, average):
         seq = average(np.random.default_rng(41))
-        for n in (6, 8):  # dimension 64 and 256, at or below the crossover
+        top = localops._AUTO_DENSE_DIM.bit_length() - 1  # qubit sites at the crossover
+        for n in (top - 2, top):  # at or below the crossover
             s = seq.eval(n)
             assert st.norm(s, n) == st.norm(s, n, "dense")
-        for n in (9, 10):  # dimension 512 and 1024
+        for n in (top + 1, top + 2):  # above it
             s = seq.eval(n)
             auto = st.norm(s, n)
             assert auto == st.norm(s, n, "iterative") and auto.iterations > 0
             assert auto.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
 
     def test_dense_cap_below_crossover_wins(self):
-        # dimension 128 is below the crossover but above the cap
-        s = rotated_sigma3_average(np.random.default_rng(42)).eval(7)
-        auto = st.norm(s, 7, dense_cap=64)
-        assert auto == st.norm(s, 7, "iterative") and auto.iterations > 0
+        # dimension 2^n is below the crossover but above the cap
+        n = localops._AUTO_DENSE_DIM.bit_length() - 2
+        s = rotated_sigma3_average(np.random.default_rng(42)).eval(n)
+        auto = st.norm(s, n, dense_cap=2 ** (n - 1))
+        assert auto == st.norm(s, n, "iterative") and auto.iterations > 0
         with pytest.raises(CapacityError, match="iterative"):
-            st.norm(s, 7, "dense", dense_cap=64)
+            st.norm(s, n, "dense", dense_cap=2 ** (n - 1))
+
+    def test_block_above_cap_falls_through_to_iteration(self):
+        # dense_cap 2 refuses the exact norm of one two-site block, so auto
+        # iterates, scaled by the block's Frobenius norm
+        a = random_complex(np.random.default_rng(44), 4)
+        res = st.norm(st.local_operator(a, (1, 2)), 2, dense_cap=2)
+        assert res.converged and res.iterations > 0
+        assert res.value == pytest.approx(svd_norm(a), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
+    def test_iterative_stop_relative_to_cancelled_norm(self, gap):
+        # a - a' for shift averages whose seeds differ by gap: the norm is
+        # about gap times the bound sum |w| ||op||, and the start block alone
+        # sees only a random Rayleigh quotient of it
+        rng = np.random.default_rng(43)
+        u, v = (np.linalg.qr(random_complex(rng, 2))[0] for _ in range(2))
+        a, b = (
+            st.GammaSeq.from_seed(st.local_operator(m, (1,))).eval(10) for m in (u, u + gap * v)
+        )
+        s = st.operator_sum(list(a.terms) + [(-w, op) for w, op in b.terms])
+        res = st.norm(s, 10, "iterative")
+        assert res.converged and res.iterations > localops.ITERATIVE_BLOCK
+        # a* a carries the rounding of a, about eps / gap relative to its norm
+        assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-9 + 1e-15 / gap)
 
     def test_unconverged_flag(self, monkeypatch):
         monkeypatch.setattr(localops, "ITERATIVE_MAX_ITER", 1)

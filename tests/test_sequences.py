@@ -223,7 +223,7 @@ class TestBoundedness:
             (st.GammaSeq.from_seed(seed), seed.norm_exact()),
         ]
         for seq, bound in cases:
-            # auto: dense up to 2^8, matrix-free block Lanczos beyond
+            # auto: dense up to localops._AUTO_DENSE_DIM, block Lanczos beyond
             trace, _ = st.seq_norm_trace(seq, range(2, 13), "auto", dense_cap=1024)
             assert all(res.converged for _, res in trace)
             assert max(res.value for _, res in trace) <= bound + 1e-9
