@@ -99,11 +99,12 @@ class Block:
 
 
 def _check_block(sites, matrix, d) -> Block:
-    sites = tuple(int(s) for s in sites)
+    given = tuple(sites)
+    sites = tuple(int(s) for s in given)
     if not sites:
         raise ContractViolation("blocks need at least one site; use the scalar field")
-    if any(s < 1 for s in sites) or any(a >= b for a, b in zip(sites, sites[1:])):
-        raise ContractViolation(f"block sites must be strictly increasing and >= 1, got {sites}")
+    if sites != given or sites[0] < 1 or any(a >= b for a, b in zip(sites, sites[1:])):
+        raise ContractViolation(f"block sites are strictly increasing integers >= 1, got {given}")
     matrix = check_finite(matrix)
     dim = d ** len(sites)
     if matrix.shape != (dim, dim):
@@ -116,7 +117,11 @@ def _check_block(sites, matrix, d) -> Block:
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """``scalar *`` tensor product of disjoint-support blocks (identity elsewhere)."""
+    """``scalar *`` tensor product of disjoint-support blocks (identity elsewhere).
+
+    Canonical form: blocks sorted by first site, none exactly zero or exactly
+    the identity, and zero stored as ``0j`` with no blocks.
+    """
 
     site_dim: int
     scalar: complex
@@ -130,7 +135,8 @@ class LocalOperator:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
-    # adjoint and scale keep canonical form (see _make_op); ``or 0j`` stores any zero as 0j
+    # adjoint and scale map canonical form to canonical form, so they build the
+    # result directly, not through _make_op; ``or 0j`` stores any zero as 0j
 
     def adjoint(self) -> LocalOperator:
         blocks = tuple(Block(b.sites, adjoint(b.matrix)) for b in self.blocks)
@@ -161,28 +167,25 @@ class LocalOperator:
         )
 
 
-def _make_op(site_dim, scalar, blocks) -> LocalOperator:
-    """Canonicalize new blocks: sort them, fold exact identities, collapse exact zeros."""
+def _make_op(site_dim, scalar, blocks, kept=()) -> LocalOperator:
+    """The one exact-zero/exact-identity test, run once on each new block.
+
+    ``blocks`` were just computed or just taken from a caller; ``kept`` are
+    blocks of canonical operators and pass through untested.  All of them
+    are pairwise disjoint.
+    """
     scalar = complex(scalar)
-    kept = []
+    out = list(kept)
     for b in blocks:
-        dim = b.matrix.shape[0]
         if not np.count_nonzero(b.matrix):
             scalar = 0j
             break
-        if np.array_equal(b.matrix, np.eye(dim)):
-            continue
-        kept.append(b)
+        if not np.array_equal(b.matrix, np.eye(b.matrix.shape[0])):
+            out.append(b)
     if scalar == 0:
         return LocalOperator(site_dim, 0j, ())
-    kept.sort(key=lambda b: b.sites[0])
-    seen = set()
-    for b in kept:
-        for s in b.sites:
-            if s in seen:
-                raise ContractViolation(f"blocks overlap at site {s}")
-            seen.add(s)
-    return LocalOperator(site_dim, scalar, tuple(kept))
+    out.sort(key=lambda b: b.sites[0])
+    return LocalOperator(site_dim, scalar, tuple(out))
 
 
 def local_operator(matrix, sites, site_dim: int = 2) -> LocalOperator:
@@ -191,7 +194,7 @@ def local_operator(matrix, sites, site_dim: int = 2) -> LocalOperator:
     An empty ``sites`` tuple with a 1x1 ``matrix`` denotes a scalar multiple
     of the identity.
     """
-    sites = tuple(int(s) for s in sites)
+    sites = tuple(sites)
     if not sites:
         matrix = check_finite(matrix)
         if matrix.shape != (1, 1):
@@ -423,18 +426,16 @@ def product(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     scalar = a.scalar * b.scalar
     if scalar == 0:
         return zero_op(d)
-    out_blocks = []
+    new, kept = [], []
     for ablks, bblks in _overlap_components(a.blocks, b.blocks):
-        if not bblks:
-            out_blocks.extend(ablks)
-        elif not ablks:
-            out_blocks.extend(bblks)
-        else:
+        if ablks and bblks:
             sites = tuple(sorted({s for blk in ablks + bblks for s in blk.sites}))
             am = _assemble([(1.0, 1.0, ablks)], sites, d, DENSE_DIM_CAP)
             bm = _assemble([(1.0, 1.0, bblks)], sites, d, DENSE_DIM_CAP)
-            out_blocks.append(Block(sites, am @ bm))
-    return _make_op(d, scalar, out_blocks)
+            new.append(Block(sites, am @ bm))
+        else:
+            kept.extend(ablks or bblks)
+    return _make_op(d, scalar, new, kept)
 
 
 def commutator(a: LocalOperator, b: LocalOperator) -> LocalOperator:
@@ -454,10 +455,7 @@ def commutator(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     sites = tuple(sorted({s for blk in mixed_a + mixed_b for s in blk.sites}))
     am = _assemble([(1.0, 1.0, mixed_a)], sites, d, DENSE_DIM_CAP)
     bm = _assemble([(1.0, 1.0, mixed_b)], sites, d, DENSE_DIM_CAP)
-    comm = am @ bm - bm @ am
-    if not np.count_nonzero(comm):
-        return zero_op(d)
-    return _make_op(d, a.scalar * b.scalar, spectators + [Block(sites, comm)])
+    return _make_op(d, a.scalar * b.scalar, [Block(sites, am @ bm - bm @ am)], spectators)
 
 
 def sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:

@@ -35,6 +35,7 @@ from .localops import (
     check_volume,
     from_site_factors,
     norm,
+    relabel,
     sum_product,
     zero_sum,
 )
@@ -124,9 +125,10 @@ class TranslatedToInfinity(ObservableSequence):
     site_dim: int = 2
 
     def __post_init__(self):
-        self.site_op = check_finite(self.site_op)
-        if self.site_op.shape != (self.site_dim,) * 2:
-            raise ContractViolation("translated sequences take one single-site operator")
+        # checked and canonicalized once: eval only moves the factor to its
+        # site, and site_op is a read-only copy of the same checked matrix
+        self._factor = from_site_factors({1: self.site_op}, self.site_dim)
+        self.site_op = Block((1,), check_finite(self.site_op).copy()).matrix
 
     def site_at(self, n: int) -> int:
         x = n if self.site_rule is None else int(self.site_rule(n))
@@ -136,7 +138,7 @@ class TranslatedToInfinity(ObservableSequence):
 
     def eval(self, n: int) -> OperatorSum:
         n = check_volume(n)
-        return from_site_factors({self.site_at(n): self.site_op}, self.site_dim).as_sum()
+        return relabel(self._factor, {1: self.site_at(n)}).as_sum()
 
 
 @dataclass
@@ -179,15 +181,13 @@ class SiteProduct(ObservableSequence):
     site_dim: int = 2
 
     def __post_init__(self):
-        # each factor is checked and canonicalized once: None for an exact
-        # identity, otherwise a read-only copy that eval shares between sites;
-        # an exact zero factor makes every product it enters zero
-        checked = [_bounded_site_op(m, self.site_dim) for m in self.factors]
-        self._zeros = frozenset(k for k, m in enumerate(checked) if not np.count_nonzero(m))
-        self.factors = tuple(
-            None if np.array_equal(m, np.eye(self.site_dim)) else Block((1,), m.copy()).matrix
-            for m in checked
-        )
+        # each factor is checked and canonicalized once: an exact zero makes
+        # every product it enters zero, an exact identity is None, any other
+        # factor is a read-only matrix that eval shares between sites
+        ops = [from_site_factors({1: _bounded_site_op(m, self.site_dim)}, self.site_dim)
+               for m in self.factors]
+        self._zeros = frozenset(k for k, op in enumerate(ops) if op.is_zero)
+        self.factors = tuple(op.blocks[0].matrix if op.blocks else None for op in ops)
 
     def eval(self, n: int) -> OperatorSum:
         n = check_volume(n)

@@ -137,6 +137,28 @@ GOLDEN["commutant_seed42.json"] = (
     "json",
 )
 GOLDEN["gamma_bound_seed42.csv"] = (GAMMA_BOUND, "csv")
+# complex, non-diagonal one-site observable in a mixed state with coherences:
+# every product in the variance sum is a full complex 2x2 block
+GOLDEN["variance_complex_seed42.json"] = (
+    {
+        "experiment": "variance",
+        "schedule": [16, 32, 64],
+        "seed": 42,
+        "observable": {"matrix": [[[0.3, 0], [0.2, -0.4]], [[0.2, 0.4], [-0.5, 0]]], "sites": [1]},
+        "state": {"rho": [[[0.7, 0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0]]]},
+    },
+    "json",
+)
+# two translated sequences with complex [re, im] factors: the commutator
+# reference is taken from the stored site operators
+GOLDEN["mutual_complex_seed42.json"] = (
+    dict(
+        MUTUAL,
+        sequence={"kind": "translated", "op": [[[0.5, 0], [0, 0.5]], [[0, -0.5], [-0.25, 0]]]},
+        sequence2={"kind": "translated", "op": [[[0, 0.3], [0.6, 0]], [[0.2, -0.1], [0, -0.3]]]},
+    ),
+    "json",
+)
 
 
 def write_config(tmp_path, cfg, name="config.json"):

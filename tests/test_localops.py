@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -555,3 +557,142 @@ class TestValidation:
             for blk in op.blocks:
                 with pytest.raises(ValueError):
                     blk.matrix[0, 0] = 0
+
+
+# ---------------------------------------------------------------------------
+# canonical form: decided once, where a matrix is made
+
+# exact factors that fold: Paulis square to the identity, and zero and the
+# identity themselves; the last index draws a random complex factor instead
+FOLDING_FACTORS = (SX, SY, SZ, I2, np.diag([1, 1j]), np.zeros((2, 2)))
+VOLUME = 4
+
+
+def assert_canonical(op):
+    """Blocks sorted by first site and disjoint, none exactly zero or the
+    identity, every matrix read-only; zero is exactly ``0j`` with no blocks."""
+    if op.is_zero:
+        assert repr(op.scalar) == "0j" and op.blocks == ()
+        return
+    firsts = [blk.sites[0] for blk in op.blocks]
+    assert firsts == sorted(firsts)
+    sites = [s for blk in op.blocks for s in blk.sites]
+    assert len(sites) == len(set(sites))
+    for blk in op.blocks:
+        assert list(blk.sites) == sorted(set(blk.sites))
+        assert np.count_nonzero(blk.matrix)
+        assert not np.array_equal(blk.matrix, np.eye(len(blk.matrix)))
+        assert not blk.matrix.flags.writeable
+
+
+def assert_canonical_sum(s):
+    for w, op in s.terms:
+        assert w != 0 and not op.is_zero
+        assert_canonical(op)
+
+
+@st_h.composite
+def folding_operators(draw):
+    """Operators on sites 1..VOLUME through every public constructor, often
+    with factors that are exactly zero, exactly the identity, or square to it."""
+    rng = np.random.default_rng(draw(st_h.integers(0, 2**32 - 1)))
+
+    def factor():
+        k = draw(st_h.integers(0, len(FOLDING_FACTORS)))
+        return FOLDING_FACTORS[k] if k < len(FOLDING_FACTORS) else random_complex(rng, 2)
+
+    kind = draw(st_h.sampled_from(["factors", "kron", "dense", "scalar"]))
+    if kind == "factors":
+        sites = draw(st_h.sets(st_h.integers(1, VOLUME), max_size=VOLUME))
+        return st.from_site_factors({s: factor() for s in sites})
+    if kind == "scalar":
+        return st.local_operator([[draw(st_h.sampled_from([0.0, 1.0, -2j]))]], ())
+    sites = tuple(sorted(draw(st_h.sets(st_h.integers(1, VOLUME), min_size=1, max_size=2))))
+    if kind == "kron":
+        return st.local_operator(reduce(np.kron, [factor() for _ in sites]), sites)
+    return st.local_operator(random_complex(rng, 2 ** len(sites)), sites)
+
+
+@settings(max_examples=80, deadline=None)
+@given(folding_operators(), folding_operators())
+def test_canonical_form_property(a, b):
+    da, db = st.dense_matrix(a, VOLUME), st.dense_matrix(b, VOLUME)
+    prod, comm = st.product(a, b), st.commutator(a, b)
+    for op in (a, b, prod, comm):
+        assert_canonical(op)
+    assert np.allclose(st.dense_matrix(prod, VOLUME), da @ db, atol=1e-12)
+    assert np.allclose(st.dense_matrix(comm, VOLUME), da @ db - db @ da, atol=1e-12)
+    sa = st.operator_sum([(1.0, a), (0.5j, b)], 2)
+    sb = st.operator_sum([(1.0, b), (-2.0, a)], 2)
+    dsa, dsb = st.dense_matrix(sa, VOLUME), st.dense_matrix(sb, VOLUME)
+    sprod, scomm = st.sum_product(sa, sb), st.sum_commutator(sa, sb)
+    for s in (sa, sb, sprod, scomm):
+        assert_canonical_sum(s)
+    assert np.allclose(st.dense_matrix(sprod, VOLUME), dsa @ dsb, atol=1e-12)
+    assert np.allclose(st.dense_matrix(scomm, VOLUME), dsa @ dsb - dsb @ dsa, atol=1e-12)
+
+
+def sequence_kinds(seed_op, f, g):
+    """One sequence of every operator-valued kind, built from the given parts."""
+    kinds = [
+        st.LocalEmbedSeq(seed_op),
+        st.TranslatedToInfinity(f),
+        st.TranslatedToInfinity(g, lambda n: max(1, n - 1)),
+        st.UniformProduct(f),
+        st.ParityProduct(f, g),
+        st.BlockProduct(f, g),
+        st.HalfChain(g),
+    ]
+    if seed_op.support:
+        kinds.append(st.GammaSeq.from_seed(seed_op))
+    a, b = kinds[1], kinds[4]
+    kinds += [a + b, a * b, b.adjoint(), b.scale(lambda n: 1 / n)]
+    return kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(folding_operators(), st_h.integers(0, len(FOLDING_FACTORS) - 1),
+       st_h.integers(0, len(FOLDING_FACTORS) - 1))
+def test_every_sequence_kind_evaluates_to_canonical_form(seed_op, i, j):
+    f, g = FOLDING_FACTORS[i], FOLDING_FACTORS[j]
+    for seq in sequence_kinds(seed_op, f, g):
+        for n in range(1, VOLUME + 2):
+            assert_canonical_sum(seq.eval(n))
+
+
+class TestCheckedOnce:
+    def test_square_folds_next_to_pass_through_block(self):
+        a = st.from_site_factors({1: SX, 2: SZ})
+        out = st.product(a, st.pauli_at(1, 1))
+        assert len(out.blocks) == 1 and out.blocks[0] is a.blocks[1]
+
+    def test_product_passes_blocks_through_unchanged(self):
+        rng = np.random.default_rng(63)
+        a = st.from_site_factors({1: SX, 3: random_complex(rng, 2), 5: SY})
+        b = st.from_site_factors({2: SZ, 3: SX, 4: random_complex(rng, 2)})
+        out = st.product(a, b)
+        assert [blk.sites for blk in out.blocks] == [(1,), (2,), (3,), (4,), (5,)]
+        kept = [out.blocks[k] for k in (0, 1, 3, 4)]
+        passed = [a.blocks[0], b.blocks[0], b.blocks[2], a.blocks[2]]
+        assert all(blk is want for blk, want in zip(kept, passed))
+
+    def test_commuting_overlap_is_exact_zero(self):
+        xx = st.local_operator(np.kron(SX, SX), (1, 2))
+        zz = st.local_operator(np.kron(SZ, SZ), (1, 2))
+        out = st.commutator(xx, st.product(zz, st.pauli_at(2, 4)))
+        assert repr(out.scalar) == "0j" and out.blocks == ()
+
+    def test_zero_factor_makes_zero(self):
+        out = st.from_site_factors({1: SX, 2: np.zeros((2, 2))})
+        assert repr(out.scalar) == "0j" and out.blocks == ()
+        assert st.product(st.pauli_at(1, 1), out).blocks == ()
+
+    def test_commutator_keeps_spectators_as_given(self):
+        a = st.from_site_factors({1: SX, 3: SY})
+        out = st.commutator(a, st.pauli_at(3, 1))
+        assert out.blocks[1] is a.blocks[1]
+        assert np.array_equal(out.blocks[0].matrix, -2j * SY)
+
+    def test_distinct_keys_must_be_distinct_sites(self):
+        with pytest.raises(ContractViolation):
+            st.from_site_factors({1: SX, 1.5: SZ})

@@ -50,6 +50,14 @@ class TestTranslated:
         with pytest.raises(st.ContractViolation):
             seq.eval(3)
 
+    def test_factor_checked_once_at_construction(self):
+        m = SX.copy()
+        seq = st.TranslatedToInfinity(m)
+        m[0, 1] = 5.0
+        assert np.array_equal(st.dense_matrix(seq.eval(3), 3), embed_dense({3: SX}, 3))
+        assert np.array_equal(seq.site_op, SX)
+        assert not seq.site_op.flags.writeable
+
 
 class TestProducts:
     def test_uniform_product_squares_to_identity(self):
