@@ -209,22 +209,17 @@ def default_probes(site_dim: int = 2) -> list[tuple[str, LocalOperator]]:
     return probes
 
 
-def _probe_label(probe, i):
-    if isinstance(probe, tuple):
-        return probe
-    sites = ",".join(map(str, probe.support)) or "scalar"
-    return (f"probe{i}@{sites}", probe)
-
-
 def commutant_membership(
     seq: ObservableSequence, probes=None, schedule=None, method: str = "auto", **norm_kwargs
 ) -> list[ProbeResult]:
     """Commutator-norm traces against finitely many fixed local probes.
 
-    A sequence passes when every probe's trace classifies as vanishing.  This
-    realizes finitely many volumes of the defining intersection, so it is a
-    sound but incomplete check; skipped probes (support larger than the
-    smallest schedule point) are reported as such.
+    ``probes`` is a list of ``(label, LocalOperator)`` pairs, by default
+    :func:`default_probes`.  A sequence passes when every probe's trace
+    classifies as vanishing.  This realizes finitely many volumes of the
+    defining intersection, so it is a sound but incomplete check; skipped
+    probes (support larger than the smallest schedule point) are reported as
+    such.
     """
     schedule = as_schedule(schedule)
     _need_points(schedule, 4)
@@ -232,8 +227,7 @@ def commutant_membership(
         probes = default_probes(seq.site_dim)
     results = []
     min_n = schedule.points[0]
-    for i, item in enumerate(probes):
-        label, probe = _probe_label(item, i)
+    for label, probe in probes:
         sup = probe.support
         if sup and sup[-1] > min_n:
             results.append(

@@ -88,19 +88,11 @@ class TrigObservable:
             out[tuple((s, -m, -n) for s, m, n in key)] = np.conj(c)
         return _build(out)
 
-    def translate(self, shift: int) -> "TrigObservable":
+    def _moved(self, site_of) -> "TrigObservable":
+        """The observable with each factor at site s moved to ``site_of(s)``."""
         out: dict[FreqKey, complex] = {}
         for key, c in self.coeffs.items():
-            new = _canonical_key((s + shift, m, n) for s, m, n in key)
-            out[new] = out.get(new, 0j) + c
-        return _build(out)
-
-    def translate_cyclic(self, j: int, n_sites: int) -> "TrigObservable":
-        out: dict[FreqKey, complex] = {}
-        for key, c in self.coeffs.items():
-            new = _canonical_key(
-                (((s - 1 - j) % n_sites) + 1, m, n) for s, m, n in key
-            )
+            new = _canonical_key((site_of(s), m, n) for s, m, n in key)
             out[new] = out.get(new, 0j) + c
         return _build(out)
 
@@ -271,7 +263,7 @@ def cyclic_average_eval(f: TrigObservable, n: int) -> TrigObservable:
         raise ContractViolation(f"support {sup} outside volume of {n} sites")
     acc: dict[FreqKey, complex] = {}
     for j in range(n):
-        for key, c in f.translate_cyclic(j, n).coeffs.items():
+        for key, c in f._moved(lambda s: (s - 1 - j) % n + 1).coeffs.items():
             acc[key] = acc.get(key, 0j) + c
     return _build(acc).scale(1.0 / n)
 
@@ -313,7 +305,7 @@ class TailShifted:
 
     def eval(self, n: int) -> TrigObservable:
         sup = self.f.support
-        return self.f.translate(n + 1 - sup[0]) if sup else self.f
+        return self.f._moved(lambda s: s + n + 1 - sup[0]) if sup else self.f
 
 
 def tail_sequence(f: TrigObservable) -> TailShifted:

@@ -481,13 +481,13 @@ def _run_mutual(config, warnings, failures):
 class Experiment:
     """One experiment kind: the config fields it reads, and how it runs."""
 
-    # config fields, each with its parser (spec, errors, path) -> value
-    fields: tuple[tuple[str, Callable], ...]
+    # config fields as (name, parser) or (name, parser, default): the parser
+    # maps (spec, errors, path) -> value; only a field with a default, the
+    # ExperimentConfig field's own, may be left out
+    fields: tuple[tuple, ...]
     # (config, warnings, failures) -> list of (label, DecayReport) series
     handler: Callable
     min_points: int = 1
-    # the fields a config may leave out
-    optional: tuple[str, ...] = ()
 
 
 _SEQUENCE = ("sequence", _parse_sequence)
@@ -498,9 +498,7 @@ EXPERIMENTS = {
     "norm": Experiment((_SEQUENCE,), _run_norm),
     "decay": Experiment((_SEQUENCE,), _run_decay, 4),
     "equiv": Experiment((_SEQUENCE, _SEQUENCE2), _run_equiv, 4),
-    "commutant": Experiment(
-        (_SEQUENCE, ("probes", _parse_probes)), _run_commutant, 4, optional=("probes",)
-    ),
+    "commutant": Experiment((_SEQUENCE, ("probes", _parse_probes, None)), _run_commutant, 4),
     "gamma-bound": Experiment(
         (("sequence", _parse_gamma_sequence), ("probe", _parse_probe)), _run_gamma_bound, 4
     ),
@@ -599,13 +597,13 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     )
 
     if experiment is not None:
-        for name, parse in experiment.fields:
+        for name, parse, *default in experiment.fields:
             if name in raw:
                 try:
                     setattr(cfg, name, parse(raw[name], errors, name))
                 except RecursionError:  # a sequence nested past the recursion limit
                     errors.add(name, "nested too deeply")
-            elif name not in experiment.optional:
+            elif not default:
                 errors.add(name, f"required for {kind!r} experiments")
 
     assert_spec = raw.get("assert", {})

@@ -156,9 +156,6 @@ class LocalOperator:
             out *= operator_norm_dense(b.matrix, dim_cap)
         return float(out)
 
-    def __mul__(self, other: LocalOperator) -> LocalOperator:
-        return product(self, other)
-
     def __repr__(self) -> str:
         blocks = ",".join("{" + ",".join(map(str, b.sites)) + "}" for b in self.blocks)
         return (

@@ -46,16 +46,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def pauli(kind) -> np.ndarray:
     """Return a standard 2x2 Pauli matrix.
 
-    ``kind`` is 1, 2, 3 or the string ``"identity"`` (``"1"``/``"2"``/``"3"``
-    are accepted as strings too).
+    ``kind`` is 1, 2, 3 or the string ``"identity"``.
     """
-    if kind in (1, "1"):
+    if kind == 1:
         return _frozen(_SIGMA1)
-    if kind in (2, "2"):
+    if kind == 2:
         return _frozen(_SIGMA2)
-    if kind in (3, "3"):
+    if kind == 3:
         return _frozen(_SIGMA3)
-    if kind in ("identity", "id", 0):
+    if kind == "identity":
         return _frozen(np.eye(2))
     raise ContractViolation(f"unknown Pauli kind: {kind!r}")
 

@@ -13,8 +13,9 @@ The one sequence protocol is ``eval(n)``: :meth:`VolumeSchedule.trace` calls
 nothing else, so the classical sequences (plain dataclasses in
 :mod:`spintail.classical`) and anything else with ``eval`` trace the same
 way.  :class:`ObservableSequence` is only the base of the operator-valued
-kinds, because its ``+``, ``*``, adjoint and scale combinators need operator
-algebra.
+kinds, which carry a ``site_dim``; they are combined by building
+:class:`SeqSum`, :class:`SeqProduct`, :class:`SeqAdjoint` and
+:class:`SeqScale` directly.
 """
 
 from __future__ import annotations
@@ -70,18 +71,6 @@ class ObservableSequence:
 
     def eval(self, n: int) -> OperatorSum:
         raise NotImplementedError
-
-    def __add__(self, other: "ObservableSequence") -> "ObservableSequence":
-        return SeqSum(self, other)
-
-    def __mul__(self, other: "ObservableSequence") -> "ObservableSequence":
-        return SeqProduct(self, other)
-
-    def adjoint(self) -> "ObservableSequence":
-        return SeqAdjoint(self)
-
-    def scale(self, factor) -> "ObservableSequence":
-        return SeqScale(factor, self)
 
 
 def _bounded_site_op(mat, d) -> np.ndarray:

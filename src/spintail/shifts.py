@@ -8,10 +8,10 @@ a_1 (x) a_2 (x) ... (x) a_N to a_2 (x) ... (x) a_N (x) a_1.
 
 from __future__ import annotations
 
-from .errors import ContractViolation
 from .localops import (
     LocalOperator,
     OperatorSum,
+    _check_support_fits,
     check_volume,
     norm,
     operator_sum,
@@ -32,8 +32,7 @@ def gamma_pow(a, volume, j: int):
     n = check_volume(volume)
     j = int(j) % n
     sup = a.support
-    if sup and sup[-1] > n:
-        raise ContractViolation(f"support {sup} outside volume of {n} sites")
+    _check_support_fits(sup, n)
     if j == 0:
         return a
     if isinstance(a, OperatorSum):

@@ -73,10 +73,11 @@ def _block_expectation(blk: Block, rho: np.ndarray, d: int) -> complex:
     return complex(np.einsum(*operands, []))
 
 
-def expectation(state: ProductState, s: OperatorSum | LocalOperator, volume) -> complex:
-    """State value of a sum, factorized over each term's blocks."""
-    if isinstance(s, LocalOperator):
-        s = s.as_sum()
+def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
+    """State value of a sum, factorized over each term's blocks.
+
+    A single :class:`LocalOperator` goes in as ``op.as_sum()``.
+    """
     if state.site_dim != s.site_dim:
         raise ContractViolation("state and operator disagree on site dimension")
     n = check_volume(volume)

@@ -691,6 +691,50 @@ class TestMainExitCodes:
         for p in obj["series"][0]["points"]:
             assert abs(p["value"] - 1.0) <= 1e-8
 
+    def test_dense_method_over_cap_names_iterative(self, tmp_path, capsys):
+        cfg = dict(ALL_KINDS["norm"], schedule=[2, 3, 4, 5], method="dense", dense_cap=16)
+        out = tmp_path / "r.json"
+        code = main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: dense norm at dimension 32 exceeds cap 16; use method='iterative'"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_gamma_bound_refuses_other_sequence_kinds(self, tmp_path, capsys):
+        cfg = dict(
+            GAMMA_BOUND,
+            sequence={"kind": "local", "op": {"matrix": "pauli3", "sites": [1]}},
+        )
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid: sequence: gamma-bound needs a sequence of kind 'gamma'"
+        ]
+
+    def test_block_product_lengths_default_to_n_plus_one(self, tmp_path):
+        rho = np.array([[0.9, 0.2], [0.2, 0.1]])  # <sigma1> = 0.4, <sigma3> = 0.8
+        cfg = {
+            "experiment": "expect",
+            "schedule": list(range(1, 13)),
+            "sequence": {"kind": "block-product", "even": "pauli1", "odd": "pauli3"},
+            "state": {"rho": rho.tolist()},
+        }
+        out = tmp_path / "r.json"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        (re_series,) = [s for s in json.loads(out.read_text())["series"]
+                        if s["label"] == "expectation.re"]
+        seq = spintail.BlockProduct(spintail.pauli(1), spintail.pauli(3))
+        state = spintail.product_state(rho)
+        # B_n = n + 1: sites 1 | 2-3 | 4-6 | 7-10 | 11-15, even blocks carry sigma1
+        even_sites = [1, 4, 5, 6, 11, 12, 13, 14, 15]
+        for p in re_series["points"]:
+            n = p["n"]
+            assert p["value"] == spintail.expectation(state, seq.eval(n), n).real
+            k = sum(s <= n for s in even_sites)
+            assert p["value"] == pytest.approx(0.4**k * 0.8 ** (n - k), rel=1e-12)
+
     def test_console_entry_point(self, tmp_path):
         # exercise the process-level contract end to end
         path = write_config(tmp_path, MUTUAL)

@@ -41,7 +41,7 @@ def real_two_site_average(rng):
 
 def tiny_rotated_sigma3_average(rng):
     """The rotated-sigma3 shift average scaled to norm 1e-6."""
-    return rotated_sigma3_average(rng).scale(1e-6)
+    return st.SeqScale(1e-6, rotated_sigma3_average(rng))
 
 
 def apply_sum(s, v, n):
@@ -158,6 +158,29 @@ class TestCommutator:
         b = st.pauli_at(3, 9).as_sum()
         out = st.sum_commutator(a, b)
         assert out.terms == ()
+
+    @pytest.mark.parametrize("n, expected", [(13, 2.0), (14, 0.0)])
+    def test_capacity_fallback_keeps_factored_products(self, n, expected):
+        # [x^N, z^N] = ((-i)^N - i^N) y^N: norm 2 at odd N, exactly 0 at even N.
+        # Above the dense cap the overlap cannot be densified, so the pair is
+        # kept as x^N z^N - z^N x^N.
+        a = st.UniformProduct(st.pauli(1)).eval(n)
+        b = st.UniformProduct(st.pauli(3)).eval(n)
+        (_, x), (_, z) = a.terms[0], b.terms[0]
+        with pytest.raises(CapacityError):
+            st.commutator(x, z)
+        out = st.sum_commutator(a, b)
+        assert [w for w, _ in out.terms] == [1, -1]
+        for (_, got), want in zip(out.terms, (st.product(x, z), st.product(z, x))):
+            assert got.scalar == want.scalar and len(got.blocks) == n
+            assert all(g.sites == h.sites and np.array_equal(g.matrix, h.matrix)
+                       for g, h in zip(got.blocks, want.blocks))
+        res = st.norm(out, n)
+        assert res.converged
+        if expected:
+            assert res.value == pytest.approx(expected, rel=1e-12)
+        else:
+            assert res.value == 0.0
 
 
 class TestSumApply:
@@ -646,7 +669,8 @@ def sequence_kinds(seed_op, f, g):
     if seed_op.support:
         kinds.append(st.GammaSeq.from_seed(seed_op))
     a, b = kinds[1], kinds[4]
-    kinds += [a + b, a * b, b.adjoint(), b.scale(lambda n: 1 / n)]
+    kinds += [st.SeqSum(a, b), st.SeqProduct(a, b), st.SeqAdjoint(b),
+              st.SeqScale(lambda n: 1 / n, b)]
     return kinds
 
 

@@ -212,12 +212,6 @@ class TestPointwiseAlgebra:
             st.dense_matrix(st.SeqScale(2.5j, a).eval(n), n), 2.5j * da, atol=1e-10
         )
 
-    def test_operator_sugar(self):
-        a = st.LocalEmbedSeq(st.pauli_at(1, 1))
-        b = st.LocalEmbedSeq(st.pauli_at(3, 1))
-        assert isinstance(a + b, st.SeqSum)
-        assert isinstance(a * b, st.SeqProduct)
-
 
 class TestBoundedness:
     def test_uniform_bounds_per_kind(self):
