@@ -65,6 +65,19 @@ def rho_chain(rho: np.ndarray, n: int) -> np.ndarray:
     return kron_chain([rho] * n)
 
 
+def average_variance_dense(rho: np.ndarray, a: np.ndarray, n: int) -> float:
+    """Variance of the shift average of the one-site matrix ``a`` in rho^{(x) n}.
+
+    The average is the dense shift average of ``a`` placed on site 1, and the
+    variance is tr(rho_n avg^2) - tr(rho_n avg)^2, all as full matrices.
+    """
+    d = a.shape[0]
+    avg = shift_average_dense(kron_chain([a] + [np.eye(d, dtype=complex)] * (n - 1)), d, n)
+    rho_n = rho_chain(rho, n)
+    mean = np.trace(rho_n @ avg)
+    return float(np.real(np.trace(rho_n @ avg @ avg) - mean**2))
+
+
 def random_hermitian(rng, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2

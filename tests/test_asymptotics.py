@@ -1,6 +1,7 @@
 import pytest
 
 import spintail as st
+from spintail import asymptotics
 from spintail.asymptotics import TracePoint
 
 from oracles import SX, SZ, embed_dense, svd_norm
@@ -220,6 +221,25 @@ class TestGammaBound:
             assert b == pytest.approx(2.0 * 3.0 / p.n)
             assert p.value <= b + 1e-9
         assert rep.bound_violations == ()
+
+    def test_large_volumes_build_only_meeting_shifts(self, monkeypatch):
+        # sigma1 (x) sigma1 against sigma3@1: only the shifts landing a seed
+        # site on site 1 (j = 0, 1) are built, so W0 + Wp - 1 = 2 terms at any N
+        handed = []
+        original = asymptotics.sum_commutator
+
+        def recording(a, b):
+            handed.append(len(a.terms))
+            return original(a, b)
+
+        monkeypatch.setattr(asymptotics, "sum_commutator", recording)
+        seq = st.GammaSeq.from_seed(st.from_site_factors({1: SX, 2: SX}))
+        sched = [2**k for k in range(14, 21)]
+        rep = st.gamma_bound_check(seq, st.pauli_at(3, 1), sched)
+        assert [p.value for p in rep.points] == [4.0 / n for n in sched]
+        assert rep.classification == "vanishing"
+        assert rep.bound_violations == ()
+        assert handed and max(handed) <= 2
 
     def test_violations_reported_not_raised(self):
         # absurd negative slack forces every nonzero point over the line;

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_h
 
 import spintail as st
-from spintail.shifts import is_gamma_invariant
+from spintail.localops import _op_fingerprint
+from spintail.shifts import _meeting_average, is_gamma_invariant
 
 from oracles import (
     SX,
@@ -202,3 +205,43 @@ class TestGammaInvariance:
         seed = st.local_operator(random_complex(rng, 2), (1,))
         avg = st.gamma_average(seed, 6)
         assert is_gamma_invariant(avg, 6)
+
+
+def term_list(terms):
+    """Weights and fingerprints in term order: equal lists mean the same sum, term for term."""
+    return [(w, _op_fingerprint(op)) for w, op in terms]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st_h.integers(0, 2**32 - 1),
+    st_h.sets(st_h.integers(1, 5), min_size=1, max_size=3),
+    st_h.booleans(),
+    st_h.sets(st_h.integers(1, 12), min_size=1, max_size=2),
+    st_h.integers(1, 12),
+)
+# wrap-around: N = 3 < W0 + Wp = 4, so every shift meets the probe
+@example(0, {1, 2}, True, {1, 2}, 3)
+# below the window: both sides are the zero sum
+@example(1, {1, 5}, False, {2}, 4)
+def test_meeting_shifts_give_the_full_commutator(rng_seed, seed_sites, factored, probe_sites, n):
+    rng = np.random.default_rng(rng_seed)
+    seed_sites = tuple(sorted(seed_sites))
+    if factored:
+        seed = st.from_site_factors({x: random_complex(rng, 2) for x in seed_sites})
+    else:
+        seed = st.local_operator(random_complex(rng, 2 ** len(seed_sites)), seed_sites)
+    probe_sites = tuple(sorted(probe_sites))
+    probe = st.local_operator(random_complex(rng, 2 ** len(probe_sites)), probe_sites).as_sum()
+    seq = st.GammaSeq.from_seed(seed)
+
+    full = seq.eval(n)
+    meeting = _meeting_average(seq, n, probe.support)
+    assert term_list(meeting.terms) == term_list(
+        (w, op) for w, op in full.terms if set(op.support) & set(probe_sites)
+    )
+    if n >= seq.window:
+        assert len(meeting.terms) <= len(seed.support) * len(probe_sites)
+    assert term_list(st.sum_commutator(meeting, probe).terms) == term_list(
+        st.sum_commutator(full, probe).terms
+    )

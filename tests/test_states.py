@@ -3,11 +3,40 @@ import pytest
 
 import spintail as st
 
-from oracles import I2, SX, SZ, random_complex, rho_chain
+from oracles import (
+    I2,
+    SX,
+    SZ,
+    average_variance_dense,
+    random_complex,
+    random_hermitian,
+    rho_chain,
+)
 
 RHO_UP06 = 0.5 * (I2 + 0.6 * SZ)  # diag(0.8, 0.2)
 RHO_MINUS = 0.5 * (I2 - SX)
 RHO_MIXED = 0.5 * I2
+
+
+def random_variance_cases(rng_seed, count):
+    """(rho, A, state, seed): rho a random pure state mixed with 20-70% of the
+    maximally mixed one, A a random Hermitian one-site observable; d = 2, 3 in turn."""
+    rng = np.random.default_rng(rng_seed)
+    for k in range(count):
+        d = 2 + k % 2
+        m = random_complex(rng, d)
+        pure = m @ m.conj().T / np.trace(m @ m.conj().T).real
+        t = rng.uniform(0.2, 0.7)
+        rho = (1 - t) * pure + t * np.eye(d) / d
+        a = random_hermitian(rng, d)
+        yield rho, a, st.product_state(rho), st.local_operator(a, (1,), site_dim=d)
+
+
+def variance_over_shift_pairs(state, seed, n) -> float:
+    """The N^2 route: the average times itself over all N^2 shift pairs, minus the squared mean."""
+    avg = st.gamma_average(seed, n)
+    first = st.expectation(state, avg, n)
+    return float(np.real(st.expectation(state, st.sum_product(avg, avg), n) - first**2))
 
 
 class TestProductStateValidation:
@@ -107,11 +136,11 @@ class TestAverageVariance:
         assert val == pytest.approx((1 - 0.36) / 8, abs=1e-12)
 
     def test_identity_constant(self):
+        # a scalar seed has no spread: exactly zero, with no rounding left over
         state = st.product_state(RHO_UP06)
-        for n in (2, 5, 9):
-            assert st.average_variance(state, st.local_operator([[1.0]], ()), n) == pytest.approx(
-                0.0, abs=1e-14
-            )
+        for c in (0.0, 1.0, 0.1, -3.7, 2.5e-3):
+            for n in (1, 2, 5, 9, 1000):
+                assert st.average_variance(state, st.local_operator([[c]], ()), n) == 0.0
 
     def test_maximally_mixed(self):
         state = st.product_state(RHO_MIXED)
@@ -126,15 +155,29 @@ class TestAverageVariance:
             assert v == pytest.approx(0.64, abs=1e-9)
 
     def test_dense_oracle(self):
-        state = st.product_state(RHO_UP06)
-        for n in range(2, 9):
-            avg = st.dense_matrix(st.gamma_average(st.pauli_at(3, 1), n), n)
-            rho_n = rho_chain(RHO_UP06, n)
-            mean = np.trace(rho_n @ avg).real
-            second = np.trace(rho_n @ avg @ avg).real
-            assert st.average_variance(state, st.pauli_at(3, 1), n) == pytest.approx(
-                second - mean**2, abs=1e-10
-            )
+        cases = [(RHO_UP06, SZ, st.product_state(RHO_UP06), st.pauli_at(3, 1))]
+        for rho, a, state, seed in cases + list(random_variance_cases(63, 6)):
+            for n in range(1, 9 if rho.shape[0] == 2 else 6):
+                assert st.average_variance(state, seed, n) == pytest.approx(
+                    average_variance_dense(rho, a, n), rel=1e-12
+                )
+
+    def test_random_cases_match_shift_pair_route(self):
+        for _rho, _a, state, seed in random_variance_cases(64, 4):
+            for n in (1, 2, 7, 16, 30):
+                assert st.average_variance(state, seed, n) == pytest.approx(
+                    variance_over_shift_pairs(state, seed, n), rel=1e-12
+                )
+
+    def test_random_cases_match_closed_form(self):
+        # (tr(rho A^2) - tr(rho A)^2) / N, at volumes the pair route cannot reach
+        for rho, a, state, seed in random_variance_cases(65, 10):
+            mean = np.trace(rho @ a)
+            one_site = np.real(np.trace(rho @ a @ a) - mean**2)
+            for n in (1, 3, 128, 4099, 2**20):
+                assert st.average_variance(state, seed, n) == pytest.approx(
+                    one_site / n, rel=1e-14
+                )
 
     def test_two_site_seed_rejected(self):
         state = st.product_state(RHO_UP06)
