@@ -17,8 +17,8 @@ report = st.gamma_bound_check(seq, probe, schedule)
 
 print("shift-averaged two-site seed vs probe at site 1")
 print(f"{'N':>4}  {'measured':>12}  {'envelope 2(W0+Wp)/N':>20}")
-for point, (_, bound) in zip(report.points, report.bound_points):
-    print(f"{point.n:>4}  {point.value:>12.6f}  {bound:>20.6f}")
+for point in report.points:
+    print(f"{point.n:>4}  {point.value:>12.6f}  {point.bound:>20.6f}")
 print(f"fitted decay exponent: {report.fitted_exponent:+.4f}  (expected -1)")
 print(f"bound violations: {list(report.bound_violations) or 'none'}")
 print(f"classification: {report.classification}")

@@ -18,7 +18,7 @@ A :class:`DecayReport` is also the record a report series is written from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,13 +59,25 @@ VANISHING_EXPONENT = 0.5
 VANISHING_FLOOR = 1e-9
 NONVANISHING_EXPONENT = 0.1
 NONVANISHING_FLOOR = 1e-6
+# a point's value may exceed its bound by this much before it is a violation
+BOUND_SLACK = 1e-9
+# classifications, in the order the report schema lists them
+CLASSIFICATIONS = ("vanishing", "bounded_nonvanishing", "unconverged")
+# the fewest schedule points a tail classification is run on
+MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
 class TracePoint:
+    """One volume of a trace, the only per-point record.  ``bound`` is the
+    envelope or reference the value is checked against, if any; ``seconds``,
+    its wall-clock time, is never serialized and ignored by equality."""
+
     n: int
     value: float
     converged: bool = True
+    bound: float | None = None
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -76,10 +88,7 @@ class DecayReport:
     fitted_exponent: float | None
     fit_residual: float | None
     classification: str
-    bound_points: tuple[tuple[int, float], ...] | None = None
     bound_violations: tuple[int, ...] = ()
-    # wall-clock seconds per point; diagnostic only, never serialized
-    point_seconds: tuple[float, ...] = ()
 
     @property
     def pairs(self) -> tuple[tuple[int, float], ...]:
@@ -127,14 +136,12 @@ def fit_loglog(points: tuple[TracePoint, ...]):
     return slope, resid
 
 
-def classify_trace(points, seconds=()) -> DecayReport:
-    """Build a :class:`DecayReport` from (n, value[, converged]) points.
+def classify_trace(points) -> DecayReport:
+    """Build a :class:`DecayReport` from a built sequence of :class:`TracePoint`.
 
-    ``seconds`` holds the wall-clock time of each point, kept as a diagnostic.
+    The points are kept as given, bounds and seconds included.
     """
-    pts = tuple(
-        p if isinstance(p, TracePoint) else TracePoint(*p) for p in points
-    )
+    pts = tuple(points)
     exponent, residual = fit_loglog(pts)
     k = max(1, len(pts) // 2)
     tail = pts[-k:]
@@ -152,13 +159,15 @@ def classify_trace(points, seconds=()) -> DecayReport:
         cls = "bounded_nonvanishing"
     else:
         cls = "unconverged"
-    return DecayReport(pts, exponent, residual, cls, point_seconds=tuple(seconds))
+    return DecayReport(pts, exponent, residual, cls)
 
 
-def _norm_report(values, schedule, method, **norm_kwargs) -> DecayReport:
-    """Classified trace of ``norm(values(n), n)`` along the schedule."""
-    pairs, secs = schedule.trace(lambda n: norm(values(n), n, method, **norm_kwargs))
-    return classify_trace([(n, r.value, r.converged) for n, r in pairs], secs)
+def _norm_report(values, schedule, method, bound=None, **norm_kwargs) -> DecayReport:
+    """Classified trace of ``norm(values(n), n)``, each point carrying ``bound(n)`` if given."""
+    trace = schedule.trace(lambda n: norm(values(n), n, method, **norm_kwargs))
+    return classify_trace([
+        TracePoint(n, r.value, r.converged, bound(n) if bound else None, s) for n, r, s in trace
+    ])
 
 
 def quotient_norm_estimate(
@@ -174,9 +183,9 @@ def quotient_norm_estimate(
     return estimate, report
 
 
-def _need_points(schedule, k):
-    if len(schedule.points) < k:
-        raise ContractViolation(f"this estimator needs at least {k} schedule points")
+def _need_points(schedule):
+    if len(schedule.points) < MIN_POINTS:
+        raise ContractViolation(f"this estimator needs at least {MIN_POINTS} schedule points")
 
 
 def equivalence_test(
@@ -184,7 +193,7 @@ def equivalence_test(
 ) -> DecayReport:
     """Trace of the difference norm; vanishing means the sequences are identified."""
     schedule = as_schedule(schedule)
-    _need_points(schedule, 4)
+    _need_points(schedule)
     return _norm_report(lambda n: a.eval(n) - b.eval(n), schedule, method, **norm_kwargs)
 
 
@@ -193,7 +202,7 @@ def vanishing_test(
 ) -> DecayReport:
     """Membership test for the ideal of sequences whose norms tend to zero."""
     schedule = as_schedule(schedule)
-    _need_points(schedule, 4)
+    _need_points(schedule)
     return _norm_report(seq.eval, schedule, method, **norm_kwargs)
 
 
@@ -224,7 +233,7 @@ def commutant_membership(
     such.
     """
     schedule = as_schedule(schedule)
-    _need_points(schedule, 4)
+    _need_points(schedule)
     if probes is None:
         probes = default_probes(seq.site_dim)
     results = []
@@ -257,7 +266,6 @@ def gamma_bound_check(
     seq: GammaSeq,
     probe: LocalOperator,
     schedule,
-    slack: float = 1e-9,
     method: str = "auto",
     **norm_kwargs,
 ) -> DecayReport:
@@ -265,15 +273,17 @@ def gamma_bound_check(
 
     The envelope is 2 (W0 + W') |seed| |probe| / N with W0, W' the interval
     hulls of the seed and probe supports: at most W0 + W' cyclic shifts can
-    overlap the probe, each contributing at most 2 |seed| |probe| / N.  Bound
-    violations are recorded in the report (a test-surface signal), not raised.
+    overlap the probe, each contributing at most 2 |seed| |probe| / N.  Each
+    point carries its envelope as ``bound``; a value above it by more than
+    ``BOUND_SLACK`` is a violation, recorded in the report (a test-surface
+    signal), not raised.
 
     Only the shifts whose support meets the probe's are built: the others
     commute with it, so the commutator is the full average's, term for term,
     and the work per point does not grow with N.
     """
     schedule = as_schedule(schedule)
-    _need_points(schedule, 4)
+    _need_points(schedule)
     w0 = _hull_size(seq.seed.support)
     wp = _hull_size(probe.support)
     amp = 2.0 * (w0 + wp) * seq.seed.norm_exact() * probe.norm_exact()
@@ -282,13 +292,11 @@ def gamma_bound_check(
         lambda n: sum_commutator(_meeting_average(seq, n, probe.support), probe_sum),
         schedule,
         method,
+        lambda n: amp / n,
         **norm_kwargs,
     )
-    bound_points = tuple((n, amp / n) for n in schedule.points)
-    violations = tuple(
-        p.n for p, (_, b) in zip(rep.points, bound_points) if p.value > b + slack
-    )
-    return replace(rep, bound_points=bound_points, bound_violations=violations)
+    violations = tuple(p.n for p in rep.points if p.value > p.bound + BOUND_SLACK)
+    return replace(rep, bound_violations=violations)
 
 
 def mutual_commutator_trace(
@@ -298,22 +306,18 @@ def mutual_commutator_trace(
 
     When both sequences are single-site observables translated along the same
     site rule, the trace must be the constant one-site commutator norm; that
-    reference is attached as the bound trace and deviations beyond 1e-9 are
-    recorded as violations.
+    reference is attached to each point as its ``bound``, and deviations beyond
+    ``BOUND_SLACK`` are recorded as violations.
     """
     schedule = as_schedule(schedule)
-    rep = _norm_report(
-        lambda n: sum_commutator(a.eval(n), c.eval(n)), schedule, method, **norm_kwargs
-    )
-    bound_points = None
-    violations = ()
+    bound = None
     if isinstance(a, TranslatedToInfinity) and isinstance(c, TranslatedToInfinity):
-        same_rule = all(a.site_at(n) == c.site_at(n) for n in schedule.points)
-        if same_rule:
+        if all(a.site_at(n) == c.site_at(n) for n in schedule.points):
             m = a.site_op @ c.site_op - c.site_op @ a.site_op
             ref = float(np.linalg.svd(m, compute_uv=False)[0])
-            bound_points = tuple((n, ref) for n in schedule.points)
-            violations = tuple(
-                p.n for p in rep.points if abs(p.value - ref) > 1e-9
-            )
-    return replace(rep, bound_points=bound_points, bound_violations=violations)
+            bound = lambda n: ref  # the same reference at every N
+    rep = _norm_report(
+        lambda n: sum_commutator(a.eval(n), c.eval(n)), schedule, method, bound, **norm_kwargs
+    )
+    violations = tuple(p.n for p in rep.points if bound and abs(p.value - p.bound) > BOUND_SLACK)
+    return replace(rep, bound_violations=violations)

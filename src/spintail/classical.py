@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import DecayReport, classify_trace
+from .asymptotics import DecayReport, TracePoint, _need_points, classify_trace
 from .errors import CapacityError, ContractViolation
 from .sequences import as_schedule
 
 __all__ = [
     "TrigObservable",
     "trig_term",
-    "constant",
     "cos_q",
     "sin_q",
     "cos_p",
@@ -74,19 +73,6 @@ class TrigObservable:
 
     def l1_norm(self) -> float:
         return float(sum(abs(c) for c in self.coeffs.values()))
-
-    def is_real(self) -> bool:
-        for key, c in self.coeffs.items():
-            mirror = tuple((s, -m, -n) for s, m, n in key)
-            if abs(self.coeffs.get(mirror, 0j) - np.conj(c)) > 1e-12:
-                return False
-        return True
-
-    def conjugate(self) -> "TrigObservable":
-        out: dict[FreqKey, complex] = {}
-        for key, c in self.coeffs.items():
-            out[tuple((s, -m, -n) for s, m, n in key)] = np.conj(c)
-        return _build(out)
 
     def _moved(self, site_of) -> "TrigObservable":
         """The observable with each factor at site s moved to ``site_of(s)``."""
@@ -151,10 +137,6 @@ def trig_term(amplitude, freqs) -> TrigObservable:
     if amplitude == 0:
         return TrigObservable({})
     return TrigObservable({_canonical_key(freqs): amplitude})
-
-
-def constant(c) -> TrigObservable:
-    return trig_term(c, [])
 
 
 def cos_q(site: int) -> TrigObservable:
@@ -318,8 +300,10 @@ def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     ``seq`` is any classical sequence, that is anything with ``eval(n)``
     returning a :class:`TrigObservable`.  Upper bounds suffice for vanishing
     claims; they are exact for the single-translate overlaps exercised here.
+    Like the quantum estimators, it needs at least
+    :data:`~spintail.asymptotics.MIN_POINTS` schedule points.
     """
-    pairs, secs = as_schedule(schedule).trace(
-        lambda n: poisson_bracket(seq.eval(n), probe).l1_norm()
-    )
-    return classify_trace(pairs, secs)
+    schedule = as_schedule(schedule)
+    _need_points(schedule)
+    trace = schedule.trace(lambda n: poisson_bracket(seq.eval(n), probe).l1_norm())
+    return classify_trace([TracePoint(n, v, seconds=s) for n, v, s in trace])

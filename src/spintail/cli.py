@@ -70,6 +70,8 @@ import numpy as np
 
 from . import classical as cl
 from .asymptotics import (
+    CLASSIFICATIONS,
+    MIN_POINTS,
     TracePoint,
     classify_trace,
     commutant_membership,
@@ -79,9 +81,9 @@ from .asymptotics import (
     vanishing_test,
 )
 from .errors import CapacityError, ConfigError, ContractViolation
-from .localops import LocalOperator, from_site_factors, local_operator
+from .localops import NORM_METHODS, LocalOperator, from_site_factors, local_operator
 from .matrices import DENSE_DIM_CAP, pauli
-from .report import REPORT_SCHEMA, Report, emit
+from .report import FORMATS, REPORT_SCHEMA, Report, emit
 from .sequences import (
     BlockProduct,
     GammaSeq,
@@ -404,8 +406,9 @@ def _parse_state(spec, errors: _Problems, path: str):
 
 
 def _run_norm(config, warnings, failures):
-    pairs, secs = seq_norm_trace(config.sequence, config.schedule, **config.norm_kwargs)
-    return [("norm", classify_trace([(n, r.value, r.converged) for n, r in pairs], secs))]
+    trace = seq_norm_trace(config.sequence, config.schedule, **config.norm_kwargs)
+    points = [TracePoint(n, r.value, r.converged, seconds=s) for n, r, s in trace]
+    return [("norm", classify_trace(points))]
 
 
 def _run_decay(config, warnings, failures):
@@ -443,23 +446,21 @@ def _run_gamma_bound(config, warnings, failures):
 
 
 def _run_expect(config, warnings, failures):
-    pairs, secs = config.schedule.trace(
+    trace = config.schedule.trace(
         lambda n: expectation(config.state, config.sequence.eval(n), n)
     )
     series = []
     for part, of in (("re", lambda v: v.real), ("im", lambda v: v.imag)):
-        points = tuple(TracePoint(n, float(of(v))) for n, v in pairs)
+        points = tuple(TracePoint(n, float(of(v)), seconds=s) for n, v, s in trace)
         # classified on the moduli, reported with their signs
-        rep = classify_trace([(p.n, abs(p.value)) for p in points], secs)
+        rep = classify_trace([replace(p, value=abs(p.value)) for p in points])
         series.append((f"expectation.{part}", replace(rep, points=points)))
     return series
 
 
 def _run_variance(config, warnings, failures):
-    pairs, secs = config.schedule.trace(
-        lambda n: average_variance(config.state, config.observable, n)
-    )
-    return [("variance", classify_trace(pairs, secs))]
+    trace = config.schedule.trace(lambda n: average_variance(config.state, config.observable, n))
+    return [("variance", classify_trace([TracePoint(n, v, seconds=s) for n, v, s in trace]))]
 
 
 def _run_classical_decay(config, warnings, failures):
@@ -487,7 +488,8 @@ class Experiment:
     fields: tuple[tuple, ...]
     # (config, warnings, failures) -> list of (label, DecayReport) series
     handler: Callable
-    min_points: int = 1
+    # the fewest schedule points; kinds that accept a single volume take 1
+    min_points: int = MIN_POINTS
 
 
 _SEQUENCE = ("sequence", _parse_sequence)
@@ -495,21 +497,19 @@ _SEQUENCE2 = ("sequence2", _parse_sequence)
 _STATE = ("state", _parse_state)
 
 EXPERIMENTS = {
-    "norm": Experiment((_SEQUENCE,), _run_norm),
-    "decay": Experiment((_SEQUENCE,), _run_decay, 4),
-    "equiv": Experiment((_SEQUENCE, _SEQUENCE2), _run_equiv, 4),
-    "commutant": Experiment((_SEQUENCE, ("probes", _parse_probes, None)), _run_commutant, 4),
+    "norm": Experiment((_SEQUENCE,), _run_norm, 1),
+    "decay": Experiment((_SEQUENCE,), _run_decay),
+    "equiv": Experiment((_SEQUENCE, _SEQUENCE2), _run_equiv),
+    "commutant": Experiment((_SEQUENCE, ("probes", _parse_probes, None)), _run_commutant),
     "gamma-bound": Experiment(
-        (("sequence", _parse_gamma_sequence), ("probe", _parse_probe)), _run_gamma_bound, 4
+        (("sequence", _parse_gamma_sequence), ("probe", _parse_probe)), _run_gamma_bound
     ),
-    "expect": Experiment((_SEQUENCE, _STATE), _run_expect),
-    "variance": Experiment((_STATE, ("observable", _parse_local_operator)), _run_variance),
+    "expect": Experiment((_SEQUENCE, _STATE), _run_expect, 1),
+    "variance": Experiment((_STATE, ("observable", _parse_local_operator)), _run_variance, 1),
     "classical-decay": Experiment(
-        (("sequence", _parse_classical_sequence), ("probe", _parse_trig)),
-        _run_classical_decay,
-        4,
+        (("sequence", _parse_classical_sequence), ("probe", _parse_trig)), _run_classical_decay
     ),
-    "mutual": Experiment((_SEQUENCE, _SEQUENCE2), _run_mutual),
+    "mutual": Experiment((_SEQUENCE, _SEQUENCE2), _run_mutual, 1),
 }
 
 
@@ -574,8 +574,9 @@ def parse_config(text_or_dict) -> ExperimentConfig:
             )
 
     method = raw.get("method", "auto")
-    if method not in ("dense", "iterative", "auto"):
-        errors.add("method", f"expected dense|iterative|auto, got {method!r}")
+    if method not in NORM_METHODS:
+        errors.add("method", f"expected {'|'.join(NORM_METHODS)}, got {method!r}")
+        method = "auto"
 
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
@@ -590,7 +591,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         kind=kind,
         schedule=schedule or VolumeSchedule((1,)),
-        method=method if method in ("dense", "iterative", "auto") else "auto",
+        method=method,
         seed=seed,
         dense_cap=dense_cap,
         echo=raw,
@@ -612,7 +613,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     else:
         cfg.assert_spec = assert_spec
         cls = assert_spec.get("classification")
-        if cls is not None and cls not in ("vanishing", "bounded_nonvanishing", "unconverged"):
+        if cls is not None and cls not in CLASSIFICATIONS:
             errors.add("assert.classification", f"unknown classification {cls!r}")
         target = assert_spec.get("series")
         if target is not None and not isinstance(target, str):
@@ -627,8 +628,8 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     output = raw.get("output", {})
     if isinstance(output, dict):
         fmt = output.get("format", "json")
-        if fmt not in ("json", "csv"):
-            errors.add("output.format", f"expected json|csv, got {fmt!r}")
+        if fmt not in FORMATS:
+            errors.add("output.format", f"expected {'|'.join(FORMATS)}, got {fmt!r}")
         else:
             cfg.out_format = fmt
         path = output.get("path")
@@ -694,7 +695,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--format", choices=("json", "csv"), default=None)
+    p_run.add_argument("--format", choices=FORMATS, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--dense-cap", type=int, default=None)
     p_run.add_argument("--out", default=None)
@@ -767,14 +768,14 @@ def main(argv=None) -> int:
 
     if os.environ.get("SPINTAIL_VERBOSE", "") not in ("", "0"):
         for label, rep in report.series:
-            total = sum(rep.point_seconds)
+            total = sum(p.seconds for p in rep.points)
             print(
                 f"[timing] {label}: {total:.3f}s over {len(rep.points)} points",
                 file=sys.stderr,
             )
         for label, rep in report.series:
-            for p, sec in zip(rep.points, rep.point_seconds):
-                print(f"[timing] {label} N={p.n}: {sec:.4f}s", file=sys.stderr)
+            for p in rep.points:
+                print(f"[timing] {label} N={p.n}: {p.seconds:.4f}s", file=sys.stderr)
 
     if failures:
         for f in failures:

@@ -45,6 +45,8 @@ __all__ = [
 # apply temporaries (tracemalloc, rotated-sigma3 shift average: 38.0 vectors at
 # N = 14, 37.2 at N = 16), so about 4.75 GiB at the cap.
 ITERATIVE_STATE_CAP = 2**23
+# the ``method`` values :func:`norm` accepts
+NORM_METHODS = ("dense", "iterative", "auto")
 # Convergence: the top Ritz pair's residual norm is at most this times theta
 # (or at the rounding level _ROUNDING_RESIDUAL, whichever is larger).
 ITERATIVE_TOL = 1e-9
@@ -135,16 +137,12 @@ class LocalOperator:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
-    # adjoint and scale map canonical form to canonical form, so they build the
-    # result directly, not through _make_op; ``or 0j`` stores any zero as 0j
+    # adjoint maps canonical form to canonical form, so it builds the result
+    # directly, not through _make_op; ``or 0j`` stores any zero as 0j
 
     def adjoint(self) -> LocalOperator:
         blocks = tuple(Block(b.sites, adjoint(b.matrix)) for b in self.blocks)
         return LocalOperator(self.site_dim, self.scalar.conjugate() or 0j, blocks)
-
-    def scale(self, c: complex) -> LocalOperator:
-        scalar = complex(self.scalar * c) or 0j
-        return LocalOperator(self.site_dim, scalar, self.blocks if scalar else ())
 
     def as_sum(self) -> OperatorSum:
         return OperatorSum(self.site_dim, () if self.is_zero else ((1 + 0j, self),))
@@ -652,7 +650,7 @@ def norm(
         s = s.as_sum()
     n = check_volume(volume)
     _check_support_fits(s.support, n)
-    if method not in ("dense", "iterative", "auto"):
+    if method not in NORM_METHODS:
         raise ContractViolation(f"unknown norm method {method!r}")
     if seed < 0:
         raise ContractViolation(f"norm seeds are nonnegative integers, got {seed}")

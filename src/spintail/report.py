@@ -5,10 +5,11 @@ traces, held as ``(label, trace)`` pairs in report order.  The JSON layout is
 fixed: ``{meta, schedule, series}`` where each series is ``{label, points:
 [{n, value, converged}], fit: {exponent, residual}, classification, bound?,
 bound_violations?}``.  ``fit`` is omitted for traces with fewer than three
-points.  Serialization is byte-stable for identical inputs: keys are sorted,
-floats use shortest round-trip repr, and wall-clock timings are deliberately
-kept off the wire (they stay on each trace's ``point_seconds`` and go to
-stderr in verbose mode).
+points, and ``bound`` (the points' own) and ``bound_violations`` unless the
+points carry bounds.  Serialization is byte-stable for identical inputs: keys
+are sorted, floats use shortest round-trip repr, and wall-clock timings are
+deliberately kept off the wire (they stay on each point's ``seconds`` and go
+to stderr in verbose mode).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .asymptotics import DecayReport
+from .asymptotics import CLASSIFICATIONS, DecayReport
 
-__all__ = ["Report", "series_json", "emit", "REPORT_SCHEMA"]
+__all__ = ["Report", "emit", "REPORT_SCHEMA"]
 
 
 @dataclass
@@ -47,14 +48,19 @@ def series_json(label: str, rep: DecayReport) -> dict:
     }
     if rep.fitted_exponent is not None:
         obj["fit"] = {"exponent": rep.fitted_exponent, "residual": rep.fit_residual}
-    if rep.bound_points is not None:
-        obj["bound"] = [{"n": n, "value": v} for n, v in rep.bound_points]
+    bounded = [p for p in rep.points if p.bound is not None]
+    if bounded:
+        obj["bound"] = [{"n": p.n, "value": p.bound} for p in bounded]
         obj["bound_violations"] = list(rep.bound_violations)
     return obj
 
 
+# the output formats, each written by emit
+FORMATS = ("json", "csv")
+
+
 def emit(report: Report, format: str = "json") -> bytes:
-    """Serialize a report; byte-stable given an identical report."""
+    """Serialize a report in one of :data:`FORMATS`; byte-stable given an identical report."""
     obj = report.to_json_obj()
     if format == "json":
         text = json.dumps(obj, sort_keys=True, indent=2)
@@ -136,7 +142,7 @@ REPORT_SCHEMA = {
                         },
                     },
                     "classification": {
-                        "enum": ["vanishing", "bounded_nonvanishing", "unconverged", None]
+                        "enum": [*CLASSIFICATIONS, None]
                     },
                     "bound": {
                         "type": "array",

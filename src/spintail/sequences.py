@@ -316,20 +316,20 @@ class VolumeSchedule:
                 f"schedule points must be strictly increasing positive integers, got {pts}"
             )
 
-    def trace(self, point: Callable[[int], object]) -> tuple[list[tuple], tuple[float, ...]]:
+    def trace(self, point: Callable[[int], object]) -> list[tuple[int, object, float]]:
         """Evaluate ``point(n)`` at every volume in order, timing each call.
 
-        Returns the ``(n, point(n))`` pairs and the wall-clock seconds of each
-        call.  Every trace in the package, quantum or classical, is built by
-        this loop.
+        Returns one ``(n, point(n), seconds)`` triple per volume, seconds being
+        the wall-clock time of the call.  Every trace in the package, quantum
+        or classical, is built by this loop; its callers make each triple one
+        :class:`~spintail.asymptotics.TracePoint`.
         """
-        pairs = []
-        seconds = []
+        out = []
         for n in self.points:
             t0 = time.perf_counter()
-            pairs.append((n, point(n)))
-            seconds.append(time.perf_counter() - t0)
-        return pairs, tuple(seconds)
+            value = point(n)
+            out.append((n, value, time.perf_counter() - t0))
+        return out
 
 
 def as_schedule(points) -> VolumeSchedule:
@@ -343,8 +343,8 @@ def seq_norm_trace(
     schedule,
     method: str = "auto",
     **norm_kwargs,
-) -> tuple[list[tuple[int, NormResult]], tuple[float, ...]]:
-    """Per-volume norms of a sequence along a schedule, and the seconds per point.
+) -> list[tuple[int, NormResult, float]]:
+    """Per-volume ``(n, norm, seconds)`` of a sequence along a schedule.
 
     Points where the iterative solver fails to converge are reported with
     their flag rather than aborting the trace.

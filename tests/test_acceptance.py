@@ -46,7 +46,7 @@ def test_criterion_01_shift_average_bound_suite():
         for sname, seed in seeds.items():
             spec = st.GammaSeq.from_seed(seed)
             for pname, probe in probes.items():
-                rep = st.gamma_bound_check(spec, probe, schedule, slack=1e-9)
+                rep = st.gamma_bound_check(spec, probe, schedule)
                 assert rep.bound_violations == (), (sname, pname)
                 if any(p.value > 0 for p in rep.points):
                     assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.15), (

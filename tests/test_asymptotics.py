@@ -42,6 +42,19 @@ class TestClassification:
         assert rep.fitted_exponent is None
         assert rep.classification == "unconverged"
 
+    def test_point_equality_ignores_seconds(self):
+        a = TracePoint(4, 0.5, bound=1.0, seconds=0.25)
+        b = TracePoint(4, 0.5, bound=1.0, seconds=3.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != TracePoint(4, 0.5, seconds=0.25)
+        assert st.classify_trace([a] * 4) == st.classify_trace([b] * 4)
+
+    def test_points_kept_as_given(self):
+        pts = tuple(TracePoint(n, 1.0 / n, bound=2.0 / n, seconds=0.1 * n) for n in (2, 4, 8))
+        rep = st.classify_trace(pts)
+        assert rep.points == pts
+        assert [p.seconds for p in rep.points] == [0.1 * n for n in (2, 4, 8)]
+
     def test_slow_decay_stays_undecided(self):
         # exponent -0.3 is neither vanishing at tol 0.5 nor flat
         pts = [TracePoint(n, n**-0.3) for n in (2, 4, 8, 16, 32)]
@@ -203,23 +216,23 @@ class TestGammaBound:
         seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
         rep = st.gamma_bound_check(seq, st.pauli_at(1, 1), [4, 6, 8, 10])
         assert rep.points[0].value == pytest.approx(0.5, abs=1e-12)
-        assert rep.bound_points[0] == (4, pytest.approx(1.0))
+        assert (rep.points[0].n, rep.points[0].bound) == (4, pytest.approx(1.0))
         assert rep.bound_violations == ()
 
     def test_identity_probe_degenerate(self):
         seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
         rep = st.gamma_bound_check(seq, st.from_site_factors({}), [4, 6, 8, 10])
         assert all(p.value == 0.0 for p in rep.points)
-        assert all(b > 0 for _, b in rep.bound_points)
+        assert all(p.bound > 0 for p in rep.points)
         assert rep.bound_violations == ()
 
     def test_two_site_seed(self):
         seed = st.from_site_factors({1: SX, 2: SX})
         seq = st.GammaSeq.from_seed(seed)
         rep = st.gamma_bound_check(seq, st.pauli_at(3, 1), list(range(4, 13)))
-        for p, (_, b) in zip(rep.points, rep.bound_points):
-            assert b == pytest.approx(2.0 * 3.0 / p.n)
-            assert p.value <= b + 1e-9
+        for p in rep.points:
+            assert p.bound == pytest.approx(2.0 * 3.0 / p.n)
+            assert p.value <= p.bound + 1e-9
         assert rep.bound_violations == ()
 
     def test_large_volumes_build_only_meeting_shifts(self, monkeypatch):
@@ -241,11 +254,12 @@ class TestGammaBound:
         assert rep.bound_violations == ()
         assert handed and max(handed) <= 2
 
-    def test_violations_reported_not_raised(self):
+    def test_violations_reported_not_raised(self, monkeypatch):
         # absurd negative slack forces every nonzero point over the line;
         # the report carries the violating volumes instead of crashing
+        monkeypatch.setattr(asymptotics, "BOUND_SLACK", -10.0)
         seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
-        rep = st.gamma_bound_check(seq, st.pauli_at(1, 1), [4, 6, 8, 10], slack=-10.0)
+        rep = st.gamma_bound_check(seq, st.pauli_at(1, 1), [4, 6, 8, 10])
         assert rep.bound_violations == (4, 6, 8, 10)
 
 
@@ -256,7 +270,7 @@ class TestMutualCommutator:
         rep = st.mutual_commutator_trace(a, c, list(range(2, 11)))
         for p in rep.points:
             assert p.value == pytest.approx(2.0, abs=1e-9)
-        assert rep.bound_points is not None
+        assert all(p.bound == 2.0 for p in rep.points)
         assert rep.bound_violations == ()
 
     def test_self_commutator_zero(self):

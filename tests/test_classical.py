@@ -108,7 +108,7 @@ class TestBracketBasics:
 
 class TestSupNorm:
     def test_constant(self):
-        assert cl.sup_norm_bounds(cl.constant(1.0)) == (1.0, 1.0)
+        assert cl.sup_norm_bounds(cl.trig_term(1.0, [])) == (1.0, 1.0)
 
     def test_cos_q(self):
         lower, upper = cl.sup_norm_bounds(cl.cos_q(1), grid_points=64)
@@ -239,19 +239,14 @@ class TestBracketDecay:
             assert p.value == pytest.approx(1.0, abs=1e-15)
         assert rep.classification == "bounded_nonvanishing"
 
+    def test_needs_four_points(self):
+        # the same minimum as the quantum estimators
+        seq = cl.ClassicalCyclicAverage(cl.cos_q(1))
+        with pytest.raises(ContractViolation, match="at least 4 schedule points"):
+            cl.bracket_decay_test(seq, cl.cos_p(1), [2, 4, 8])
+
 
 class TestObservableAlgebra:
-    def test_real_flag(self):
-        assert cl.cos_q(1).is_real()
-        assert not (cl.cos_q(1) + cl.trig_term(0.5j, [(1, 2, 0)])).is_real()
-
-    def test_conjugate(self):
-        rng = np.random.default_rng(78)
-        f = random_trig(rng)
-        conj = f.conjugate()
-        angles = {(s, c): rng.uniform(0, 2 * np.pi) for s in (1, 2, 3) for c in ("q", "p")}
-        assert conj.evaluate(angles) == pytest.approx(np.conj(f.evaluate(angles)))
-
     def test_product_matches_pointwise(self):
         rng = np.random.default_rng(79)
         f = random_trig(rng, n_terms=2)

@@ -137,6 +137,8 @@ GOLDEN["commutant_seed42.json"] = (
     "json",
 )
 GOLDEN["gamma_bound_seed42.csv"] = (GAMMA_BOUND, "csv")
+# the second series that carries a bound, a constant reference on every point
+GOLDEN["mutual_seed42.csv"] = (MUTUAL, "csv")
 # complex, non-diagonal one-site observable in a mixed state with coherences:
 # every product in the variance sum is a full complex 2x2 block
 GOLDEN["variance_complex_seed42.json"] = (
@@ -407,6 +409,14 @@ class TestLocalOperatorLiterals:
 
 
 class TestRun:
+    @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+    def test_two_runs_give_equal_reports(self, kind):
+        # timings differ between runs, and equality ignores them
+        first, _ = run(parse_config(json.dumps(ALL_KINDS[kind])))
+        again, _ = run(parse_config(json.dumps(ALL_KINDS[kind])))
+        assert first.series == again.series
+        assert all(p.seconds >= 0.0 for _, rep in first.series for p in rep.points)
+
     def test_gamma_bound_passes(self):
         report, failures = run(parse_config(json.dumps(GAMMA_BOUND)))
         assert failures == []

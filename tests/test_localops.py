@@ -467,7 +467,9 @@ class TestAssembly:
 
     def test_single_operator_bit_exact(self):
         rng = np.random.default_rng(37)
-        op = st.product(random_block_op(rng, (1, 4)), random_block_op(rng, (2,))).scale(0.5j)
+        blocks = st.product(random_block_op(rng, (1, 4)), random_block_op(rng, (2,)))
+        op = st.product(st.local_operator(np.array([[0.5j]]), ()), blocks)
+        assert op.scalar == 0.5j
         assert np.array_equal(
             st.dense_matrix(op, 5), kron_term_dense(op.scalar, op.blocks, tuple(range(1, 6)), 2)
         )
@@ -573,7 +575,7 @@ class TestValidation:
         assert [blk.sites for blk in wrapped.blocks] == [(1, 3)]
         compacted, m = localops._compact_terms(st.operator_sum([(1.0, a), (1.0, b)]))
         assert m == 3
-        made = [a.adjoint(), a.scale(2j), st.product(a, b), st.commutator(a, b), wrapped]
+        made = [a.adjoint(), st.product(a, b), st.commutator(a, b), wrapped]
         made += [op for _, op in compacted]
         for op in made:
             assert op.blocks
