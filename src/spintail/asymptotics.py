@@ -18,13 +18,14 @@ A :class:`DecayReport` is also the record a report series is written from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolation
 from .localops import (
     LocalOperator,
+    TracePoint,
     from_site_factors,
     norm,
     pauli_at,
@@ -68,19 +69,6 @@ MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
-class TracePoint:
-    """One volume of a trace, the only per-point record.  ``bound`` is the
-    envelope or reference the value is checked against, if any; ``seconds``,
-    its wall-clock time, is never serialized and ignored by equality."""
-
-    n: int
-    value: float
-    converged: bool = True
-    bound: float | None = None
-    seconds: float = field(default=0.0, compare=False)
-
-
-@dataclass(frozen=True)
 class DecayReport:
     """A norm trace along a schedule together with its tail diagnostics."""
 
@@ -99,8 +87,8 @@ class DecayReport:
         return tuple(p.value for p in self.points)
 
     def tail(self) -> tuple[TracePoint, ...]:
-        k = max(1, len(self.points) // 2)
-        return self.points[-k:]
+        """The window a classification reads: the last half of the points, at least one."""
+        return self.points[-max(1, len(self.points) // 2):]
 
 
 @dataclass(frozen=True)
@@ -142,9 +130,8 @@ def classify_trace(points) -> DecayReport:
     The points are kept as given, bounds and seconds included.
     """
     pts = tuple(points)
-    exponent, residual = fit_loglog(pts)
-    k = max(1, len(pts) // 2)
-    tail = pts[-k:]
+    rep = DecayReport(pts, *fit_loglog(pts), classification="unconverged")
+    exponent, tail = rep.fitted_exponent, rep.tail()
     if any(not p.converged for p in pts):
         cls = "unconverged"
     elif all(p.value < VANISHING_FLOOR for p in tail):
@@ -159,15 +146,14 @@ def classify_trace(points) -> DecayReport:
         cls = "bounded_nonvanishing"
     else:
         cls = "unconverged"
-    return DecayReport(pts, exponent, residual, cls)
+    return replace(rep, classification=cls)
 
 
 def _norm_report(values, schedule, method, bound=None, **norm_kwargs) -> DecayReport:
     """Classified trace of ``norm(values(n), n)``, each point carrying ``bound(n)`` if given."""
-    trace = schedule.trace(lambda n: norm(values(n), n, method, **norm_kwargs))
-    return classify_trace([
-        TracePoint(n, r.value, r.converged, bound(n) if bound else None, s) for n, r, s in trace
-    ])
+    return classify_trace(schedule.trace(
+        lambda n: replace(norm(values(n), n, method, **norm_kwargs), bound=bound and bound(n))
+    ))
 
 
 def quotient_norm_estimate(

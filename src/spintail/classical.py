@@ -305,5 +305,5 @@ def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     """
     schedule = as_schedule(schedule)
     _need_points(schedule)
-    trace = schedule.trace(lambda n: poisson_bracket(seq.eval(n), probe).l1_norm())
-    return classify_trace([TracePoint(n, v, seconds=s) for n, v, s in trace])
+    trace = schedule.trace(lambda n: TracePoint(n, poisson_bracket(seq.eval(n), probe).l1_norm()))
+    return classify_trace(trace)

@@ -7,7 +7,7 @@ A config is one JSON file.  Common fields::
       "schedule": [4, 6, 8, 10],        # strictly increasing volumes
       "method": "auto",                 # dense | iterative | auto
       "seed": 42,
-      "dense_cap": 4096,                # memory cap on dense matrices
+      "dense_cap": 4096,                # cap on the dense matrices of norms
       ...                               # the fields the kind reads
       "assert": {"classification": "vanishing", "series": LABEL,
                  "all_converged": true, "max_value": 2.0},
@@ -16,9 +16,11 @@ A config is one JSON file.  Common fields::
 
 ``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
 up to the measured crossover ``localops._AUTO_DENSE_DIM`` of the compacted
-dimension, and block Lanczos above it.  ``dense_cap`` is a separate memory
-limit: ``dense`` refuses a larger matrix, and a cap below the crossover
-moves ``auto`` to block Lanczos sooner.
+dimension, and block Lanczos above it.  ``dense_cap`` is a separate limit on
+the matrices a norm builds: ``dense`` refuses a larger matrix, and a cap below
+the crossover moves ``auto`` to block Lanczos sooner.  It does not cap the
+support overlaps that products and commutators densify; those stay capped at
+``matrices.DENSE_DIM_CAP``.
 
 Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
 each is parsed, the fewest schedule points it accepts and the handler that
@@ -51,9 +53,10 @@ shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site": s}``; classical
 sequences use kinds classical-local | cyclic-average | tail-shifted with an
 ``"f"`` field.
 
-Exit codes: 0 all experiment assertions passed, 2 an assertion failed,
-1 configuration or runtime error.  Identical (config, seed) pairs produce
-byte-identical JSON; wall-times go to stderr with SPINTAIL_VERBOSE=1.
+Exit codes: 0 all experiment assertions passed, 2 an assertion failed (a
+check over a report with no series, or an ``assert.series`` that names none,
+fails too), 1 configuration or runtime error.  Identical (config, seed) pairs
+produce byte-identical JSON; wall-times go to stderr with SPINTAIL_VERBOSE=1.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ from .sequences import (
     default_block_lengths,
     seq_norm_trace,
 )
-from .states import average_variance, expectation, product_state
+from .states import _check_averaging_seed, average_variance, expectation, product_state
 
 _NAMED_MATRICES = {
     "pauli1": lambda: pauli(1),
@@ -360,6 +363,16 @@ def _parse_gamma_sequence(spec, errors: _Problems, path: str):
     return seq
 
 
+def _parse_variance_seed(spec, errors: _Problems, path: str):
+    op = _parse_local_operator(spec, errors, path)
+    if op is not None:
+        try:
+            _check_averaging_seed(op)
+        except ContractViolation as exc:
+            errors.add(path, str(exc))
+    return op
+
+
 def _op_label(spec, op: LocalOperator) -> str:
     if isinstance(spec, dict) and isinstance(spec.get("label"), str):
         return spec["label"]
@@ -407,8 +420,7 @@ def _parse_state(spec, errors: _Problems, path: str):
 
 def _run_norm(config, warnings, failures):
     trace = seq_norm_trace(config.sequence, config.schedule, **config.norm_kwargs)
-    points = [TracePoint(n, r.value, r.converged, seconds=s) for n, r, s in trace]
-    return [("norm", classify_trace(points))]
+    return [("norm", classify_trace(trace))]
 
 
 def _run_decay(config, warnings, failures):
@@ -447,11 +459,11 @@ def _run_gamma_bound(config, warnings, failures):
 
 def _run_expect(config, warnings, failures):
     trace = config.schedule.trace(
-        lambda n: expectation(config.state, config.sequence.eval(n), n)
+        lambda n: TracePoint(n, expectation(config.state, config.sequence.eval(n), n))
     )
     series = []
     for part, of in (("re", lambda v: v.real), ("im", lambda v: v.imag)):
-        points = tuple(TracePoint(n, float(of(v)), seconds=s) for n, v, s in trace)
+        points = tuple(replace(p, value=float(of(p.value))) for p in trace)
         # classified on the moduli, reported with their signs
         rep = classify_trace([replace(p, value=abs(p.value)) for p in points])
         series.append((f"expectation.{part}", replace(rep, points=points)))
@@ -459,8 +471,10 @@ def _run_expect(config, warnings, failures):
 
 
 def _run_variance(config, warnings, failures):
-    trace = config.schedule.trace(lambda n: average_variance(config.state, config.observable, n))
-    return [("variance", classify_trace([TracePoint(n, v, seconds=s) for n, v, s in trace]))]
+    trace = config.schedule.trace(
+        lambda n: TracePoint(n, average_variance(config.state, config.observable, n))
+    )
+    return [("variance", classify_trace(trace))]
 
 
 def _run_classical_decay(config, warnings, failures):
@@ -505,7 +519,7 @@ EXPERIMENTS = {
         (("sequence", _parse_gamma_sequence), ("probe", _parse_probe)), _run_gamma_bound
     ),
     "expect": Experiment((_SEQUENCE, _STATE), _run_expect, 1),
-    "variance": Experiment((_STATE, ("observable", _parse_local_operator)), _run_variance, 1),
+    "variance": Experiment((_STATE, ("observable", _parse_variance_seed)), _run_variance, 1),
     "classical-decay": Experiment(
         (("sequence", _parse_classical_sequence), ("probe", _parse_trig)), _run_classical_decay
     ),
@@ -652,14 +666,18 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     series = EXPERIMENTS[config.kind].handler(config, warnings, failures)
 
     spec = config.assert_spec
+    target = spec.get("series")
+    if target is not None and all(label != target for label, _ in series):
+        failures.append(f"assert.series: no series labeled {target!r}")
+    # a check over no series at all would pass without looking at anything
+    if not series and (
+        "classification" in spec or spec.get("all_converged") or spec.get("max_value") is not None
+    ):
+        failures.append("assert: no series to check")
     if "classification" in spec:
         want = spec["classification"]
-        target = spec.get("series")
-        checked = [(label, rep) for label, rep in series if target in (None, label)]
-        if target is not None and not checked:
-            failures.append(f"assert.series: no series labeled {target!r}")
-        for label, rep in checked:
-            if rep.classification != want:
+        for label, rep in series:
+            if target in (None, label) and rep.classification != want:
                 failures.append(
                     f"series {label}: classification {rep.classification!r}, expected {want!r}"
                 )

@@ -14,7 +14,7 @@ site ``x`` of a volume of ``N`` sites has index ``sum_x j_x * d**(N - x)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -26,7 +26,7 @@ __all__ = [
     "Block",
     "LocalOperator",
     "OperatorSum",
-    "NormResult",
+    "TracePoint",
     "local_operator",
     "from_site_factors",
     "pauli_at",
@@ -511,10 +511,18 @@ def _apply_terms(vec_t: np.ndarray, terms, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormResult:
+class TracePoint:
+    """One volume of a trace, the only per-point record from :func:`norm` to the
+    report.  ``bound`` is the envelope or reference the value is checked against,
+    if any; ``seconds`` (wall-clock) and ``iterations`` (``gram_apply`` calls)
+    never reach the report and are ignored by equality."""
+
+    n: int
     value: float
-    converged: bool
-    iterations: int = 0
+    converged: bool = True
+    bound: float | None = None
+    seconds: float = field(default=0.0, compare=False)
+    iterations: int = field(default=0, compare=False)
 
 
 def _norm_bound(terms, dense_cap) -> float:
@@ -571,7 +579,7 @@ def _power_iteration_norm(gram_apply, dim, rng):
     to a norm bound of at most 1.  A full basis of ``ITERATIVE_BASIS``
     vectors restarts from the top Ritz vectors, unless it can hold the whole
     space.
-    ``iterations`` counts ``gram_apply`` calls.  (The name predates the
+    Returns ``(value, converged, gram_apply calls)``.  (The name predates the
     Lanczos kernel; ``bench/tracing.py`` wraps it by name.)
     """
     b = min(ITERATIVE_BLOCK, dim)
@@ -606,7 +614,7 @@ def _power_iteration_norm(gram_apply, dim, rng):
         y = vecs[:, -1]
         res = np.hypot(np.linalg.norm(t[done:size, :done] @ y), abs(y[-1]) * beta)
         if res <= max(ITERATIVE_TOL * theta, _ROUNDING_RESIDUAL * np.sqrt(max(theta, 0.0))):
-            return NormResult(float(np.sqrt(max(theta, 0.0))), True, applies)
+            return float(np.sqrt(max(theta, 0.0))), True, applies
         if beta:
             # the basis is full: restart from the top Ritz vectors, top first
             ritz = vecs[:, : -b - 1 : -1].T
@@ -615,7 +623,7 @@ def _power_iteration_norm(gram_apply, dim, rng):
             t[:] = 0.0
             size = b
             done = 0
-    return NormResult(float(np.sqrt(max(best, 0.0))), False, applies)
+    return float(np.sqrt(max(best, 0.0))), False, applies
 
 
 def norm(
@@ -625,13 +633,13 @@ def norm(
     *,
     dense_cap: int = DENSE_DIM_CAP,
     seed: int = 7,
-) -> NormResult:
-    """Operator norm of a sum (or single operator) on the given volume.
+) -> TracePoint:
+    """Operator norm of a sum (or single operator), as the volume's :class:`TracePoint`.
 
     ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
     (matrix-free block Lanczos on ``a* a``, deterministic seeded start), or
     ``"auto"``.  Two separate limits apply to the compacted dimension.
-    ``dense_cap`` is the memory cap: ``"dense"`` refuses a larger matrix with
+    ``dense_cap`` caps this norm's matrices: ``"dense"`` refuses a larger one with
     a :class:`CapacityError` that names the iterative route.  ``"auto"`` is a
     router on measured speed: it takes dense only up to the crossover
     ``_AUTO_DENSE_DIM``, or ``dense_cap`` when that is lower, and block
@@ -644,7 +652,8 @@ def norm(
     ``sqrt(lambda_max(a* a))`` otherwise.  Single-term sums are exact
     products of per-block dense norms for every method.  An iterative norm
     that has not converged within ``ITERATIVE_MAX_ITER`` applies of ``a* a``
-    is reported via the ``converged`` flag, never as a silent wrong answer.
+    is reported via the ``converged`` flag, never as a silent wrong answer;
+    ``iterations`` counts the applies.
     """
     if isinstance(s, LocalOperator):
         s = s.as_sum()
@@ -655,11 +664,11 @@ def norm(
     if seed < 0:
         raise ContractViolation(f"norm seeds are nonnegative integers, got {seed}")
     if s.is_zero:
-        return NormResult(0.0, True, 0)
+        return TracePoint(n, 0.0)
     if len(s.terms) == 1:
         w, op = s.terms[0]
         try:
-            return NormResult(abs(w) * op.norm_exact(dense_cap), True, 0)
+            return TracePoint(n, abs(w) * op.norm_exact(dense_cap))
         except CapacityError:
             if method == "dense":
                 raise
@@ -678,7 +687,7 @@ def norm(
         mat = _assemble(
             [(w, op.scalar, op.blocks) for w, op in terms], tuple(range(1, m + 1)), d, dense_cap
         )
-        return NormResult(operator_norm_dense(mat, dense_cap), True, 0)
+        return TracePoint(n, operator_norm_dense(mat, dense_cap))
     if dim > ITERATIVE_STATE_CAP:
         raise CapacityError(
             f"iterative norm needs state vectors of length {dim}, above the cap "
@@ -698,5 +707,5 @@ def norm(
         return t.reshape(v.shape)
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    res = _power_iteration_norm(gram_apply, dim, rng)
-    return NormResult(res.value / scale, res.converged, res.iterations)
+    value, converged, applies = _power_iteration_norm(gram_apply, dim, rng)
+    return TracePoint(n, value / scale, converged, iterations=applies)

@@ -11,8 +11,10 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation
 
-# Largest total dimension for which dense matrices are materialized: a memory
-# cap, not the dimension above which localops.norm's "auto" route leaves the
+# Largest total dimension for which dense matrices are materialized: the default
+# dense_cap of localops.norm, and the fixed cap on the support overlaps that
+# localops.product and commutator densify, whatever a norm's dense_cap is.  It
+# is not the dimension above which localops.norm's "auto" route leaves the
 # dense eigensolve (the measured crossover localops._AUTO_DENSE_DIM, whose
 # table compares both routes).  4096 = 2^12, i.e. twelve qubit sites.  Seconds
 # per eigvalsh, measured once per size at one OpenBLAS thread on an Intel Xeon

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,8 +31,8 @@ from .errors import ContractViolation
 from .localops import (
     Block,
     LocalOperator,
-    NormResult,
     OperatorSum,
+    TracePoint,
     check_volume,
     from_site_factors,
     norm,
@@ -316,19 +316,18 @@ class VolumeSchedule:
                 f"schedule points must be strictly increasing positive integers, got {pts}"
             )
 
-    def trace(self, point: Callable[[int], object]) -> list[tuple[int, object, float]]:
+    def trace(self, point: Callable[[int], TracePoint]) -> list[TracePoint]:
         """Evaluate ``point(n)`` at every volume in order, timing each call.
 
-        Returns one ``(n, point(n), seconds)`` triple per volume, seconds being
-        the wall-clock time of the call.  Every trace in the package, quantum
-        or classical, is built by this loop; its callers make each triple one
-        :class:`~spintail.asymptotics.TracePoint`.
+        ``point(n)`` returns the :class:`~spintail.localops.TracePoint` at
+        ``n``; each is returned with ``seconds`` set to the wall-clock time of
+        its call.  Every trace in the package, quantum or classical, is built
+        by this loop.
         """
         out = []
         for n in self.points:
             t0 = time.perf_counter()
-            value = point(n)
-            out.append((n, value, time.perf_counter() - t0))
+            out.append(replace(point(n), seconds=time.perf_counter() - t0))
         return out
 
 
@@ -343,8 +342,8 @@ def seq_norm_trace(
     schedule,
     method: str = "auto",
     **norm_kwargs,
-) -> list[tuple[int, NormResult, float]]:
-    """Per-volume ``(n, norm, seconds)`` of a sequence along a schedule.
+) -> list[TracePoint]:
+    """Per-volume norm of a sequence along a schedule, one timed point per volume.
 
     Points where the iterative solver fails to converge are reported with
     their flag rather than aborting the trace.

@@ -260,6 +260,21 @@ class TestParseConfig:
         assert err[0] == err[1]
         assert len(err[0]) == 1 and err[0][0].startswith("invalid: config: not valid JSON (")
 
+    @pytest.mark.parametrize(
+        "observable, problem",
+        [
+            ({"matrix": ["pauli1", "pauli3"], "sites": [1, 2]},
+             "variance seeds act on at most one site"),
+            ({"matrix": [[0, 1], [0, 0]], "sites": [1]}, "variance seeds must be self-adjoint"),
+        ],
+        ids=["two_sites", "not_hermitian"],
+    )
+    def test_variance_seed_checked_at_parse(self, observable, problem, tmp_path, capsys):
+        path = write_config(tmp_path, dict(ALL_KINDS["variance"], observable=observable))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"invalid: observable: {problem}"]
+
     # 400 levels pass json but not the sequence grammar's recursion; 3000
     # levels stop json itself
     @pytest.mark.parametrize("depth", [400, 3000])
@@ -507,15 +522,42 @@ class TestRun:
                     "series commutator: value above 0.3 at N in [4, 6]",
                 ],
             ),
+            # checks over no series at all fail rather than pass vacuously
+            (
+                dict(
+                    ALL_KINDS["commutant"],
+                    probes=[],
+                    **{"assert": {"classification": "bounded_nonvanishing"}},
+                ),
+                ["assert: no series to check"],
+            ),
+            (
+                dict(
+                    ALL_KINDS["commutant"],
+                    probes=[{"matrix": "pauli1", "sites": [9]}],
+                    **{"assert": {"classification": "vanishing", "all_converged": True}},
+                ),
+                ["assert: no series to check"],
+            ),
+            (
+                dict(ALL_KINDS["norm"], **{"assert": {"series": "nope"}}),
+                ["assert.series: no series labeled 'nope'"],
+            ),
         ],
         ids=["max_value", "max_value_signed", "missing_series", "classification",
-             "targeted_and_capped", "every_check"],
+             "targeted_and_capped", "every_check", "no_probes", "every_probe_skipped",
+             "series_without_classification"],
     )
-    def test_assertion_failure_strings(self, cfg, expected):
+    def test_assertion_failure_strings(self, cfg, expected, tmp_path, capsys):
         report, failures = run(parse_config(cfg))
         assert failures == expected
         meta = json.loads(emit(report, "json"))["meta"]
         assert meta["assertions"] == {"passed": False, "failures": expected}
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("assertion failed: ")] == [
+            f"assertion failed: {f}" for f in expected
+        ]
 
     @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
     def test_every_kind_deterministic(self, kind):

@@ -227,30 +227,31 @@ class TestBoundedness:
         for seq, bound in cases:
             # auto: dense up to localops._AUTO_DENSE_DIM, block Lanczos beyond
             trace = st.seq_norm_trace(seq, range(2, 13), "auto", dense_cap=1024)
-            assert all(res.converged for _, res, _ in trace)
-            assert max(res.value for _, res, _ in trace) <= bound + 1e-9
+            assert [p.n for p in trace] == list(range(2, 13))
+            assert all(p.converged for p in trace)
+            assert max(p.value for p in trace) <= bound + 1e-9
 
 
 class TestNormTrace:
     def test_uniform_product_constant_one(self):
         trace = st.seq_norm_trace(st.UniformProduct(SX), [2, 5, 9, 14])
-        assert [res.value for _, res, _ in trace] == [1.0, 1.0, 1.0, 1.0]
+        assert [(p.n, p.value) for p in trace] == [(2, 1.0), (5, 1.0), (9, 1.0), (14, 1.0)]
 
     def test_inverse_volume_scaling(self):
         seq = st.SeqScale(lambda n: 1.0 / n, st.LocalEmbedSeq(st.pauli_at(1, 1)))
         trace = st.seq_norm_trace(seq, [2, 4, 8])
-        assert [res.value for _, res, _ in trace] == [0.5, 0.25, 0.125]
+        assert [p.value for p in trace] == [0.5, 0.25, 0.125]
 
     def test_gamma_trace_constant_one(self):
         seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
         trace = st.seq_norm_trace(seq, [2, 4, 6, 8, 10])
-        for _, res, _ in trace:
-            assert res.value == pytest.approx(1.0, abs=1e-9)
+        for p in trace:
+            assert p.value == pytest.approx(1.0, abs=1e-9)
 
     def test_local_embed_zero_before_fit(self):
         seq = st.LocalEmbedSeq(st.pauli_at(1, 4))
         trace = st.seq_norm_trace(seq, [2, 3, 4, 5])
-        assert [res.value for _, res, _ in trace] == [0.0, 0.0, 1.0, 1.0]
+        assert [p.value for p in trace] == [0.0, 0.0, 1.0, 1.0]
 
 
 class TestSchedule:
