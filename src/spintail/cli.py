@@ -670,12 +670,12 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     if target is not None and all(label != target for label, _ in series):
         failures.append(f"assert.series: no series labeled {target!r}")
     # a check over no series at all would pass without looking at anything
+    want = spec.get("classification")
     if not series and (
-        "classification" in spec or spec.get("all_converged") or spec.get("max_value") is not None
+        want is not None or spec.get("all_converged") or spec.get("max_value") is not None
     ):
         failures.append("assert: no series to check")
-    if "classification" in spec:
-        want = spec["classification"]
+    if want is not None:
         for label, rep in series:
             if target in (None, label) and rep.classification != want:
                 failures.append(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,11 @@ __all__ = [
 ]
 
 # Longest state vector an iterative norm works on.  Block Lanczos peaks at
-# about 38 complex vectors of this length, its ITERATIVE_BASIS rows plus the
-# apply temporaries (tracemalloc, rotated-sigma3 shift average: 38.0 vectors at
-# N = 14, 37.2 at N = 16), so about 4.75 GiB at the cap.
+# about 37 complex vectors of this length: its ITERATIVE_BASIS rows, the two
+# halves of a gram apply, one or two scratch vectors for the apply plans, and
+# the Gram-Schmidt temporaries (tracemalloc: rotated-sigma3 shift average 36.3
+# vectors at N = 14 and 36.1 at N = 16; rotated sigma1 sigma1, whose wrap bond
+# is a two-step chain, 37.4 and 37.1), so about 4.7 GiB at the cap.
 ITERATIVE_STATE_CAP = 2**23
 # the ``method`` values :func:`norm` accepts
 NORM_METHODS = ("dense", "iterative", "auto")
@@ -59,19 +62,48 @@ ITERATIVE_BASIS = 32
 
 # Largest compacted dimension that method="auto" sends to the dense eigensolve;
 # above it (and above dense_cap) auto takes block Lanczos.  Best-of-5
-# milliseconds per norm, dense vs iterative, for shift averages of three seeds
-# at one OpenBLAS thread on a 2-vCPU Intel Xeon VM (numpy 2.4):
+# milliseconds per norm, dense vs iterative (on the compiled apply plan), for
+# shift averages of three seeds at one OpenBLAS thread on a 2-vCPU Intel Xeon
+# VM (numpy 2.4):
 #
 #   dim   rotated sigma3   rotated sigma1 sigma1   real symmetric two-site
-#   128     2.2 vs  5.1        2.6 vs 12.7             1.5 vs 32
-#   256    13.1 vs  8.7        8.6 vs  7.8             4.7 vs 41
-#   512    68   vs 12.1       66   vs 22              21   vs 57
-#  1024   384   vs 22        429   vs 12             147   vs 77
+#   128     2.2 vs 2.1         2.4 vs 3.0              1.2 vs 19.6
+#   256    11.7 vs 3.0        11.8 vs 3.0              4.3 vs 19.0
+#   512    69   vs 3.6        68   vs 4.8             19.5 vs 32
+#  1024   482   vs 5.4       478   vs 4.2            125   vs 28
 #
-# Both routes agree to 2e-15 relative.  One crossover for every dtype: at 512
-# the complex seeds save about 50 ms a norm where the real one loses 36.
-# DENSE_DIM_CAP, the memory cap, is a separate limit.
+# Both routes agree to 1.2e-14 relative.  The complex seeds now cross over
+# near 128, the real one between 512 and 1024; at 256 the complex seeds
+# would save about 9 ms a norm where the real one would lose 15.  Moving the
+# crossover changes routes and report bytes, so it stays where it was timed
+# on the older kernel.  DENSE_DIM_CAP, the memory cap, is a separate limit.
 _AUTO_DENSE_DIM = 256
+
+# Neighbouring terms whose supports fit in a window of at most this many
+# states are assembled into one dense block on the window (_compile_plan).
+# Best-of-3 microseconds per apply of a (not a* a) for the shift averages of
+# the table above, same machine:
+#
+#   window               2      4      8     16     32
+#   N = 10  sigma3      62     31     26     24     16
+#           sigma1^2   117     68     44     32     46
+#           two-site    85     84     60     46     60
+#   N = 14  sigma3     670    361    299    297    224
+#           sigma1^2  1279    813    479    453    709
+#           two-site  1087   1046    828    685    883
+_WINDOW_DIM = 16
+# A block on D contiguous states with R states after it runs as one 2-D GEMM
+# against kron(M, I_R) when R == 1 or D * R is at most this, and otherwise as
+# a batched matmul over the R-column slices, which is slow on thin slices.
+# Microseconds per block at N = 14, folded 2-D GEMM / batched matmul:
+#
+#   D * R     D = 2       D = 4       D = 8       D = 16
+#      8     33 / 511    35 / 596
+#     16     64 / 417    65 / 411    65 / 501
+#     32    101 / 207    99 / 220   101 / 250   102 / 406
+#     64    178 / 115   176 / 128   175 / 152   180 / 227
+#    128    351 /  84   358 /  94   347 /  63   221 /  84
+_FOLD_TAIL_DIM = 32
 
 # Rounding in one apply of a* a, scaled to norm bound sum |w| ||op|| <= 1, is
 # about eps * ||a||, so the residual of the top Ritz pair cannot fall much
@@ -485,25 +517,108 @@ def sum_commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 
 
 # ---------------------------------------------------------------------------
-# matrix-free application
+# matrix-free application: a compiled apply plan
+#
+# An iterative norm applies the same sum hundreds of times, so it compiles the
+# sum once into a plan: a tuple of chains, each a tuple of steps run in order,
+# whose results are summed.  Coefficients are folded into the blocks.  On a
+# contiguous support a step is one GEMM on a view of the flat state, with no
+# transpose.
 
 
-def _apply_block_tensor(vec_t: np.ndarray, blk: Block, d: int) -> np.ndarray:
-    k = len(blk.sites)
-    axes = [s - 1 for s in blk.sites]
-    t = blk.matrix.reshape((d,) * (2 * k))
-    out = np.tensordot(t, vec_t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, range(k), axes)
+class _Step(NamedTuple):
+    """One block of a plan: ``matrix`` applied to the ``shape`` view of a flat state.
+
+    On a contiguous support with ``lead`` states before it, ``D`` on it and
+    ``tail`` after it, ``shape`` is ``(lead, D * tail)`` and ``matrix`` is
+    ``kron(M, I_tail).T``, or ``shape`` is ``(lead, D, tail)`` and ``matrix``
+    is ``M``; ``axes`` is None.  On any other support ``axes`` holds the tensor
+    legs of its sites, ``shape`` is ``(d,) * m`` and ``matrix`` is ``M`` as a
+    ``(d,) * 2k`` tensor.
+    """
+
+    matrix: np.ndarray
+    shape: tuple[int, ...]
+    axes: tuple[int, ...] | None
 
 
-def _apply_terms(vec_t: np.ndarray, terms, d: int) -> np.ndarray:
-    out = np.zeros_like(vec_t)
+def _block_step(sites, mat, m, d) -> _Step:
+    k = len(sites)
+    if sites[-1] - sites[0] + 1 != k:
+        return _Step(mat.reshape((d,) * (2 * k)), (d,) * m, tuple(s - 1 for s in sites))
+    lead, dim, tail = d ** (sites[0] - 1), mat.shape[0], d ** (m - sites[-1])
+    if tail == 1 or dim * tail <= _FOLD_TAIL_DIM:
+        return _Step(np.kron(mat, np.eye(tail)).T, (lead, dim * tail), None)
+    return _Step(mat, (lead, dim, tail), None)
+
+
+def _apply_block(step: _Step, src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst = step src`` for flat state vectors ``src`` and ``dst``."""
+    mat, shape, axes = step
+    if axes is None:
+        if len(shape) == 2:
+            np.matmul(src.reshape(shape), mat, out=dst.reshape(shape))
+        else:
+            np.matmul(mat, src.reshape(shape), out=dst.reshape(shape))
+        return
+    k = len(axes)
+    out = np.tensordot(mat, src.reshape(shape), axes=(list(range(k, 2 * k)), list(axes)))
+    dst.reshape(shape)[...] = np.moveaxis(out, range(k), axes)
+
+
+def _compile_plan(terms, m: int, d: int) -> tuple[tuple[_Step, ...], ...]:
+    """The apply plan of ``sum w * op`` over ``terms`` on the sites {1..m}.
+
+    A term whose support spans at most ``_WINDOW_DIM`` states joins the
+    current window of neighbouring terms (in site order) while the window
+    still spans at most ``_WINDOW_DIM`` states, and each window is assembled
+    into one block on its sites.  Larger one-block terms are summed per
+    support; larger multi-block terms keep their blocks as a chain, because a
+    block on sites that are not contiguous takes the slower tensordot route
+    (the two one-site factors of a wrap bond {1, m} take 75 us as a chain at
+    N = 14, and 235 us as one block on {1, m}).
+    """
+    small, large, chains = [], {}, []
     for w, op in terms:
-        cur = vec_t
-        for blk in op.blocks:
-            cur = _apply_block_tensor(cur, blk, d)
-        out += (w * op.scalar) * cur
-    return out
+        term = (w, op.scalar, op.blocks)
+        support = op.support or (1,)
+        if d ** (support[-1] - support[0] + 1) <= _WINDOW_DIM:
+            small.append((support[0], support[-1], term))
+        elif len(op.blocks) <= 1:
+            large.setdefault(support, []).append(term)
+        else:
+            first, *rest = op.blocks
+            lead = np.multiply(w, np.multiply(op.scalar, first.matrix))
+            steps = [_block_step(first.sites, lead, m, d)]
+            chains.append(tuple(steps + [_block_step(b.sites, b.matrix, m, d) for b in rest]))
+    windows = []
+    for lo, hi, term in sorted(small, key=lambda t: t[0]):
+        if windows and d ** (max(hi, windows[-1][1]) - windows[-1][0] + 1) <= _WINDOW_DIM:
+            windows[-1][1] = max(hi, windows[-1][1])
+            windows[-1][2].append(term)
+        else:
+            windows.append([lo, hi, [term]])
+    groups = [(tuple(range(lo, hi + 1)), ts) for lo, hi, ts in windows] + list(large.items())
+    blocks = [(_block_step(sites, _assemble(ts, sites, d, math.inf), m, d),) for sites, ts in groups]
+    return tuple(blocks + chains)
+
+
+def _run_plan(plan, v: np.ndarray, out: np.ndarray, scratch) -> None:
+    """``out = A v`` for the sum ``A`` that ``plan`` compiles.
+
+    ``scratch`` holds one state vector, or two when some chain has more than
+    one step; neither may be ``v`` or ``out``.
+    """
+    if not plan:
+        out[...] = 0
+    for i, chain in enumerate(plan):
+        src = v
+        for k, step in enumerate(chain):
+            dst = out if i == 0 and k == len(chain) - 1 else scratch[k % 2]
+            _apply_block(step, src, dst)
+            src = dst
+        if i:
+            out += src
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +655,13 @@ def _norm_bound(terms, dense_cap) -> float:
 
 
 def _compact_terms(s: OperatorSum):
-    """Relabel the union support to {1..m}; norms are invariant under this."""
+    """Relabel the union support to {1..m}; norms are invariant under this.
+
+    ``m`` is at least 1, so a sum of identity multiples still has a site to act on.
+    """
     union = s.support
     rank = {site: i + 1 for i, site in enumerate(union)}
-    return [(w, relabel(op, rank)) for w, op in s.terms], len(union)
+    return [(w, relabel(op, rank)) for w, op in s.terms], max(len(union), 1)
 
 
 # Columns per step of the in-place restart rotation.
@@ -649,7 +767,10 @@ def norm(
     hands it to :func:`~spintail.matrices.operator_norm_dense`: float64 when
     the imaginary part is exactly zero, ``max |eigvalsh(a)|`` when the skew
     defect ``||a - a*||_F`` proves that within 1e-13 relative of the norm,
-    ``sqrt(lambda_max(a* a))`` otherwise.  Single-term sums are exact
+    ``sqrt(lambda_max(a* a))`` otherwise.  The iterative path compiles ``a``
+    and ``a*`` once each into an apply plan (dense windows of neighbouring
+    terms, one GEMM per block on a view of the state, no transposes) and
+    holds about 37 state vectors at its peak.  Single-term sums are exact
     products of per-block dense norms for every method.  An iterative norm
     that has not converged within ``ITERATIVE_MAX_ITER`` applies of ``a* a``
     is reported via the ``converged`` flag, never as a silent wrong answer;
@@ -697,14 +818,17 @@ def norm(
     # exact, give a* a norm at most 1, so the kernel's stop test is relative
     scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
     terms = [(scale * w, op) for w, op in terms]
-    adj_terms = [(np.conj(w), op.adjoint()) for w, op in terms]
-    shape = (d,) * m if m else (1,)
+    plan = _compile_plan(terms, m, d)
+    adj_plan = _compile_plan([(np.conj(w), op.adjoint()) for w, op in terms], m, d)
+    half, out = np.empty(dim, dtype=complex), np.empty(dim, dtype=complex)
+    chained = any(len(chain) > 1 for chain in plan + adj_plan)
+    scratch = [np.empty(dim, dtype=complex) for _ in range(1 + chained)]
 
     def gram_apply(v):
-        t = v.reshape(shape)
-        t = _apply_terms(t, terms, d)
-        t = _apply_terms(t, adj_terms, d)
-        return t.reshape(v.shape)
+        # ``out`` is overwritten by the next call
+        _run_plan(plan, v, half, scratch)
+        _run_plan(adj_plan, half, out, scratch)
+        return out
 
     rng = np.random.default_rng((seed, n, len(terms)))
     value, converged, applies = _power_iteration_norm(gram_apply, dim, rng)

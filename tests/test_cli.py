@@ -656,6 +656,21 @@ class TestMainExitCodes:
         assert code == 2
         assert "assertion failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(ALL_KINDS["norm"], **{"assert": {"classification": None}}),
+            dict(ALL_KINDS["commutant"], probes=[], **{"assert": {"classification": None}}),
+        ],
+        ids=["norm", "no_series"],
+    )
+    def test_null_classification_checks_nothing(self, cfg, tmp_path, capsys):
+        # validate accepts a null classification, so run must not check it
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert "assertion failed" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
     def test_verbose_times_every_point(self, kind, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPINTAIL_VERBOSE", "1")

@@ -44,10 +44,34 @@ def tiny_rotated_sigma3_average(rng):
     return st.SeqScale(1e-6, rotated_sigma3_average(rng))
 
 
+def compiled_apply(s, v, n, adjoint=False):
+    """The compiled apply plan of ``s`` (or of its adjoint) run on a flat state of
+    ``n`` sites; returns ``(plan, result)``."""
+    terms = s.adjoint().terms if adjoint else s.terms
+    plan = localops._compile_plan(terms, n, s.site_dim)
+    out, scratch = np.empty_like(v), [np.empty_like(v), np.empty_like(v)]
+    localops._run_plan(plan, v, out, scratch)
+    return plan, out
+
+
 def apply_sum(s, v, n):
     """The matrix-free kernel behind iterative norms, on a flat state of ``n`` sites."""
-    vec_t = v.reshape((s.site_dim,) * n)
-    return localops._apply_terms(vec_t, s.terms, s.site_dim).reshape(v.shape)
+    return compiled_apply(s, v, n)[1]
+
+
+def random_sum(rng, supports, d=2, product_form=()):
+    """Random complex weights times random operators on ``supports`` (``()`` is
+    a multiple of the identity); the supports listed in ``product_form`` get
+    one random block per site."""
+    terms = []
+    for sites in supports:
+        if sites in product_form:
+            factors = st.from_site_factors({x: random_complex(rng, d) for x in sites}, site_dim=d)
+            op = st.product(random_block_op(rng, (), d), factors)  # a scalar other than 1
+        else:
+            op = random_block_op(rng, sites, d)
+        terms.append((complex(rng.normal(), rng.normal()), op))
+    return st.operator_sum(terms, d)
 
 
 class TestEmbed:
@@ -214,9 +238,69 @@ class TestSumApply:
         assert np.allclose(apply_sum(s, v, n), st.dense_matrix(s, n) @ v, atol=1e-10)
 
 
+# (sites, site_dim, supports, supports in product form)
+BONDS_7 = [(x, x + 1) for x in range(1, 7)] + [(1, 7)]
+LINE_8 = tuple(range(1, 9))
+PLAN_CASES = {
+    "one_site": (7, 2, [(x,) for x in range(1, 8)], ()),
+    "bonds_wrap_block": (7, 2, BONDS_7, ()),
+    "bonds_wrap_product": (7, 2, BONDS_7, BONDS_7),
+    "shared_supports": (6, 2, [(2, 3), (2, 3), (2, 3), (5,), (5,), (1, 6), (1, 6), ()], ()),
+    "long_product": (8, 2, [LINE_8, (2, 5, 7), (3,), (8,)], [LINE_8, (2, 5, 7)]),
+    "gapped_block": (7, 2, [(2, 5), (3, 6, 7), (4,)], ()),
+    "site_dim_3": (
+        5, 3, [(x,) for x in range(1, 6)] + [(x, x + 1) for x in range(1, 5)] + [(1, 5), ()], ()
+    ),
+    # tails of 1 to 16 states behind blocks of 2 to 16 states
+    "short_tails": (
+        8, 2, [(8,), (7, 8), (6, 7, 8), (5, 6, 7, 8), (4, 5, 6, 7), (3, 4, 5, 6), (2, 3, 4, 5)], ()
+    ),
+    "one_site_volume": (1, 2, [(1,), (1,), ()], ()),
+}
+
+
+class TestApplyPlan:
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["plan", "adjoint_plan"])
+    def test_matches_dense_oracle(self, case, adjoint):
+        n, d, supports, product_form = PLAN_CASES[case]
+        rng = np.random.default_rng(sorted(PLAN_CASES).index(case) + 70)
+        s = random_sum(rng, supports, d, product_form)
+        v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+        dense = st.dense_matrix(s, n)
+        want = (dense.conj().T if adjoint else dense) @ v
+        _, got = compiled_apply(s, v, n, adjoint)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_terms_on_one_support_merge(self):
+        s = random_sum(np.random.default_rng(80), [(9, 10)] * 3 + [(4,)] * 2)
+        plan, _ = compiled_apply(s, np.ones(2**10, dtype=complex), 10)
+        assert sorted(len(chain) for chain in plan) == [1, 1]
+
+    def test_neighbours_pack_into_windows(self):
+        # one-site terms on 7 qubit sites fill ceil(7 / sites per window) windows
+        per = localops._WINDOW_DIM.bit_length() - 1
+        s = random_sum(np.random.default_rng(81), [(x,) for x in range(1, 8)])
+        plan, _ = compiled_apply(s, np.ones(2**7, dtype=complex), 7)
+        assert [len(chain) for chain in plan] == [1] * -(-7 // per)
+
+    def test_long_product_kept_as_chain(self):
+        s = random_sum(
+            np.random.default_rng(82), [tuple(range(1, 9)), (4,)], product_form=[tuple(range(1, 9))]
+        )
+        plan, _ = compiled_apply(s, np.ones(2**8, dtype=complex), 8)
+        assert sorted(len(chain) for chain in plan) == [1, 8]
+
+
 class TestNorm:
     def test_identity_iterative(self):
         assert st.norm(st.from_site_factors({}).as_sum(), 10, "iterative").value == 1.0
+
+    def test_identity_multiples_iterative(self):
+        # two terms with empty support compact onto no sites at all
+        one = st.local_operator([[1.0]], ())
+        s = st.OperatorSum(2, ((1.0 + 0j, one), (2.0 + 0j, one)))
+        assert st.norm(s, 3, "iterative").value == pytest.approx(3.0, rel=1e-14)
 
     def test_half_sum_of_sigma3(self):
         # eigenvalues of (Z1 + Z2)/2 are {1, 0, 0, -1}
@@ -387,6 +471,22 @@ class TestNorm:
         monkeypatch.setattr(localops, "_power_iteration_norm", counted)
         res = st.norm(rotated_sigma3_average(np.random.default_rng(40)).eval(9), 9, "iterative")
         assert res.converged and res.iterations == len(calls) > 0
+
+    def test_plan_compiled_once_per_norm(self, monkeypatch):
+        compiled, applies = [], []
+        compile_plan, kernel = localops._compile_plan, localops._power_iteration_norm
+
+        def counted(gram_apply, dim, rng):
+            return kernel(lambda v: applies.append(1) or gram_apply(v), dim, rng)
+
+        monkeypatch.setattr(
+            localops, "_compile_plan", lambda *args: compiled.append(1) or compile_plan(*args)
+        )
+        monkeypatch.setattr(localops, "_power_iteration_norm", counted)
+        s = real_two_site_average(np.random.default_rng(45)).eval(9)
+        res = st.norm(s, 9, "iterative")
+        # one plan for a, one for a*, however many times a* a is applied
+        assert res.converged and len(applies) > 2 and len(compiled) == 2
 
     def test_state_cap_named(self, monkeypatch):
         monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 8)
