@@ -22,6 +22,12 @@ the crossover moves ``auto`` to block Lanczos sooner.  It does not cap the
 support overlaps that products and commutators densify; those stay capped at
 ``matrices.DENSE_DIM_CAP``.
 
+A null value counts as absent, for every top-level key and every key of
+``assert`` and ``output``.  A key the kind does not read, or an unknown
+``assert`` or ``output`` key, is a configuration error.  ``assert.series``
+narrows only ``classification``; ``all_converged`` and ``max_value`` read
+every series.
+
 Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
 each is parsed, the fewest schedule points it accepts and the handler that
 runs it.  The fields are ``sequence`` and ``sequence2`` (see the sequence
@@ -55,8 +61,10 @@ sequences use kinds classical-local | cyclic-average | tail-shifted with an
 
 Exit codes: 0 all experiment assertions passed, 2 an assertion failed (a
 check over a report with no series, or an ``assert.series`` that names none,
-fails too), 1 configuration or runtime error.  Identical (config, seed) pairs
-produce byte-identical JSON; wall-times go to stderr with SPINTAIL_VERBOSE=1.
+fails too, and so does a point above its series' bound, as ``series LABEL:
+bound violated at N in [...]``), 1 configuration or runtime error.  Identical
+(config, seed) pairs produce byte-identical JSON; wall-times go to stderr with
+SPINTAIL_VERBOSE=1.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -106,20 +114,12 @@ from .sequences import (
 )
 from .states import _check_averaging_seed, average_variance, expectation, product_state
 
-_NAMED_MATRICES = {
-    "pauli1": lambda: pauli(1),
-    "pauli2": lambda: pauli(2),
-    "pauli3": lambda: pauli(3),
-    "identity": lambda: pauli("identity"),
-}
+_NAMED_MATRICES = {"pauli1": 1, "pauli2": 2, "pauli3": 3, "identity": "identity"}
 
 
-class _Problems:
-    def __init__(self):
-        self.items: list[str] = []
-
+class _Problems(list):
     def add(self, path: str, message: str):
-        self.items.append(f"{path}: {message}")
+        self.append(f"{path}: {message}")
 
 
 def _is_int(value) -> bool:
@@ -148,7 +148,7 @@ def _parse_scalar(value, errors: _Problems, path: str) -> complex:
 def _parse_matrix(spec, errors: _Problems, path: str):
     if isinstance(spec, str):
         if spec in _NAMED_MATRICES:
-            return np.array(_NAMED_MATRICES[spec]())
+            return np.array(pauli(_NAMED_MATRICES[spec]))
         errors.add(path, f"unknown matrix name {spec!r}")
         return None
     if isinstance(spec, list) and spec and all(isinstance(r, list) for r in spec):
@@ -225,12 +225,12 @@ def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
         errors.add(f"{path}.kind", f"unknown {what} kind {kind!r}")
         return None
     build, fields = kinds[kind]
-    known = len(errors.items)
+    known = len(errors)
     args = [
         parse(spec.get(name, *default), errors, f"{path}.{name}")
         for name, parse, *default in fields
     ]
-    if len(errors.items) > known:
+    if len(errors) > known:
         return None
     try:
         return build(*args)
@@ -296,12 +296,7 @@ _SEQUENCE_KINDS = {
 }
 
 
-_NAMED_TRIG = {
-    "cos_q": cl.cos_q,
-    "sin_q": cl.sin_q,
-    "cos_p": cl.cos_p,
-    "sin_p": cl.sin_p,
-}
+_NAMED_TRIG = {"cos_q": cl.cos_q, "sin_q": cl.sin_q, "cos_p": cl.cos_p, "sin_p": cl.sin_p}
 
 
 def _parse_trig(spec, errors: _Problems, path: str):
@@ -326,12 +321,8 @@ def _parse_trig(spec, errors: _Problems, path: str):
                 return None
             amp = _parse_scalar(term.get("amplitude"), errors, f"{path}.terms[{i}].amplitude")
             freqs = term.get("freqs", [])
-            if not (
-                isinstance(freqs, list)
-                and all(
-                    isinstance(f, list) and len(f) == 3 and all(_is_int(x) for x in f)
-                    for f in freqs
-                )
+            if not isinstance(freqs, list) or not all(
+                isinstance(f, list) and len(f) == 3 and all(map(_is_int, f)) for f in freqs
             ):
                 errors.add(f"{path}.terms[{i}].freqs", "expected [[site, m, n], ...] of integers")
                 return None
@@ -373,15 +364,13 @@ def _parse_variance_seed(spec, errors: _Problems, path: str):
     return op
 
 
-def _op_label(spec, op: LocalOperator) -> str:
-    if isinstance(spec, dict) and isinstance(spec.get("label"), str):
+def _op_label(spec: dict, op: LocalOperator) -> str:
+    if isinstance(spec.get("label"), str):
         return spec["label"]
     sites = ",".join(map(str, op.support)) or "scalar"
-    mat = spec.get("matrix") if isinstance(spec, dict) else None
-    if isinstance(mat, str):
-        return f"{mat}@{sites}"
-    if isinstance(mat, list) and all(isinstance(m, str) for m in mat):
-        return f"{'*'.join(mat)}@{sites}"
+    names = [spec["matrix"]] if isinstance(spec["matrix"], str) else spec["matrix"]
+    if all(isinstance(m, str) for m in names):
+        return f"{'*'.join(names)}@{sites}"
     return f"op@{sites}"
 
 
@@ -413,51 +402,34 @@ def _parse_state(spec, errors: _Problems, path: str):
 
 # ---------------------------------------------------------------------------
 # experiment handlers: each runs one kind and returns its series as (label,
-# DecayReport) pairs, appending to the report's warnings and assertion
-# failures.  Estimators are called through their module-level names so that
-# wrappers installed on them see the calls.
+# DecayReport) pairs, appending to the report's warnings.  Estimators are
+# called through their module-level names so that wrappers installed on them
+# see the calls.
 
 
-def _run_norm(config, warnings, failures):
-    trace = seq_norm_trace(config.sequence, config.schedule, **config.norm_kwargs)
-    return [("norm", classify_trace(trace))]
+def _run_norm(config, warnings):
+    return [("norm", classify_trace(config.estimate(seq_norm_trace, config.sequence)))]
 
 
-def _run_decay(config, warnings, failures):
-    rep = vanishing_test(config.sequence, config.schedule, **config.norm_kwargs)
-    return [("vanishing", rep)]
+def _run_decay(config, warnings):
+    return [("vanishing", config.estimate(vanishing_test, config.sequence))]
 
 
-def _run_equiv(config, warnings, failures):
-    rep = equivalence_test(
-        config.sequence, config.sequence2, config.schedule, **config.norm_kwargs
-    )
-    return [("difference", rep)]
+def _run_equiv(config, warnings):
+    return [("difference", config.estimate(equivalence_test, config.sequence, config.sequence2))]
 
 
-def _run_commutant(config, warnings, failures):
-    series = []
-    results = commutant_membership(
-        config.sequence, config.probes, config.schedule, **config.norm_kwargs
-    )
-    for res in results:
-        if res.skipped:
-            warnings.append(f"probe {res.label} skipped: {res.reason}")
-        else:
-            series.append((res.label, res.report))
-    return series
+def _run_commutant(config, warnings):
+    results = config.estimate(commutant_membership, config.sequence, config.probes)
+    warnings.extend(f"probe {r.label} skipped: {r.reason}" for r in results if r.skipped)
+    return [(r.label, r.report) for r in results if not r.skipped]
 
 
-def _run_gamma_bound(config, warnings, failures):
-    rep = gamma_bound_check(
-        config.sequence, config.probe[1], config.schedule, **config.norm_kwargs
-    )
-    if rep.bound_violations:
-        failures.append(f"commutator bound violated at N in {list(rep.bound_violations)}")
-    return [("commutator", rep)]
+def _run_gamma_bound(config, warnings):
+    return [("commutator", config.estimate(gamma_bound_check, config.sequence, config.probe[1]))]
 
 
-def _run_expect(config, warnings, failures):
+def _run_expect(config, warnings):
     trace = config.schedule.trace(
         lambda n: TracePoint(n, expectation(config.state, config.sequence.eval(n), n))
     )
@@ -470,25 +442,19 @@ def _run_expect(config, warnings, failures):
     return series
 
 
-def _run_variance(config, warnings, failures):
+def _run_variance(config, warnings):
     trace = config.schedule.trace(
         lambda n: TracePoint(n, average_variance(config.state, config.observable, n))
     )
     return [("variance", classify_trace(trace))]
 
 
-def _run_classical_decay(config, warnings, failures):
+def _run_classical_decay(config, warnings):
     return [("bracket.l1", cl.bracket_decay_test(config.sequence, config.probe, config.schedule))]
 
 
-def _run_mutual(config, warnings, failures):
-    rep = mutual_commutator_trace(
-        config.sequence, config.sequence2, config.schedule, **config.norm_kwargs
-    )
-    if rep.bound_violations:
-        failures.append(
-            f"constant-trace reference violated at N in {list(rep.bound_violations)}"
-        )
+def _run_mutual(config, warnings):
+    rep = config.estimate(mutual_commutator_trace, config.sequence, config.sequence2)
     return [("commutator", rep)]
 
 
@@ -497,10 +463,10 @@ class Experiment:
     """One experiment kind: the config fields it reads, and how it runs."""
 
     # config fields as (name, parser) or (name, parser, default): the parser
-    # maps (spec, errors, path) -> value; only a field with a default, the
-    # ExperimentConfig field's own, may be left out
+    # maps (spec, errors, path) -> value; only a field with a default may be
+    # left out
     fields: tuple[tuple, ...]
-    # (config, warnings, failures) -> list of (label, DecayReport) series
+    # (config, warnings) -> list of (label, DecayReport) series
     handler: Callable
     # the fewest schedule points; kinds that accept a single volume take 1
     min_points: int = MIN_POINTS
@@ -527,14 +493,115 @@ EXPERIMENTS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the keys every kind reads, one row each: parse_config validates from the
+# row, run checks from it, and a flag overrides the key it names
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A config key valid or not on its own; as a parser it reports an invalid value."""
+
+    valid: Callable  # value -> bool
+    problem: str  # the problem of an invalid value; {!r} stands for the value
+    default: object = None  # the value of an absent key
+    # an assert key's check, (value, label, DecayReport) -> failure or a false value
+    check: Callable | None = None
+    targeted: bool = False  # whether assert.series narrows the check
+
+    def __call__(self, value, errors: _Problems, path: str):
+        if not self.valid(value):
+            errors.add(path, self.problem.format(value))
+        return value
+
+
+def _one_of(options, default=None, **check) -> _Key:
+    problem = f"expected {'|'.join(options)}, got {{!r}}"
+    return _Key(lambda v: v in options, problem, default, **check)
+
+
+def _failing_at(label: str, what: str, ns: list[int]):
+    return ns and f"series {label}: {what} at N in {ns}"
+
+
+def _misclassified(want, label, rep):
+    if rep.classification != want:
+        return f"series {label}: classification {rep.classification!r}, expected {want!r}"
+
+
+def _unconverged(want, label, rep):
+    return want and _failing_at(label, "unconverged", [p.n for p in rep.points if not p.converged])
+
+
+def _over_cap(cap, label, rep):
+    over = [p.n for p in rep.points if p.value > cap]
+    return _failing_at(label, f"value above {float(cap)}", over)
+
+
+_ASSERT = {
+    "classification": _one_of(CLASSIFICATIONS, check=_misclassified, targeted=True),
+    "series": _Key(lambda v: isinstance(v, str), "expected a series label, got {!r}"),
+    "all_converged": _Key(
+        lambda v: isinstance(v, bool), "expected true or false, got {!r}", False, check=_unconverged
+    ),
+    "max_value": _Key(_is_finite, "expected a finite number, got {!r}", check=_over_cap),
+}
+_OUTPUT = {
+    "format": _one_of(FORMATS, "json"),
+    "path": _Key(lambda v: isinstance(v, str), "expected a file path, got {!r}"),
+}
+# the top-level keys that hold an object of keys
+_SECTIONS = {"assert": _ASSERT, "output": _OUTPUT}
+
+
+def _unknown_keys(spec: dict, known, errors: _Problems, prefix: str = ""):
+    for name in spec:
+        if name not in known:
+            errors.add(f"{prefix}{name}", f"unknown key; expected one of {', '.join(known)}")
+
+
+def _section(keys: dict):
+    """Parser and default of a section: its value maps each key to the key's value or default."""
+    def parse(spec, errors: _Problems, path: str):
+        if not isinstance(spec, dict):
+            errors.add(path, "expected an object")
+            return None
+        _unknown_keys(spec, keys, errors, f"{path}.")
+        return {
+            name: key(spec[name], errors, f"{path}.{name}") if name in spec else key.default
+            for name, key in keys.items()
+        }
+
+    return parse, parse({}, None, "")
+
+
+# (name, parser, default) rows, as in Experiment.fields
+_CONFIG_FIELDS = (
+    ("method", _one_of(NORM_METHODS), "auto"),
+    ("seed", _Key(lambda v: _is_int(v) and v >= 0, "expected a nonnegative integer"), 0),
+    ("dense_cap", _Key(lambda v: _is_int(v) and v >= 2, "expected an integer >= 2"), DENSE_DIM_CAP),
+    *((name, *_section(keys)) for name, keys in _SECTIONS.items()),
+)
+# each `run` flag: the config key it sets, as problems name it, and its argparse options
+_FLAGS = {
+    "--format": ("output.format", {"choices": FORMATS}),
+    "--seed": ("seed", {"type": int}),
+    "--dense-cap": ("dense_cap", {"type": int}),
+    "--out": ("output.path", {"metavar": "PATH"}),
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
     schedule: VolumeSchedule
+    echo: dict
     method: str
     seed: int
     dense_cap: int
-    echo: dict
+    assert_spec: dict
+    out_format: str
+    out_path: str | None
     # each holds what the kind's parser for that field returned
     sequence: object = None
     sequence2: ObservableSequence | None = None
@@ -542,13 +609,12 @@ class ExperimentConfig:
     probes: list[tuple[str, LocalOperator]] | None = None
     observable: LocalOperator | None = None
     state: object = None
-    assert_spec: dict = field(default_factory=dict)
-    out_format: str = "json"
-    out_path: str | None = None
 
-    @property
-    def norm_kwargs(self) -> dict:
-        return dict(method=self.method, dense_cap=self.dense_cap, seed=self.seed)
+    def estimate(self, estimator, *args):
+        """``estimator`` over this config's schedule, with its norm options."""
+        return estimator(
+            *args, self.schedule, method=self.method, dense_cap=self.dense_cap, seed=self.seed
+        )
 
 
 def _decode(text: str):
@@ -566,6 +632,11 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     raw = text_or_dict if isinstance(text_or_dict, dict) else _decode(text_or_dict)
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
+    # null means absent, at the top level and in every section
+    raw = {name: value for name, value in raw.items() if value is not None}
+    for name in _SECTIONS:
+        if isinstance(raw.get(name), dict):
+            raw[name] = {key: value for key, value in raw[name].items() if value is not None}
 
     kind = raw.get("experiment")
     experiment = EXPERIMENTS.get(kind) if isinstance(kind, str) else None
@@ -581,117 +652,56 @@ def parse_config(text_or_dict) -> ExperimentConfig:
             schedule = VolumeSchedule(tuple(pts))
         except ContractViolation as exc:
             errors.add("schedule", str(exc))
-    if schedule is not None and experiment is not None:
-        if len(schedule.points) < experiment.min_points:
-            errors.add(
-                "schedule", f"{kind} experiments need at least {experiment.min_points} points"
-            )
+    if schedule and experiment and len(schedule.points) < experiment.min_points:
+        errors.add("schedule", f"{kind} experiments need at least {experiment.min_points} points")
 
-    method = raw.get("method", "auto")
-    if method not in NORM_METHODS:
-        errors.add("method", f"expected {'|'.join(NORM_METHODS)}, got {method!r}")
-        method = "auto"
-
-    seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        errors.add("seed", "expected a nonnegative integer")
-        seed = 0
-
-    dense_cap = raw.get("dense_cap", DENSE_DIM_CAP)
-    if not _is_int(dense_cap) or dense_cap < 2:
-        errors.add("dense_cap", "expected an integer >= 2")
-        dense_cap = DENSE_DIM_CAP
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        schedule=schedule or VolumeSchedule((1,)),
-        method=method,
-        seed=seed,
-        dense_cap=dense_cap,
-        echo=raw,
-    )
-
+    rows = _CONFIG_FIELDS + (experiment.fields if experiment else ())
+    values = {}
+    for name, parse, *default in rows:
+        if name in raw:
+            try:
+                values[name] = parse(raw[name], errors, name)
+            except RecursionError:  # a sequence nested past the recursion limit
+                errors.add(name, "nested too deeply")
+        elif default:
+            values[name] = default[0]
+        else:
+            errors.add(name, f"required for {kind!r} experiments")
     if experiment is not None:
-        for name, parse, *default in experiment.fields:
-            if name in raw:
-                try:
-                    setattr(cfg, name, parse(raw[name], errors, name))
-                except RecursionError:  # a sequence nested past the recursion limit
-                    errors.add(name, "nested too deeply")
-            elif not default:
-                errors.add(name, f"required for {kind!r} experiments")
+        _unknown_keys(raw, ("experiment", "schedule", *(row[0] for row in rows)), errors)
 
-    assert_spec = raw.get("assert", {})
-    if not isinstance(assert_spec, dict):
-        errors.add("assert", "expected an object")
-    else:
-        cfg.assert_spec = assert_spec
-        cls = assert_spec.get("classification")
-        if cls is not None and cls not in CLASSIFICATIONS:
-            errors.add("assert.classification", f"unknown classification {cls!r}")
-        target = assert_spec.get("series")
-        if target is not None and not isinstance(target, str):
-            errors.add("assert.series", f"expected a series label, got {target!r}")
-        converged = assert_spec.get("all_converged")
-        if converged is not None and not isinstance(converged, bool):
-            errors.add("assert.all_converged", f"expected true or false, got {converged!r}")
-        cap = assert_spec.get("max_value")
-        if cap is not None and not _is_finite(cap):
-            errors.add("assert.max_value", f"expected a finite number, got {cap!r}")
-
-    output = raw.get("output", {})
-    if isinstance(output, dict):
-        fmt = output.get("format", "json")
-        if fmt not in FORMATS:
-            errors.add("output.format", f"expected {'|'.join(FORMATS)}, got {fmt!r}")
-        else:
-            cfg.out_format = fmt
-        path = output.get("path")
-        if path is not None and not isinstance(path, str):
-            errors.add("output.path", f"expected a file path, got {path!r}")
-        else:
-            cfg.out_path = path
-    elif output is not None:
-        errors.add("output", "expected an object")
-
-    if errors.items:
-        raise ConfigError(errors.items)
-    return cfg
+    if errors:
+        raise ConfigError(errors)
+    values.update({f"out_{name}": value for name, value in values.pop("output").items()})
+    return ExperimentConfig(kind, schedule, raw, assert_spec=values.pop("assert"), **values)
 
 
 def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     """Execute one experiment; returns the report and assertion failures."""
     warnings: list[str] = []
-    failures: list[str] = []
-    series = EXPERIMENTS[config.kind].handler(config, warnings, failures)
+    series = EXPERIMENTS[config.kind].handler(config, warnings)
+    # a point above its series' bound fails whatever the config asserts
+    failures = [
+        _failing_at(label, "bound violated", list(rep.bound_violations))
+        for label, rep in series if rep.bound_violations
+    ]
 
     spec = config.assert_spec
-    target = spec.get("series")
+    target = spec["series"]
     if target is not None and all(label != target for label, _ in series):
         failures.append(f"assert.series: no series labeled {target!r}")
+    checks = [
+        (key, spec[name]) for name, key in _ASSERT.items()
+        if key.check and spec[name] != key.default
+    ]
     # a check over no series at all would pass without looking at anything
-    want = spec.get("classification")
-    if not series and (
-        want is not None or spec.get("all_converged") or spec.get("max_value") is not None
-    ):
+    if checks and not series:
         failures.append("assert: no series to check")
-    if want is not None:
+    for key, value in checks:
         for label, rep in series:
-            if target in (None, label) and rep.classification != want:
-                failures.append(
-                    f"series {label}: classification {rep.classification!r}, expected {want!r}"
-                )
-    if spec.get("all_converged"):
-        for label, rep in series:
-            bad = [p.n for p in rep.points if not p.converged]
-            if bad:
-                failures.append(f"series {label}: unconverged at N in {bad}")
-    if spec.get("max_value") is not None:
-        cap = float(spec["max_value"])
-        for label, rep in series:
-            over = [p.n for p in rep.points if p.value > cap]
-            if over:
-                failures.append(f"series {label}: value above {cap} at N in {over}")
+            failure = (not key.targeted or target in (None, label)) and key.check(value, label, rep)
+            if failure:
+                failures.append(failure)
 
     meta = {
         "experiment": config.kind,
@@ -702,8 +712,18 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
         "warnings": warnings,
         "assertions": {"passed": not failures, "failures": failures},
     }
-    report = Report(meta, list(config.schedule.points), series)
-    return report, failures
+    return Report(meta, list(config.schedule.points), series), failures
+
+
+def _override(raw: dict, path: str, value):
+    """Set the config key at dotted ``path``; an absent or null section becomes
+    an object, and any other non-object is left for :func:`parse_config` to refuse."""
+    section, _, name = path.rpartition(".")
+    if section and raw.get(section) is None:
+        raw[section] = {}
+    owner = raw[section] if section else raw
+    if isinstance(owner, dict):
+        owner[name] = value
 
 
 def main(argv=None) -> int:
@@ -713,10 +733,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--format", choices=FORMATS, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--dense-cap", type=int, default=None)
-    p_run.add_argument("--out", default=None)
+    for flag, (path, options) in _FLAGS.items():
+        p_run.add_argument(flag, dest=path, **options)
     p_val = sub.add_parser("validate", help="validate a config, reporting every problem")
     p_val.add_argument("config")
     sub.add_parser("schema", help="print the report JSON schema")
@@ -734,38 +752,19 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        try:
-            parse_config(text)
-        except ConfigError as exc:
-            for p in exc.problems:
-                print(f"invalid: {p}", file=sys.stderr)
-            return 1
-        print("ok")
-        return 0
-
     try:
         raw = _decode(text)
-        if isinstance(raw, dict):
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            if args.dense_cap is not None:
-                raw["dense_cap"] = args.dense_cap
-            # a null output counts as absent, as in parse_config; any other
-            # non-object is left for parse_config to report
-            out = {} if raw.get("output") is None else raw["output"]
-            if isinstance(out, dict) and (args.format is not None or args.out is not None):
-                out = dict(out)
-                if args.format is not None:
-                    out["format"] = args.format
-                if args.out is not None:
-                    out["path"] = args.out
-                raw["output"] = out
+        for path, _ in _FLAGS.values():
+            if getattr(args, path, None) is not None and isinstance(raw, dict):
+                _override(raw, path, getattr(args, path))
         config = parse_config(raw)
     except ConfigError as exc:
         for p in exc.problems:
             print(f"invalid: {p}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print("ok")
+        return 0
 
     try:
         report, failures = run(config)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import spintail
-from spintail import dense_matrix
+from spintail import cli, dense_matrix
 from spintail.cli import main, parse_config, run
 from spintail.errors import ConfigError
 from spintail.report import Report, emit
@@ -670,6 +671,91 @@ class TestMainExitCodes:
         assert main(["validate", path]) == 0
         assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 0
         assert "assertion failed" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(cli._ASSERT))
+    def test_assert_keys_validated_alike(self, key, tmp_path, capsys):
+        # every assert key, from the table run and parse_config both read: a
+        # null value checks nothing, an invalid one stops validate and run alike
+        for cfg in (ALL_KINDS["norm"], dict(ALL_KINDS["commutant"], probes=[])):
+            path = write_config(tmp_path, dict(cfg, **{"assert": {key: None}}))
+            assert main(["validate", path]) == 0
+            assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 0
+            assert "assertion failed" not in capsys.readouterr().err
+        path = write_config(tmp_path, dict(ALL_KINDS["norm"], **{"assert": {key: {"no": 1}}}))
+        err = []
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            err.append(capsys.readouterr().err.splitlines())
+        assert err[0] == err[1]
+        assert len(err[0]) == 1 and err[0][0].startswith(f"invalid: assert.{key}: ")
+
+    @pytest.mark.parametrize(
+        "kind, path",
+        [("norm", (name,)) for name, *_ in cli._CONFIG_FIELDS]
+        + [
+            (kind, (name,))
+            for kind, experiment in sorted(cli.EXPERIMENTS.items())
+            for name, _, *default in experiment.fields
+            if default
+        ]
+        + [("norm", (section, key)) for section, keys in cli._SECTIONS.items() for key in keys],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_null_means_absent(self, kind, path, tmp_path, capsys):
+        *section, key = path
+        absent = copy.deepcopy(ALL_KINDS[kind])
+        (absent.setdefault(section[0], {}) if section else absent).pop(key, None)
+        null = copy.deepcopy(absent)
+        (null[section[0]] if section else null)[key] = None
+        # one --out path for both, since the report echoes it
+        out, reports = tmp_path / "r", []
+        for cfg in (absent, null):
+            config = write_config(tmp_path, cfg)
+            assert main(["validate", config]) == 0
+            assert main(["run", config, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert "invalid" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            (dict(ALL_KINDS["norm"], assertt={"max_value": 0.1}), "assertt"),
+            (dict(ALL_KINDS["norm"], methd="dense"), "methd"),
+            (dict(ALL_KINDS["commutant"], probe={"matrix": "pauli1", "sites": [1]}), "probe"),
+            (dict(ALL_KINDS["norm"], **{"assert": {"max_valu": 0.1}}), "assert.max_valu"),
+            (dict(ALL_KINDS["norm"], output={"fromat": "csv"}), "output.fromat"),
+        ],
+        ids=["assert_misspelled", "method_misspelled", "probe_in_commutant",
+             "assert_key", "output_key"],
+    )
+    def test_unknown_keys_refused(self, cfg, key, tmp_path, capsys):
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"invalid: {key}: unknown key; ")
+
+    @pytest.mark.parametrize(
+        "cfg, estimator",
+        [(GAMMA_BOUND, "gamma_bound_check"), (MUTUAL, "mutual_commutator_trace")],
+        ids=["gamma_bound", "mutual"],
+    )
+    def test_bound_violation_fails(self, cfg, estimator, tmp_path, capsys, monkeypatch):
+        real = getattr(cli, estimator)
+        violated = cfg["schedule"][:2]
+
+        def violating(*args, **kwargs):
+            return replace(real(*args, **kwargs), bound_violations=tuple(violated))
+
+        monkeypatch.setattr(cli, estimator, violating)
+        out = tmp_path / "r.json"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        failure = f"series commutator: bound violated at N in {violated}"
+        assert json.loads(out.read_text())["meta"]["assertions"] == {
+            "passed": False, "failures": [failure]
+        }
+        assert capsys.readouterr().err.splitlines() == [f"assertion failed: {failure}"]
 
     @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
     def test_verbose_times_every_point(self, kind, tmp_path, capsys, monkeypatch):
