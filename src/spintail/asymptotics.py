@@ -33,9 +33,7 @@ from .localops import (
 )
 from .matrices import pauli
 from .sequences import GammaSeq, ObservableSequence, TranslatedToInfinity, as_schedule
-# eval_gamma_sequence is not called here, but stays bound: the benchmark
-# tracer wraps asymptotics.eval_gamma_sequence by name
-from .shifts import _meeting_average, eval_gamma_sequence
+from .shifts import eval_gamma_sequence
 
 __all__ = [
     "TracePoint",
@@ -275,7 +273,7 @@ def gamma_bound_check(
     amp = 2.0 * (w0 + wp) * seq.seed.norm_exact() * probe.norm_exact()
     probe_sum = probe.as_sum()
     rep = _norm_report(
-        lambda n: sum_commutator(_meeting_average(seq, n, probe.support), probe_sum),
+        lambda n: sum_commutator(eval_gamma_sequence(seq, n, probe.support), probe_sum),
         schedule,
         method,
         lambda n: amp / n,

@@ -20,6 +20,7 @@ import numpy as np
 from .asymptotics import DecayReport, TracePoint, _need_points, classify_trace
 from .errors import CapacityError, ContractViolation
 from .sequences import as_schedule
+from .shifts import _meeting_shifts, _site_map
 
 __all__ = [
     "TrigObservable",
@@ -74,11 +75,11 @@ class TrigObservable:
     def l1_norm(self) -> float:
         return float(sum(abs(c) for c in self.coeffs.values()))
 
-    def _moved(self, site_of) -> "TrigObservable":
-        """The observable with each factor at site s moved to ``site_of(s)``."""
+    def _moved(self, site_map) -> "TrigObservable":
+        """The observable with each factor at site s moved to ``site_map[s]``."""
         out: dict[FreqKey, complex] = {}
         for key, c in self.coeffs.items():
-            new = _canonical_key((site_of(s), m, n) for s, m, n in key)
+            new = _canonical_key((site_map[s], m, n) for s, m, n in key)
             out[new] = out.get(new, 0j) + c
         return _build(out)
 
@@ -238,14 +239,14 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
     return lower, upper
 
 
-def cyclic_average_eval(f: TrigObservable, n: int) -> TrigObservable:
-    """(1/N) sum of all cyclic translates inside {1, ..., N}."""
+def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservable:
+    """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, those meeting it."""
     sup = f.support
     if sup and sup[-1] > n:
         raise ContractViolation(f"support {sup} outside volume of {n} sites")
     acc: dict[FreqKey, complex] = {}
-    for j in range(n):
-        for key, c in f._moved(lambda s: (s - 1 - j) % n + 1).coeffs.items():
+    for j in _meeting_shifts(sup, n, region):
+        for key, c in f._moved(_site_map(sup, n, j)).coeffs.items():
             acc[key] = acc.get(key, 0j) + c
     return _build(acc).scale(1.0 / n)
 
@@ -269,10 +270,10 @@ class ClassicalLocalEmbed:
 class ClassicalCyclicAverage:
     f: TrigObservable
 
-    def eval(self, n: int) -> TrigObservable:
+    def eval(self, n: int, region=None) -> TrigObservable:
         if self.f.support and self.f.support[-1] > n:
             return TrigObservable({})
-        return cyclic_average_eval(self.f, n)
+        return cyclic_average_eval(self.f, n, region)
 
 
 @dataclass
@@ -287,7 +288,7 @@ class TailShifted:
 
     def eval(self, n: int) -> TrigObservable:
         sup = self.f.support
-        return self.f._moved(lambda s: s + n + 1 - sup[0]) if sup else self.f
+        return self.f._moved({s: s + n + 1 - sup[0] for s in sup}) if sup else self.f
 
 
 def tail_sequence(f: TrigObservable) -> TailShifted:
@@ -301,9 +302,14 @@ def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     returning a :class:`TrigObservable`.  Upper bounds suffice for vanishing
     claims; they are exact for the single-translate overlaps exercised here.
     Like the quantum estimators, it needs at least
-    :data:`~spintail.asymptotics.MIN_POINTS` schedule points.
+    :data:`~spintail.asymptotics.MIN_POINTS` schedule points.  A
+    :class:`ClassicalCyclicAverage` builds only its translates meeting the
+    probe, the only ones with a nonzero bracket: same trace, bit for bit.
     """
     schedule = as_schedule(schedule)
     _need_points(schedule)
-    trace = schedule.trace(lambda n: TracePoint(n, poisson_bracket(seq.eval(n), probe).l1_norm()))
+    kw = {"region": probe.support} if isinstance(seq, ClassicalCyclicAverage) else {}
+    trace = schedule.trace(
+        lambda n: TracePoint(n, poisson_bracket(seq.eval(n, **kw), probe).l1_norm())
+    )
     return classify_trace(trace)

@@ -24,9 +24,10 @@ support overlaps that products and commutators densify; those stay capped at
 
 A null value counts as absent, for every top-level key and every key of
 ``assert`` and ``output``.  A key the kind does not read, or an unknown
-``assert`` or ``output`` key, is a configuration error.  ``assert.series``
-narrows only ``classification``; ``all_converged`` and ``max_value`` read
-every series.
+``assert`` or ``output`` key, is a configuration error, and so is an
+unknown key in any nested spec: a sequence, a local operator, a classical
+observable or one of its terms, a state.  ``assert.series`` narrows only
+``classification``; ``all_converged`` and ``max_value`` read every series.
 
 Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
 each is parsed, the fewest schedule points it accepts and the handler that
@@ -53,7 +54,8 @@ named constant (pauli1, pauli2, pauli3, identity), an explicit row-major
 array with entries ``x`` or ``[re, im]``, or a list of such matrices (one
 per site, tensored).  A list is read per-site when it starts with a name, or
 when it holds exactly one matrix per site; otherwise it is one d^k x d^k
-literal.  Classical observables are
+literal.  A probe spec may also carry a ``"label"`` naming its series;
+no other local operator takes one.  Classical observables are
 ``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]}, ...]}`` or the
 shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site": s}``; classical
 sequences use kinds classical-local | cyclic-average | tail-shifted with an
@@ -62,7 +64,9 @@ sequences use kinds classical-local | cyclic-average | tail-shifted with an
 Exit codes: 0 all experiment assertions passed, 2 an assertion failed (a
 check over a report with no series, or an ``assert.series`` that names none,
 fails too, and so does a point above its series' bound, as ``series LABEL:
-bound violated at N in [...]``), 1 configuration or runtime error.  Identical
+bound violated at N in [...]``), 1 configuration or runtime error, or a bad
+command line (an unknown flag, or a flag value argparse refuses, after the
+usage message on stderr).  Identical
 (config, seed) pairs produce byte-identical JSON; wall-times go to stderr with
 SPINTAIL_VERBOSE=1.
 """
@@ -179,10 +183,13 @@ def _is_per_site_list(mat_spec, n_sites: int) -> bool:
     )
 
 
-def _parse_local_operator(spec, errors: _Problems, path: str) -> LocalOperator | None:
+def _parse_local_operator(
+    spec, errors: _Problems, path: str, keys=("matrix", "sites")
+) -> LocalOperator | None:
     if not isinstance(spec, dict):
         errors.add(path, "expected an object with 'matrix' and 'sites'")
         return None
+    _unknown_keys(spec, keys, errors, f"{path}.")
     sites = spec.get("sites")
     if not isinstance(sites, list) or not all(_is_int(s) for s in sites):
         errors.add(f"{path}.sites", "expected a list of integer sites")
@@ -226,6 +233,7 @@ def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
         return None
     build, fields = kinds[kind]
     known = len(errors)
+    _unknown_keys(spec, ("kind", *(name for name, *_ in fields)), errors, f"{path}.")
     args = [
         parse(spec.get(name, *default), errors, f"{path}.{name}")
         for name, parse, *default in fields
@@ -301,6 +309,7 @@ _NAMED_TRIG = {"cos_q": cl.cos_q, "sin_q": cl.sin_q, "cos_p": cl.cos_p, "sin_p":
 
 def _parse_trig(spec, errors: _Problems, path: str):
     if isinstance(spec, dict) and "named" in spec:
+        _unknown_keys(spec, ("named", "site"), errors, f"{path}.")
         name = spec["named"]
         site = spec.get("site", 1)
         if not isinstance(name, str) or name not in _NAMED_TRIG:
@@ -311,6 +320,7 @@ def _parse_trig(spec, errors: _Problems, path: str):
             return None
         return _NAMED_TRIG[name](site)
     if isinstance(spec, dict) and "terms" in spec:
+        _unknown_keys(spec, ("terms",), errors, f"{path}.")
         if not isinstance(spec["terms"], list):
             errors.add(f"{path}.terms", "expected a list of terms")
             return None
@@ -319,6 +329,7 @@ def _parse_trig(spec, errors: _Problems, path: str):
             if not isinstance(term, dict):
                 errors.add(f"{path}.terms[{i}]", "expected an object")
                 return None
+            _unknown_keys(term, ("amplitude", "freqs"), errors, f"{path}.terms[{i}].")
             amp = _parse_scalar(term.get("amplitude"), errors, f"{path}.terms[{i}].amplitude")
             freqs = term.get("freqs", [])
             if not isinstance(freqs, list) or not all(
@@ -375,7 +386,7 @@ def _op_label(spec: dict, op: LocalOperator) -> str:
 
 
 def _parse_probe(spec, errors: _Problems, path: str):
-    op = _parse_local_operator(spec, errors, path)
+    op = _parse_local_operator(spec, errors, path, ("matrix", "sites", "label"))
     return None if op is None else (_op_label(spec, op), op)
 
 
@@ -390,6 +401,7 @@ def _parse_state(spec, errors: _Problems, path: str):
     if not isinstance(spec, dict) or "rho" not in spec:
         errors.add(path, "expected {'rho': row-major matrix}")
         return None
+    _unknown_keys(spec, ("rho",), errors, f"{path}.")
     rho = _parse_matrix(spec["rho"], errors, f"{path}.rho")
     if rho is None:
         return None
@@ -739,7 +751,12 @@ def main(argv=None) -> int:
     p_val.add_argument("config")
     sub.add_parser("schema", help="print the report JSON schema")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help, and 2 on a usage error once it has
+        # printed the usage; 2 is kept for failed assertions
+        return 1 if exc.code else 0
 
     if args.command == "schema":
         print(json.dumps(REPORT_SCHEMA, sort_keys=True, indent=2))

@@ -154,7 +154,7 @@ class GammaSeq(ObservableSequence):
         return cls(seed, seed.support[-1])
 
     def eval(self, n: int) -> OperatorSum:
-        return eval_gamma_sequence(self, check_volume(n))
+        return eval_gamma_sequence(self, n)
 
 
 @dataclass

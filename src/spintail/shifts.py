@@ -5,10 +5,9 @@ a factor at site x moves to site ((x - 1 - j) mod N) + 1 under j
 applications.  On elementary tensors this sends
 a_1 (x) a_2 (x) ... (x) a_N to a_2 (x) ... (x) a_N (x) a_1.
 
-The average builds all N shifted terms.  A caller that only needs the shifts
-meeting a fixed local region (a commutator with a probe) takes
-:func:`_meeting_average`, which builds only those shifts, with the same
-weights and in the same order, so its work does not grow with N.
+The average builds all N shifted terms.  Given a local region (a probe's
+support), :func:`eval_gamma_sequence` and the classical mirror build only the
+shifts meeting it, with the same weights and order, so work does not grow with N.
 """
 
 from __future__ import annotations
@@ -42,7 +41,23 @@ def gamma_pow(a, volume, j: int):
         return a
     if isinstance(a, OperatorSum):
         return OperatorSum(a.site_dim, tuple((w, gamma_pow(op, n, j)) for w, op in a.terms))
-    return relabel(a, {s: (s - 1 - j) % n + 1 for s in sup})
+    return relabel(a, _site_map(sup, n, j))
+
+
+def _site_map(sites, n: int, j: int) -> dict[int, int]:
+    """Where j cyclic left shifts carry each of ``sites`` in a volume of n sites."""
+    return {s: (s - 1 - j) % n + 1 for s in sites}
+
+
+def _meeting_shifts(support, n: int, region=None):
+    """Ascending shifts j: every one, or with a ``region`` those meeting it.
+
+    gamma^j carries site x onto site y exactly when j = x - y (mod n), so a
+    region keeps at most |support| * |region| shifts, whatever n is.
+    """
+    if region is None:
+        return range(n)
+    return sorted({(x - y) % n for x in support for y in region if y <= n})
 
 
 def gamma_average(a, volume) -> OperatorSum:
@@ -54,28 +69,16 @@ def gamma_average(a, volume) -> OperatorSum:
     n = check_volume(volume)
     if isinstance(a, LocalOperator):
         a = a.as_sum()
-    return _shift_average(a, n, range(n))
+    return _shift_average(a, n)
 
 
-def _meeting_average(seq, n: int, region) -> OperatorSum:
-    """The terms of ``eval_gamma_sequence(seq, n)`` whose support meets ``region``.
+def _shift_average(a: OperatorSum, n: int, region=None) -> OperatorSum:
+    """The terms (w / n) gamma^j(op) of the shift average, for ascending j.
 
-    gamma^j carries seed site x onto site y exactly when j = x - y (mod n),
-    so at most |support| * |region| shifts are built, whatever n is.
+    Shifted terms merge only when they share a support, so with a ``region``
+    the result is the full average's terms on it: same weights, same order.
     """
-    if n < seq.window:
-        return zero_sum(seq.seed.site_dim)
-    shifts = sorted({(x - y) % n for x in seq.seed.support for y in region if y <= n})
-    return _shift_average(seq.seed.as_sum(), n, shifts)
-
-
-def _shift_average(a: OperatorSum, n: int, shifts) -> OperatorSum:
-    """The terms (w / n) gamma^j(op) of the shift average, for ascending j in ``shifts``.
-
-    Shifted terms merge only when they share a support.  So when ``shifts``
-    holds every j whose shifted support meets some region, the result is the
-    full average's terms on that region: same weights, same order.
-    """
+    shifts = _meeting_shifts(a.support, n, region)
     terms = []
     for w, op in a.terms:
         for j in shifts:
@@ -83,12 +86,14 @@ def _shift_average(a: OperatorSum, n: int, shifts) -> OperatorSum:
     return operator_sum(terms, a.site_dim)
 
 
-def eval_gamma_sequence(seq, volume) -> OperatorSum:
-    """Shift average of ``seq.seed`` over the volume; zero below ``seq.window`` sites."""
+def eval_gamma_sequence(seq, volume, region=None) -> OperatorSum:
+    """Shift average of ``seq.seed``, or its terms meeting ``region``; zero below the window."""
     n = check_volume(volume)
     if n < seq.window:
         return zero_sum(seq.seed.site_dim)
-    return gamma_average(seq.seed, n)
+    if region is None:
+        return gamma_average(seq.seed, n)
+    return _shift_average(seq.seed.as_sum(), n, region)
 
 
 def is_gamma_invariant(a, volume) -> bool:

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_h
 
 import spintail.classical as cl
 from spintail.errors import CapacityError, ContractViolation
@@ -195,6 +199,63 @@ class TestCyclicAverage:
         assert (shifted - avg).l1_norm() <= 1e-14
 
 
+def _counting_moves():
+    """Patch ``TrigObservable._moved`` to count the translates it builds."""
+    calls = []
+    original = cl.TrigObservable._moved
+
+    def moved(self, site_map):
+        calls.append(site_map)
+        return original(self, site_map)
+
+    return calls, mock.patch.object(cl.TrigObservable, "_moved", moved)
+
+
+def _meets(key, region) -> bool:
+    return any(s in region for s, _, _ in key)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st_h.integers(0, 2**32 - 1),
+    st_h.sets(st_h.integers(1, 5), min_size=1, max_size=3),
+    st_h.integers(1, 4),
+    st_h.booleans(),
+    st_h.sets(st_h.integers(1, 12), min_size=1, max_size=2),
+    st_h.integers(1, 12),
+)
+# translates collide: cos q1 - cos q2 + cos q3 lands on each site three times
+@example(0, {1}, 1, True, {2}, 5)
+# wrap-around: every shift meets the probe
+@example(1, {1, 2}, 3, True, {1, 3}, 3)
+# below the support: both sides are empty
+@example(2, {1, 5}, 2, False, {2}, 4)
+def test_meeting_translates_give_the_full_bracket(
+    rng_seed, seed_sites, n_terms, collide, probe_sites, n
+):
+    rng = np.random.default_rng(rng_seed)
+    if collide:
+        f = cl.cos_q(1) - cl.cos_q(2) + cl.cos_q(3)
+    else:
+        f = random_trig(rng, sites=tuple(sorted(seed_sites)), n_terms=n_terms)
+    probe = random_trig(rng, sites=tuple(sorted(probe_sites)), n_terms=2)
+    region = probe.support
+    seq = cl.ClassicalCyclicAverage(f)
+
+    full = seq.eval(n)
+    calls, counting = _counting_moves()
+    with counting:
+        meeting = seq.eval(n, region)
+    assert len(calls) <= len(f.support) * len(region)
+    assert [(k, c) for k, c in meeting.coeffs.items() if _meets(k, region)] == [
+        (k, c) for k, c in full.coeffs.items() if _meets(k, region)
+    ]
+    full_bracket = cl.poisson_bracket(full, probe)
+    meeting_bracket = cl.poisson_bracket(meeting, probe)
+    assert list(meeting_bracket.coeffs.items()) == list(full_bracket.coeffs.items())
+    assert meeting_bracket.l1_norm() == full_bracket.l1_norm()
+
+
 class TestTailSequence:
     def test_shift_arithmetic(self):
         seq = cl.tail_sequence(cl.cos_q(1))
@@ -224,6 +285,18 @@ class TestBracketDecay:
             assert p.value * p.n == pytest.approx(1.0, abs=1e-12)
         assert rep.classification == "vanishing"
         assert rep.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
+
+    def test_large_volumes_build_only_meeting_translates(self):
+        # cos q1 cos q2 against cos p1: only the translates landing a seed
+        # site on site 1 (j = 0, 1) are built, at any N; each brackets to 1 / N
+        seq = cl.ClassicalCyclicAverage(cl.cos_q(1) * cl.cos_q(2))
+        sched = [2**k for k in range(14, 21)]
+        calls, counting = _counting_moves()
+        with counting:
+            rep = cl.bracket_decay_test(seq, cl.cos_p(1), sched)
+        assert len(calls) == 2 * len(sched)
+        assert [p.value * p.n for p in rep.points] == [2.0] * len(sched)
+        assert rep.classification == "vanishing"
 
     def test_tail_shifted_exact_zero(self):
         seq = cl.tail_sequence(cl.cos_q(1))

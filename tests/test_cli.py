@@ -737,6 +737,58 @@ class TestMainExitCodes:
             assert len(err) == 1 and err[0].startswith(f"invalid: {key}: unknown key; ")
 
     @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            (dict(ALL_KINDS["norm"], sequence={"kind": "translated", "op": "pauli1", "ofset": 1}),
+             "sequence.ofset"),
+            (dict(GAMMA_BOUND, sequence={
+                "kind": "gamma", "seed": {"matrix": "pauli3", "sites": [1], "site": [2]}}),
+             "sequence.seed.site"),
+            # a label is read on probes only
+            (dict(ALL_KINDS["variance"], observable={
+                "matrix": "pauli3", "sites": [1], "label": "z"}), "observable.label"),
+            (dict(GAMMA_BOUND, probe={"matrix": "pauli1", "sites": [1], "lable": "x"}),
+             "probe.lable"),
+            (dict(ALL_KINDS["commutant"], probes=[{"matrix": "pauli1", "sites": [1], "sties": 2}]),
+             "probes[0].sties"),
+            (dict(CLASSICAL, sequence={
+                "kind": "cyclic-average", "f": {"named": "cos_q", "site": 1}, "g": 1}),
+             "sequence.g"),
+            (dict(CLASSICAL, probe={"named": "cos_p", "site": 1, "sight": 2}), "probe.sight"),
+            (dict(CLASSICAL, probe={"terms": [{"amplitude": 1, "freqs": [[1, 0, 1]]}], "site": 2}),
+             "probe.site"),
+            (dict(CLASSICAL, probe={"terms": [{"amplitude": 1, "freqs": [[1, 0, 1]], "freq": []}]}),
+             "probe.terms[0].freq"),
+            (dict(EXPECT, state={"rho": [[1, 0], [0, 0]], "roh": 1}), "state.roh"),
+        ],
+        ids=["sequence", "local_operator", "label_off_probe", "probe", "probes", "classical",
+             "named_trig", "trig_terms", "trig_term", "state"],
+    )
+    def test_unknown_nested_keys_refused(self, cfg, key, tmp_path, capsys):
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"invalid: {key}: unknown key; ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--format", "xml"], ["--seed", "x"], ["--dense-cap", "1.5"], ["--bogus"]],
+        ids=["format", "seed", "dense_cap", "unknown_flag"],
+    )
+    def test_bad_flags_exit_one(self, flags, tmp_path, capsys):
+        # exit 2 means a failed assertion, so a usage error may not use it
+        assert main(["run", write_config(tmp_path, GAMMA_BOUND), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: spintail")
+        assert flags[0] in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: spintail run")
+
+    @pytest.mark.parametrize(
         "cfg, estimator",
         [(GAMMA_BOUND, "gamma_bound_check"), (MUTUAL, "mutual_commutator_trace")],
         ids=["gamma_bound", "mutual"],

@@ -5,7 +5,7 @@ from hypothesis import strategies as st_h
 
 import spintail as st
 from spintail.localops import _op_fingerprint
-from spintail.shifts import _meeting_average, is_gamma_invariant
+from spintail.shifts import is_gamma_invariant
 
 from oracles import (
     SX,
@@ -236,7 +236,7 @@ def test_meeting_shifts_give_the_full_commutator(rng_seed, seed_sites, factored,
     seq = st.GammaSeq.from_seed(seed)
 
     full = seq.eval(n)
-    meeting = _meeting_average(seq, n, probe.support)
+    meeting = st.eval_gamma_sequence(seq, n, probe.support)
     assert term_list(meeting.terms) == term_list(
         (w, op) for w, op in full.terms if set(op.support) & set(probe_sites)
     )
