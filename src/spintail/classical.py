@@ -19,6 +19,7 @@ import numpy as np
 
 from .asymptotics import DecayReport, TracePoint, _need_points, classify_trace
 from .errors import CapacityError, ContractViolation
+from .localops import check_volume
 from .sequences import as_schedule
 from .shifts import _meeting_shifts, _site_map
 
@@ -241,6 +242,7 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
 
 def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservable:
     """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, those meeting it."""
+    n = check_volume(n)
     sup = f.support
     if sup and sup[-1] > n:
         raise ContractViolation(f"support {sup} outside volume of {n} sites")
@@ -260,6 +262,7 @@ class ClassicalLocalEmbed:
     f: TrigObservable
 
     def eval(self, n: int) -> TrigObservable:
+        n = check_volume(n)
         sup = self.f.support
         if sup and sup[-1] > n:
             return TrigObservable({})
@@ -271,6 +274,7 @@ class ClassicalCyclicAverage:
     f: TrigObservable
 
     def eval(self, n: int, region=None) -> TrigObservable:
+        n = check_volume(n)
         if self.f.support and self.f.support[-1] > n:
             return TrigObservable({})
         return cyclic_average_eval(self.f, n, region)
@@ -287,6 +291,7 @@ class TailShifted:
     f: TrigObservable
 
     def eval(self, n: int) -> TrigObservable:
+        n = check_volume(n)
         sup = self.f.support
         return self.f._moved({s: s + n + 1 - sup[0] for s in sup}) if sup else self.f
 

@@ -16,11 +16,12 @@ A config is one JSON file.  Common fields::
 
 ``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
 up to the measured crossover ``localops._AUTO_DENSE_DIM`` of the compacted
-dimension, and block Lanczos above it.  ``dense_cap`` is a separate limit on
-the matrices a norm builds: ``dense`` refuses a larger matrix, and a cap below
-the crossover moves ``auto`` to block Lanczos sooner.  It does not cap the
-support overlaps that products and commutators densify; those stay capped at
-``matrices.DENSE_DIM_CAP``.
+dimension, and block Lanczos above it.  ``dense_cap`` caps only the matrices
+a norm builds: ``dense`` refuses a larger one, and a cap below the crossover
+moves ``auto`` to block Lanczos sooner.  Products densify each overlap
+component, and commutators the union of their overlaps, each up to
+``matrices.DENSE_DIM_CAP``; ``sum_commutator`` keeps a pair that meets on
+several overlaps as two factored products.
 
 A null value counts as absent, for every top-level key and every key of
 ``assert`` and ``output``.  A key the kind does not read, or an unknown
@@ -54,8 +55,8 @@ named constant (pauli1, pauli2, pauli3, identity), an explicit row-major
 array with entries ``x`` or ``[re, im]``, or a list of such matrices (one
 per site, tensored).  A list is read per-site when it starts with a name, or
 when it holds exactly one matrix per site; otherwise it is one d^k x d^k
-literal.  A probe spec may also carry a ``"label"`` naming its series;
-no other local operator takes one.  Classical observables are
+literal.  A probe spec may also carry a string ``"label"`` naming its
+series; no other local operator takes one.  Classical observables are
 ``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]}, ...]}`` or the
 shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site": s}``; classical
 sequences use kinds classical-local | cyclic-average | tail-shifted with an
@@ -387,6 +388,10 @@ def _op_label(spec: dict, op: LocalOperator) -> str:
 
 def _parse_probe(spec, errors: _Problems, path: str):
     op = _parse_local_operator(spec, errors, path, ("matrix", "sites", "label"))
+    label = spec.get("label") if isinstance(spec, dict) else None
+    if label is not None and not isinstance(label, str):
+        errors.add(f"{path}.label", f"expected a string, got {label!r}")
+        return None
     return None if op is None else (_op_label(spec, op), op)
 
 

@@ -446,43 +446,58 @@ def _overlap_components(blocks_a, blocks_b):
     return list(comps.values())
 
 
+def _split_overlaps(blocks_a, blocks_b):
+    """``(shared, rest)``: the overlap components holding blocks of both
+    operators, as (a-blocks, b-blocks) pairs, and every other block, in
+    component order."""
+    shared, rest = [], []
+    for ablks, bblks in _overlap_components(blocks_a, blocks_b):
+        if ablks and bblks:
+            shared.append((ablks, bblks))
+        else:
+            rest.extend(ablks or bblks)
+    return shared, rest
+
+
+def _densify(ablks, bblks, d):
+    """The sites of ``ablks`` and ``bblks`` and the dense matrix of each list on them."""
+    sites = tuple(sorted({s for blk in ablks + bblks for s in blk.sites}))
+    am = _assemble([(1.0, 1.0, ablks)], sites, d, DENSE_DIM_CAP)
+    return sites, am, _assemble([(1.0, 1.0, bblks)], sites, d, DENSE_DIM_CAP)
+
+
 def product(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     """Operator product; densifies only on support-overlap components."""
     _same_dim(a, b)
-    d = a.site_dim
-    scalar = a.scalar * b.scalar
+    d, scalar = a.site_dim, a.scalar * b.scalar
     if scalar == 0:
         return zero_op(d)
-    new, kept = [], []
-    for ablks, bblks in _overlap_components(a.blocks, b.blocks):
-        if ablks and bblks:
-            sites = tuple(sorted({s for blk in ablks + bblks for s in blk.sites}))
-            am = _assemble([(1.0, 1.0, ablks)], sites, d, DENSE_DIM_CAP)
-            bm = _assemble([(1.0, 1.0, bblks)], sites, d, DENSE_DIM_CAP)
-            new.append(Block(sites, am @ bm))
-        else:
-            kept.extend(ablks or bblks)
-    return _make_op(d, scalar, new, kept)
+    shared, rest = _split_overlaps(a.blocks, b.blocks)
+    new = [_densify(ablks, bblks, d) for ablks, bblks in shared]
+    return _make_op(d, scalar, [Block(sites, am @ bm) for sites, am, bm in new], rest)
 
 
 def commutator(a: LocalOperator, b: LocalOperator) -> LocalOperator:
-    """``a b - b a``; exactly zero, with no matrix work, for disjoint supports."""
+    """``a b - b a`` as one operator; exactly zero, with no matrix work, for disjoint supports.
+
+    Products densify each overlap component, and commutators the union of
+    their overlaps, each up to ``DENSE_DIM_CAP``; :func:`sum_commutator` keeps
+    a pair that meets on several overlaps as two factored products; a norm's
+    ``dense_cap`` caps only the matrices the norm builds.
+    """
     _same_dim(a, b)
-    d = a.site_dim
-    if a.is_zero or b.is_zero or not (set(a.support) & set(b.support)):
-        return zero_op(d)
-    spectators = []
-    mixed_a, mixed_b = [], []
-    for ablks, bblks in _overlap_components(a.blocks, b.blocks):
-        if ablks and bblks:
-            mixed_a.extend(ablks)
-            mixed_b.extend(bblks)
-        else:
-            spectators.extend(ablks or bblks)
-    sites = tuple(sorted({s for blk in mixed_a + mixed_b for s in blk.sites}))
-    am = _assemble([(1.0, 1.0, mixed_a)], sites, d, DENSE_DIM_CAP)
-    bm = _assemble([(1.0, 1.0, mixed_b)], sites, d, DENSE_DIM_CAP)
-    return _make_op(d, a.scalar * b.scalar, [Block(sites, am @ bm - bm @ am)], spectators)
+    shared, rest = _split_overlaps(a.blocks, b.blocks)
+    if not shared:
+        return zero_op(a.site_dim)
+    mixed_a, mixed_b = ([blk for pair in shared for blk in pair[k]] for k in (0, 1))
+    dim = a.site_dim ** len({s for blk in mixed_a + mixed_b for s in blk.sites})
+    if len(shared) > 1 and dim > DENSE_DIM_CAP:
+        raise CapacityError(
+            f"commutator overlaps need dimension {dim}, above the cap {DENSE_DIM_CAP}; "
+            "sum_commutator keeps operators that meet on several overlaps as two factored products"
+        )
+    sites, am, bm = _densify(mixed_a, mixed_b, a.site_dim)
+    return _make_op(a.site_dim, a.scalar * b.scalar, [Block(sites, am @ bm - bm @ am)], rest)
 
 
 def sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -497,22 +512,20 @@ def sum_product(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 def sum_commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Termwise commutator with the disjoint-support short-circuit.
 
-    When a single term pair overlaps on a region too large to densify (two
-    long product operators), the pair is kept as the difference of the two
-    factored products instead.
+    A term pair that meets on one overlap goes through :func:`commutator`; a
+    pair that meets on several separate overlaps is kept as the two factored
+    products ``a b`` and ``- b a``, at every size, so no union of separate
+    overlaps is densified.
     """
     _same_dim(a, b)
     terms = []
     for wa, oa in a.terms:
         for wb, ob in b.terms:
-            try:
-                c = commutator(oa, ob)
-            except CapacityError:
-                terms.append((wa * wb, product(oa, ob)))
-                terms.append((-wa * wb, product(ob, oa)))
-                continue
-            if not c.is_zero:
-                terms.append((wa * wb, c))
+            shared, _ = _split_overlaps(oa.blocks, ob.blocks)
+            if len(shared) == 1:
+                terms.append((wa * wb, commutator(oa, ob)))
+            elif shared:
+                terms += [(wa * wb, product(oa, ob)), (-wa * wb, product(ob, oa))]
     return operator_sum(terms, a.site_dim)
 
 
@@ -645,9 +658,9 @@ def _norm_bound(terms, dense_cap) -> float:
     a block above ``dense_cap`` counts with its Frobenius norm."""
     total = 0.0
     for w, op in terms:
-        try:
+        if all(b.matrix.shape[0] <= dense_cap for b in op.blocks):
             total += abs(w) * op.norm_exact(dense_cap)
-        except CapacityError:
+        else:
             total += abs(w * op.scalar) * math.prod(
                 float(np.linalg.norm(b.matrix)) for b in op.blocks
             )
@@ -756,9 +769,9 @@ def norm(
 
     ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
     (matrix-free block Lanczos on ``a* a``, deterministic seeded start), or
-    ``"auto"``.  Two separate limits apply to the compacted dimension.
-    ``dense_cap`` caps this norm's matrices: ``"dense"`` refuses a larger one with
-    a :class:`CapacityError` that names the iterative route.  ``"auto"`` is a
+    ``"auto"``.  ``dense_cap`` caps only the matrices a norm builds, not the
+    overlaps that products and commutators densify (see :func:`commutator`):
+    ``"dense"`` refuses a larger one and names the iterative route.  ``"auto"`` is a
     router on measured speed: it takes dense only up to the crossover
     ``_AUTO_DENSE_DIM``, or ``dense_cap`` when that is lower, and block
     Lanczos above.  Both paths first compact the sum onto its union support,
@@ -770,8 +783,9 @@ def norm(
     ``sqrt(lambda_max(a* a))`` otherwise.  The iterative path compiles ``a``
     and ``a*`` once each into an apply plan (dense windows of neighbouring
     terms, one GEMM per block on a view of the state, no transposes) and
-    holds about 37 state vectors at its peak.  Single-term sums are exact
-    products of per-block dense norms for every method.  An iterative norm
+    holds about 37 state vectors at its peak.  A single term whose blocks all
+    fit in ``dense_cap`` is the exact product of its per-block dense norms, for
+    every method; a larger one goes to the router.  An iterative norm
     that has not converged within ``ITERATIVE_MAX_ITER`` applies of ``a* a``
     is reported via the ``converged`` flag, never as a silent wrong answer;
     ``iterations`` counts the applies.
@@ -788,12 +802,9 @@ def norm(
         return TracePoint(n, 0.0)
     if len(s.terms) == 1:
         w, op = s.terms[0]
-        try:
+        # a block larger than the cap falls through to the router
+        if all(b.matrix.shape[0] <= dense_cap for b in op.blocks):
             return TracePoint(n, abs(w) * op.norm_exact(dense_cap))
-        except CapacityError:
-            if method == "dense":
-                raise
-            # a single block larger than the cap: fall through to iteration
     terms, m = _compact_terms(s)
     d = s.site_dim
     dim = d**m

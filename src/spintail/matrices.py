@@ -11,14 +11,15 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation
 
-# Largest total dimension for which dense matrices are materialized: the default
-# dense_cap of localops.norm, and the fixed cap on the support overlaps that
-# localops.product and commutator densify, whatever a norm's dense_cap is.  It
-# is not the dimension above which localops.norm's "auto" route leaves the
-# dense eigensolve (the measured crossover localops._AUTO_DENSE_DIM, whose
-# table compares both routes).  4096 = 2^12, i.e. twelve qubit sites.  Seconds
-# per eigvalsh, measured once per size at one OpenBLAS thread on an Intel Xeon
-# VM (numpy 2.4):
+# Largest total dimension for which dense matrices are materialized: products
+# densify each overlap component, and commutators the union of their overlaps,
+# each up to this; localops.sum_commutator keeps a pair that meets on several
+# overlaps as two factored products; a norm's dense_cap (default this) caps
+# only the matrices the norm builds.  It is not the dimension above which
+# localops.norm's "auto" route leaves the dense eigensolve (the measured
+# crossover localops._AUTO_DENSE_DIM, whose table compares both routes).
+# 4096 = 2^12, i.e. twelve qubit sites.  Seconds per eigvalsh, measured once
+# per size at one OpenBLAS thread on an Intel Xeon VM (numpy 2.4):
 #
 #   dim   complex Hermitian   real symmetric   complex Gram product + solve
 #    512        0.08               0.02                  0.11

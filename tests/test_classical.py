@@ -277,6 +277,24 @@ class TestTailSequence:
             assert cl.sup_norm_bounds(seq.eval(n)) == ref
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("f", [cl.trig_term(1.0, []), cl.cos_q(1)], ids=["constant", "cos_q1"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda f, n: cl.ClassicalLocalEmbed(f).eval(n),
+        lambda f, n: cl.ClassicalCyclicAverage(f).eval(n),
+        lambda f, n: cl.TailShifted(f).eval(n),
+        cl.cyclic_average_eval,
+    ],
+    ids=["local", "cyclic_average", "tail_shifted", "cyclic_average_eval"],
+)
+def test_volumes_have_at_least_one_site(evaluate, f, n):
+    # as on the quantum side: no empty volume, no ZeroDivisionError
+    with pytest.raises(ContractViolation, match=f"at least one site, got {n}"):
+        evaluate(f, n)
+
+
 class TestBracketDecay:
     def test_cyclic_average_exact_inverse_volume(self):
         seq = cl.ClassicalCyclicAverage(cl.cos_q(1))

@@ -772,6 +772,31 @@ class TestMainExitCodes:
             assert len(err) == 1 and err[0].startswith(f"invalid: {key}: unknown key; ")
 
     @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            (dict(GAMMA_BOUND, probe={"matrix": "pauli1", "sites": [1], "label": 5}),
+             "probe.label"),
+            (dict(ALL_KINDS["commutant"], probes=[{"matrix": "pauli1", "sites": [1], "label": 5}]),
+             "probes[0].label"),
+        ],
+        ids=["probe", "probes"],
+    )
+    def test_probe_label_must_be_a_string(self, cfg, key, tmp_path, capsys):
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"invalid: {key}: expected a string, got 5"
+            ]
+
+    def test_null_probe_label_counts_as_absent(self, tmp_path, capsys):
+        probes = [{"matrix": "pauli1", "sites": [1], "label": None}]
+        path = write_config(tmp_path, dict(ALL_KINDS["commutant"], probes=probes))
+        assert main(["run", path]) == 0
+        series = json.loads(capsys.readouterr().out)["series"]
+        assert [s["label"] for s in series] == ["pauli1@1"]
+
+    @pytest.mark.parametrize(
         "flags",
         [["--format", "xml"], ["--seed", "x"], ["--dense-cap", "1.5"], ["--bogus"]],
         ids=["format", "seed", "dense_cap", "unknown_flag"],

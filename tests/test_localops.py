@@ -186,25 +186,121 @@ class TestCommutator:
     @pytest.mark.parametrize("n, expected", [(13, 2.0), (14, 0.0)])
     def test_capacity_fallback_keeps_factored_products(self, n, expected):
         # [x^N, z^N] = ((-i)^N - i^N) y^N: norm 2 at odd N, exactly 0 at even N.
-        # Above the dense cap the overlap cannot be densified, so the pair is
-        # kept as x^N z^N - z^N x^N.
+        # Above the dense cap the union of the overlaps cannot be densified,
+        # and the error names the route that keeps x^N z^N - z^N x^N factored.
         a = st.UniformProduct(st.pauli(1)).eval(n)
         b = st.UniformProduct(st.pauli(3)).eval(n)
         (_, x), (_, z) = a.terms[0], b.terms[0]
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="sum_commutator"):
             st.commutator(x, z)
         out = st.sum_commutator(a, b)
-        assert [w for w, _ in out.terms] == [1, -1]
-        for (_, got), want in zip(out.terms, (st.product(x, z), st.product(z, x))):
-            assert got.scalar == want.scalar and len(got.blocks) == n
-            assert all(g.sites == h.sites and np.array_equal(g.matrix, h.matrix)
-                       for g, h in zip(got.blocks, want.blocks))
+        assert_factored_pair(out, x, z, n)
         res = st.norm(out, n)
         assert res.converged
         if expected:
             assert res.value == pytest.approx(expected, rel=1e-12)
         else:
             assert res.value == 0.0
+
+    def test_one_overlap_above_cap_names_no_route(self):
+        # one 13-site overlap component: the factored form would densify it too
+        rng = np.random.default_rng(28)
+        a = random_block_op(rng, tuple(range(1, 8)))
+        b = random_block_op(rng, tuple(range(7, 14)))
+        for call in (st.commutator, lambda x, y: st.sum_commutator(x.as_sum(), y.as_sum())):
+            with pytest.raises(CapacityError, match="dimension 8192") as exc:
+                call(a, b)
+            assert "sum_commutator" not in str(exc.value)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_separate_overlaps_stay_factored_below_cap(self, n, monkeypatch):
+        # x^N and z^N meet on N one-site overlaps.  Densifying their union would
+        # take a 2^N x 2^N matrix; kept factored, no matrix above 2 x 2 is built.
+        a = st.UniformProduct(st.pauli(1)).eval(n)
+        b = st.UniformProduct(st.pauli(3)).eval(n)
+        assemble, built = localops._assemble, []
+
+        def recording(*args):
+            out = assemble(*args)
+            built.append(out.shape[0])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(localops, "_assemble", recording)
+            out = st.sum_commutator(a, b)
+        assert built and max(built) == 2
+        assert_factored_pair(out, a.terms[0][1], b.terms[0][1], n)
+        assert st.norm(out, n).value == pytest.approx(2.0 if n % 2 else 0.0, rel=0, abs=1e-12)
+
+
+def assert_factored_pair(out, x, z, n):
+    """``out`` is ``x z - z x`` kept as the two products, each of ``n`` one-site blocks."""
+    assert [w for w, _ in out.terms] == [1, -1]
+    for (_, got), want in zip(out.terms, (st.product(x, z), st.product(z, x))):
+        assert len(got.blocks) == n and all(len(blk.sites) == 1 for blk in got.blocks)
+        assert localops._op_fingerprint(got) == localops._op_fingerprint(want)
+
+
+# Where a and b meet inside one overlap component: (a's block offsets, b's block
+# offsets) from the component's first site.
+_OVERLAP_KINDS = (
+    ([(0,)], [(0,)]),
+    ([(0, 1)], [(1,)]),
+    ([(0,)], [(0, 1)]),
+    ([(0, 1)], [(0, 1)]),
+    ([(0, 1)], [(1, 2)]),
+    ([(0, 1), (2,)], [(1, 2)]),
+)
+_OVERLAP_SITES = 9
+
+
+def _kind_width(kind):
+    return 1 + max(o for blocks in kind for sites in blocks for o in sites)
+
+
+@st_h.composite
+def overlapping_pairs(draw):
+    """Products ``a``, ``b`` of random complex one- and two-site factors that meet
+    on 1 to 3 separate overlap components, with a spectator factor of either
+    operator, or none, on the site after each; returns ``(a, b, components, volume)``."""
+    rng = np.random.default_rng(draw(st_h.integers(0, 2**32 - 1)))
+    k = draw(st_h.integers(1, 3))
+    sites = ([], [])
+    first = 1
+    for i in range(k):
+        # each later component needs at least one site and the site after it
+        room = _OVERLAP_SITES - first - 2 * (k - 1 - i)
+        kind = draw(st_h.sampled_from([c for c in _OVERLAP_KINDS if _kind_width(c) <= room]))
+        for side, offsets in zip(sites, kind):
+            side.extend(tuple(first + o for o in block) for block in offsets)
+        first += _kind_width(kind)
+        owner = draw(st_h.sampled_from([0, 1, None]))
+        if owner is not None:
+            sites[owner].append((first,))
+        first += 1
+
+    def operator(blocks):
+        scalar = st.local_operator([[complex(rng.normal(), rng.normal())]], ())
+        factors = [st.local_operator(random_complex(rng, 2 ** len(s)) / 2, s) for s in blocks]
+        return reduce(st.product, factors, scalar)
+
+    return operator(sites[0]), operator(sites[1]), k, first - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlapping_pairs())
+def test_sum_commutator_form_follows_overlap_count(pair):
+    a, b, k, n = pair
+    wa, wb = 0.5 - 1j, 2.0 + 0.25j
+    out = st.sum_commutator(st.operator_sum([(wa, a)]), st.operator_sum([(wb, b)]))
+    da, db = st.dense_matrix(a, n), st.dense_matrix(b, n)
+    assert np.abs(st.dense_matrix(out, n) - wa * wb * (da @ db - db @ da)).max() <= 1e-12
+    got = [(w, localops._op_fingerprint(op)) for w, op in out.terms]
+    if k == 1:
+        assert got == [(wa * wb, localops._op_fingerprint(st.commutator(a, b)))]
+    else:
+        assert got == [(wa * wb, localops._op_fingerprint(st.product(a, b))),
+                       (-wa * wb, localops._op_fingerprint(st.product(b, a)))]
 
 
 class TestSumApply:
