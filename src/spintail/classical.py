@@ -274,8 +274,8 @@ class ClassicalCyclicAverage:
     f: TrigObservable
 
     def eval(self, n: int, region=None) -> TrigObservable:
-        n = check_volume(n)
-        if self.f.support and self.f.support[-1] > n:
+        # zero below the support; cyclic_average_eval checks the volume
+        if self.f.support and self.f.support[-1] > n >= 1:
             return TrigObservable({})
         return cyclic_average_eval(self.f, n, region)
 

@@ -21,7 +21,8 @@ a norm builds: ``dense`` refuses a larger one, and a cap below the crossover
 moves ``auto`` to block Lanczos sooner.  Products densify each overlap
 component, and commutators the union of their overlaps, each up to
 ``matrices.DENSE_DIM_CAP``; ``sum_commutator`` keeps a pair that meets on
-several overlaps as two factored products.
+several overlaps as two factored products when their union is too large to
+densify cheaply (``localops._keeps_factored``).
 
 A null value counts as absent, for every top-level key and every key of
 ``assert`` and ``output``.  A key the kind does not read, or an unknown

@@ -14,7 +14,8 @@ from .errors import CapacityError, ContractViolation
 # Largest total dimension for which dense matrices are materialized: products
 # densify each overlap component, and commutators the union of their overlaps,
 # each up to this; localops.sum_commutator keeps a pair that meets on several
-# overlaps as two factored products; a norm's dense_cap (default this) caps
+# overlaps as two factored products when their union is too large to densify
+# cheaply (localops._keeps_factored); a norm's dense_cap (default this) caps
 # only the matrices the norm builds.  It is not the dimension above which
 # localops.norm's "auto" route leaves the dense eigensolve (the measured
 # crossover localops._AUTO_DENSE_DIM, whose table compares both routes).

@@ -184,6 +184,13 @@ class TestCommutantMembership:
         assert rep.classification == "bounded_nonvanishing"
         assert not results[0].passed
 
+    def test_uniform_product_two_block_probe_is_exact_at_every_volume(self):
+        # the probe is x on site 1 times z on site 2, two blocks meeting x^N on
+        # two separate sites: their 4 x 4 union is densified, one exact term
+        results = st.commutant_membership(st.UniformProduct(SX), None, [4, 8, 16, 32])
+        (res,) = [r for r in results if r.label == "pauli1*pauli3@1,2"]
+        assert res.report.values == (2.0, 2.0, 2.0, 2.0)
+
     def test_default_probe_set(self):
         probes = st.default_probes()
         assert len(probes) == 7

@@ -789,6 +789,21 @@ class TestMainExitCodes:
                 f"invalid: {key}: expected a string, got 5"
             ]
 
+    @pytest.mark.parametrize(
+        "sequence",
+        [{"kind": "uniform-product", "op": "pauli1"},
+         {"kind": "parity-product", "odd": "pauli1", "even": "pauli2"}],
+        ids=["uniform", "parity"],
+    )
+    def test_product_sequences_against_default_probes(self, sequence, tmp_path, capsys):
+        # the two-block probe meets these products on two separate sites; with
+        # N - 2 spectators each commutator is still one exact term at N = 32
+        cfg = {"experiment": "commutant", "schedule": [4, 8, 16, 32], "sequence": sequence}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        series = json.loads(capsys.readouterr().out)["series"]
+        (probe,) = [s for s in series if s["label"] == "pauli1*pauli3@1,2"]
+        assert [p["value"] for p in probe["points"]] == [2.0] * 4
+
     def test_null_probe_label_counts_as_absent(self, tmp_path, capsys):
         probes = [{"matrix": "pauli1", "sites": [1], "label": None}]
         path = write_config(tmp_path, dict(ALL_KINDS["commutant"], probes=probes))

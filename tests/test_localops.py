@@ -1,4 +1,5 @@
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +213,16 @@ class TestCommutator:
                 call(a, b)
             assert "sum_commutator" not in str(exc.value)
 
+    def test_union_above_crossover_with_spectators_is_one_term(self):
+        # z on sites 1..9 against x^16: nine one-site overlaps, a 512-dimensional
+        # union, joint support 2^16 above the cap.  Densified, the norm is exact on
+        # one term; factored, it would need block Lanczos on 2^16-long vectors.
+        x = st.UniformProduct(st.pauli(1)).eval(16)
+        z = st.from_site_factors({s: st.pauli(3) for s in range(1, 10)}).as_sum()
+        out = st.sum_commutator(x, z)
+        assert len(out.terms) == 1 and out.terms[0][1].blocks[0].sites == tuple(range(1, 10))
+        assert st.norm(out, 16).value == pytest.approx(2.0, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_separate_overlaps_stay_factored_below_cap(self, n, monkeypatch):
         # x^N and z^N meet on N one-site overlaps.  Densifying their union would
@@ -262,11 +273,12 @@ def _kind_width(kind):
 def overlapping_pairs(draw):
     """Products ``a``, ``b`` of random complex one- and two-site factors that meet
     on 1 to 3 separate overlap components, with a spectator factor of either
-    operator, or none, on the site after each; returns ``(a, b, components, volume)``."""
+    operator, or none, on the site after each; returns ``(a, b, components,
+    overlap sites, volume)``."""
     rng = np.random.default_rng(draw(st_h.integers(0, 2**32 - 1)))
     k = draw(st_h.integers(1, 3))
     sites = ([], [])
-    first = 1
+    first, union = 1, 0
     for i in range(k):
         # each later component needs at least one site and the site after it
         room = _OVERLAP_SITES - first - 2 * (k - 1 - i)
@@ -274,6 +286,7 @@ def overlapping_pairs(draw):
         for side, offsets in zip(sites, kind):
             side.extend(tuple(first + o for o in block) for block in offsets)
         first += _kind_width(kind)
+        union += _kind_width(kind)
         owner = draw(st_h.sampled_from([0, 1, None]))
         if owner is not None:
             sites[owner].append((first,))
@@ -284,19 +297,22 @@ def overlapping_pairs(draw):
         factors = [st.local_operator(random_complex(rng, 2 ** len(s)) / 2, s) for s in blocks]
         return reduce(st.product, factors, scalar)
 
-    return operator(sites[0]), operator(sites[1]), k, first - 1
+    return operator(sites[0]), operator(sites[1]), k, union, first - 1
 
 
 @settings(max_examples=60, deadline=None)
-@given(overlapping_pairs())
-def test_sum_commutator_form_follows_overlap_count(pair):
-    a, b, k, n = pair
+@given(overlapping_pairs(), st_h.sampled_from([2, 8, 32, localops._AUTO_DENSE_DIM]))
+def test_sum_commutator_form_follows_overlaps(pair, crossover):
+    # every joint support here is within DENSE_DIM_CAP, so a pair meeting on
+    # several overlaps is factored exactly when their union is above the crossover
+    a, b, k, union, n = pair
     wa, wb = 0.5 - 1j, 2.0 + 0.25j
-    out = st.sum_commutator(st.operator_sum([(wa, a)]), st.operator_sum([(wb, b)]))
+    with mock.patch.object(localops, "_AUTO_DENSE_DIM", crossover):
+        out = st.sum_commutator(st.operator_sum([(wa, a)]), st.operator_sum([(wb, b)]))
     da, db = st.dense_matrix(a, n), st.dense_matrix(b, n)
     assert np.abs(st.dense_matrix(out, n) - wa * wb * (da @ db - db @ da)).max() <= 1e-12
     got = [(w, localops._op_fingerprint(op)) for w, op in out.terms]
-    if k == 1:
+    if k == 1 or 2**union <= crossover:
         assert got == [(wa * wb, localops._op_fingerprint(st.commutator(a, b)))]
     else:
         assert got == [(wa * wb, localops._op_fingerprint(st.product(a, b))),
