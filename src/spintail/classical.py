@@ -8,7 +8,8 @@ exact on coefficients: only the amplitudes are floating point.
 
 The sup norm is reported as an interval: the l1 coefficient norm is a
 rigorous upper bound, the maximum over a uniform angle grid a lower bound.
-Vanishing claims use the upper bound, non-vanishing claims the lower.
+Bracket traces are classified on the l1 upper bound alone, non-vanishing
+claims included; the grid lower bound feeds no classification.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def poisson_bracket(f: TrigObservable, g: TrigObservable) -> TrigObservable:
     return _build(out)
 
 
-# Grid lower bounds cover at most this many active sites, and evaluate at
-# most GRID_CHUNK grid points at once so memory stays bounded.
-GRID_SITE_CAP = 3
+# Grid lower bounds evaluate at most GRID_POINT_CAP points in all (about a
+# second), at most GRID_CHUNK at once so memory stays bounded.
+GRID_POINT_CAP = 1 << 20
 GRID_CHUNK = 1 << 16
 
 
@@ -194,8 +195,8 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
 
     upper: l1 norm of coefficients (rigorous).  lower: max |f| over a uniform
     grid with ``grid_points`` angles per active coordinate, streamed in
-    chunks of ``GRID_CHUNK`` points.  Grids over more than ``GRID_SITE_CAP``
-    active sites are refused.
+    chunks of ``GRID_CHUNK`` points.  Grids of more than ``GRID_POINT_CAP``
+    points are refused before any evaluation.
     """
     if grid_points < 8:
         raise ContractViolation("grids need at least 8 points per angle")
@@ -207,11 +208,15 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
     if not coords:
         lower = abs(sum(f.coeffs.values())) if f.coeffs else 0.0
         return float(lower), upper
-    active_sites = {s for s, _ in coords}
-    if len(active_sites) > GRID_SITE_CAP:
+    ncoords = len(coords)
+    total = grid_points**ncoords
+    if total > GRID_POINT_CAP:
+        fits = int(GRID_POINT_CAP ** (1 / ncoords))
+        fits += (fits + 1) ** ncoords <= GRID_POINT_CAP  # the float root may fall short
         raise CapacityError(
-            f"grid evaluation over {len(active_sites)} active sites exceeds the "
-            f"cap of {GRID_SITE_CAP}; reduce the support"
+            f"a grid of {total} points over {ncoords} active coordinates exceeds the cap of "
+            f"{GRID_POINT_CAP}; grid_points={fits} fits"
+            + ("" if fits >= 8 else ", below the minimum of 8: reduce the support")
         )
     keys = list(f.coeffs.items())
     coord_index = {c: i for i, c in enumerate(coords)}
@@ -223,8 +228,6 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
             if (s, 1) in coord_index:
                 freq_rows[r, coord_index[(s, 1)]] = n
     amps = np.array([c for _, c in keys])
-    ncoords = len(coords)
-    total = grid_points**ncoords
     step = 2.0 * np.pi / grid_points
     lower = 0.0
     for start in range(0, total, GRID_CHUNK):
@@ -304,8 +307,9 @@ def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     """Trace of l1 upper bounds of {a_N, probe}; classification as for norms.
 
     ``seq`` is any classical sequence, that is anything with ``eval(n)``
-    returning a :class:`TrigObservable`.  Upper bounds suffice for vanishing
-    claims; they are exact for the single-translate overlaps exercised here.
+    returning a :class:`TrigObservable`.  Every classification, a
+    ``bounded_nonvanishing`` one included, is made on these upper bounds
+    alone; no lower bound enters.
     Like the quantum estimators, it needs at least
     :data:`~spintail.asymptotics.MIN_POINTS` schedule points.  A
     :class:`ClassicalCyclicAverage` builds only its translates meeting the

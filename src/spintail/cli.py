@@ -419,38 +419,37 @@ def _parse_state(spec, errors: _Problems, path: str):
 
 
 # ---------------------------------------------------------------------------
-# experiment handlers: each runs one kind and returns its series as (label,
+# experiment handlers: each runs one kind on the config and the parsed fields
+# of its row, passed as keyword arguments, and returns its series as (label,
 # DecayReport) pairs, appending to the report's warnings.  Estimators are
 # called through their module-level names so that wrappers installed on them
 # see the calls.
 
 
-def _run_norm(config, warnings):
-    return [("norm", classify_trace(config.estimate(seq_norm_trace, config.sequence)))]
+def _run_norm(config, warnings, sequence):
+    return [("norm", classify_trace(config.estimate(seq_norm_trace, sequence)))]
 
 
-def _run_decay(config, warnings):
-    return [("vanishing", config.estimate(vanishing_test, config.sequence))]
+def _run_decay(config, warnings, sequence):
+    return [("vanishing", config.estimate(vanishing_test, sequence))]
 
 
-def _run_equiv(config, warnings):
-    return [("difference", config.estimate(equivalence_test, config.sequence, config.sequence2))]
+def _run_equiv(config, warnings, sequence, sequence2):
+    return [("difference", config.estimate(equivalence_test, sequence, sequence2))]
 
 
-def _run_commutant(config, warnings):
-    results = config.estimate(commutant_membership, config.sequence, config.probes)
+def _run_commutant(config, warnings, sequence, probes):
+    results = config.estimate(commutant_membership, sequence, probes)
     warnings.extend(f"probe {r.label} skipped: {r.reason}" for r in results if r.skipped)
     return [(r.label, r.report) for r in results if not r.skipped]
 
 
-def _run_gamma_bound(config, warnings):
-    return [("commutator", config.estimate(gamma_bound_check, config.sequence, config.probe[1]))]
+def _run_gamma_bound(config, warnings, sequence, probe):
+    return [("commutator", config.estimate(gamma_bound_check, sequence, probe[1]))]
 
 
-def _run_expect(config, warnings):
-    trace = config.schedule.trace(
-        lambda n: TracePoint(n, expectation(config.state, config.sequence.eval(n), n))
-    )
+def _run_expect(config, warnings, sequence, state):
+    trace = config.schedule.trace(lambda n: TracePoint(n, expectation(state, sequence.eval(n), n)))
     series = []
     for part, of in (("re", lambda v: v.real), ("im", lambda v: v.imag)):
         points = tuple(replace(p, value=float(of(p.value))) for p in trace)
@@ -460,20 +459,17 @@ def _run_expect(config, warnings):
     return series
 
 
-def _run_variance(config, warnings):
-    trace = config.schedule.trace(
-        lambda n: TracePoint(n, average_variance(config.state, config.observable, n))
-    )
+def _run_variance(config, warnings, state, observable):
+    trace = config.schedule.trace(lambda n: TracePoint(n, average_variance(state, observable, n)))
     return [("variance", classify_trace(trace))]
 
 
-def _run_classical_decay(config, warnings):
-    return [("bracket.l1", cl.bracket_decay_test(config.sequence, config.probe, config.schedule))]
+def _run_classical_decay(config, warnings, sequence, probe):
+    return [("bracket.l1", cl.bracket_decay_test(sequence, probe, config.schedule))]
 
 
-def _run_mutual(config, warnings):
-    rep = config.estimate(mutual_commutator_trace, config.sequence, config.sequence2)
-    return [("commutator", rep)]
+def _run_mutual(config, warnings, sequence, sequence2):
+    return [("commutator", config.estimate(mutual_commutator_trace, sequence, sequence2))]
 
 
 @dataclass(frozen=True)
@@ -484,7 +480,7 @@ class Experiment:
     # maps (spec, errors, path) -> value; only a field with a default may be
     # left out
     fields: tuple[tuple, ...]
-    # (config, warnings) -> list of (label, DecayReport) series
+    # (config, warnings, **parsed fields) -> list of (label, DecayReport) series
     handler: Callable
     # the fewest schedule points; kinds that accept a single volume take 1
     min_points: int = MIN_POINTS
@@ -620,13 +616,8 @@ class ExperimentConfig:
     assert_spec: dict
     out_format: str
     out_path: str | None
-    # each holds what the kind's parser for that field returned
-    sequence: object = None
-    sequence2: ObservableSequence | None = None
-    probe: object = None
-    probes: list[tuple[str, LocalOperator]] | None = None
-    observable: LocalOperator | None = None
-    state: object = None
+    # each field of the kind's row, by name, as its parser returned it
+    fields: dict
 
     def estimate(self, estimator, *args):
         """``estimator`` over this config's schedule, with its norm options."""
@@ -690,6 +681,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
+    values["fields"] = {name: values.pop(name) for name, *_ in experiment.fields}
     values.update({f"out_{name}": value for name, value in values.pop("output").items()})
     return ExperimentConfig(kind, schedule, raw, assert_spec=values.pop("assert"), **values)
 
@@ -697,7 +689,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
 def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     """Execute one experiment; returns the report and assertion failures."""
     warnings: list[str] = []
-    series = EXPERIMENTS[config.kind].handler(config, warnings)
+    series = EXPERIMENTS[config.kind].handler(config, warnings, **config.fields)
     # a point above its series' bound fails whatever the config asserts
     failures = [
         _failing_at(label, "bound violated", list(rep.bound_violations))

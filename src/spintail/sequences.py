@@ -13,9 +13,10 @@ The one sequence protocol is ``eval(n)``: :meth:`VolumeSchedule.trace` calls
 nothing else, so the classical sequences (plain dataclasses in
 :mod:`spintail.classical`) and anything else with ``eval`` trace the same
 way.  :class:`ObservableSequence` is only the base of the operator-valued
-kinds, which carry a ``site_dim``; they are combined by building
-:class:`SeqSum`, :class:`SeqProduct`, :class:`SeqAdjoint` and
-:class:`SeqScale` directly.
+kinds, which carry a ``site_dim``.  The pointwise combinations are one class,
+:class:`SeqMap`, which applies a function to its children's values at each
+volume; :func:`SeqSum`, :func:`SeqProduct`, :func:`SeqAdjoint` and
+:func:`SeqScale` build it.
 """
 
 from __future__ import annotations
@@ -252,53 +253,36 @@ def HalfChain(site_op, site_dim: int = 2) -> SiteProduct:
 
 
 @dataclass
-class SeqSum(ObservableSequence):
-    left: ObservableSequence
-    right: ObservableSequence
+class SeqMap(ObservableSequence):
+    """Pointwise combination: volume n carries ``combine(n, *(s.eval(n) for s in inner))``."""
+
+    combine: Callable[..., OperatorSum]
+    inner: tuple[ObservableSequence, ...]
 
     def __post_init__(self):
-        self.site_dim = self.left.site_dim
+        self.site_dim = self.inner[0].site_dim
 
     def eval(self, n: int) -> OperatorSum:
-        return self.left.eval(n) + self.right.eval(n)
+        return self.combine(n, *(s.eval(n) for s in self.inner))
 
 
-@dataclass
-class SeqProduct(ObservableSequence):
-    left: ObservableSequence
-    right: ObservableSequence
-
-    def __post_init__(self):
-        self.site_dim = self.left.site_dim
-
-    def eval(self, n: int) -> OperatorSum:
-        return sum_product(self.left.eval(n), self.right.eval(n))
+def SeqSum(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
+    return SeqMap(lambda n, a, b: a + b, (left, right))
 
 
-@dataclass
-class SeqAdjoint(ObservableSequence):
-    inner: ObservableSequence
-
-    def __post_init__(self):
-        self.site_dim = self.inner.site_dim
-
-    def eval(self, n: int) -> OperatorSum:
-        return self.inner.eval(n).adjoint()
+def SeqProduct(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
+    # sum_product is looked up at each evaluation, so a wrapper on it sees the call
+    return SeqMap(lambda n, a, b: sum_product(a, b), (left, right))
 
 
-@dataclass
-class SeqScale(ObservableSequence):
+def SeqAdjoint(inner: ObservableSequence) -> SeqMap:
+    return SeqMap(lambda n, a: a.adjoint(), (inner,))
+
+
+def SeqScale(factor: complex | Callable[[int], complex], inner: ObservableSequence) -> SeqMap:
     """Scale by a constant, or by a per-volume factor such as 1/N."""
-
-    factor: complex | Callable[[int], complex]
-    inner: ObservableSequence
-
-    def __post_init__(self):
-        self.site_dim = self.inner.site_dim
-
-    def eval(self, n: int) -> OperatorSum:
-        c = self.factor(n) if callable(self.factor) else self.factor
-        return self.inner.eval(n).scale(complex(c))
+    at = factor if callable(factor) else (lambda n: factor)
+    return SeqMap(lambda n, a: a.scale(complex(at(n))), (inner,))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,22 @@ class TestSupNorm:
         with pytest.raises(CapacityError, match="4"):
             cl.sup_norm_bounds(f)
 
+    def test_three_sites_with_q_and_p_refused(self):
+        # 6 active coordinates at 64 points per angle: 2**36 grid points, far
+        # too many to evaluate, so only a refusal up front returns
+        f = cl.TrigObservable({})
+        for s in (1, 2, 3):
+            f = f + cl.cos_q(s) * cl.cos_p(s)
+        with pytest.raises(CapacityError, match=r"68719476736 points over 6 .*grid_points=10 "):
+            cl.sup_norm_bounds(f)
+
+    def test_grid_at_the_cap_evaluates(self):
+        f = cl.cos_q(1) * cl.cos_q(2) * cl.cos_q(3) * cl.cos_q(4)
+        assert 32**4 == cl.GRID_POINT_CAP
+        lower, upper = cl.sup_norm_bounds(f, grid_points=32)
+        assert lower == pytest.approx(1.0, abs=1e-12)
+        assert upper == pytest.approx(1.0, abs=1e-15)
+
     def test_min_grid(self):
         with pytest.raises(ContractViolation):
             cl.sup_norm_bounds(cl.cos_q(1), grid_points=4)

@@ -175,7 +175,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(GAMMA_BOUND))
         assert cfg.kind == "gamma-bound"
         assert cfg.schedule.points == (4, 6, 8, 10)
-        assert cfg.probe[0] == "pauli1@1"
+        assert cfg.fields["probe"][0] == "pauli1@1"
 
     def test_non_increasing_schedule_named(self):
         bad = dict(GAMMA_BOUND, schedule=[4, 4])
@@ -413,7 +413,7 @@ class TestLocalOperatorLiterals:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         literal = [[[float(x.real), float(x.imag)] for x in row] for row in m]
         cfg = parse_config(dict(GAMMA_BOUND, probe={"matrix": literal, "sites": [1, 2]}))
-        _, op = cfg.probe
+        _, op = cfg.fields["probe"]
         assert op.support == (1, 2)
         assert np.array_equal(dense_matrix(op, 2), m)
 

@@ -212,6 +212,22 @@ class TestPointwiseAlgebra:
             st.dense_matrix(st.SeqScale(2.5j, a).eval(n), n), 2.5j * da, atol=1e-10
         )
 
+        # a qutrit pair keeps site_dim 3 through every combinator; volumes
+        # stay at most 3**5 states
+        m = min(n, 5)
+        ma, mb = random_complex(rng, 3), random_complex(rng, 9)
+        a3 = st.LocalEmbedSeq(st.local_operator(ma, (1,), site_dim=3))
+        b3 = st.LocalEmbedSeq(st.local_operator(mb, (1, 2), site_dim=3))
+        da3, db3 = np.kron(ma, np.eye(3 ** (m - 1))), np.kron(mb, np.eye(3 ** (m - 2)))
+        for seq, expected in (
+            (st.SeqSum(a3, b3), da3 + db3),
+            (st.SeqProduct(a3, b3), da3 @ db3),
+            (st.SeqAdjoint(b3), db3.conj().T),
+            (st.SeqScale(2.5j, a3), 2.5j * da3),
+        ):
+            assert seq.site_dim == 3
+            assert np.allclose(st.dense_matrix(seq.eval(m), m), expected, atol=1e-10)
+
 
 class TestBoundedness:
     def test_uniform_bounds_per_kind(self):
