@@ -16,9 +16,9 @@ A config is one JSON file.  Common fields::
 
 ``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
 up to the measured crossover ``localops._AUTO_DENSE_DIM`` of the compacted
-dimension, and block Lanczos above it.  ``dense_cap`` caps only the matrices
+dimension, and Lanczos above it.  ``dense_cap`` caps only the matrices
 a norm builds: ``dense`` refuses a larger one, and a cap below the crossover
-moves ``auto`` to block Lanczos sooner.  Products densify each overlap
+moves ``auto`` to Lanczos sooner.  Products densify each overlap
 component, and commutators the union of their overlaps, each up to
 ``matrices.DENSE_DIM_CAP``; ``sum_commutator`` keeps a pair that meets on
 several overlaps as two factored products when their union is too large to

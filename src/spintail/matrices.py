@@ -29,8 +29,9 @@ from .errors import CapacityError, ContractViolation
 #   4096       31                  7.0                  41
 DENSE_DIM_CAP = 4096
 
-# operator_norm_dense takes the self-adjoint route when the skew defect
-# ||a - a*||_F is at most this multiple of max |a_ij|.
+# is_self_adjoint holds when the skew defect ||a - a*||_F is at most this
+# multiple of max |a_ij|; operator_norm_dense then takes its self-adjoint
+# route, and localops.norm decides its Krylov route by it, step by step.
 _SELF_ADJOINT_RTOL = 1e-13
 
 # entries per row tile when scanning a dense matrix for its skew defect
@@ -93,6 +94,12 @@ def _skew_defect_and_max(a: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(defect2)), amax
 
 
+def is_self_adjoint(a: np.ndarray) -> bool:
+    """Whether ``||a - a*||_F <= _SELF_ADJOINT_RTOL * max |a_ij|`` for a square ``a``."""
+    defect, amax = _skew_defect_and_max(a)
+    return defect <= _SELF_ADJOINT_RTOL * amax
+
+
 def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
     """Exact operator (spectral) norm of a square matrix.
 
@@ -120,8 +127,7 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
         )
     if not np.any(a.imag):
         a = a.real
-    defect, amax = _skew_defect_and_max(a)
-    if defect <= _SELF_ADJOINT_RTOL * amax:
+    if is_self_adjoint(a):
         eig = np.linalg.eigvalsh(a)
         return float(max(abs(eig[0]), abs(eig[-1])))
     top = np.linalg.eigvalsh(a.conj().T @ a)[-1]

@@ -153,6 +153,20 @@ class TestSupNorm:
         assert lower == pytest.approx(1.0, abs=1e-12)
         assert upper == pytest.approx(1.0, abs=1e-15)
 
+    def test_many_terms_shrink_the_chunk(self):
+        # 64 terms on a 2**16-point grid: chunks of GRID_CHUNK points would build
+        # 2**22-entry arrays; the lower bound is the one the full chunks give
+        f = cl.TrigObservable({})
+        for m in range(-4, 4):
+            for n in range(-4, 4):
+                f = f + cl.trig_term(complex(m + 0.5, n), [(1, m, n)])
+        assert len(f.coeffs) * cl.GRID_CHUNK > cl.GRID_ENTRY_CAP
+        with mock.patch.object(cl.np, "exp", wraps=np.exp) as spy:
+            lower, upper = cl.sup_norm_bounds(f, grid_points=256)
+        assert max(call.args[0].size for call in spy.call_args_list) <= cl.GRID_ENTRY_CAP
+        with mock.patch.object(cl, "GRID_ENTRY_CAP", len(f.coeffs) * cl.GRID_CHUNK):
+            assert cl.sup_norm_bounds(f, grid_points=256) == (lower, upper)
+
     def test_min_grid(self):
         with pytest.raises(ContractViolation):
             cl.sup_norm_bounds(cl.cos_q(1), grid_points=4)

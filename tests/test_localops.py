@@ -40,6 +40,11 @@ def real_two_site_average(rng):
     return st.GammaSeq.from_seed(st.local_operator((a + a.T) / 2, (1, 2)))
 
 
+def random_two_site_average(rng):
+    """Shift average of a random complex two-site seed, not self-adjoint."""
+    return st.GammaSeq.from_seed(random_block_op(rng, (1, 2)))
+
+
 def tiny_rotated_sigma3_average(rng):
     """The rotated-sigma3 shift average scaled to norm 1e-6."""
     return st.SeqScale(1e-6, rotated_sigma3_average(rng))
@@ -73,6 +78,34 @@ def random_sum(rng, supports, d=2, product_form=()):
             op = random_block_op(rng, sites, d)
         terms.append((complex(rng.normal(), rng.normal()), op))
     return st.operator_sum(terms, d)
+
+
+def random_hermitian_sum(rng, supports, d=2, product_form=()):
+    """Like :func:`random_sum`, with Hermitian blocks and real weights, so that
+    every step of its apply plan is self-adjoint."""
+    terms = []
+    for sites in supports:
+        blocks = [(x,) for x in sites] if sites in product_form else [sites]
+        op = reduce(
+            st.product,
+            [st.local_operator(random_hermitian(rng, d ** len(b)), b, site_dim=d) for b in blocks],
+        )
+        terms.append((rng.normal(), op))
+    return st.operator_sum(terms, d)
+
+
+def norm_and_plans(s, n):
+    """The iterative norm of ``s`` and the number of apply plans it compiled:
+    one on ``a`` or ``i a``, two (``a`` and ``a*``) on ``a* a``."""
+    with mock.patch.object(localops, "_compile_plan", wraps=localops._compile_plan) as spy:
+        res = st.norm(s, n, "iterative")
+    return res, spy.call_count
+
+
+def right_cyclic(mat):
+    """``mat`` times the cyclic permutation of its basis, a non-Hermitian unitary:
+    the singular values stay, and the sum leaves the self-adjoint route."""
+    return mat @ np.roll(np.eye(len(mat)), 1, axis=0)
 
 
 class TestEmbed:
@@ -216,7 +249,7 @@ class TestCommutator:
     def test_union_above_crossover_with_spectators_is_one_term(self):
         # z on sites 1..9 against x^16: nine one-site overlaps, a 512-dimensional
         # union, joint support 2^16 above the cap.  Densified, the norm is exact on
-        # one term; factored, it would need block Lanczos on 2^16-long vectors.
+        # one term; factored, it would need Lanczos on 2^16-long vectors.
         x = st.UniformProduct(st.pauli(1)).eval(16)
         z = st.from_site_factors({s: st.pauli(3) for s in range(1, 10)}).as_sum()
         out = st.sum_commutator(x, z)
@@ -384,6 +417,24 @@ class TestApplyPlan:
         _, got = compiled_apply(s, v, n, adjoint)
         assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    @pytest.mark.parametrize("phase", [1, 1j], ids=["self_adjoint", "anti_self_adjoint"])
+    def test_hermitian_plan_matches_dense_oracle(self, case, phase):
+        n, d, supports, product_form = PLAN_CASES[case]
+        rng = np.random.default_rng(sorted(PLAN_CASES).index(case) + 90)
+        s = random_hermitian_sum(rng, supports, d, product_form).scale(phase)
+        v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+        want = st.dense_matrix(s, n) @ v
+        plan, got = compiled_apply(s, v, n)
+        assert localops._hermitian_phase(plan) == phase
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_non_hermitian_plan_has_no_phase(self):
+        n, d, supports, product_form = PLAN_CASES["bonds_wrap_product"]
+        s = random_sum(np.random.default_rng(83), supports, d, product_form)
+        plan, _ = compiled_apply(s, np.ones(d**n, dtype=complex), n)
+        assert localops._hermitian_phase(plan) is None
+
     def test_terms_on_one_support_merge(self):
         s = random_sum(np.random.default_rng(80), [(9, 10)] * 3 + [(4,)] * 2)
         plan, _ = compiled_apply(s, np.ones(2**10, dtype=complex), 10)
@@ -491,6 +542,19 @@ class TestNorm:
         # a* a carries the rounding of a, about eps / gap relative to its norm
         assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-9 + 1e-15 / gap)
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
+    def test_hermitian_stop_relative_to_cancelled_norm(self, gap):
+        # the same cancellation between Hermitian seeds, so the kernel runs on a
+        rng = np.random.default_rng(46)
+        h, k = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        a, b = (
+            st.GammaSeq.from_seed(st.local_operator(m, (1,))).eval(10) for m in (h, h + gap * k)
+        )
+        s = st.operator_sum(list(a.terms) + [(-w, op) for w, op in b.terms])
+        res, plans = norm_and_plans(s, 10)
+        assert plans == 1 and res.converged and res.iterations > 1
+        assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-9 + 1e-15 / gap)
+
     def test_unconverged_flag(self, monkeypatch):
         monkeypatch.setattr(localops, "ITERATIVE_MAX_ITER", 1)
         s = st.operator_sum([(1.0, st.pauli_at(1, 1)), (0.7, st.pauli_at(3, 2))])
@@ -527,6 +591,18 @@ class TestNorm:
         res = st.norm(s, 3, "iterative")
         assert (not res.converged) or abs(res.value - dense) <= 1e-8
 
+    def test_no_silent_wrong_answer_on_tight_cluster_gram(self):
+        # the same singular values on a non-Hermitian sum, which stays on a* a
+        d1 = np.diag([1.0, 1.0 - 1e-6, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01]).astype(complex)
+        d2 = np.diag([0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+        s = st.operator_sum(
+            [(1.0, st.local_operator(right_cyclic(d), (1, 2, 3))) for d in (d1, d2)]
+        )
+        dense = st.norm(s, 3, "dense").value
+        res, plans = norm_and_plans(s, 3)
+        assert plans == 2
+        assert (not res.converged) or abs(res.value - dense) <= 1e-8
+
     def test_near_degenerate_top_pair(self):
         # top singular values 1 + 1e-3 mu and 1 - 1e-7 + 1e-3 mu: a single
         # Krylov vector cannot separate them within the apply budget, and a
@@ -545,6 +621,25 @@ class TestNorm:
         exact = 1.0 + 1e-3 * np.linalg.eigvalsh(h)[-1]
         assert res.value == pytest.approx(exact, rel=1e-9, abs=0)
 
+    def test_near_degenerate_top_pair_gram(self):
+        # the sum of the test above times the unitary (cyclic on sites 1..10) x I,
+        # which keeps its singular values and takes it off the self-adjoint route
+        rng = np.random.default_rng(37)
+        diag = np.concatenate([[1.0, 1.0 - 1e-7], rng.uniform(0.0, 0.99, 1022)])
+        h = random_hermitian(rng, 2)
+        sites = tuple(range(1, 11))
+        cyclic = st.local_operator(right_cyclic(np.eye(1024)), sites)
+        s = st.operator_sum(
+            [
+                (1.0, st.local_operator(right_cyclic(np.diag(diag).astype(complex)), sites)),
+                (1e-3, st.product(cyclic, st.local_operator(h, (11,)))),
+            ]
+        )
+        res, plans = norm_and_plans(s, 11)
+        assert plans == 2 and res.converged
+        exact = 1.0 + 1e-3 * np.linalg.eigvalsh(h)[-1]
+        assert res.value == pytest.approx(exact, rel=1e-9, abs=0)
+
     @pytest.mark.parametrize("n", [12, 13])
     def test_restarted_basis_keeps_top_value(self, monkeypatch, n):
         # a basis of 12 restarts several times; testing convergence before
@@ -553,6 +648,18 @@ class TestNorm:
         seq = rotated_sigma3_average(np.random.default_rng(38))
         res = st.norm(seq.eval(n), n, "iterative")
         assert res.converged
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_restarted_basis_keeps_top_value_gram(self, monkeypatch, n):
+        # seed u sigma3 V u* with V = diag(1, exp(i pi / 3)): a normal, non-Hermitian
+        # average whose norm is still 1, reached when every site takes eigenvalue 1
+        monkeypatch.setattr(localops, "ITERATIVE_BASIS", 12)
+        u, _ = np.linalg.qr(random_complex(np.random.default_rng(38), 2))
+        seed = u @ SZ @ np.diag([1.0, np.exp(1j * np.pi / 3)]) @ u.conj().T
+        seq = st.GammaSeq.from_seed(st.local_operator(seed, (1,)))
+        res, plans = norm_and_plans(seq.eval(n), n)
+        assert plans == 2 and res.converged and res.iterations > 12
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [9, 10])
@@ -567,18 +674,33 @@ class TestNorm:
         assert res.value == pytest.approx(dense, abs=1e-8, rel=1e-8)
 
     def test_space_smaller_than_block(self):
-        # dimension 2 < ITERATIVE_BLOCK: the start block spans the space
-        s = st.operator_sum([(1.0, st.pauli_at(1, 1)), (0.7, st.pauli_at(3, 1))])
-        res = st.norm(s, 1, "iterative")
-        assert res.converged
-        assert res.value == pytest.approx(np.sqrt(1.49), rel=1e-12)
+        # dimension 2: one vector and its image span the space on a, and on
+        # a* a (norm 1 + |c| for c = 0.7j) the start block is cut to 2 vectors
+        for c, plans, expected in [(0.7, 1, np.sqrt(1.49)), (0.7j, 2, 1.7)]:
+            s = st.operator_sum([(1.0, st.pauli_at(1, 1)), (c, st.pauli_at(3, 1))])
+            res, compiled = norm_and_plans(s, 1)
+            assert compiled == plans and res.converged
+            assert res.value == pytest.approx(expected, rel=1e-12)
+
+    def test_other_end_must_converge_or_be_bounded(self):
+        # the isolated top eigenvalue 1 converges within a few applies while the
+        # bottom Ritz value is still resolving a cluster that reaches -(1 + 1e-5):
+        # stopping on the top end alone would return 1
+        diag = np.concatenate(
+            [[1.0], -(1.0 + 1e-5) + 1e-4 * np.arange(100), np.linspace(-0.5, 0.5, 200)]
+        )
+        value, converged, applies = localops._power_iteration_norm(
+            lambda v: diag * v, len(diag), np.random.default_rng(0)
+        )
+        assert converged and applies > localops.ITERATIVE_BASIS
+        assert value == pytest.approx(1.0 + 1e-5, rel=1e-9)
 
     def test_iterations_count_applies(self, monkeypatch):
         calls = []
         kernel = localops._power_iteration_norm
 
-        def counted(gram_apply, dim, rng):
-            return kernel(lambda v: calls.append(1) or gram_apply(v), dim, rng)
+        def counted(apply, dim, *args):
+            return kernel(lambda v: calls.append(1) or apply(v), dim, *args)
 
         monkeypatch.setattr(localops, "_power_iteration_norm", counted)
         res = st.norm(rotated_sigma3_average(np.random.default_rng(40)).eval(9), 9, "iterative")
@@ -588,17 +710,21 @@ class TestNorm:
         compiled, applies = [], []
         compile_plan, kernel = localops._compile_plan, localops._power_iteration_norm
 
-        def counted(gram_apply, dim, rng):
-            return kernel(lambda v: applies.append(1) or gram_apply(v), dim, rng)
+        def counted(apply, dim, *args):
+            return kernel(lambda v: applies.append(1) or apply(v), dim, *args)
 
         monkeypatch.setattr(
             localops, "_compile_plan", lambda *args: compiled.append(1) or compile_plan(*args)
         )
         monkeypatch.setattr(localops, "_power_iteration_norm", counted)
-        s = real_two_site_average(np.random.default_rng(45)).eval(9)
-        res = st.norm(s, 9, "iterative")
-        # one plan for a, one for a*, however many times a* a is applied
-        assert res.converged and len(applies) > 2 and len(compiled) == 2
+        # one plan for a Hermitian a, or one for a and one for a* on a* a,
+        # however many times the kernel applies it
+        for average, plans in [(real_two_site_average, 1), (random_two_site_average, 2)]:
+            compiled.clear()
+            applies.clear()
+            s = average(np.random.default_rng(45)).eval(9)
+            res = st.norm(s, 9, "iterative")
+            assert res.converged and len(applies) > 2 and len(compiled) == plans
 
     def test_state_cap_named(self, monkeypatch):
         monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 8)
@@ -759,6 +885,27 @@ def test_embedding_isometry_property(seed, site, volume):
     assert st.operator_norm_dense(st.dense_matrix(a, volume)) == pytest.approx(
         a.norm_exact(), abs=1e-10
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st_h.integers(0, 2**32 - 1), st_h.sampled_from(["hermitian", "anti_hermitian", "general"]))
+def test_iterative_norm_matches_oracle_property(seed, kind):
+    # one-site terms on every site, two random bonds and a long two-block
+    # product (a chain of its plan), on a basis small enough to restart
+    rng = np.random.default_rng(seed)
+    n = 6
+    bonds = [tuple(sorted(rng.choice(range(1, n + 1), 2, replace=False))) for _ in range(2)]
+    supports = [(x,) for x in range(1, n + 1)] + bonds + [(1, n)]
+    if kind == "general":
+        s = random_sum(rng, supports, product_form=[(1, n)])
+        expected_plans = 2
+    else:
+        s = random_hermitian_sum(rng, supports, product_form=[(1, n)])
+        s, expected_plans = (s.scale(1j) if kind == "anti_hermitian" else s), 1
+    with mock.patch.object(localops, "ITERATIVE_BASIS", 8):
+        res, plans = norm_and_plans(s, n)
+    assert plans == expected_plans and res.converged and res.iterations > 8
+    assert res.value == pytest.approx(svd_norm(st.dense_matrix(s, n)), rel=1e-9)
 
 
 class TestValidation:
