@@ -41,33 +41,28 @@ __all__ = [
     "relabel",
 ]
 
-# Longest state vector an iterative norm works on.  Lanczos peaks at about 36
-# complex vectors of this length on a self-adjoint sum and 37 on a* a: its
-# ITERATIVE_BASIS rows, the result of an apply (on a* a also the vector
-# between a and a*), one or two scratch vectors for the apply plan, and the
-# Gram-Schmidt temporaries.  Tracemalloc at N = 14 and 16, on a: real
-# symmetric two-site shift average (which restarts) 36.4 and 36.1 vectors,
-# rotated sigma3 35.2 and 35.0, rotated sigma1 sigma1 (whose wrap bond is a
-# two-step chain) 36.2 and 36.0; on a* a, the last two seeds times
-# diag(1, exp(i pi / 3)) 36.2 and 36.1, and 37.4 and 37.1.  So about 4.7 GiB
-# at the cap.
+# Longest vector the Krylov kernel works on: dim on a self-adjoint sum (a or
+# i a), 2 dim on the dilation of any other, so a non-self-adjoint norm on
+# qubits tops out at 2**22 states.  Lanczos peaks at about 36 complex vectors
+# of this length: its ITERATIVE_BASIS rows, the result of an apply, one or two
+# dim-length scratch vectors for the apply plan, and the Gram-Schmidt
+# temporaries.  Tracemalloc at N = 14 and 16, in kernel vectors, on a: real
+# symmetric two-site shift average (which restarts) 36.3 and 36.1, rotated
+# sigma3 35.2 and 35.0, rotated sigma1 sigma1 (whose wrap bond is a two-step
+# chain) 36.2 and 36.0; on the dilation, the last two seeds with each factor
+# times diag(1, exp(i pi / 3)) 34.6 and 34.5, and 35.2 and 35.1, and a random
+# complex two-site average 34.7 and 34.6.  So about 4.7 GiB at the cap.
 ITERATIVE_STATE_CAP = 2**23
 # the ``method`` values :func:`norm` accepts
 NORM_METHODS = ("dense", "iterative", "auto")
 # Convergence: the dominant Ritz pair's residual norm is at most this times
 # |theta| (or at the rounding level _ROUNDING_RESIDUAL, whichever is larger).
 ITERATIVE_TOL = 1e-9
-# Applies of the kernel's operator (a, i a or a* a) before a norm is reported
-# unconverged.
+# Applies of the kernel's operator (a, i a or the dilation) before a norm is
+# reported unconverged.
 ITERATIVE_MAX_ITER = 10000
-# Vectors in the Lanczos start block on a* a: top clusters up to this size
-# resolve outright.  On a self-adjoint a the start is one vector, because each
-# start vector adds its own copy of every degenerate eigenspace to the Krylov
-# space: a block of 4 on a took 125 and 133 applies for the rotated-sigma3
-# average at N = 13 and 14, against 14 and 15 from one vector.
-ITERATIVE_BLOCK = 4
-# Basis vectors before a thick restart, which keeps (ITERATIVE_BASIS - b) // 2
-# Ritz vectors for a start block of b; at least 2 * ITERATIVE_BLOCK.
+# Basis vectors before a thick restart, which keeps (ITERATIVE_BASIS - 1) // 2
+# Ritz vectors.
 ITERATIVE_BASIS = 32
 
 # Largest compacted dimension that method="auto" sends to the dense eigensolve;
@@ -94,7 +89,7 @@ _AUTO_DENSE_DIM = 256
 
 # Neighbouring terms whose supports fit in a window of at most this many
 # states are assembled into one dense block on the window (_compile_plan).
-# Best-of-3 microseconds per apply of a (not a* a) for the shift averages of
+# Best-of-3 microseconds per apply of a for the shift averages of
 # the table above, same machine:
 #
 #   window               2      4      8     16     32
@@ -118,12 +113,11 @@ _WINDOW_DIM = 16
 #    128    351 /  84   358 /  94   347 /  63   221 /  84
 _FOLD_TAIL_DIM = 32
 
-# Rounding in one apply, scaled to norm bound sum |w| ||op|| <= 1, is about
-# eps on a and eps * ||a|| on a* a, so the residual of the dominant Ritz pair
-# cannot fall much below eps on a, or eps * sqrt(theta) on a* a.  The
-# iterative norm also stops once that residual is at most this (times
-# sqrt(theta) on a* a), which only matters for a sum that cancels to a norm
-# below about 1e-5 of its bound.
+# Rounding in one apply of a, i a or the dilation, scaled to norm bound
+# sum |w| ||op|| <= 1, is about eps, so the residual of the dominant Ritz pair
+# cannot fall much below eps.  The iterative norm also stops once that
+# residual is at most this, which only matters for a sum that cancels to a
+# norm below about 1e-5 of its bound.
 _ROUNDING_RESIDUAL = 64 * float(np.finfo(float).eps)
 
 
@@ -682,8 +676,8 @@ class TracePoint:
     """One volume of a trace, the only per-point record from :func:`norm` to the
     report.  ``bound`` is the envelope or reference the value is checked against,
     if any; ``seconds`` (wall-clock) and ``iterations`` (applies of the operator
-    the Krylov kernel runs: ``a``, ``i a`` or ``a* a``) never reach the report
-    and are ignored by equality."""
+    the Krylov kernel runs: ``a``, ``i a`` or the dilation) never reach the
+    report and are ignored by equality."""
 
     n: int
     value: float
@@ -733,28 +727,25 @@ def _cgs2(basis, w):
     return coeffs, float(np.linalg.norm(w))
 
 
-def _power_iteration_norm(apply, dim, rng, gram=False):
-    """Largest ``|eigenvalue|`` of the self-adjoint operator ``apply`` by
-    thick-restart Lanczos; with ``gram``, ``apply`` is ``a* a`` and the value
-    is its square root, the largest singular value of ``a``.
+def _power_iteration_norm(apply, dim, rng):
+    """Largest ``|eigenvalue|`` of the self-adjoint operator ``apply`` on
+    vectors of length ``dim``, by thick-restart Lanczos.
 
     Lanczos with full reorthogonalization, one vector at a time: each basis
     row in turn is applied, orthogonalized against the whole basis and
     appended, so the coefficients form ``T = Q* A Q``.  It starts from one
-    random vector, or on ``a* a`` from a block of ``ITERATIVE_BLOCK``, which
-    resolves top clusters up to that size.  Once the start block has been
-    applied, the Ritz pairs at both ends of the spectrum of the applied part
-    are tested after each apply; the residual norm of a pair ``(theta, y)``
-    is ``||T[done:size, :done] y||``.  With ``theta`` the end of larger
-    ``|theta|``, convergence needs its residual to be at most
+    random vector.  After each apply the Ritz pairs at both ends of the
+    spectrum of the applied part are tested; the residual norm of a pair
+    ``(theta, y)`` is ``||T[done:size, :done] y||``.  With ``theta`` the end
+    of larger ``|theta|``, convergence needs its residual to be at most
     ``ITERATIVE_TOL * |theta|``, which puts ``theta`` that close to an
     eigenvalue, or at most the rounding level of one apply once :func:`norm`
-    has scaled ``a`` to a norm bound of at most 1 (``_ROUNDING_RESIDUAL``,
-    times ``sqrt(theta)`` on ``a* a``); and the other end ``theta'`` must
-    pass the same test or be bounded below, ``|theta'| + res' < |theta|``.
+    has scaled ``a`` to a norm bound of at most 1 (``_ROUNDING_RESIDUAL``);
+    and the other end ``theta'`` must pass the same test or be bounded below,
+    ``|theta'| + res' < |theta|``.
     When the basis of ``ITERATIVE_BASIS`` vectors is full and cannot hold the
     whole space, it restarts thick (Wu and Simon, SIAM J. Matrix Anal. Appl.
-    22, 2000) before the next apply: the ``(ITERATIVE_BASIS - b) // 2`` Ritz
+    22, 2000) before the next apply: the ``(ITERATIVE_BASIS - 1) // 2`` Ritz
     vectors of largest ``|theta|``, from either end, replace the applied
     part, ``T`` becomes ``diag(theta)`` with the coupling rows
     ``T[done:size, :done] Y`` of the vectors not yet applied, and no Ritz
@@ -769,16 +760,13 @@ def _power_iteration_norm(apply, dim, rng, gram=False):
     kernel; ``bench/tracing.py`` wraps it by name and counts the calls of
     its first argument.)
     """
-    b = min(ITERATIVE_BLOCK if gram else 1, dim)
     cap = min(ITERATIVE_BASIS, dim)
-    keep = (ITERATIVE_BASIS - b) // 2
+    keep = (ITERATIVE_BASIS - 1) // 2
     q = np.zeros((cap, dim), dtype=complex)
     t = np.zeros((cap, cap), dtype=complex)
-    for i in range(b):
-        rng.standard_normal(out=q[i].view(np.float64))
-        _, length = _cgs2(q[:i], q[i])
-        q[i] /= length
-    size = b
+    rng.standard_normal(out=q[0].view(np.float64))
+    q[0] /= np.linalg.norm(q[0])
+    size = 1
     done = applies = 0
     best = 0.0
     while done < size and applies < ITERATIVE_MAX_ITER:
@@ -810,14 +798,11 @@ def _power_iteration_norm(apply, dim, rng, gram=False):
         top, other = (0, -1) if abs(vals[0]) > abs(vals[-1]) else (-1, 0)
         theta = abs(float(vals[top]))
         best = max(best, theta)
-        if applies < b:
-            continue
         res = np.linalg.norm(t[done:size, :done] @ vecs[:, [top, other]], axis=0)
-        floor = _ROUNDING_RESIDUAL * (np.sqrt(theta) if gram else 1.0)
-        tol = max(ITERATIVE_TOL * theta, floor)
+        tol = max(ITERATIVE_TOL * theta, _ROUNDING_RESIDUAL)
         if res[0] <= tol and (res[1] <= tol or abs(vals[other]) + res[1] < theta):
-            return float(np.sqrt(theta) if gram else theta), True, applies
-    return float(np.sqrt(best) if gram else best), False, applies
+            return theta, True, applies
+    return best, False, applies
 
 
 def _hermitian_phase(plan):
@@ -868,16 +853,19 @@ def norm(
     same skew rule on each step's matrix, which operator the kernel runs:
     ``a`` itself when every step is self-adjoint; ``i a`` when every chain's
     lead step is anti-self-adjoint and its other steps self-adjoint (as for
-    commutators of self-adjoint sums); otherwise ``a* a``, for which it
-    compiles ``a*`` too.  On ``a`` or ``i a`` the norm is the larger
-    ``|theta|`` of the two ends of the spectrum, from one random start
-    vector; on ``a* a`` it is ``sqrt(theta)`` of the top end, from a start
-    block.  The path holds about 36 state vectors at its peak on ``a`` and
-    37 on ``a* a``.  A single term whose blocks all fit in ``dense_cap`` is
-    the exact product of its per-block dense norms, for every method; a
-    larger one goes to the router.  An iterative norm that has not converged
-    within ``ITERATIVE_MAX_ITER`` applies is reported via the ``converged``
-    flag, never as a silent wrong answer; ``iterations`` counts the applies.
+    commutators of self-adjoint sums); otherwise the self-adjoint dilation
+    ``[[0, a], [a*, 0]]`` on vectors of length ``2 dim``, whose eigenvalues
+    are the singular values of ``a`` and their negatives, for which it
+    compiles ``a*`` too.  On every route the norm is the larger ``|theta|``
+    of the two ends of the spectrum, from one random start vector.  The path
+    holds about 36 of the kernel's vectors at its peak, and
+    ``ITERATIVE_STATE_CAP`` bounds their length, so a sum that is not
+    self-adjoint is capped at half the dimension (2**22 states on qubits).
+    A single term whose blocks all fit in ``dense_cap`` is the exact product
+    of its per-block dense norms, for every method; a larger one goes to the
+    router.  An iterative norm that has not converged within
+    ``ITERATIVE_MAX_ITER`` applies is reported via the ``converged`` flag,
+    never as a silent wrong answer; ``iterations`` counts the applies.
     """
     if isinstance(s, LocalOperator):
         s = s.as_sum()
@@ -908,35 +896,35 @@ def norm(
             [(w, op.scalar, op.blocks) for w, op in terms], tuple(range(1, m + 1)), d, dense_cap
         )
         return TracePoint(n, operator_norm_dense(mat, dense_cap))
-    if dim > ITERATIVE_STATE_CAP:
-        raise CapacityError(
-            f"iterative norm needs state vectors of length {dim}, above the cap "
-            f"{ITERATIVE_STATE_CAP}"
-        )
     # weights scaled by the power of two just above the norm bound, which is
-    # exact, give a* a norm at most 1, so the kernel's stop test is relative
+    # exact, give a norm at most 1, so the kernel's stop test is relative
     scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
     terms = [(scale * w, op) for w, op in terms]
     plan = _compile_plan(terms, m, d)
     phase = _hermitian_phase(plan)
+    size = dim if phase else 2 * dim
+    if size > ITERATIVE_STATE_CAP:
+        raise CapacityError(
+            f"iterative norm needs state vectors of length {size}, above the cap "
+            f"{ITERATIVE_STATE_CAP}"
+        )
     if phase == 1j:  # run on i a
         plan = tuple((c[0]._replace(matrix=1j * c[0].matrix),) + c[1:] for c in plan)
-    if phase is None:
-        plans = (plan, _compile_plan([(np.conj(w), op.adjoint()) for w, op in terms], m, d))
-    else:
-        plans = (plan,)
-    # one output per plan: on a* a the first holds a v
-    bufs = [np.empty(dim, dtype=complex) for _ in plans]
-    chained = any(len(chain) > 1 for p in plans for chain in p)
+    # on the dilation [[0, a], [a*, 0]], whose eigenvalues are +-sigma_i(a)
+    adj = () if phase else _compile_plan([(np.conj(w), op.adjoint()) for w, op in terms], m, d)
+    chained = any(len(chain) > 1 for chain in plan + adj)
     scratch = [np.empty(dim, dtype=complex) for _ in range(1 + chained)]
+    out = np.empty(size, dtype=complex)
 
     def apply(v):
         # the result is overwritten by the next call
-        for p, out in zip(plans, bufs):
-            _run_plan(p, v, out, scratch)
-            v = out
-        return v
+        if phase:
+            _run_plan(plan, v, out, scratch)
+        else:
+            _run_plan(plan, v[dim:], out[:dim], scratch)
+            _run_plan(adj, v[:dim], out[dim:], scratch)
+        return out
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    value, converged, applies = _power_iteration_norm(apply, dim, rng, phase is None)
+    value, converged, applies = _power_iteration_norm(apply, size, rng)
     return TracePoint(n, value / scale, converged, iterations=applies)

@@ -168,7 +168,7 @@ def test_criterion_07_oracle_equivalence():
                 f"case {case}"
             )
             fact = st.expectation(state, s, n)
-            oracle = np.trace(rho_chain(rho, n) @ st.dense_matrix(s, n))
+            oracle = np.einsum("ij,ji->", rho_chain(rho, n), st.dense_matrix(s, n))
             assert fact == pytest.approx(oracle, abs=1e-10), f"case {case}"
 
 

@@ -96,7 +96,8 @@ def random_hermitian_sum(rng, supports, d=2, product_form=()):
 
 def norm_and_plans(s, n):
     """The iterative norm of ``s`` and the number of apply plans it compiled:
-    one on ``a`` or ``i a``, two (``a`` and ``a*``) on ``a* a``."""
+    one on ``a`` or ``i a``, two (``a`` and ``a*``) on the dilation
+    ``[[0, a], [a*, 0]]``."""
     with mock.patch.object(localops, "_compile_plan", wraps=localops._compile_plan) as spy:
         res = st.norm(s, n, "iterative")
     return res, spy.call_count
@@ -529,8 +530,8 @@ class TestNorm:
     @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
     def test_iterative_stop_relative_to_cancelled_norm(self, gap):
         # a - a' for shift averages whose seeds differ by gap: the norm is
-        # about gap times the bound sum |w| ||op||, and the start block alone
-        # sees only a random Rayleigh quotient of it
+        # about gap times the bound sum |w| ||op||, and the dilation's first
+        # apply sees only a random Rayleigh quotient of it
         rng = np.random.default_rng(43)
         u, v = (np.linalg.qr(random_complex(rng, 2))[0] for _ in range(2))
         a, b = (
@@ -538,8 +539,9 @@ class TestNorm:
         )
         s = st.operator_sum(list(a.terms) + [(-w, op) for w, op in b.terms])
         res = st.norm(s, 10, "iterative")
-        assert res.converged and res.iterations > localops.ITERATIVE_BLOCK
-        # a* a carries the rounding of a, about eps / gap relative to its norm
+        assert res.converged and res.iterations > 1
+        # the dilation carries the rounding of a and a*, about eps / gap
+        # relative to its norm
         assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-9 + 1e-15 / gap)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
@@ -580,8 +582,8 @@ class TestNorm:
 
     def test_no_silent_wrong_answer_on_tight_cluster(self):
         # two nearly equal top singular values stall a single-vector
-        # Rayleigh quotient convincingly below the true norm; the block
-        # iteration must either resolve the cluster or flag non-convergence
+        # Rayleigh quotient convincingly below the true norm; the iterative
+        # norm must either resolve the cluster or flag non-convergence
         d1 = np.diag([1.0, 1.0 - 1e-6, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01]).astype(complex)
         d2 = np.diag([0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
         s = st.operator_sum(
@@ -592,7 +594,7 @@ class TestNorm:
         assert (not res.converged) or abs(res.value - dense) <= 1e-8
 
     def test_no_silent_wrong_answer_on_tight_cluster_gram(self):
-        # the same singular values on a non-Hermitian sum, which stays on a* a
+        # the same singular values on a non-Hermitian sum, which runs on the dilation
         d1 = np.diag([1.0, 1.0 - 1e-6, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01]).astype(complex)
         d2 = np.diag([0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
         s = st.operator_sum(
@@ -643,7 +645,7 @@ class TestNorm:
     @pytest.mark.parametrize("n", [12, 13])
     def test_restarted_basis_keeps_top_value(self, monkeypatch, n):
         # a basis of 12 restarts several times; testing convergence before
-        # the restarted start block is applied returns the second value 11/13
+        # the row a restart carries over is applied returns the second value 11/13
         monkeypatch.setattr(localops, "ITERATIVE_BASIS", 12)
         seq = rotated_sigma3_average(np.random.default_rng(38))
         res = st.norm(seq.eval(n), n, "iterative")
@@ -673,9 +675,10 @@ class TestNorm:
         assert res.converged
         assert res.value == pytest.approx(dense, abs=1e-8, rel=1e-8)
 
-    def test_space_smaller_than_block(self):
+    def test_space_smaller_than_basis(self):
         # dimension 2: one vector and its image span the space on a, and on
-        # a* a (norm 1 + |c| for c = 0.7j) the start block is cut to 2 vectors
+        # the dilation (norm 1 + |c| for c = 0.7j) the basis is cut to its 4
+        # states
         for c, plans, expected in [(0.7, 1, np.sqrt(1.49)), (0.7j, 2, 1.7)]:
             s = st.operator_sum([(1.0, st.pauli_at(1, 1)), (c, st.pauli_at(3, 1))])
             res, compiled = norm_and_plans(s, 1)
@@ -717,7 +720,7 @@ class TestNorm:
             localops, "_compile_plan", lambda *args: compiled.append(1) or compile_plan(*args)
         )
         monkeypatch.setattr(localops, "_power_iteration_norm", counted)
-        # one plan for a Hermitian a, or one for a and one for a* on a* a,
+        # one plan for a Hermitian a, or one for a and one for a* on the dilation,
         # however many times the kernel applies it
         for average, plans in [(real_two_site_average, 1), (random_two_site_average, 2)]:
             compiled.clear()
@@ -732,6 +735,12 @@ class TestNorm:
         s = st.operator_sum([(1.0, st.pauli_at(1, x)) for x in range(1, 5)])
         with pytest.raises(CapacityError, match="cap 8"):
             st.norm(s, 4, "iterative")
+        # the cap bounds the kernel's vector: dim on a self-adjoint sum, and
+        # 2 dim on the dilation of any other
+        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 16)
+        assert st.norm(s, 4, "iterative").converged
+        with pytest.raises(CapacityError, match="length 32, above the cap 16"):
+            st.norm(s.scale(1 + 1j), 4, "iterative")
 
     def test_compaction_beats_volume_cap(self):
         # union support is small, so dense works even when d^N would not
