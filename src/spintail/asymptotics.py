@@ -26,6 +26,7 @@ from .errors import ContractViolation
 from .localops import (
     LocalOperator,
     TracePoint,
+    fits_volume,
     from_site_factors,
     norm,
     pauli_at,
@@ -167,17 +168,11 @@ def quotient_norm_estimate(
     return estimate, report
 
 
-def _need_points(schedule):
-    if len(schedule.points) < MIN_POINTS:
-        raise ContractViolation(f"this estimator needs at least {MIN_POINTS} schedule points")
-
-
 def equivalence_test(
     a: ObservableSequence, b: ObservableSequence, schedule, method: str = "auto", **norm_kwargs
 ) -> DecayReport:
     """Trace of the difference norm; vanishing means the sequences are identified."""
-    schedule = as_schedule(schedule)
-    _need_points(schedule)
+    schedule = as_schedule(schedule, MIN_POINTS)
     return _norm_report(lambda n: a.eval(n) - b.eval(n), schedule, method, **norm_kwargs)
 
 
@@ -185,8 +180,7 @@ def vanishing_test(
     seq: ObservableSequence, schedule, method: str = "auto", **norm_kwargs
 ) -> DecayReport:
     """Membership test for the ideal of sequences whose norms tend to zero."""
-    schedule = as_schedule(schedule)
-    _need_points(schedule)
+    schedule = as_schedule(schedule, MIN_POINTS)
     return _norm_report(seq.eval, schedule, method, **norm_kwargs)
 
 
@@ -204,6 +198,20 @@ def default_probes(site_dim: int = 2) -> list[tuple[str, LocalOperator]]:
     return probes
 
 
+def _probe_misfit(probe, schedule) -> str | None:
+    """Why ``probe`` would trace zeros: it misses the smallest volume; None when it fits."""
+    min_n = schedule.points[0]
+    if not fits_volume(probe.support, min_n):
+        return f"probe support {probe.support} exceeds smallest volume {min_n}"
+    return None
+
+
+def check_probe(probe, schedule) -> None:
+    """Refuse, as :class:`ContractViolation`, a probe :func:`commutant_membership` would skip."""
+    if reason := _probe_misfit(probe, schedule):
+        raise ContractViolation(reason)
+
+
 def commutant_membership(
     seq: ObservableSequence, probes=None, schedule=None, method: str = "auto", **norm_kwargs
 ) -> list[ProbeResult]:
@@ -216,23 +224,13 @@ def commutant_membership(
     probes (support larger than the smallest schedule point) are reported as
     such.
     """
-    schedule = as_schedule(schedule)
-    _need_points(schedule)
+    schedule = as_schedule(schedule, MIN_POINTS)
     if probes is None:
         probes = default_probes(seq.site_dim)
     results = []
-    min_n = schedule.points[0]
     for label, probe in probes:
-        sup = probe.support
-        if sup and sup[-1] > min_n:
-            results.append(
-                ProbeResult(
-                    label,
-                    None,
-                    skipped=True,
-                    reason=f"probe support {sup} exceeds smallest volume {min_n}",
-                )
-            )
+        if reason := _probe_misfit(probe, schedule):
+            results.append(ProbeResult(label, None, skipped=True, reason=reason))
             continue
         probe_sum = probe.as_sum()
         rep = _norm_report(
@@ -260,14 +258,15 @@ def gamma_bound_check(
     overlap the probe, each contributing at most 2 |seed| |probe| / N.  Each
     point carries its envelope as ``bound``; a value above it by more than
     ``BOUND_SLACK`` is a violation, recorded in the report (a test-surface
-    signal), not raised.
+    signal), not raised.  A probe outside the smallest volume is refused
+    (:func:`check_probe`).
 
     Only the shifts whose support meets the probe's are built: the others
     commute with it, so the commutator is the full average's, term for term,
     and the work per point does not grow with N.
     """
-    schedule = as_schedule(schedule)
-    _need_points(schedule)
+    schedule = as_schedule(schedule, MIN_POINTS)
+    check_probe(probe, schedule)
     w0 = _hull_size(seq.seed.support)
     wp = _hull_size(probe.support)
     amp = 2.0 * (w0 + wp) * seq.seed.norm_exact() * probe.norm_exact()

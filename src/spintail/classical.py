@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import DecayReport, TracePoint, _need_points, classify_trace
+from .asymptotics import MIN_POINTS, DecayReport, TracePoint, check_probe, classify_trace
 from .errors import CapacityError, ContractViolation
-from .localops import check_volume
+from .localops import check_volume, fits_volume
 from .sequences import as_schedule
 from .shifts import _meeting_shifts, _site_map
 
@@ -253,10 +253,8 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
 
 def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservable:
     """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, those meeting it."""
-    n = check_volume(n)
     sup = f.support
-    if sup and sup[-1] > n:
-        raise ContractViolation(f"support {sup} outside volume of {n} sites")
+    n = check_volume(n, sup)
     acc: dict[FreqKey, complex] = {}
     for j in _meeting_shifts(sup, n, region):
         for key, c in f._moved(_site_map(sup, n, j)).coeffs.items():
@@ -273,11 +271,7 @@ class ClassicalLocalEmbed:
     f: TrigObservable
 
     def eval(self, n: int) -> TrigObservable:
-        n = check_volume(n)
-        sup = self.f.support
-        if sup and sup[-1] > n:
-            return TrigObservable({})
-        return self.f
+        return self.f if fits_volume(self.f.support, check_volume(n)) else TrigObservable({})
 
 
 @dataclass
@@ -285,10 +279,9 @@ class ClassicalCyclicAverage:
     f: TrigObservable
 
     def eval(self, n: int, region=None) -> TrigObservable:
-        # zero below the support; cyclic_average_eval checks the volume
-        if self.f.support and self.f.support[-1] > n >= 1:
-            return TrigObservable({})
-        return cyclic_average_eval(self.f, n, region)
+        if fits_volume(self.f.support, check_volume(n)):
+            return cyclic_average_eval(self.f, n, region)
+        return TrigObservable({})  # zero below the support
 
 
 @dataclass
@@ -319,12 +312,13 @@ def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     ``bounded_nonvanishing`` one included, is made on these upper bounds
     alone; no lower bound enters.
     Like the quantum estimators, it needs at least
-    :data:`~spintail.asymptotics.MIN_POINTS` schedule points.  A
+    :data:`~spintail.asymptotics.MIN_POINTS` schedule points, and like
+    ``gamma_bound_check`` it refuses a probe outside the smallest volume.  A
     :class:`ClassicalCyclicAverage` builds only its translates meeting the
     probe, the only ones with a nonzero bracket: same trace, bit for bit.
     """
-    schedule = as_schedule(schedule)
-    _need_points(schedule)
+    schedule = as_schedule(schedule, MIN_POINTS)
+    check_probe(probe, schedule)
     kw = {"region": probe.support} if isinstance(seq, ClassicalCyclicAverage) else {}
     trace = schedule.trace(
         lambda n: TracePoint(n, poisson_bracket(seq.eval(n, **kw), probe).l1_norm())

@@ -16,13 +16,10 @@ A config is one JSON file.  Common fields::
 
 ``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
 up to the measured crossover ``localops._AUTO_DENSE_DIM`` of the compacted
-dimension, and Lanczos above it.  ``dense_cap`` caps only the matrices
-a norm builds: ``dense`` refuses a larger one, and a cap below the crossover
-moves ``auto`` to Lanczos sooner.  Products densify each overlap
-component, and commutators the union of their overlaps, each up to
-``matrices.DENSE_DIM_CAP``; ``sum_commutator`` keeps a pair that meets on
-several overlaps as two factored products when their union is too large to
-densify cheaply (``localops._keeps_factored``).
+dimension, and Lanczos above it.  ``dense_cap`` caps the matrices a norm
+builds, and a cap below the crossover moves ``auto`` to Lanczos sooner; the
+``localops.norm`` docstring states this cap and the ones on what products
+and commutators densify.
 
 A null value counts as absent, for every top-level key and every key of
 ``assert`` and ``output``.  A key the kind does not read, or an unknown
@@ -127,6 +124,14 @@ class _Problems(list):
     def add(self, path: str, message: str):
         self.append(f"{path}: {message}")
 
+    def attempt(self, path: str, build: Callable, *args):
+        """``build(*args)``, or None with its :class:`ContractViolation` added at ``path``."""
+        try:
+            return build(*args)
+        except ContractViolation as exc:
+            self.add(path, str(exc))
+            return None
+
 
 def _is_int(value) -> bool:
     """Whether a config value is an integer; JSON's true and false are not."""
@@ -197,26 +202,22 @@ def _parse_local_operator(
         errors.add(f"{path}.sites", "expected a list of integer sites")
         return None
     mat_spec = spec.get("matrix")
-    try:
-        if _is_per_site_list(mat_spec, len(sites)):
-            # one matrix per site, tensored
-            if len(mat_spec) != len(sites):
-                errors.add(path, "per-site matrix list must match 'sites' length")
-                return None
-            factors = {}
-            for s, m in zip(sites, mat_spec):
-                mat = _parse_matrix(m, errors, f"{path}.matrix")
-                if mat is None:
-                    return None
-                factors[s] = mat
-            return from_site_factors(factors)
-        mat = _parse_matrix(mat_spec, errors, f"{path}.matrix")
-        if mat is None:
+    if _is_per_site_list(mat_spec, len(sites)):
+        # one matrix per site, tensored
+        if len(mat_spec) != len(sites):
+            errors.add(path, "per-site matrix list must match 'sites' length")
             return None
-        return local_operator(mat, tuple(sites))
-    except ContractViolation as exc:
-        errors.add(path, str(exc))
+        factors = {}
+        for s, m in zip(sites, mat_spec):
+            mat = _parse_matrix(m, errors, f"{path}.matrix")
+            if mat is None:
+                return None
+            factors[s] = mat
+        return errors.attempt(path, from_site_factors, factors)
+    mat = _parse_matrix(mat_spec, errors, f"{path}.matrix")
+    if mat is None:
         return None
+    return errors.attempt(path, local_operator, mat, tuple(sites))
 
 
 def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
@@ -242,11 +243,7 @@ def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
     ]
     if len(errors) > known:
         return None
-    try:
-        return build(*args)
-    except ContractViolation as exc:
-        errors.add(path, str(exc))
-        return None
+    return errors.attempt(path, build, *args)
 
 
 def _parse_sequence(spec, errors: _Problems, path: str) -> ObservableSequence | None:
@@ -339,11 +336,10 @@ def _parse_trig(spec, errors: _Problems, path: str):
             ):
                 errors.add(f"{path}.terms[{i}].freqs", "expected [[site, m, n], ...] of integers")
                 return None
-            try:
-                out = out + cl.trig_term(amp, [tuple(f) for f in freqs])
-            except ContractViolation as exc:
-                errors.add(f"{path}.terms[{i}]", str(exc))
+            term = errors.attempt(f"{path}.terms[{i}]", cl.trig_term, amp, list(map(tuple, freqs)))
+            if term is None:
                 return None
+            out = out + term
         return out
     errors.add(path, "expected {'terms': [...]} or {'named': ..., 'site': ...}")
     return None
@@ -370,10 +366,7 @@ def _parse_gamma_sequence(spec, errors: _Problems, path: str):
 def _parse_variance_seed(spec, errors: _Problems, path: str):
     op = _parse_local_operator(spec, errors, path)
     if op is not None:
-        try:
-            _check_averaging_seed(op)
-        except ContractViolation as exc:
-            errors.add(path, str(exc))
+        errors.attempt(path, _check_averaging_seed, op)
     return op
 
 
@@ -409,13 +402,7 @@ def _parse_state(spec, errors: _Problems, path: str):
         return None
     _unknown_keys(spec, ("rho",), errors, f"{path}.")
     rho = _parse_matrix(spec["rho"], errors, f"{path}.rho")
-    if rho is None:
-        return None
-    try:
-        return product_state(rho)
-    except ContractViolation as exc:
-        errors.add(f"{path}.rho", str(exc))
-        return None
+    return None if rho is None else errors.attempt(f"{path}.rho", product_state, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +644,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
     if not isinstance(pts, list) or not all(_is_int(p) for p in pts):
         errors.add("schedule", "expected a list of integers")
     else:
-        try:
-            schedule = VolumeSchedule(tuple(pts))
-        except ContractViolation as exc:
-            errors.add("schedule", str(exc))
+        schedule = errors.attempt("schedule", VolumeSchedule, tuple(pts))
     if schedule and experiment and len(schedule.points) < experiment.min_points:
         errors.add("schedule", f"{kind} experiments need at least {experiment.min_points} points")
 

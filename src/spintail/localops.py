@@ -121,11 +121,18 @@ _FOLD_TAIL_DIM = 32
 _ROUNDING_RESIDUAL = 64 * float(np.finfo(float).eps)
 
 
-def check_volume(n) -> int:
-    """Site count of the chain segment {1, ..., n}; at least one site."""
+def fits_volume(support, n: int) -> bool:
+    """Whether the ascending sites ``support`` lie in the volume {1, ..., n}."""
+    return not support or (support[0] >= 1 and support[-1] <= n)
+
+
+def check_volume(n, support=()) -> int:
+    """Site count of the chain segment {1, ..., n}, which must hold ``support``."""
     n = int(n)
     if n < 1:
         raise ContractViolation(f"volumes have at least one site, got {n}")
+    if not fits_volume(support, n):
+        raise ContractViolation(f"support {support} does not fit in volume of {n} sites")
     return n
 
 
@@ -402,20 +409,12 @@ def _assemble(terms, sites, d, dim_cap) -> np.ndarray:
 
 def dense_matrix(obj, volume, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
     """Full d^N x d^N matrix of an operator or sum on the given volume."""
-    n = check_volume(volume)
-    _check_support_fits(obj.support, n)
+    n = check_volume(volume, obj.support)
     if isinstance(obj, LocalOperator):
         terms = [(1.0, obj.scalar, obj.blocks)]
     else:
         terms = [(w, op.scalar, op.blocks) for w, op in obj.terms]
     return _assemble(terms, tuple(range(1, n + 1)), obj.site_dim, dim_cap)
-
-
-def _check_support_fits(support, n):
-    if support and (support[0] < 1 or support[-1] > n):
-        raise ContractViolation(
-            f"support {support} does not fit in volume of {n} sites"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +492,7 @@ def product(a: LocalOperator, b: LocalOperator) -> LocalOperator:
 def commutator(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     """``a b - b a`` as one operator; exactly zero, with no matrix work, for disjoint supports.
 
-    The union of the overlaps is densified, up to ``DENSE_DIM_CAP``; see
-    :func:`sum_commutator` for when a pair is kept as two factored products.
+    The union of the overlaps is densified; :func:`sum_commutator` states the caps.
     """
     _same_dim(a, b)
     if not _meets(a, b):
@@ -836,10 +834,13 @@ def norm(
 
     ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
     (matrix-free thick-restart Lanczos, deterministic seeded start), or
-    ``"auto"``.  ``dense_cap`` caps only the matrices a norm builds, not the
-    overlaps that products and commutators densify (see :func:`commutator`):
-    ``"dense"`` refuses a larger one and names the iterative route.  ``"auto"`` is a
-    router on measured speed: it takes dense only up to the crossover
+    ``"auto"``.  Products densify each overlap component, and commutators
+    the union of their overlaps, each up to ``DENSE_DIM_CAP``;
+    :func:`sum_commutator` keeps a pair that meets on several overlaps as two
+    factored products when their union is too large to densify cheaply
+    (:func:`_keeps_factored`).  ``dense_cap`` caps only the matrices a norm
+    builds: ``"dense"`` refuses a larger one and names the iterative route.
+    ``"auto"`` is a router on measured speed: it takes dense only up to the crossover
     ``_AUTO_DENSE_DIM``, or ``dense_cap`` when that is lower, and Lanczos
     above.  Both paths first compact the sum onto its union support, which
     leaves the norm unchanged.
@@ -869,8 +870,7 @@ def norm(
     """
     if isinstance(s, LocalOperator):
         s = s.as_sum()
-    n = check_volume(volume)
-    _check_support_fits(s.support, n)
+    n = check_volume(volume, s.support)
     if method not in NORM_METHODS:
         raise ContractViolation(f"unknown norm method {method!r}")
     if seed < 0:

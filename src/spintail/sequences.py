@@ -35,6 +35,7 @@ from .localops import (
     OperatorSum,
     TracePoint,
     check_volume,
+    fits_volume,
     from_site_factors,
     norm,
     relabel,
@@ -95,11 +96,9 @@ class LocalEmbedSeq(ObservableSequence):
         self.site_dim = self.seed.site_dim
 
     def eval(self, n: int) -> OperatorSum:
-        n = check_volume(n)
-        sup = self.seed.support
-        if sup and sup[-1] > n:
-            return zero_sum(self.site_dim)
-        return self.seed.as_sum()
+        if fits_volume(self.seed.support, check_volume(n)):
+            return self.seed.as_sum()
+        return zero_sum(self.site_dim)
 
 
 @dataclass
@@ -122,7 +121,7 @@ class TranslatedToInfinity(ObservableSequence):
 
     def site_at(self, n: int) -> int:
         x = n if self.site_rule is None else int(self.site_rule(n))
-        if not 1 <= x <= n:
+        if not fits_volume((x,), n):
             raise ContractViolation(f"site rule gave {x}, outside volume of {n} sites")
         return x
 
@@ -315,10 +314,13 @@ class VolumeSchedule:
         return out
 
 
-def as_schedule(points) -> VolumeSchedule:
-    if isinstance(points, VolumeSchedule):
-        return points
-    return VolumeSchedule(tuple(int(p) for p in points))
+def as_schedule(points, min_points: int = 1) -> VolumeSchedule:
+    """``points`` as a schedule, refused when it has fewer than ``min_points`` volumes."""
+    if not isinstance(points, VolumeSchedule):
+        points = VolumeSchedule(tuple(int(p) for p in points))
+    if len(points.points) < min_points:
+        raise ContractViolation(f"this estimator needs at least {min_points} schedule points")
+    return points
 
 
 def seq_norm_trace(

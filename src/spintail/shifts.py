@@ -15,7 +15,6 @@ from __future__ import annotations
 from .localops import (
     LocalOperator,
     OperatorSum,
-    _check_support_fits,
     check_volume,
     norm,
     operator_sum,
@@ -33,15 +32,13 @@ __all__ = [
 
 def gamma_pow(a, volume, j: int):
     """Apply j cyclic left shifts; pure support relabeling, norm-preserving."""
-    n = check_volume(volume)
+    n = check_volume(volume, a.support)
     j = int(j) % n
-    sup = a.support
-    _check_support_fits(sup, n)
     if j == 0:
         return a
     if isinstance(a, OperatorSum):
         return OperatorSum(a.site_dim, tuple((w, gamma_pow(op, n, j)) for w, op in a.terms))
-    return relabel(a, _site_map(sup, n, j))
+    return relabel(a, _site_map(a.support, n, j))
 
 
 def _site_map(sites, n: int, j: int) -> dict[int, int]:

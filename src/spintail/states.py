@@ -16,7 +16,6 @@ from .localops import (
     Block,
     LocalOperator,
     OperatorSum,
-    _check_support_fits,
     check_volume,
 )
 from .matrices import check_finite
@@ -80,8 +79,7 @@ def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
     """
     if state.site_dim != s.site_dim:
         raise ContractViolation("state and operator disagree on site dimension")
-    n = check_volume(volume)
-    _check_support_fits(s.support, n)
+    n = check_volume(volume, s.support)
     total = 0j
     for w, op in s.terms:
         val = w * op.scalar

@@ -261,6 +261,17 @@ class TestGammaBound:
         assert rep.bound_violations == ()
         assert handed and max(handed) <= 2
 
+    def test_probe_outside_smallest_volume_refused(self):
+        # below a volume holding it, the probe would trace zeros (0.0 at
+        # N = 4, 8, 16) and the report would read unconverged
+        seq = st.GammaSeq.from_seed(st.pauli_at(3, 1))
+        refusal = r"probe support \(20,\) exceeds smallest volume 4"
+        with pytest.raises(st.ContractViolation, match=refusal):
+            st.gamma_bound_check(seq, st.pauli_at(1, 20), [4, 8, 16, 32, 64])
+        # a probe on the smallest volume's last site is traced
+        rep = st.gamma_bound_check(seq, st.pauli_at(1, 4), [4, 8, 16, 32, 64])
+        assert rep.points[0].value == pytest.approx(0.5, abs=1e-12)
+
     def test_violations_reported_not_raised(self, monkeypatch):
         # absurd negative slack forces every nonzero point over the line;
         # the report carries the violating volumes instead of crashing

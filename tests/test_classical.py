@@ -360,6 +360,13 @@ class TestBracketDecay:
             assert p.value == pytest.approx(1.0, abs=1e-15)
         assert rep.classification == "bounded_nonvanishing"
 
+    def test_probe_outside_smallest_volume_refused(self):
+        # below a volume holding it, the probe would trace a zero bracket
+        seq = cl.ClassicalCyclicAverage(cl.cos_q(1) * cl.cos_p(2))
+        refusal = r"probe support \(100,\) exceeds smallest volume 64"
+        with pytest.raises(ContractViolation, match=refusal):
+            cl.bracket_decay_test(seq, cl.cos_p(100), [64, 128, 256, 512])
+
     def test_needs_four_points(self):
         # the same minimum as the quantum estimators
         seq = cl.ClassicalCyclicAverage(cl.cos_q(1))

@@ -958,6 +958,30 @@ class TestMainExitCodes:
             "invalid: sequence: gamma-bound needs a sequence of kind 'gamma'"
         ]
 
+    @pytest.mark.parametrize(
+        "cfg, problem",
+        [
+            (
+                dict(GAMMA_BOUND, schedule=[4, 8, 16, 32, 64],
+                     probe={"matrix": "pauli1", "sites": [20]}),
+                "probe support (20,) exceeds smallest volume 4",
+            ),
+            (
+                dict(CLASSICAL, schedule=[64, 128, 256, 512],
+                     probe={"named": "cos_p", "site": 100}),
+                "probe support (100,) exceeds smallest volume 64",
+            ),
+        ],
+        ids=["gamma-bound", "classical-decay"],
+    )
+    def test_probe_outside_smallest_volume_exits_one(self, cfg, problem, tmp_path, capsys):
+        # commutant skips such a probe with a warning; a single-probe kind
+        # has nothing left to trace, so it refuses the run
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {problem}"]
+        assert captured.out == ""
+
     def test_block_product_lengths_default_to_n_plus_one(self, tmp_path):
         rho = np.array([[0.9, 0.2], [0.2, 0.1]])  # <sigma1> = 0.4, <sigma3> = 0.8
         cfg = {
@@ -1011,3 +1035,64 @@ def test_trace_mode_names_bound():
                        localops=localops, states=states, classical=classical)
     finally:
         tracer.uninstall()
+
+
+# JSON types of the report schema; a bool is a JSON boolean, never a number
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float)}
+
+
+def _schema_problems(value, schema, path="$"):
+    """Where ``value`` breaks ``schema``: its type, enum, required keys, unknown keys and items."""
+    kind = schema.get("type")
+    if kind and (not isinstance(value, _JSON_TYPES[kind])
+                 or (isinstance(value, bool) and kind != "boolean")):
+        return [f"{path}: expected {kind}, got {value!r}"]
+    if "enum" in schema and value not in schema["enum"]:
+        return [f"{path}: {value!r} not in {schema['enum']}"]
+    problems = []
+    if isinstance(value, dict):
+        problems += [f"{path}: missing {k}" for k in schema.get("required", ()) if k not in value]
+        if "properties" in schema:
+            for key, item in value.items():
+                if key in schema["properties"]:
+                    problems += _schema_problems(item, schema["properties"][key], f"{path}.{key}")
+                else:
+                    problems.append(f"{path}.{key}: not in the schema")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            problems += _schema_problems(item, schema["items"], f"{path}[{i}]")
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+def test_golden_reports_match_schema(name):
+    assert _schema_problems(json.loads((DATA / name).read_bytes()), cli.REPORT_SCHEMA) == []
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_fresh_reports_match_schema(kind):
+    report, _ = run(parse_config(json.dumps(ALL_KINDS[kind])))
+    assert _schema_problems(json.loads(emit(report, "json")), cli.REPORT_SCHEMA) == []
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("schedule", 0), True, "$.schedule[0]: expected integer"),
+        (("series", 0, "points", 0, "converged"), 1, "converged: expected boolean"),
+        (("series", 0, "classification"), "vanished", "not in"),
+        (("series", 0, "extra"), 0, "$.series[0].extra: not in the schema"),
+        (("meta", "seed"), 4.0, "$.meta.seed: expected integer"),
+    ],
+)
+def test_schema_walker_flags_breaks(path, value, problem):
+    # the walker is not vacuous: one wrong key or type anywhere is reported
+    obj = json.loads((DATA / "norm_seed42.json").read_bytes())
+    *parents, last = path
+    target = obj
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    problems = _schema_problems(obj, cli.REPORT_SCHEMA)
+    assert len(problems) == 1 and problem in problems[0]
