@@ -209,6 +209,9 @@ def _parse_local_operator(
             return None
         factors = {}
         for s, m in zip(sites, mat_spec):
+            if s in factors:
+                errors.add(f"{path}.sites", f"site {s} carries two factors of a per-site list")
+                return None
             mat = _parse_matrix(m, errors, f"{path}.matrix")
             if mat is None:
                 return None

@@ -195,10 +195,15 @@ class LocalOperator:
         return OperatorSum(self.site_dim, () if self.is_zero else ((1 + 0j, self),))
 
     def norm_exact(self, dim_cap: int = DENSE_DIM_CAP) -> float:
-        """Operator norm, exact via multiplicativity across disjoint factors."""
+        """Operator norm, exact via multiplicativity across disjoint factors.
+
+        Each distinct factor matrix is solved once and its norm raised to the
+        number of blocks that share it (:func:`_distinct_blocks`), so a
+        product that underflows returns 0, not a denormal.
+        """
         out = abs(self.scalar)
-        for b in self.blocks:
-            out *= operator_norm_dense(b.matrix, dim_cap)
+        for b, count in _distinct_blocks(self.blocks):
+            out *= _power(operator_norm_dense(b.matrix, dim_cap), count)
         return float(out)
 
     def __repr__(self) -> str:
@@ -207,6 +212,38 @@ class LocalOperator:
             f"LocalOperator(d={self.site_dim}, scalar={self.scalar:.6g}, "
             f"blocks=[{blocks}])"
         )
+
+
+def _distinct_blocks(blocks) -> list[tuple[Block, int]]:
+    """``(block, count)`` per distinct matrix object among ``blocks``, in first-seen order.
+
+    A block's norm, and its value in a translation-invariant product state,
+    depend on its matrix alone, so blocks that share one matrix object (as
+    :class:`~spintail.sequences.SiteProduct` shares each factor between
+    sites) are evaluated once.  Equal matrices that are distinct objects stay
+    apart.
+    """
+    groups: dict[int, list] = {}
+    for b in blocks:
+        groups.setdefault(id(b.matrix), [b, 0])[1] += 1
+    return [(b, count) for b, count in groups.values()]
+
+
+def _power(x, count: int):
+    """``x ** count`` for a positive integer ``count``, by repeated squaring.
+
+    Only multiplications, so a real value held as a complex keeps an exact
+    zero imaginary part (``complex ** int`` goes through the polar form
+    above small exponents), and ``x`` itself comes back for a count of 1.
+    """
+    out = None
+    while True:
+        if count & 1:
+            out = x if out is None else out * x
+        count >>= 1
+        if not count:
+            return out
+        x = x * x
 
 
 def _make_op(site_dim, scalar, blocks, kept=()) -> LocalOperator:

@@ -1,8 +1,9 @@
 """Translation-invariant product states and factorized expectations.
 
-Expectations of operator sums are computed term by term, contracting the
-one-site density matrix against each block's tensor legs; the full-volume
-density matrix is never formed outside test oracles.
+Expectations of operator sums are computed term by term.  Within a term,
+each distinct block matrix is contracted once against the one-site density
+matrix, leg by leg, and its value raised to the number of blocks that share
+it; the full-volume density matrix is never formed outside test oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .localops import (
     Block,
     LocalOperator,
     OperatorSum,
+    _distinct_blocks,
+    _power,
     check_volume,
 )
 from .matrices import check_finite
@@ -73,7 +76,7 @@ def _block_expectation(blk: Block, rho: np.ndarray, d: int) -> complex:
 
 
 def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
-    """State value of a sum, factorized over each term's blocks.
+    """State value of a sum, factorized over each term's distinct block matrices.
 
     A single :class:`LocalOperator` goes in as ``op.as_sum()``.
     """
@@ -83,8 +86,8 @@ def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
     total = 0j
     for w, op in s.terms:
         val = w * op.scalar
-        for blk in op.blocks:
-            val *= _block_expectation(blk, state.rho, state.site_dim)
+        for blk, count in _distinct_blocks(op.blocks):
+            val *= _power(_block_expectation(blk, state.rho, state.site_dim), count)
         total += val
     return total
 

@@ -108,3 +108,28 @@ def kron_term_dense(scalar, blocks, sites, d: int) -> np.ndarray:
     n = len(order)
     axes = [order.index(s) for s in sites]
     return out.reshape((d,) * (2 * n)).transpose(axes + [a + n for a in axes]).reshape(out.shape)
+
+
+def expectation_per_block(rho: np.ndarray, s) -> complex:
+    """State value of an operator sum in rho^{(x) N}, one contraction per block.
+
+    Each block's value is tr(rho^{(x) k} B) for its k sites, with the
+    Kronecker power formed explicitly; a term's value is its weight times its
+    scalar times every block's value, multiplied in block order.  Only the
+    sum's ``terms`` and each operator's ``scalar`` and ``blocks`` are read.
+    """
+    total = 0j
+    for w, op in s.terms:
+        val = w * op.scalar
+        for b in op.blocks:
+            val *= np.trace(kron_chain([rho] * len(b.sites)) @ b.matrix)
+        total += val
+    return complex(total)
+
+
+def norm_exact_per_block(op) -> float:
+    """Operator norm of a product of disjoint blocks: |scalar| times each block's SVD norm."""
+    out = abs(op.scalar)
+    for b in op.blocks:
+        out *= svd_norm(b.matrix)
+    return float(out)

@@ -417,6 +417,15 @@ class TestLocalOperatorLiterals:
         assert op.support == (1, 2)
         assert np.array_equal(dense_matrix(op, 2), m)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_per_site_list_refuses_a_repeated_site(self, command, tmp_path, capsys):
+        probe = {"matrix": ["pauli1", "pauli3"], "sites": [1, 1]}
+        path = write_config(tmp_path, dict(GAMMA_BOUND, probe=probe))
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid: probe.sites: site 1 carries two factors of a per-site list"
+        ]
+
     def test_per_site_lists_unchanged(self):
         # frozen with the parser that read every list of matrices as per-site
         golden = (DATA / "gamma_bound_per_site_seed42.json").read_bytes()

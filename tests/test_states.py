@@ -2,20 +2,28 @@ import numpy as np
 import pytest
 
 import spintail as st
+from spintail import localops, states
 
 from oracles import (
     I2,
     SX,
+    SY,
     SZ,
     average_variance_dense,
+    expectation_per_block,
+    kron_term_dense,
+    norm_exact_per_block,
     random_complex,
     random_hermitian,
     rho_chain,
+    svd_norm,
 )
 
 RHO_UP06 = 0.5 * (I2 + 0.6 * SZ)  # diag(0.8, 0.2)
 RHO_MINUS = 0.5 * (I2 - SX)
 RHO_MIXED = 0.5 * I2
+# a state in which every Pauli matrix has a nonzero value
+RHO_TILTED = 0.5 * (I2 + 0.3 * SX + 0.4 * SY + 0.5 * SZ)
 
 
 def random_variance_cases(rng_seed, count):
@@ -127,6 +135,111 @@ class TestExpectation:
         state = st.product_state(RHO_UP06)
         with pytest.raises(st.ContractViolation):
             st.expectation(state, st.pauli_at(3, 9).as_sum(), 4)
+
+
+def _site_factor(rng, scale=0.9):
+    """A random complex one-site matrix of operator norm ``scale``."""
+    m = random_complex(rng, 2)
+    return scale * m / svd_norm(m)
+
+
+def _shared_factor_sequences():
+    """(id, sequence) pairs whose terms share block matrices in different ways."""
+    rng = np.random.default_rng(23)
+    f, g = _site_factor(rng), _site_factor(rng)
+    gamma = st.GammaSeq.from_seed(st.local_operator(random_complex(rng, 4) / 4, (1, 2)))
+    return [
+        ("uniform", st.UniformProduct(f)),
+        ("parity", st.ParityProduct(f, g)),
+        ("block", st.BlockProduct(f, g)),
+        ("half_chain", st.HalfChain(f)),
+        ("gamma_two_site", gamma),
+        ("product_gamma_uniform", st.SeqProduct(gamma, st.UniformProduct(g))),
+        # equal factors held as two distinct matrix objects, one per parity
+        ("parity_equal_values", st.ParityProduct(f, f.copy())),
+    ]
+
+
+SHARED = _shared_factor_sequences()
+
+
+class TestSharedFactors:
+    """Each distinct block matrix is evaluated once and raised to its count."""
+
+    @pytest.mark.parametrize("seq", [q for _, q in SHARED], ids=[i for i, _ in SHARED])
+    def test_matches_per_block_oracle(self, seq):
+        state = st.product_state(RHO_TILTED)
+        for n in (1, 2, 3, 5, 8, 13, 40, 101):
+            s = seq.eval(n)
+            ref = expectation_per_block(RHO_TILTED, s)
+            assert abs(st.expectation(state, s, n) - ref) <= 1e-12 * abs(ref)
+            for _, op in s.terms:
+                ref = norm_exact_per_block(op)
+                assert abs(op.norm_exact() - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("seq", [q for _, q in SHARED], ids=[i for i, _ in SHARED])
+    def test_matches_dense_chain(self, seq):
+        state = st.product_state(RHO_TILTED)
+        for n in range(1, 11):
+            s = seq.eval(n)
+            dense = sum((kron_term_dense(w * op.scalar, op.blocks, range(1, n + 1), 2)
+                         for w, op in s.terms), np.zeros((2**n, 2**n)))
+            rho_n = rho_chain(RHO_TILTED, n)
+            ref = np.einsum("ij,ji->", rho_n, dense)
+            # the trace sums 4**n products, so its rounding scales with their moduli
+            scale = np.einsum("ij,ji->", np.abs(rho_n), np.abs(dense))
+            assert abs(st.expectation(state, s, n) - ref) <= 1e-12 * scale
+            if n > 6:  # a dense SVD per term costs seconds above six sites
+                continue
+            for _, op in s.terms:
+                ref = svd_norm(kron_term_dense(op.scalar, op.blocks, range(1, n + 1), 2))
+                assert abs(op.norm_exact() - ref) <= 1e-12 * ref
+
+    def test_real_site_value_keeps_a_zero_imaginary_part(self):
+        # (-1 + 0j) ** 4097 has an imaginary part of about 1.7e-13
+        val = st.expectation(st.product_state(RHO_MINUS), st.UniformProduct(SX).eval(4097), 4097)
+        assert val == -1 and val.imag == 0
+
+    def test_underflow_gives_zero(self):
+        state = st.product_state(RHO_MIXED)
+        s = st.UniformProduct(np.diag([0.66, 0.66])).eval(4096)
+        assert st.expectation(state, s, 4096) == 0
+        assert s.terms[0][1].norm_exact() == 0
+
+    def test_small_product_is_accurate(self):
+        state = st.product_state(RHO_MIXED)
+        s = st.UniformProduct(np.diag([0.66, 0.66])).eval(1024)
+        ref = 0.66**1024
+        assert abs(st.expectation(state, s, 1024) - ref) <= 1e-13 * ref
+        assert abs(s.terms[0][1].norm_exact() - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize(
+        "seq, calls",
+        [
+            (st.UniformProduct(SX), 1),
+            (st.ParityProduct(SX, SZ), 2),
+            (st.ParityProduct(SX, SX.copy()), 2),
+        ],
+        ids=["uniform", "parity", "parity_equal_values"],
+    )
+    def test_one_evaluation_per_distinct_matrix(self, seq, calls, monkeypatch):
+        counts = {"expect": 0, "norm": 0}
+
+        def counted(key, original):
+            def wrapper(*args):
+                counts[key] += 1
+                return original(*args)
+
+            return wrapper
+
+        s = seq.eval(4096)
+        monkeypatch.setattr(states, "_block_expectation",
+                            counted("expect", states._block_expectation))
+        monkeypatch.setattr(localops, "operator_norm_dense",
+                            counted("norm", localops.operator_norm_dense))
+        st.expectation(st.product_state(RHO_TILTED), s, 4096)
+        s.terms[0][1].norm_exact()
+        assert counts == {"expect": calls, "norm": calls}
 
 
 class TestAverageVariance:
