@@ -15,11 +15,12 @@ A config is one JSON file.  Common fields::
     }
 
 ``method`` picks the norm route.  ``auto`` takes the exact dense eigensolve
-up to the measured crossover ``localops._AUTO_DENSE_DIM`` of the compacted
-dimension, and Lanczos above it.  ``dense_cap`` caps the matrices a norm
-builds, and a cap below the crossover moves ``auto`` to Lanczos sooner; the
-``localops.norm`` docstring states this cap and the ones on what products
-and commutators densify.
+up to a measured crossover of the compacted dimension, and Lanczos above it;
+the crossover is ``localops._AUTO_DENSE_DIM_COMPLEX`` for a complex sum and
+``localops._AUTO_DENSE_DIM_REAL`` for a real one.  ``dense_cap`` caps the
+matrices a norm builds, and a cap below the crossover moves ``auto`` to
+Lanczos sooner; the ``localops.norm`` docstring states this cap and the ones
+on what products and commutators densify.
 
 A null value counts as absent, for every top-level key and every key of
 ``assert`` and ``output``.  A key the kind does not read, or an unknown

@@ -15,7 +15,8 @@ from .errors import CapacityError, ContractViolation
 # docstrings of localops.sum_commutator and localops.norm state what it caps,
 # and a norm's dense_cap (default this).  It is not the dimension above which
 # localops.norm's "auto" route leaves the dense eigensolve (the measured
-# crossover localops._AUTO_DENSE_DIM, whose table compares both routes).
+# crossovers localops._AUTO_DENSE_DIM_COMPLEX and _AUTO_DENSE_DIM_REAL, one
+# per dtype of the sum, whose table compares both routes).
 # 4096 = 2^12, i.e. twelve qubit sites.  Seconds per eigvalsh, measured once
 # per size at one OpenBLAS thread on an Intel Xeon VM (numpy 2.4):
 #
@@ -101,8 +102,8 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
     """Exact operator (spectral) norm of a square matrix.
 
     A matrix whose imaginary part is exactly zero is handled in float64, where
-    the eigensolve costs about a quarter of the complex one.  Then one of two
-    routes:
+    the eigensolve costs about a quarter of the complex one; a float64 matrix
+    is taken as it is, with no complex copy.  Then one of two routes:
 
     * self-adjoint: ``max(|lambda_min|, |lambda_max|)`` of ``eigvalsh(a)``,
       with no Gram product.  ``eigvalsh`` reads only the lower triangle, so it
@@ -114,7 +115,9 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
     * Gram: ``sqrt(lambda_max(a* a))`` by a Hermitian eigensolve of the Gram
       product, cheaper than a full SVD.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    if a.dtype != np.float64:
+        a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"operator norm needs a square matrix, got {a.shape}")
     if a.shape[0] > dim_cap:
@@ -122,7 +125,7 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
             f"dense norm at dimension {a.shape[0]} exceeds cap {dim_cap}; "
             "use the iterative path"
         )
-    if not np.any(a.imag):
+    if a.dtype.kind == "c" and not np.any(a.imag):
         a = a.real
     if is_self_adjoint(a):
         eig = np.linalg.eigvalsh(a)

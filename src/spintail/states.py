@@ -82,7 +82,7 @@ def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
     """
     if state.site_dim != s.site_dim:
         raise ContractViolation("state and operator disagree on site dimension")
-    n = check_volume(volume, s.support)
+    check_volume(volume, s)
     total = 0j
     for w, op in s.terms:
         val = w * op.scalar

@@ -137,7 +137,7 @@ def test_criterion_06_quotient_norm_consistency():
         est, rep = st.quotient_norm_estimate(
             st.GammaSeq.from_seed(st.pauli_at(3, 1)),
             [4, 6, 8, 10, 12],
-            dense_cap=1024,  # auto: dense up to localops._AUTO_DENSE_DIM, Lanczos above
+            dense_cap=1024,  # auto: dense up to the real sums' crossover, Lanczos above
         )
         assert est == pytest.approx(1.0, abs=1e-9)
         scaled = st.SeqScale(lambda n: 1.0 / n, st.LocalEmbedSeq(st.pauli_at(1, 1)))

@@ -335,13 +335,13 @@ def overlapping_pairs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(overlapping_pairs(), st_h.sampled_from([2, 8, 32, localops._AUTO_DENSE_DIM]))
+@given(overlapping_pairs(), st_h.sampled_from([2, 8, 32, localops._AUTO_DENSE_DIM_REAL]))
 def test_sum_commutator_form_follows_overlaps(pair, crossover):
     # every joint support here is within DENSE_DIM_CAP, so a pair meeting on
     # several overlaps is factored exactly when their union is above the crossover
     a, b, k, union, n = pair
     wa, wb = 0.5 - 1j, 2.0 + 0.25j
-    with mock.patch.object(localops, "_AUTO_DENSE_DIM", crossover):
+    with mock.patch.object(localops, "_AUTO_DENSE_DIM_REAL", crossover):
         out = st.sum_commutator(st.operator_sum([(wa, a)]), st.operator_sum([(wb, b)]))
     da, db = st.dense_matrix(a, n), st.dense_matrix(b, n)
     assert np.abs(st.dense_matrix(out, n) - wa * wb * (da @ db - db @ da)).max() <= 1e-12
@@ -500,7 +500,10 @@ class TestNorm:
     )
     def test_auto_routes_on_compacted_dimension(self, average):
         seq = average(np.random.default_rng(41))
-        top = localops._AUTO_DENSE_DIM.bit_length() - 1  # qubit sites at the crossover
+        # the crossover of the seed's dtype: real when no entry has an imaginary part
+        real = not np.any(st.dense_matrix(seq.eval(2), 2).imag)
+        crossover = localops._AUTO_DENSE_DIM_REAL if real else localops._AUTO_DENSE_DIM_COMPLEX
+        top = crossover.bit_length() - 1  # qubit sites at the crossover
         for n in (top - 2, top):  # at or below the crossover
             s = seq.eval(n)
             assert st.norm(s, n) == st.norm(s, n, "dense")
@@ -511,8 +514,8 @@ class TestNorm:
             assert auto.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
 
     def test_dense_cap_below_crossover_wins(self):
-        # dimension 2^n is below the crossover but above the cap
-        n = localops._AUTO_DENSE_DIM.bit_length() - 2
+        # dimension 2^n is below the (complex) crossover but above the cap
+        n = localops._AUTO_DENSE_DIM_COMPLEX.bit_length() - 2
         s = rotated_sigma3_average(np.random.default_rng(42)).eval(n)
         auto = st.norm(s, n, dense_cap=2 ** (n - 1))
         assert auto == st.norm(s, n, "iterative") and auto.iterations > 0
@@ -773,6 +776,83 @@ class TestNorm:
         for m in facs.values():
             expected *= svd_norm(m)
         assert st.norm(op.as_sum(), 14).value == pytest.approx(expected, rel=1e-10)
+
+
+FLOAT, COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+def norm_and_basis_dtypes(s, n):
+    """The iterative norm of ``s`` and the dtypes of the Krylov bases that
+    ``_cgs2`` orthogonalized against."""
+    seen, cgs2 = set(), localops._cgs2
+
+    def spy(basis, w):
+        seen.add(basis.dtype)
+        return cgs2(basis, w)
+
+    with mock.patch.object(localops, "_cgs2", spy):
+        res = st.norm(s, n, "iterative")
+    return res, seen
+
+
+class TestRealArithmetic:
+    """A real sum, every weight, scalar and block of which has an exactly zero
+    imaginary part, runs Lanczos in float64 on ``a`` and on the dilation; ``i a``
+    and every complex sum stay complex."""
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_real_symmetric_sum_runs_in_float64(self, n):
+        s = real_two_site_average(np.random.default_rng(41)).eval(n)
+        res, dtypes = norm_and_basis_dtypes(s, n)
+        assert res.converged and dtypes == {FLOAT}
+        assert res.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_complex_sums_stay_complex(self, n):
+        real = real_two_site_average(np.random.default_rng(41)).eval(n)
+        sigma1 = st.GammaSeq.from_seed(st.pauli_at(1, 1)).eval(n)
+        cases = [
+            rotated_sigma3_average(np.random.default_rng(41)).eval(n),  # complex entries, on a
+            real.scale(1j),  # on i a
+            st.sum_commutator(real, sigma1),  # real, but antisymmetric: on i a
+        ]
+        for s in cases:
+            res, dtypes = norm_and_basis_dtypes(s, n)
+            assert res.converged and dtypes == {COMPLEX}
+            if n < 11:  # a complex dense eigensolve at dimension 2048 takes seconds
+                assert res.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
+
+    def test_real_dilation_runs_in_float64(self):
+        seed = st.local_operator(np.random.default_rng(48).normal(size=(4, 4)), (1, 2))
+        s = st.GammaSeq.from_seed(seed).eval(10)
+        (res, dtypes), (_, plans) = norm_and_basis_dtypes(s, 10), norm_and_plans(s, 10)
+        assert plans == 2 and res.converged and dtypes == {FLOAT}
+        assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-12, abs=0)
+
+    def test_auto_crossover_follows_dtype(self):
+        # dimension 128 is above the complex crossover, 256 at the real one
+        complex_sum = rotated_sigma3_average(np.random.default_rng(41)).eval(7)
+        assert st.norm(complex_sum, 7).iterations > 0
+        real_sum = real_two_site_average(np.random.default_rng(41)).eval(8)
+        assert st.norm(real_sum, 8).iterations == 0
+
+    def test_real_assembly_is_the_complex_real_part(self):
+        # so the dense route of a real sum gives the same value, bit for bit
+        rng = np.random.default_rng(49)
+        product = st.from_site_factors({x: rng.normal(size=(2, 2)) for x in (1, 3, 6)})
+        s = real_two_site_average(rng).eval(6) + st.operator_sum([(0.3, product)])
+        terms = [(w, op.scalar, op.blocks) for w, op in s.terms]
+        sites = tuple(range(1, 7))
+        full = localops._assemble(terms, sites, 2, st.DENSE_DIM_CAP)
+        real = localops._assemble(terms, sites, 2, st.DENSE_DIM_CAP, float)
+        assert real.dtype == FLOAT and not np.any(full.imag)
+        assert np.array_equal(real, full.real)
+        with mock.patch.object(
+            localops, "operator_norm_dense", wraps=localops.operator_norm_dense
+        ) as spy:
+            value = st.norm(s, 6, "dense").value
+        assert spy.call_args.args[0].dtype == FLOAT
+        assert value == st.operator_norm_dense(full)
 
 
 def random_mixed_sum(rng, d, sites):

@@ -241,7 +241,7 @@ class TestBoundedness:
             (st.GammaSeq.from_seed(seed), seed.norm_exact()),
         ]
         for seq, bound in cases:
-            # auto: dense up to localops._AUTO_DENSE_DIM, Lanczos beyond
+            # auto: dense up to the crossover of the sum's dtype, Lanczos beyond
             trace = st.seq_norm_trace(seq, range(2, 13), "auto", dense_cap=1024)
             assert [p.n for p in trace] == list(range(2, 13))
             assert all(p.converged for p in trace)

@@ -195,6 +195,27 @@ class TestSharedFactors:
                 ref = svd_norm(kron_term_dense(op.scalar, op.blocks, range(1, n + 1), 2))
                 assert abs(op.norm_exact() - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("seq", [q for _, q in SHARED], ids=[i for i, _ in SHARED])
+    def test_adjoint_keeps_shared_factors(self, seq):
+        state = st.product_state(RHO_TILTED)
+        for n in (1, 2, 5, 13, 101):
+            s, adj = seq.eval(n), st.SeqAdjoint(seq).eval(n)
+            for (_, op), (_, op_adj) in zip(s.terms, adj.terms):
+                distinct = len(localops._distinct_blocks(op.blocks))
+                assert len(localops._distinct_blocks(op_adj.blocks)) == distinct
+                ref = norm_exact_per_block(op_adj)
+                assert abs(op_adj.norm_exact() - ref) <= 1e-12 * ref
+            ref = expectation_per_block(RHO_TILTED, adj)
+            assert abs(st.expectation(state, adj, n) - ref) <= 1e-12 * abs(ref)
+
+    def test_adjoint_of_uniform_product_has_one_factor(self):
+        s = st.SeqAdjoint(st.UniformProduct(SX)).eval(4096)
+        ((_, op),) = s.terms
+        assert len(localops._distinct_blocks(op.blocks)) == 1
+        ref = expectation_per_block(RHO_MINUS, s)
+        assert ref == 1 and st.expectation(st.product_state(RHO_MINUS), s, 4096) == ref
+        assert op.norm_exact() == pytest.approx(norm_exact_per_block(op), rel=1e-12)
+
     def test_real_site_value_keeps_a_zero_imaginary_part(self):
         # (-1 + 0j) ** 4097 has an imaginary part of about 1.7e-13
         val = st.expectation(st.product_state(RHO_MINUS), st.UniformProduct(SX).eval(4097), 4097)

@@ -7,6 +7,7 @@ single-probe estimators refuse it.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -42,6 +43,28 @@ def test_volume_check_raises_exactly_off_the_volume(support, n):
     else:
         with pytest.raises(st.ContractViolation, match="does not fit in volume"):
             check_volume(n, support)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(supports, supports, volumes)
+def test_operators_checked_by_their_ends(first, second, n):
+    # an operator or sum is compared by its first and last site, and a refusal
+    # names its full support, as for the tuple of its sites
+    op = quantum(first)
+    s = st.operator_sum([(1.0, op), (0.5, quantum(second))])
+    state = st.product_state(np.eye(2) / 2)
+    for obj, as_sum in ((op, op.as_sum()), (s, s)):
+        if fits(obj.support, n):
+            assert check_volume(n, obj) == n
+            continue
+        message = re.escape(f"support {obj.support} does not fit in volume of {n} sites")
+        for refused in (
+            lambda: check_volume(n, obj),
+            lambda: st.norm(obj, n),
+            lambda: st.expectation(state, as_sum, n),
+        ):
+            with pytest.raises(st.ContractViolation, match=message):
+                refused()
 
 
 @settings(max_examples=80, deadline=None, database=None)
