@@ -78,10 +78,6 @@ class DecayReport:
     bound_violations: tuple[int, ...] = ()
 
     @property
-    def pairs(self) -> tuple[tuple[int, float], ...]:
-        return tuple((p.n, p.value) for p in self.points)
-
-    @property
     def values(self) -> tuple[float, ...]:
         return tuple(p.value for p in self.points)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .asymptotics import MIN_POINTS, DecayReport, TracePoint, check_probe, classify_trace
 from .errors import CapacityError, ContractViolation
-from .localops import check_volume, fits_volume
+from .localops import check_volume, fits_volume, is_integer
 from .sequences import as_schedule
 from .shifts import _meeting_shifts, _site_map
 
@@ -48,9 +48,11 @@ FreqKey = tuple[tuple[int, int, int], ...]
 def _canonical_key(freqs) -> FreqKey:
     items = []
     for site, m, n in freqs:
-        site, m, n = int(site), int(m), int(n)
-        if site < 1:
+        if not is_integer(site) or site < 1:
             raise ContractViolation(f"sites are >= 1, got {site}")
+        if not (is_integer(m) and is_integer(n)):
+            raise ContractViolation(f"frequencies are integers, got ({m}, {n})")
+        site, m, n = int(site), int(m), int(n)
         if (m, n) != (0, 0):
             items.append((site, m, n))
     items.sort()
@@ -79,11 +81,10 @@ class TrigObservable:
 
     def _moved(self, site_map) -> "TrigObservable":
         """The observable with each factor at site s moved to ``site_map[s]``."""
-        out: dict[FreqKey, complex] = {}
-        for key, c in self.coeffs.items():
-            new = _canonical_key((site_map[s], m, n) for s, m, n in key)
-            out[new] = out.get(new, 0j) + c
-        return _build(out)
+        return _build(
+            (_canonical_key((site_map[s], m, n) for s, m, n in key), c)
+            for key, c in self.coeffs.items()
+        )
 
     def evaluate(self, angles: dict[tuple[int, str], float]) -> complex:
         """Value at a point; ``angles`` maps (site, "q"|"p") to an angle."""
@@ -96,29 +97,29 @@ class TrigObservable:
         return complex(total)
 
     def __add__(self, other: "TrigObservable") -> "TrigObservable":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0j) + c
-        return _build(out)
+        return _build([*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other: "TrigObservable") -> "TrigObservable":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "TrigObservable":
         c = complex(c)
-        return _build({k: c * v for k, v in self.coeffs.items()})
+        return _build((k, c * v) for k, v in self.coeffs.items())
 
     def __mul__(self, other: "TrigObservable") -> "TrigObservable":
-        out: dict[FreqKey, complex] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                key = _merge_keys(k1, k2)
-                out[key] = out.get(key, 0j) + c1 * c2
-        return _build(out)
+        return _build(
+            (_merge_keys(k1, k2), c1 * c2)
+            for k1, c1 in self.coeffs.items()
+            for k2, c2 in other.coeffs.items()
+        )
 
 
-def _build(coeffs: dict[FreqKey, complex]) -> TrigObservable:
-    return TrigObservable({k: v for k, v in coeffs.items() if v != 0})
+def _build(pairs) -> TrigObservable:
+    """Sum the ``(key, coefficient)`` pairs in order; keys that sum to zero are dropped."""
+    out: dict[FreqKey, complex] = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0j) + c
+    return TrigObservable({k: v for k, v in out.items() if v != 0})
 
 
 def _merge_keys(k1: FreqKey, k2: FreqKey) -> FreqKey:
@@ -166,7 +167,7 @@ def poisson_bracket(f: TrigObservable, g: TrigObservable) -> TrigObservable:
     in only one factor contribute nothing, so disjoint supports give the
     empty coefficient map exactly.
     """
-    out: dict[FreqKey, complex] = {}
+    pairs = []
     for k1, c1 in f.coeffs.items():
         for k2, c2 in g.coeffs.items():
             g_at = {s: (m, n) for s, m, n in k2}
@@ -176,12 +177,11 @@ def poisson_bracket(f: TrigObservable, g: TrigObservable) -> TrigObservable:
                 s_factor += m * n2 - n * m2
             if s_factor == 0:
                 continue
-            key = _merge_keys(k1, k2)
             # canonical multiplication order, so the two cross terms of
             # {f, f} cancel bitwise and antisymmetry is exact
             prod = c1 * c2 if k1 <= k2 else c2 * c1
-            out[key] = out.get(key, 0j) + (-s_factor) * prod
-    return _build(out)
+            pairs.append((_merge_keys(k1, k2), (-s_factor) * prod))
+    return _build(pairs)
 
 
 # Grid lower bounds evaluate at most GRID_POINT_CAP points in all (about a
@@ -255,11 +255,8 @@ def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservabl
     """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, those meeting it."""
     sup = f.support
     n = check_volume(n, sup)
-    acc: dict[FreqKey, complex] = {}
-    for j in _meeting_shifts(sup, n, region):
-        for key, c in f._moved(_site_map(sup, n, j)).coeffs.items():
-            acc[key] = acc.get(key, 0j) + c
-    return _build(acc).scale(1.0 / n)
+    moved = (f._moved(_site_map(sup, n, j)) for j in _meeting_shifts(sup, n, region))
+    return _build(pair for g in moved for pair in g.coeffs.items()).scale(1.0 / n)
 
 
 # The classical sequences: plain evaluation rules N -> TrigObservable.  Like

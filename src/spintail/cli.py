@@ -54,12 +54,13 @@ named constant (pauli1, pauli2, pauli3, identity), an explicit row-major
 array with entries ``x`` or ``[re, im]``, or a list of such matrices (one
 per site, tensored).  A list is read per-site when it starts with a name, or
 when it holds exactly one matrix per site; otherwise it is one d^k x d^k
-literal.  A probe spec may also carry a string ``"label"`` naming its
-series; no other local operator takes one.  Classical observables are
-``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]}, ...]}`` or the
-shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site": s}``; classical
-sequences use kinds classical-local | cyclic-average | tail-shifted with an
-``"f"`` field.
+literal.  A probe spec may also carry a string ``"label"``, which names its
+series in ``commutant``; ``gamma-bound`` accepts one but always names its
+series ``commutator``.  No other local operator takes one.  Classical
+observables are ``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]},
+...]}`` or the shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site":
+s}``; classical sequences use kinds classical-local | cyclic-average |
+tail-shifted with an ``"f"`` field.
 
 Exit codes: 0 all experiment assertions passed, 2 an assertion failed (a
 check over a report with no series, or an ``assert.series`` that names none,
@@ -96,7 +97,7 @@ from .asymptotics import (
     vanishing_test,
 )
 from .errors import CapacityError, ConfigError, ContractViolation
-from .localops import NORM_METHODS, LocalOperator, from_site_factors, local_operator
+from .localops import NORM_METHODS, LocalOperator, from_site_factors, is_integer, local_operator
 from .matrices import DENSE_DIM_CAP, pauli
 from .report import FORMATS, REPORT_SCHEMA, Report, emit
 from .sequences import (
@@ -132,11 +133,6 @@ class _Problems(list):
         except ContractViolation as exc:
             self.add(path, str(exc))
             return None
-
-
-def _is_int(value) -> bool:
-    """Whether a config value is an integer; JSON's true and false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
@@ -199,7 +195,7 @@ def _parse_local_operator(
         return None
     _unknown_keys(spec, keys, errors, f"{path}.")
     sites = spec.get("sites")
-    if not isinstance(sites, list) or not all(_is_int(s) for s in sites):
+    if not isinstance(sites, list) or not all(is_integer(s) for s in sites):
         errors.add(f"{path}.sites", "expected a list of integer sites")
         return None
     mat_spec = spec.get("matrix")
@@ -256,7 +252,7 @@ def _parse_sequence(spec, errors: _Problems, path: str) -> ObservableSequence | 
 
 def _parse_offset(offset, errors: _Problems, path: str):
     """Site rule of a translated sequence: site max(1, N - offset), or N itself."""
-    if not _is_int(offset) or offset < 0:
+    if not is_integer(offset) or offset < 0:
         errors.add(path, "expected a nonnegative integer")
         return None
     return None if offset == 0 else (lambda n: max(1, n - offset))
@@ -269,7 +265,7 @@ def _parse_block_lengths(value, errors: _Problems, path: str):
     if not (
         isinstance(value, list)
         and value
-        and all(_is_int(x) and x > 0 for x in value)
+        and all(is_integer(x) and x > 0 for x in value)
         and all(a < b for a, b in zip(value, value[1:]))
     ):
         errors.add(path, "expected a strictly increasing list of positive integers")
@@ -318,7 +314,7 @@ def _parse_trig(spec, errors: _Problems, path: str):
         if not isinstance(name, str) or name not in _NAMED_TRIG:
             errors.add(f"{path}.named", f"unknown observable {name!r}")
             return None
-        if not _is_int(site) or site < 1:
+        if not is_integer(site) or site < 1:
             errors.add(f"{path}.site", "expected a positive integer site")
             return None
         return _NAMED_TRIG[name](site)
@@ -336,7 +332,7 @@ def _parse_trig(spec, errors: _Problems, path: str):
             amp = _parse_scalar(term.get("amplitude"), errors, f"{path}.terms[{i}].amplitude")
             freqs = term.get("freqs", [])
             if not isinstance(freqs, list) or not all(
-                isinstance(f, list) and len(f) == 3 and all(map(_is_int, f)) for f in freqs
+                isinstance(f, list) and len(f) == 3 and all(map(is_integer, f)) for f in freqs
             ):
                 errors.add(f"{path}.terms[{i}].freqs", "expected [[site, m, n], ...] of integers")
                 return None
@@ -583,8 +579,9 @@ def _section(keys: dict):
 # (name, parser, default) rows, as in Experiment.fields
 _CONFIG_FIELDS = (
     ("method", _one_of(NORM_METHODS), "auto"),
-    ("seed", _Key(lambda v: _is_int(v) and v >= 0, "expected a nonnegative integer"), 0),
-    ("dense_cap", _Key(lambda v: _is_int(v) and v >= 2, "expected an integer >= 2"), DENSE_DIM_CAP),
+    ("seed", _Key(lambda v: is_integer(v) and v >= 0, "expected a nonnegative integer"), 0),
+    ("dense_cap", _Key(lambda v: is_integer(v) and v >= 2, "expected an integer >= 2"),
+     DENSE_DIM_CAP),
     *((name, *_section(keys)) for name, keys in _SECTIONS.items()),
 )
 # each `run` flag: the config key it sets, as problems name it, and its argparse options
@@ -645,7 +642,7 @@ def parse_config(text_or_dict) -> ExperimentConfig:
 
     schedule = None
     pts = raw.get("schedule")
-    if not isinstance(pts, list) or not all(_is_int(p) for p in pts):
+    if not isinstance(pts, list) or not all(is_integer(p) for p in pts):
         errors.add("schedule", "expected a list of integers")
     else:
         schedule = errors.attempt("schedule", VolumeSchedule, tuple(pts))

@@ -41,10 +41,11 @@ __all__ = [
     "relabel",
 ]
 
-# Longest vector the Krylov kernel works on: dim on a self-adjoint sum (a or
-# i a), 2 dim on the dilation of any other, so a non-self-adjoint norm on
-# qubits tops out at 2**22 states.  Lanczos peaks at about 36 vectors of this
-# length (complex, or float64 for a real sum): its ITERATIVE_BASIS rows, the
+# Bytes of one vector of the Krylov kernel, whose length is dim on a
+# self-adjoint sum (a or i a) and 2 dim on the dilation of any other: 2**23
+# complex or 2**24 float64 amplitudes, so on qubits a complex sum reaches 2**23
+# states (2**22 on the dilation) and a real one off i a 2**24 (2**23).
+# Lanczos peaks at about 36 kernel vectors: its ITERATIVE_BASIS rows, the
 # result of an apply, one or two dim-length scratch vectors for the apply
 # plan, and the Gram-Schmidt temporaries.  Tracemalloc at N = 14 and 16, in
 # kernel vectors, on a: real symmetric two-site shift average (which
@@ -52,9 +53,9 @@ __all__ = [
 # rotated sigma3 35.2 and 35.0, rotated sigma1 sigma1 (whose wrap bond is a
 # two-step chain) 36.2 and 36.0; on the dilation, the last two seeds with
 # each factor times diag(1, exp(i pi / 3)) 34.6 and 34.5, and 35.2 and 35.1,
-# and a random complex two-site average 34.7 and 34.6.  So about 4.7 GiB of
-# complex vectors at the cap.
-ITERATIVE_STATE_CAP = 2**23
+# and a random complex two-site average 34.7 and 34.6.  So about 4.5 GiB at
+# the cap, in either dtype.
+ITERATIVE_STATE_CAP = 2**27
 # the ``method`` values :func:`norm` accepts
 NORM_METHODS = ("dense", "iterative", "auto")
 # Convergence: the dominant Ritz pair's residual norm is at most this times
@@ -131,6 +132,11 @@ def fits_volume(support, n: int) -> bool:
     return not support or (support[0] >= 1 and support[-1] <= n)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_volume(n, support=()) -> int:
     """Site count of the chain segment {1, ..., n}, which must hold ``support``.
 
@@ -138,9 +144,9 @@ def check_volume(n, support=()) -> int:
     which only the first and last site (its ``ends``) are compared; its full
     ``support`` is built only to name it in the refusal.
     """
-    n = int(n)
-    if n < 1:
+    if not is_integer(n) or n < 1:
         raise ContractViolation(f"volumes have at least one site, got {n}")
+    n = int(n)
     if not fits_volume(getattr(support, "ends", support), n):
         support = getattr(support, "support", support)
         raise ContractViolation(f"support {support} does not fit in volume of {n} sites")
@@ -677,7 +683,7 @@ def _apply_block(step: _Step, src: np.ndarray, dst: np.ndarray) -> None:
     dst.reshape(shape)[...] = np.moveaxis(out, range(k), axes)
 
 
-def _compile_plan(terms, m: int, d: int) -> tuple[tuple[_Step, ...], ...]:
+def _compile_plan(terms, m: int, d: int, dtype=complex) -> tuple[tuple[_Step, ...], ...]:
     """The apply plan of ``sum w * op`` over ``terms`` on the sites {1..m}.
 
     A term whose support spans at most ``_WINDOW_DIM`` states joins the
@@ -688,6 +694,8 @@ def _compile_plan(terms, m: int, d: int) -> tuple[tuple[_Step, ...], ...]:
     block on sites that are not contiguous takes the slower tensordot route
     (the two one-site factors of a wrap bond {1, m} take 75 us as a chain at
     N = 14, and 235 us as one block on {1, m}).
+    Every step matrix is ``dtype``: windows and summed terms are assembled in
+    it, and chain matrices cast once (a float keeps the real parts).
     """
     small, large, chains = [], {}, []
     for w, op in terms:
@@ -698,10 +706,11 @@ def _compile_plan(terms, m: int, d: int) -> tuple[tuple[_Step, ...], ...]:
         elif len(op.blocks) <= 1:
             large.setdefault(support, []).append(term)
         else:
-            first, *rest = op.blocks
-            lead = np.multiply(w, np.multiply(op.scalar, first.matrix))
-            steps = [_block_step(first.sites, lead, m, d)]
-            chains.append(tuple(steps + [_block_step(b.sites, b.matrix, m, d) for b in rest]))
+            lead = np.multiply(w, np.multiply(op.scalar, op.blocks[0].matrix))
+            mats = [lead] + [b.matrix for b in op.blocks[1:]]
+            if np.dtype(dtype).kind == "f":
+                mats = [np.ascontiguousarray(mat.real) for mat in mats]
+            chains.append(tuple(_block_step(b.sites, mat, m, d) for b, mat in zip(op.blocks, mats)))
     windows = []
     for lo, hi, term in sorted(small, key=lambda t: t[0]):
         if windows and d ** (max(hi, windows[-1][1]) - windows[-1][0] + 1) <= _WINDOW_DIM:
@@ -710,7 +719,7 @@ def _compile_plan(terms, m: int, d: int) -> tuple[tuple[_Step, ...], ...]:
         else:
             windows.append([lo, hi, [term]])
     groups = [(tuple(range(lo, hi + 1)), ts) for lo, hi, ts in windows] + list(large.items())
-    blocks = [(_block_step(sites, _assemble(ts, sites, d, math.inf), m, d),) for sites, ts in groups]
+    blocks = [(_block_step(s, _assemble(ts, s, d, math.inf, dtype), m, d),) for s, ts in groups]
     return tuple(blocks + chains)
 
 
@@ -883,12 +892,6 @@ def _is_real(terms) -> bool:
     )
 
 
-def _real_plan(plan):
-    """``plan`` with every step matrix replaced by its real part, for a plan
-    whose imaginary parts are exactly zero."""
-    return tuple(tuple(step._replace(matrix=step.matrix.real.copy()) for step in c) for c in plan)
-
-
 def _hermitian_phase(plan):
     """``1`` when every step of ``plan`` is self-adjoint, so the sum it compiles
     is; ``1j`` when ``1j`` times the sum is, because every chain's lead step
@@ -946,12 +949,14 @@ def norm(
     commutators of self-adjoint sums); otherwise the self-adjoint dilation
     ``[[0, a], [a*, 0]]`` on vectors of length ``2 dim``, whose eigenvalues
     are the singular values of ``a`` and their negatives, for which it
-    compiles ``a*`` too.  A real sum runs the kernel in float64 on ``a`` and
-    on the dilation; ``i a`` is complex.  On every route the norm is the
-    larger ``|theta|`` of the two ends of the spectrum, from one random start
-    vector.  The path holds about 36 of the kernel's vectors at its peak, and
-    ``ITERATIVE_STATE_CAP`` bounds their length, so a sum that is not
-    self-adjoint is capped at half the dimension (2**22 states on qubits).
+    compiles ``a*`` too.  Every array the norm builds (dense matrix, plan,
+    kernel vectors) is of the sum's dtype, except on ``i a``, which is
+    complex: a real sum there turns its plan complex once.  On every route
+    the norm is the larger ``|theta|`` of the two ends of the spectrum, from
+    one random start vector.  The path holds about 36 of the kernel's vectors
+    at its peak, and ``ITERATIVE_STATE_CAP`` bounds the bytes of one: 2**23
+    qubit states for a complex sum, 2**24 for a real one off ``i a``, halved
+    on the dilation.
     A single term whose blocks all fit in ``dense_cap`` is the exact product
     of its per-block dense norms, for every method; a larger one goes to the
     router.  An iterative norm that has not converged within
@@ -974,9 +979,9 @@ def norm(
     terms, m = _compact_terms(s)
     d = s.site_dim
     dim = d**m
-    real = _is_real(terms)
+    dtype = float if _is_real(terms) else complex
     if method == "auto":
-        crossover = _AUTO_DENSE_DIM_REAL if real else _AUTO_DENSE_DIM_COMPLEX
+        crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
         method = "dense" if dim <= min(crossover, dense_cap) else "iterative"
     if method == "dense":
         if dim > dense_cap:
@@ -984,34 +989,33 @@ def norm(
                 f"dense norm at dimension {dim} exceeds cap {dense_cap}; "
                 "use method='iterative'"
             )
-        mat = _assemble(
-            [(w, op.scalar, op.blocks) for w, op in terms],
-            tuple(range(1, m + 1)),
-            d,
-            dense_cap,
-            float if real else complex,
-        )
+        triples = [(w, op.scalar, op.blocks) for w, op in terms]
+        mat = _assemble(triples, tuple(range(1, m + 1)), d, dense_cap, dtype)
         return TracePoint(n, operator_norm_dense(mat, dense_cap))
     # weights scaled by the power of two just above the norm bound, which is
     # exact, give a norm at most 1, so the kernel's stop test is relative
     scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
     terms = [(scale * w, op) for w, op in terms]
-    plan = _compile_plan(terms, m, d)
+    plan = _compile_plan(terms, m, d, dtype)
     phase = _hermitian_phase(plan)
-    size = dim if phase else 2 * dim
-    if size > ITERATIVE_STATE_CAP:
-        raise CapacityError(
-            f"iterative norm needs state vectors of length {size}, above the cap "
-            f"{ITERATIVE_STATE_CAP}"
+    if phase == 1j:  # run on i a, which is complex whatever the dtype of a
+        dtype = complex
+        plan = tuple(
+            (c[0]._replace(matrix=1j * c[0].matrix),)
+            + tuple(step._replace(matrix=step.matrix.astype(complex, copy=False)) for step in c[1:])
+            for c in plan
         )
-    if phase == 1j:  # run on i a
-        plan = tuple((c[0]._replace(matrix=1j * c[0].matrix),) + c[1:] for c in plan)
+    size = dim if phase else 2 * dim
+    nbytes = size * np.dtype(dtype).itemsize
+    if nbytes > ITERATIVE_STATE_CAP:
+        raise CapacityError(
+            f"iterative norm needs state vectors of length {size} ({nbytes} bytes), "
+            f"above the cap of {ITERATIVE_STATE_CAP} bytes"
+        )
     # on the dilation [[0, a], [a*, 0]], whose eigenvalues are +-sigma_i(a)
-    adj = () if phase else _compile_plan([(np.conj(w), op.adjoint()) for w, op in terms], m, d)
-    # a real a, or the real dilation of one, runs in float64; i a stays complex
-    dtype = float if real and phase != 1j else complex
-    if dtype is float:
-        plan, adj = _real_plan(plan), _real_plan(adj)
+    adj = () if phase else _compile_plan(
+        [(np.conj(w), op.adjoint()) for w, op in terms], m, d, dtype
+    )
     chained = any(len(chain) > 1 for chain in plan + adj)
     scratch = [np.empty(dim, dtype=dtype) for _ in range(1 + chained)]
     out = np.empty(size, dtype=dtype)

@@ -1,8 +1,9 @@
-"""Dense complex matrix kernels: Pauli matrices, adjoints, exact operator norms.
+"""Dense matrix kernels: Pauli matrices, adjoints, exact operator norms.
 
-All functions work on plain ``numpy.ndarray`` with ``complex128`` entries and
-are pure; matrices returned by constructors are marked read-only, as is the
-matrix of every ``localops.Block``.
+All functions work on plain ``numpy.ndarray`` with ``complex128`` entries, or
+``float64`` ones for a real matrix, and are pure; matrices returned by
+constructors are ``complex128`` and marked read-only, as is the matrix of
+every ``localops.Block``.
 """
 
 from __future__ import annotations

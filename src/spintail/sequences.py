@@ -37,6 +37,7 @@ from .localops import (
     check_volume,
     fits_volume,
     from_site_factors,
+    is_integer,
     norm,
     relabel,
     sum_product,
@@ -294,10 +295,11 @@ class VolumeSchedule:
         pts = self.points
         if not pts:
             raise ContractViolation("schedules need at least one point")
-        if pts[0] < 1 or any(a >= b for a, b in zip(pts, pts[1:])):
+        if not all(map(is_integer, pts)) or pts[0] < 1 or any(a >= b for a, b in zip(pts, pts[1:])):
             raise ContractViolation(
                 f"schedule points must be strictly increasing positive integers, got {pts}"
             )
+        object.__setattr__(self, "points", tuple(map(int, pts)))
 
     def trace(self, point: Callable[[int], TracePoint]) -> list[TracePoint]:
         """Evaluate ``point(n)`` at every volume in order, timing each call.
@@ -317,7 +319,7 @@ class VolumeSchedule:
 def as_schedule(points, min_points: int = 1) -> VolumeSchedule:
     """``points`` as a schedule, refused when it has fewer than ``min_points`` volumes."""
     if not isinstance(points, VolumeSchedule):
-        points = VolumeSchedule(tuple(int(p) for p in points))
+        points = VolumeSchedule(() if points is None else tuple(points))
     if len(points.points) < min_points:
         raise ContractViolation(f"this estimator needs at least {min_points} schedule points")
     return points

@@ -450,6 +450,12 @@ class TestRun:
         assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.05)
         assert rep.bound_violations == ()
 
+    def test_gamma_bound_series_ignores_probe_label(self):
+        # a probe label names a commutant series; gamma-bound's is always "commutator"
+        probe = dict(GAMMA_BOUND["probe"], label="sigma1 at 1")
+        report, _ = run(parse_config(json.dumps(dict(GAMMA_BOUND, probe=probe))))
+        assert [label for label, _ in report.series] == ["commutator"]
+
     def test_expect_alternating_values(self):
         report, failures = run(parse_config(json.dumps(EXPECT)))
         assert failures == []

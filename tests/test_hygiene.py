@@ -1,0 +1,64 @@
+"""Source hygiene of the package, checked on the syntax tree of each module.
+
+A module-level import that no code of its module reads, and an ``__all__``
+entry that names nothing, are both left behind when code is deleted.
+``__init__.py`` imports only to re-export, and ``from __future__`` imports
+are directives, so neither counts.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "spintail").glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _module_imports(tree):
+    """``(bound name, line)`` of every import at module level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def _all_entries(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = _parse(path)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(_all_entries(tree))  # re-exported
+    unused = [f"{name} (line {line})" for name, line in _module_imports(tree) if name not in read]
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_entries_resolve(path):
+    name = "spintail" if path.stem == "__init__" else f"spintail.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [entry for entry in _all_entries(_parse(path)) if not hasattr(module, entry)]
+    assert missing == [], f"{path.name}: __all__ names {missing}"
+
+
+def test_checks_catch_what_they_name():
+    tree = ast.parse("import os\nfrom x import y as z\n__all__ = ['z', 'w']\nos.sep\n")
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name, _ in _module_imports(tree) if name not in read] == ["z"]
+    assert _all_entries(tree) == ["z", "w"]

@@ -723,27 +723,54 @@ class TestNorm:
             localops, "_compile_plan", lambda *args: compiled.append(1) or compile_plan(*args)
         )
         monkeypatch.setattr(localops, "_power_iteration_norm", counted)
-        # one plan for a Hermitian a, or one for a and one for a* on the dilation,
-        # however many times the kernel applies it
-        for average, plans in [(real_two_site_average, 1), (random_two_site_average, 2)]:
+        # one plan for a Hermitian a, one for a real anti-self-adjoint a, whose
+        # float plan turns complex for i a, or one for a and one for a* on the
+        # dilation, however many times the kernel applies it
+        real = real_two_site_average(np.random.default_rng(45)).eval(9)
+        sigma1 = st.GammaSeq.from_seed(st.pauli_at(1, 1)).eval(9)
+        cases = [
+            (real, 1),
+            (st.sum_commutator(real, sigma1), 1),
+            (random_two_site_average(np.random.default_rng(45)).eval(9), 2),
+        ]
+        for s, plans in cases:
             compiled.clear()
             applies.clear()
-            s = average(np.random.default_rng(45)).eval(9)
             res = st.norm(s, 9, "iterative")
             assert res.converged and len(applies) > 2 and len(compiled) == plans
 
     def test_state_cap_named(self, monkeypatch):
-        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 8)
-        # four one-site terms compact to dimension 16, above the cap
+        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 64)
+        # four one-site terms of a real sum compact to dimension 16, 128 bytes
+        # of float64, above the cap
         s = st.operator_sum([(1.0, st.pauli_at(1, x)) for x in range(1, 5)])
-        with pytest.raises(CapacityError, match="cap 8"):
+        with pytest.raises(CapacityError, match=r"16 \(128 bytes\), above the cap of 64 bytes"):
             st.norm(s, 4, "iterative")
-        # the cap bounds the kernel's vector: dim on a self-adjoint sum, and
-        # 2 dim on the dilation of any other
-        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 16)
+        # the cap bounds the bytes of the kernel's vector: dim amplitudes on a
+        # self-adjoint sum, and 2 dim on the dilation of any other
+        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 128)
         assert st.norm(s, 4, "iterative").converged
-        with pytest.raises(CapacityError, match="length 32, above the cap 16"):
+        with pytest.raises(CapacityError, match=r"length 32 \(512 bytes\), above the cap of 128"):
             st.norm(s.scale(1 + 1j), 4, "iterative")
+
+    def test_real_sum_reaches_twice_the_complex_dimension(self, monkeypatch):
+        # 256 bytes hold 16 complex amplitudes or 32 float64 ones
+        monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 256)
+        sigma1, sigma2 = ([(1.0, st.pauli_at(k, x)) for x in range(1, 6)] for k in (1, 2))
+        real, hermitian = st.operator_sum(sigma1), st.operator_sum(sigma2)
+        assert st.norm(real, 5, "iterative").value == pytest.approx(5.0, rel=1e-12)
+        with pytest.raises(CapacityError, match=r"length 32 \(512 bytes\), above the cap of 256"):
+            st.norm(hermitian, 5, "iterative")
+        assert st.norm(st.operator_sum(sigma2[:4]), 4, "iterative").converged
+        # on the dilation, 2 dim amplitudes: a real sum fits at dimension 16
+        # and a complex one does not
+        raising = st.operator_sum(
+            [(1.0, st.local_operator([[0, 1.0], [0, 0]], (x,))) for x in range(1, 5)]
+        )
+        res = st.norm(raising, 4, "iterative")
+        assert res.converged and res.value == pytest.approx(st.norm(raising, 4, "dense").value)
+        with pytest.raises(CapacityError, match="above the cap of 256 bytes"):
+            st.norm(raising.scale(1j), 4, "iterative")
 
     def test_compaction_beats_volume_cap(self):
         # union support is small, so dense works even when d^N would not
@@ -828,6 +855,43 @@ class TestRealArithmetic:
         (res, dtypes), (_, plans) = norm_and_basis_dtypes(s, 10), norm_and_plans(s, 10)
         assert plans == 2 and res.converged and dtypes == {FLOAT}
         assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-12, abs=0)
+
+    def test_plan_steps_take_the_kernel_dtype(self, monkeypatch):
+        # every step matrix of every plan the kernel runs (a, i a, or a and a*
+        # on the dilation) has the kernel's dtype: float64 for a real sum off
+        # the i a route, complex otherwise
+        seen, run_plan = set(), localops._run_plan
+
+        def spy(plan, *args):
+            seen.update(step.matrix.dtype for chain in plan for step in chain)
+            return run_plan(plan, *args)
+
+        monkeypatch.setattr(localops, "_run_plan", spy)
+        flip = np.array([[0, 1.0], [-1.0, 0]])  # real antisymmetric
+        pair = st.GammaSeq.from_seed(st.from_site_factors({1: st.pauli(1), 2: st.pauli(1)}))
+        sigma3 = st.GammaSeq.from_seed(st.pauli_at(3, 1)).eval(9)
+        real = real_two_site_average(np.random.default_rng(41)).eval(9)
+        sigma1 = st.GammaSeq.from_seed(st.pauli_at(1, 1)).eval(9)
+        antisymmetric_chains = st.operator_sum([
+            (1.0, st.product(st.local_operator(flip, (1,)), st.pauli_at(1, 5))),
+            (0.5, st.product(st.local_operator(flip, (2,)), st.pauli_at(3, 6))),
+            (0.3, st.local_operator(flip, (3,))),
+            (0.2, st.local_operator(flip, (4,))),
+        ])
+        cases = [
+            (real, FLOAT),  # on a
+            (pair.eval(9), FLOAT),  # on a, with two-step chains
+            (st.sum_commutator(pair.eval(9), sigma3), FLOAT),  # on the dilation
+            (st.sum_commutator(real, sigma1), COMPLEX),  # real, on i a
+            (antisymmetric_chains, COMPLEX),  # real, on i a, with two-step chains
+            (rotated_sigma3_average(np.random.default_rng(41)).eval(9), COMPLEX),  # on a
+            (random_two_site_average(np.random.default_rng(41)).eval(9), COMPLEX),  # dilation
+        ]
+        for s, dtype in cases:
+            seen.clear()
+            res = st.norm(s, 9, "iterative")
+            assert res.converged and seen == {dtype}
+            assert res.value == pytest.approx(st.norm(s, 9, "dense").value, rel=1e-12, abs=0)
 
     def test_auto_crossover_follows_dtype(self):
         # dimension 128 is above the complex crossover, 256 at the real one

@@ -15,6 +15,7 @@ from hypothesis import strategies as hst
 import spintail as st
 import spintail.classical as cl
 from spintail.localops import check_volume
+from spintail.sequences import as_schedule
 
 supports = hst.lists(hst.integers(1, 12), min_size=1, max_size=3, unique=True).map(
     lambda sites: tuple(sorted(sites))
@@ -92,3 +93,51 @@ def test_probes_refused_exactly_off_the_smallest_volume(support, n):
         else:
             with pytest.raises(st.ContractViolation, match=re.escape(res.reason)):
                 estimate()
+
+
+# Volumes, schedule points and classical sites are integers: a Python int or a
+# numpy integer.  A float, a bool or None is refused, never floored.
+
+AVERAGE = st.GammaSeq.from_seed(st.pauli_at(3, 1))
+
+
+@pytest.mark.parametrize("volume", [4.7, 4.0, True, None])
+def test_non_integer_volume_refused(volume):
+    with pytest.raises(st.ContractViolation, match="volumes have at least one site"):
+        check_volume(volume)
+    with pytest.raises(st.ContractViolation, match="volumes have at least one site"):
+        st.norm(AVERAGE.eval(4), volume)
+
+
+@pytest.mark.parametrize("points", [[1.5, 2.7, 3.2, 4.9], [4, 6.0, 8, 10], [True, 2, 3, 4]])
+def test_non_integer_schedule_refused(points):
+    with pytest.raises(st.ContractViolation, match="strictly increasing positive integers"):
+        as_schedule(points)
+    with pytest.raises(st.ContractViolation, match="strictly increasing positive integers"):
+        st.vanishing_test(st.SeqScale(lambda n: 1 / n, AVERAGE), points)
+
+
+def test_missing_schedule_refused():
+    with pytest.raises(st.ContractViolation, match="schedules need at least one point"):
+        as_schedule(None)
+    with pytest.raises(st.ContractViolation, match="schedules need at least one point"):
+        st.commutant_membership(AVERAGE)
+
+
+@pytest.mark.parametrize("site", [1.5, 1.0, True, None])
+def test_non_integer_classical_site_refused(site):
+    with pytest.raises(st.ContractViolation, match="sites are >= 1"):
+        cl.trig_term(1, [(site, 1, 0)])
+    with pytest.raises(st.ContractViolation, match="frequencies are integers"):
+        cl.trig_term(1, [(1, 1, site)])
+
+
+def test_numpy_integers_accepted():
+    s = AVERAGE.eval(4)
+    assert check_volume(np.int64(4), s) == 4 and type(check_volume(np.int64(4))) is int
+    assert st.norm(s, np.int64(4)) == st.norm(s, 4)
+    schedule = as_schedule(np.arange(4, 8))
+    assert schedule.points == (4, 5, 6, 7) and all(type(n) is int for n in schedule.points)
+    f = cl.trig_term(1, [(np.int64(2), np.int32(1), np.int8(0))])
+    assert f.coeffs == cl.trig_term(1, [(2, 1, 0)]).coeffs
+    assert [type(x) for x in next(iter(f.coeffs))[0]] == [int, int, int]
