@@ -218,7 +218,7 @@ def commutant_membership(
     classifies as vanishing.  This realizes finitely many volumes of the
     defining intersection, so it is a sound but incomplete check; skipped
     probes (support larger than the smallest schedule point) are reported as
-    such.
+    such.  A shift average builds only the shifts meeting each probe.
     """
     schedule = as_schedule(schedule, MIN_POINTS)
     if probes is None:
@@ -228,9 +228,12 @@ def commutant_membership(
         if reason := _probe_misfit(probe, schedule):
             results.append(ProbeResult(label, None, skipped=True, reason=reason))
             continue
-        probe_sum = probe.as_sum()
+        probe_sum, region = probe.as_sum(), probe.support
         rep = _norm_report(
-            lambda n: sum_commutator(seq.eval(n), probe_sum), schedule, method, **norm_kwargs
+            lambda n: sum_commutator(seq.eval(n, region), probe_sum),
+            schedule,
+            method,
+            **norm_kwargs,
         )
         results.append(ProbeResult(label, rep))
     return results

@@ -240,12 +240,7 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
     chunk = max(1, min(GRID_CHUNK, GRID_ENTRY_CAP // len(keys)))
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        digits = np.empty((ncoords, idx.size), dtype=float)
-        rem = idx
-        for c in range(ncoords - 1, -1, -1):
-            digits[c] = rem % grid_points
-            rem = rem // grid_points
-        angles = digits * step
+        angles = np.array(np.unravel_index(idx, (grid_points,) * ncoords), dtype=float) * step
         vals = amps @ np.exp(1j * (freq_rows @ angles))
         lower = max(lower, float(np.max(np.abs(vals))))
     return lower, upper
@@ -260,14 +255,14 @@ def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservabl
 
 
 # The classical sequences: plain evaluation rules N -> TrigObservable.  Like
-# every sequence a trace reads, each needs only ``eval(n)``.
+# every sequence, each has ``eval(n, region=None)``; only the average reads ``region``.
 
 
 @dataclass
 class ClassicalLocalEmbed:
     f: TrigObservable
 
-    def eval(self, n: int) -> TrigObservable:
+    def eval(self, n: int, region=None) -> TrigObservable:
         return self.f if fits_volume(self.f.support, check_volume(n)) else TrigObservable({})
 
 
@@ -291,7 +286,7 @@ class TailShifted:
 
     f: TrigObservable
 
-    def eval(self, n: int) -> TrigObservable:
+    def eval(self, n: int, region=None) -> TrigObservable:
         n = check_volume(n)
         sup = self.f.support
         return self.f._moved({s: s + n + 1 - sup[0] for s in sup}) if sup else self.f
@@ -304,20 +299,18 @@ def tail_sequence(f: TrigObservable) -> TailShifted:
 def bracket_decay_test(seq, probe: TrigObservable, schedule) -> DecayReport:
     """Trace of l1 upper bounds of {a_N, probe}; classification as for norms.
 
-    ``seq`` is any classical sequence, that is anything with ``eval(n)``
-    returning a :class:`TrigObservable`.  Every classification, a
-    ``bounded_nonvanishing`` one included, is made on these upper bounds
-    alone; no lower bound enters.
-    Like the quantum estimators, it needs at least
-    :data:`~spintail.asymptotics.MIN_POINTS` schedule points, and like
-    ``gamma_bound_check`` it refuses a probe outside the smallest volume.  A
+    ``seq`` is any classical sequence, evaluated on the probe's support, so a
     :class:`ClassicalCyclicAverage` builds only its translates meeting the
     probe, the only ones with a nonzero bracket: same trace, bit for bit.
+    Every classification, a ``bounded_nonvanishing`` one included, is made
+    on these upper bounds alone; no lower bound enters.
+    Like the quantum estimators, it needs at least
+    :data:`~spintail.asymptotics.MIN_POINTS` schedule points, and like
+    ``gamma_bound_check`` it refuses a probe outside the smallest volume.
     """
     schedule = as_schedule(schedule, MIN_POINTS)
     check_probe(probe, schedule)
-    kw = {"region": probe.support} if isinstance(seq, ClassicalCyclicAverage) else {}
     trace = schedule.trace(
-        lambda n: TracePoint(n, poisson_bracket(seq.eval(n, **kw), probe).l1_norm())
+        lambda n: TracePoint(n, poisson_bracket(seq.eval(n, probe.support), probe).l1_norm())
     )
     return classify_trace(trace)

@@ -166,11 +166,11 @@ class Block:
 
 def _check_block(sites, matrix, d) -> Block:
     given = tuple(sites)
-    sites = tuple(int(s) for s in given)
-    if not sites:
+    if not given:
         raise ContractViolation("blocks need at least one site; use the scalar field")
-    if sites != given or sites[0] < 1 or any(a >= b for a, b in zip(sites, sites[1:])):
+    if not all(map(is_integer, given)) or given[0] < 1 or list(given) != sorted(set(given)):
         raise ContractViolation(f"block sites are strictly increasing integers >= 1, got {given}")
+    sites = tuple(map(int, given))
     matrix = check_finite(matrix)
     dim = d ** len(sites)
     if matrix.shape != (dim, dim):
@@ -365,6 +365,9 @@ class OperatorSum:
     def __mul__(self, other: OperatorSum) -> OperatorSum:
         return sum_product(self, other)
 
+    def as_sum(self) -> OperatorSum:
+        return self
+
     def __repr__(self) -> str:
         sup = ",".join(map(str, self.support))
         return f"OperatorSum(d={self.site_dim}, {len(self.terms)} terms on {{{sup}}})"
@@ -483,10 +486,7 @@ def _assemble(terms, sites, d, dim_cap, dtype=complex) -> np.ndarray:
 def dense_matrix(obj, volume, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
     """Full d^N x d^N matrix of an operator or sum on the given volume."""
     n = check_volume(volume, obj)
-    if isinstance(obj, LocalOperator):
-        terms = [(1.0, obj.scalar, obj.blocks)]
-    else:
-        terms = [(w, op.scalar, op.blocks) for w, op in obj.terms]
+    terms = [(w, op.scalar, op.blocks) for w, op in obj.as_sum().terms]
     return _assemble(terms, tuple(range(1, n + 1)), obj.site_dim, dim_cap)
 
 
@@ -927,8 +927,11 @@ def norm(
     the union of their overlaps, each up to ``DENSE_DIM_CAP``;
     :func:`sum_commutator` keeps a pair that meets on several overlaps as two
     factored products when their union is too large to densify cheaply
-    (:func:`_keeps_factored`).  ``dense_cap`` caps only the matrices a norm
-    builds: ``"dense"`` refuses a larger one and names the iterative route.
+    (:func:`_keeps_factored`).  ``dense_cap`` (default 4096) caps only the
+    matrices a norm builds: ``"dense"`` accepts dimensions up to it, where the
+    eigensolve took 5.5 s for a real sum and 25-30 s for a complex one (2-vCPU
+    Intel Xeon, one BLAS thread), and refuses a larger one, naming the
+    iterative route.
     Both paths first compact the sum onto its union support, which leaves
     the norm unchanged, and read off the compacted terms once whether the
     sum is real: every weight, scalar and block matrix with an exactly zero
@@ -963,8 +966,7 @@ def norm(
     ``ITERATIVE_MAX_ITER`` applies is reported via the ``converged`` flag,
     never as a silent wrong answer; ``iterations`` counts the applies.
     """
-    if isinstance(s, LocalOperator):
-        s = s.as_sum()
+    s = s.as_sum()
     n = check_volume(volume, s)
     if method not in NORM_METHODS:
         raise ContractViolation(f"unknown norm method {method!r}")

@@ -9,11 +9,12 @@ pointwise *-algebra combinations of all of these.  The sitewise products
 pattern) are one class, :class:`SiteProduct`, whose constructors differ only in
 their factors and in the rule that picks a factor, or the identity, per site.
 
-The one sequence protocol is ``eval(n)``: :meth:`VolumeSchedule.trace` calls
-nothing else, so the classical sequences (plain dataclasses in
-:mod:`spintail.classical`) and anything else with ``eval`` trace the same
-way.  :class:`ObservableSequence` is only the base of the operator-valued
-kinds, which carry a ``site_dim``.  The pointwise combinations are one class,
+The one sequence protocol, quantum and classical, is ``eval(n, region=None)``:
+a shift average (:class:`GammaSeq`, the classical ``ClassicalCyclicAverage``)
+returns only its terms meeting ``region``, a probe's support, and every
+other kind ignores it.  The estimators call it on every sequence alike.
+:class:`ObservableSequence` is only the base of the operator-valued kinds,
+which carry a ``site_dim``.  The pointwise combinations are one class,
 :class:`SeqMap`, which applies a function to its children's values at each
 volume; :func:`SeqSum`, :func:`SeqProduct`, :func:`SeqAdjoint` and
 :func:`SeqScale` build it.
@@ -68,11 +69,11 @@ __all__ = [
 
 
 class ObservableSequence:
-    """Base class; subclasses implement ``eval(n) -> OperatorSum``."""
+    """Base class; subclasses implement ``eval(n, region=None) -> OperatorSum``."""
 
     site_dim: int = 2
 
-    def eval(self, n: int) -> OperatorSum:
+    def eval(self, n: int, region=None) -> OperatorSum:
         raise NotImplementedError
 
 
@@ -96,7 +97,7 @@ class LocalEmbedSeq(ObservableSequence):
     def __post_init__(self):
         self.site_dim = self.seed.site_dim
 
-    def eval(self, n: int) -> OperatorSum:
+    def eval(self, n: int, region=None) -> OperatorSum:
         if fits_volume(self.seed.support, check_volume(n)):
             return self.seed.as_sum()
         return zero_sum(self.site_dim)
@@ -121,26 +122,24 @@ class TranslatedToInfinity(ObservableSequence):
         self.site_op = Block((1,), check_finite(self.site_op).copy()).matrix
 
     def site_at(self, n: int) -> int:
-        x = n if self.site_rule is None else int(self.site_rule(n))
-        if not fits_volume((x,), n):
-            raise ContractViolation(f"site rule gave {x}, outside volume of {n} sites")
-        return x
+        x = n if self.site_rule is None else self.site_rule(n)
+        if not is_integer(x) or not fits_volume((x,), n):
+            raise ContractViolation(f"site rule gave {x!r}, not a site of the volume of {n} sites")
+        return int(x)
 
-    def eval(self, n: int) -> OperatorSum:
+    def eval(self, n: int, region=None) -> OperatorSum:
         n = check_volume(n)
         return relabel(self._factor, {1: self.site_at(n)}).as_sum()
 
 
 @dataclass
 class GammaSeq(ObservableSequence):
-    """Shift average of a fixed seed over each volume; zero below the window.
+    """Shift average of a fixed seed over each volume; zero until the volume holds the seed.
 
-    ``window`` is the length of the interval {1, ..., window} holding the
-    seed's support; :meth:`from_seed` moves any seed there first.
+    :meth:`from_seed` moves any seed to start at site 1.
     """
 
     seed: LocalOperator
-    window: int
 
     def __post_init__(self):
         self.site_dim = self.seed.site_dim
@@ -151,11 +150,10 @@ class GammaSeq(ObservableSequence):
         if not sup:
             raise ContractViolation("gamma-sequence seeds need nonempty support")
         # shifting sites sup[0]..sup[-1] left by sup[0] - 1 never wraps
-        seed = gamma_pow(seed, sup[-1], sup[0] - 1)
-        return cls(seed, seed.support[-1])
+        return cls(gamma_pow(seed, sup[-1], sup[0] - 1))
 
-    def eval(self, n: int) -> OperatorSum:
-        return eval_gamma_sequence(self, n)
+    def eval(self, n: int, region=None) -> OperatorSum:
+        return eval_gamma_sequence(self, n, region)
 
 
 @dataclass
@@ -179,7 +177,7 @@ class SiteProduct(ObservableSequence):
         self._zeros = frozenset(k for k, op in enumerate(ops) if op.is_zero)
         self.factors = tuple(op.blocks[0].matrix if op.blocks else None for op in ops)
 
-    def eval(self, n: int) -> OperatorSum:
+    def eval(self, n: int, region=None) -> OperatorSum:
         n = check_volume(n)
         blocks = []
         for x in range(1, n + 1):
@@ -212,19 +210,18 @@ def make_block_partition(rule: Callable[[int], int]) -> Callable[[int], int]:
     lengths: list[int] = []
 
     def block_of(site: int) -> int:
-        site = int(site)
-        if site < 1:
+        if not is_integer(site) or site < 1:
             raise ContractViolation(f"sites are >= 1, got {site}")
         while boundaries[-1] < site:
             n = len(lengths)
-            b = int(rule(n))
-            if b <= 0 or (lengths and b <= lengths[-1]):
+            b = rule(n)
+            if not is_integer(b) or b <= 0 or (lengths and b <= lengths[-1]):
                 raise ContractViolation(
                     f"block lengths must be strictly increasing positive integers; "
                     f"B_{n} = {b} after {lengths[-1] if lengths else 'start'}"
                 )
-            lengths.append(b)
-            boundaries.append(boundaries[-1] + b)
+            lengths.append(int(b))
+            boundaries.append(boundaries[-1] + lengths[-1])
         return bisect.bisect_left(boundaries, site) - 1
 
     return block_of
@@ -254,7 +251,10 @@ def HalfChain(site_op, site_dim: int = 2) -> SiteProduct:
 
 @dataclass
 class SeqMap(ObservableSequence):
-    """Pointwise combination: volume n carries ``combine(n, *(s.eval(n) for s in inner))``."""
+    """Pointwise combination: volume n carries ``combine(n, *(s.eval(n) for s in inner))``.
+
+    ``region`` is ignored: a product's terms meeting it pair factor terms that miss it.
+    """
 
     combine: Callable[..., OperatorSum]
     inner: tuple[ObservableSequence, ...]
@@ -262,7 +262,7 @@ class SeqMap(ObservableSequence):
     def __post_init__(self):
         self.site_dim = self.inner[0].site_dim
 
-    def eval(self, n: int) -> OperatorSum:
+    def eval(self, n: int, region=None) -> OperatorSum:
         return self.combine(n, *(s.eval(n) for s in self.inner))
 
 

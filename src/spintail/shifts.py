@@ -5,17 +5,20 @@ a factor at site x moves to site ((x - 1 - j) mod N) + 1 under j
 applications.  On elementary tensors this sends
 a_1 (x) a_2 (x) ... (x) a_N to a_2 (x) ... (x) a_N (x) a_1.
 
-The average builds all N shifted terms.  Given a local region (a probe's
-support), :func:`eval_gamma_sequence` and the classical mirror build only the
-shifts meeting it, with the same weights and order, so work does not grow with N.
+One builder, :func:`gamma_average`, makes the average: all N shifted terms,
+or, given a local region (a probe's support), only the shifts meeting it, so
+work does not grow with N.  The classical mirror moves its translates through
+the same site map and rule.
 """
 
 from __future__ import annotations
 
+from .errors import ContractViolation
 from .localops import (
-    LocalOperator,
     OperatorSum,
     check_volume,
+    fits_volume,
+    is_integer,
     norm,
     operator_sum,
     relabel,
@@ -33,6 +36,8 @@ __all__ = [
 def gamma_pow(a, volume, j: int):
     """Apply j cyclic left shifts; pure support relabeling, norm-preserving."""
     n = check_volume(volume, a.support)
+    if not is_integer(j):
+        raise ContractViolation(f"shift powers are integers, got {j!r}")
     j = int(j) % n
     if j == 0:
         return a
@@ -57,45 +62,34 @@ def _meeting_shifts(support, n: int, region=None):
     return sorted({(x - y) % n for x in support for y in region if y <= n})
 
 
-def gamma_average(a, volume) -> OperatorSum:
-    """The averaged shift (1/N) sum_j gamma^j, as an N-fold term list.
+def gamma_average(a, volume, region=None) -> OperatorSum:
+    """The averaged shift (1/N) sum_j gamma^j as the terms (w / N) gamma^j(op), ascending j.
 
     Accepts a :class:`LocalOperator` or an :class:`OperatorSum`; no
-    densification happens.
+    densification happens.  With a ``region``, only the shifts carrying the
+    support of ``a`` onto it are built; for an operator, or a sum whose terms
+    share one support, that is the full average's terms meeting ``region``,
+    with the same weights and order, since shifted terms merge only on a
+    shared support.
     """
     n = check_volume(volume)
-    if isinstance(a, LocalOperator):
-        a = a.as_sum()
-    return _shift_average(a, n)
-
-
-def _shift_average(a: OperatorSum, n: int, region=None) -> OperatorSum:
-    """The terms (w / n) gamma^j(op) of the shift average, for ascending j.
-
-    Shifted terms merge only when they share a support, so with a ``region``
-    the result is the full average's terms on it: same weights, same order.
-    """
+    a = a.as_sum()
     shifts = _meeting_shifts(a.support, n, region)
-    terms = []
-    for w, op in a.terms:
-        for j in shifts:
-            terms.append((w / n, gamma_pow(op, n, j)))
+    terms = [(w / n, gamma_pow(op, n, j)) for w, op in a.terms for j in shifts]
     return operator_sum(terms, a.site_dim)
 
 
 def eval_gamma_sequence(seq, volume, region=None) -> OperatorSum:
-    """Shift average of ``seq.seed``, or its terms meeting ``region``; zero below the window."""
+    """:func:`gamma_average` of ``seq.seed``, on ``region`` if given; zero until the seed fits."""
     n = check_volume(volume)
-    if n < seq.window:
+    if not fits_volume(seq.seed.support, n):
         return zero_sum(seq.seed.site_dim)
-    if region is None:
-        return gamma_average(seq.seed, n)
-    return _shift_average(seq.seed.as_sum(), n, region)
+    return gamma_average(seq.seed, n, region)
 
 
 def is_gamma_invariant(a, volume) -> bool:
     """True iff one shift moves the operator by at most 1e-10 in norm."""
     n = check_volume(volume)
-    s = a.as_sum() if isinstance(a, LocalOperator) else a
+    s = a.as_sum()
     diff = gamma_pow(s, n, 1) - s
     return norm(diff, n).value <= 1e-10

@@ -62,3 +62,36 @@ def test_checks_catch_what_they_name():
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name, _ in _module_imports(tree) if name not in read] == ["z"]
     assert _all_entries(tree) == ["z", "w"]
+
+
+# The one sequence protocol is ``eval(n, region=None)``: every ``eval`` a
+# sequence kind defines accepts ``region``, so an estimator may pass it to any.
+SEQUENCE_MODULES = [path for path in MODULES if path.stem in ("sequences", "classical")]
+
+
+def _evals_without_region(tree):
+    """Names of the classes whose ``eval`` takes no ``region`` parameter."""
+    out = []
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "eval":
+                params = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+                if "region" not in params:
+                    out.append(cls.name)
+    return out
+
+
+@pytest.mark.parametrize("path", SEQUENCE_MODULES, ids=lambda p: p.name)
+def test_every_eval_accepts_region(path):
+    assert len(SEQUENCE_MODULES) == 2
+    missing = _evals_without_region(_parse(path))
+    assert missing == [], f"{path.name}: eval without region in {missing}"
+
+
+def test_region_check_catches_a_missing_region():
+    tree = ast.parse(
+        "class A:\n    def eval(self, n, region=None): pass\n"
+        "class B:\n    def eval(self, n): pass\n"
+        "class C:\n    def other(self, n): pass\n"
+    )
+    assert _evals_without_region(tree) == ["B"]

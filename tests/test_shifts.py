@@ -160,13 +160,11 @@ class TestGammaSequence:
     def test_seed_normalized_to_leftmost(self):
         seq = st.GammaSeq.from_seed(st.pauli_at(3, 4))
         assert seq.seed.support == (1,)
-        assert seq.window == 1
 
     def test_window_spans_hull(self):
         seed = st.from_site_factors({2: SX, 4: SX})
         seq = st.GammaSeq.from_seed(seed)
         assert seq.seed.support == (1, 3)
-        assert seq.window == 3
 
     def test_below_window_is_zero(self):
         seed = st.from_site_factors({1: SX, 2: SX, 3: SX})
@@ -240,7 +238,7 @@ def test_meeting_shifts_give_the_full_commutator(rng_seed, seed_sites, factored,
     assert term_list(meeting.terms) == term_list(
         (w, op) for w, op in full.terms if set(op.support) & set(probe_sites)
     )
-    if n >= seq.window:
+    if st.localops.fits_volume(seq.seed.support, n):
         assert len(meeting.terms) <= len(seed.support) * len(probe_sites)
     assert term_list(st.sum_commutator(meeting, probe).terms) == term_list(
         st.sum_commutator(full, probe).terms

@@ -141,3 +141,36 @@ def test_numpy_integers_accepted():
     f = cl.trig_term(1, [(np.int64(2), np.int32(1), np.int8(0))])
     assert f.coeffs == cl.trig_term(1, [(2, 1, 0)]).coeffs
     assert [type(x) for x in next(iter(f.coeffs))[0]] == [int, int, int]
+
+
+@pytest.mark.parametrize("site", [1.0, True])
+def test_non_integer_block_site_refused(site):
+    with pytest.raises(st.ContractViolation, match="block sites are strictly increasing integers"):
+        st.local_operator(st.pauli(1), (site,))
+    assert st.local_operator(st.pauli(1), (np.int64(2),)).support == (2,)
+
+
+def test_block_partition_refuses_non_integers():
+    block_of = st.sequences.make_block_partition(st.sequences.default_block_lengths)
+    for site in (2.9, 2.0, True):
+        with pytest.raises(st.ContractViolation, match="sites are >= 1"):
+            block_of(site)
+    assert block_of(np.int64(2)) == 1
+    with pytest.raises(st.ContractViolation, match="strictly increasing positive integers"):
+        st.sequences.make_block_partition(lambda n: n + 1.5)(1)
+
+
+@pytest.mark.parametrize("rule", [lambda n: n - 0.5, lambda n: float(n), lambda n: True])
+def test_non_integer_site_rule_refused(rule):
+    seq = st.TranslatedToInfinity(st.pauli(1), rule)
+    with pytest.raises(st.ContractViolation, match=re.escape(f"site rule gave {rule(4)!r}")):
+        seq.eval(4)
+
+
+def test_non_integer_shift_power_refused():
+    a = st.pauli_at(3, 1)
+    for j in (1.5, 1.0, True):
+        refusal = re.escape(f"shift powers are integers, got {j!r}")
+        with pytest.raises(st.ContractViolation, match=refusal):
+            st.gamma_pow(a, 4, j)
+    assert st.gamma_pow(a, 4, np.int64(1)).support == (4,)
