@@ -247,10 +247,22 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
 
 
 def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservable:
-    """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, those meeting it."""
+    """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, each
+    term's translates meeting it.
+
+    Coefficients accumulate in ascending shift, and within a shift in the
+    order of ``f``'s terms; with a ``region``, a term is moved only by the
+    shifts carrying its own support onto it.
+    """
     sup = f.support
     n = check_volume(n, sup)
-    moved = (f._moved(_site_map(sup, n, j)) for j in _meeting_shifts(sup, n, region))
+    own = {key: _meeting_shifts([s for s, _, _ in key], n, region) for key in f.coeffs}
+    moved = (
+        TrigObservable({k: c for k, c in f.coeffs.items() if j in own[k]})._moved(
+            _site_map(sup, n, j)
+        )
+        for j in _meeting_shifts(sup, n, region)
+    )
     return _build(pair for g in moved for pair in g.coeffs.items()).scale(1.0 / n)
 
 

@@ -7,12 +7,16 @@ edge of the volume, shift averages of a fixed seed, sitewise products, and
 pointwise *-algebra combinations of all of these.  The sitewise products
 (uniform, parity-alternating, block-alternating, and the half-chain filling
 pattern) are one class, :class:`SiteProduct`, whose constructors differ only in
-their factors and in the rule that picks a factor, or the identity, per site.
+their factors and in the rule that gives each factor its sites in a volume,
+as a few ranges.  The value holds one record per factor that occurs (a
+:class:`~spintail.localops.Run`, or a one-site block), so evaluating it, and
+its norm, state value and commutator with a probe, cost the same at any N.
 
 The one sequence protocol, quantum and classical, is ``eval(n, region=None)``:
 a shift average (:class:`GammaSeq`, the classical ``ClassicalCyclicAverage``)
-returns only its terms meeting ``region``, a probe's support, and every
-other kind ignores it.  The estimators call it on every sequence alike.
+returns only its terms meeting ``region``, a probe's support; a sum, scale or
+adjoint passes it to its children; a product and every other kind ignore it.
+The estimators call it on every sequence alike.
 :class:`ObservableSequence` is only the base of the operator-valued kinds,
 which carry a ``site_dim``.  The pointwise combinations are one class,
 :class:`SeqMap`, which applies a function to its children's values at each
@@ -31,10 +35,12 @@ import numpy as np
 
 from .errors import ContractViolation
 from .localops import (
-    Block,
     LocalOperator,
     OperatorSum,
     TracePoint,
+    _first,
+    _read_only,
+    _sitewise,
     check_volume,
     fits_volume,
     from_site_factors,
@@ -119,7 +125,7 @@ class TranslatedToInfinity(ObservableSequence):
         # checked and canonicalized once: eval only moves the factor to its
         # site, and site_op is a read-only copy of the same checked matrix
         self._factor = from_site_factors({1: self.site_op}, self.site_dim)
-        self.site_op = Block((1,), check_finite(self.site_op).copy()).matrix
+        self.site_op = _read_only(check_finite(self.site_op).copy())
 
     def site_at(self, n: int) -> int:
         x = n if self.site_rule is None else self.site_rule(n)
@@ -158,20 +164,21 @@ class GammaSeq(ObservableSequence):
 
 @dataclass
 class SiteProduct(ObservableSequence):
-    """Sitewise product: site x of volume n carries ``factors[pick(x, n)]``.
+    """Sitewise product: in volume n, factor k sits on the sites ``runs(n)[k]``.
 
-    A ``pick`` of ``None`` leaves the site as the identity.  Every factor needs
-    norm <= 1 so the sequence stays uniformly bounded.
+    ``runs(n)`` gives each factor its sites as a tuple of ascending ranges,
+    disjoint across factors; every other site carries the identity.  Every
+    factor needs norm <= 1 so the sequence stays uniformly bounded.
     """
 
     factors: tuple[np.ndarray, ...]
-    pick: Callable[[int, int], int | None]
+    runs: Callable[[int], tuple[tuple[range, ...], ...]]
     site_dim: int = 2
 
     def __post_init__(self):
         # each factor is checked and canonicalized once: an exact zero makes
         # every product it enters zero, an exact identity is None, any other
-        # factor is a read-only matrix that eval shares between sites
+        # factor is a read-only matrix that eval places as one record
         ops = [from_site_factors({1: _bounded_site_op(m, self.site_dim)}, self.site_dim)
                for m in self.factors]
         self._zeros = frozenset(k for k, op in enumerate(ops) if op.is_zero)
@@ -180,51 +187,72 @@ class SiteProduct(ObservableSequence):
     def eval(self, n: int, region=None) -> OperatorSum:
         n = check_volume(n)
         blocks = []
-        for x in range(1, n + 1):
-            k = self.pick(x, n)
+        for k, ranges in enumerate(self.runs(n)):
+            if not any(ranges):
+                continue
             if k in self._zeros:
                 return zero_sum(self.site_dim)
-            if k is not None and self.factors[k] is not None:
-                blocks.append(Block((x,), self.factors[k]))
+            if self.factors[k] is not None:
+                blocks.append(_sitewise(self.factors[k], ranges))
+        blocks.sort(key=_first)
         return LocalOperator(self.site_dim, 1 + 0j, tuple(blocks)).as_sum()
 
 
 def UniformProduct(site_op, site_dim: int = 2) -> SiteProduct:
     """The same single-site factor on every site of the volume."""
-    return SiteProduct((site_op,), lambda x, n: 0, site_dim)
+    return SiteProduct((site_op,), lambda n: ((range(1, n + 1),),), site_dim)
 
 
 def ParityProduct(odd_op, even_op, site_dim: int = 2) -> SiteProduct:
     """Sitewise product alternating by site parity; site 1 counts as odd."""
-    return SiteProduct((odd_op, even_op), lambda x, n: 1 - x % 2, site_dim)
+    return SiteProduct(
+        (odd_op, even_op), lambda n: ((range(1, n + 1, 2),), (range(2, n + 1, 2),)), site_dim
+    )
 
 
-def make_block_partition(rule: Callable[[int], int]) -> Callable[[int], int]:
+class _BlockPartition:
+    """The map :func:`make_block_partition` returns, growing its blocks as sites ask for them."""
+
+    def __init__(self, rule: Callable[[int], int]):
+        self.rule = rule
+        self.boundaries = [0]
+        self.lengths: list[int] = []
+
+    def _cover(self, site: int) -> None:
+        while self.boundaries[-1] < site:
+            k = len(self.lengths)
+            b = self.rule(k)
+            if not is_integer(b) or b <= 0 or (self.lengths and b <= self.lengths[-1]):
+                raise ContractViolation(
+                    f"block lengths must be strictly increasing positive integers; "
+                    f"B_{k} = {b} after {self.lengths[-1] if self.lengths else 'start'}"
+                )
+            self.lengths.append(int(b))
+            self.boundaries.append(self.boundaries[-1] + self.lengths[-1])
+
+    def __call__(self, site: int) -> int:
+        if not is_integer(site) or site < 1:
+            raise ContractViolation(f"sites are >= 1, got {site}")
+        self._cover(site)
+        return bisect.bisect_left(self.boundaries, site) - 1
+
+    def runs(self, n: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
+        """The sites of the even-indexed and of the odd-indexed blocks in {1, ..., n}."""
+        self._cover(n)
+        b = self.boundaries
+        blocks = [range(b[k] + 1, min(b[k + 1], n) + 1) for k in range(bisect.bisect_left(b, n))]
+        return tuple(blocks[0::2]), tuple(blocks[1::2])
+
+
+def make_block_partition(rule: Callable[[int], int]) -> _BlockPartition:
     """Turn a block-length rule n -> B_n into a total map site -> block index.
 
     Block n covers sites (sum_{k<n} B_k, sum_{k<=n} B_k].  Lengths must be
     positive and strictly increasing; violations raise as soon as the
-    offending block is materialized.
+    offending block is materialized.  The map's ``runs(n)`` gives the sites
+    of the even- and odd-indexed blocks in a volume of n sites, as ranges.
     """
-    boundaries = [0]
-    lengths: list[int] = []
-
-    def block_of(site: int) -> int:
-        if not is_integer(site) or site < 1:
-            raise ContractViolation(f"sites are >= 1, got {site}")
-        while boundaries[-1] < site:
-            n = len(lengths)
-            b = rule(n)
-            if not is_integer(b) or b <= 0 or (lengths and b <= lengths[-1]):
-                raise ContractViolation(
-                    f"block lengths must be strictly increasing positive integers; "
-                    f"B_{n} = {b} after {lengths[-1] if lengths else 'start'}"
-                )
-            lengths.append(int(b))
-            boundaries.append(boundaries[-1] + lengths[-1])
-        return bisect.bisect_left(boundaries, site) - 1
-
-    return block_of
+    return _BlockPartition(rule)
 
 
 def default_block_lengths(n: int) -> int:
@@ -240,30 +268,34 @@ def BlockProduct(
     Sites in even-indexed blocks carry ``even_op``, odd-indexed blocks carry
     ``odd_op``.
     """
-    block_of = make_block_partition(block_lengths)
-    return SiteProduct((even_op, odd_op), lambda x, n: block_of(x) % 2, site_dim)
+    return SiteProduct((even_op, odd_op), make_block_partition(block_lengths).runs, site_dim)
 
 
 def HalfChain(site_op, site_dim: int = 2) -> SiteProduct:
     """Identity on the left ceil(N/2) sites, a fixed factor on the rest."""
-    return SiteProduct((site_op,), lambda x, n: 0 if x > n - n // 2 else None, site_dim)
+    return SiteProduct((site_op,), lambda n: ((range(n - n // 2 + 1, n + 1),),), site_dim)
 
 
 @dataclass
 class SeqMap(ObservableSequence):
-    """Pointwise combination: volume n carries ``combine(n, *(s.eval(n) for s in inner))``.
+    """Pointwise combination: volume n carries ``combine(n, *(s.eval(n, region) for s in inner))``.
 
-    ``region`` is ignored: a product's terms meeting it pair factor terms that miss it.
+    With ``regional`` set, ``region`` reaches the children: the terms of a sum,
+    a scale or an adjoint meeting it are those of its children's values
+    meeting it.  A product's terms meeting it pair factor terms that miss it,
+    so :func:`SeqProduct` evaluates its children whole.
     """
 
     combine: Callable[..., OperatorSum]
     inner: tuple[ObservableSequence, ...]
+    regional: bool = True
 
     def __post_init__(self):
         self.site_dim = self.inner[0].site_dim
 
     def eval(self, n: int, region=None) -> OperatorSum:
-        return self.combine(n, *(s.eval(n) for s in self.inner))
+        region = region if self.regional else None
+        return self.combine(n, *(s.eval(n, region) for s in self.inner))
 
 
 def SeqSum(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
@@ -272,7 +304,7 @@ def SeqSum(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
 
 def SeqProduct(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
     # sum_product is looked up at each evaluation, so a wrapper on it sees the call
-    return SeqMap(lambda n, a, b: sum_product(a, b), (left, right))
+    return SeqMap(lambda n, a, b: sum_product(a, b), (left, right), regional=False)
 
 
 def SeqAdjoint(inner: ObservableSequence) -> SeqMap:

@@ -66,16 +66,18 @@ def gamma_average(a, volume, region=None) -> OperatorSum:
     """The averaged shift (1/N) sum_j gamma^j as the terms (w / N) gamma^j(op), ascending j.
 
     Accepts a :class:`LocalOperator` or an :class:`OperatorSum`; no
-    densification happens.  With a ``region``, only the shifts carrying the
-    support of ``a`` onto it are built; for an operator, or a sum whose terms
-    share one support, that is the full average's terms meeting ``region``,
-    with the same weights and order, since shifted terms merge only on a
-    shared support.
+    densification happens.  With a ``region``, each term is shifted only by
+    the shifts carrying its own support onto it, which gives the full
+    average's terms meeting ``region``, with the same weights and order,
+    since shifted terms merge only on a shared support.
     """
     n = check_volume(volume)
     a = a.as_sum()
-    shifts = _meeting_shifts(a.support, n, region)
-    terms = [(w / n, gamma_pow(op, n, j)) for w, op in a.terms for j in shifts]
+    terms = [
+        (w / n, gamma_pow(op, n, j))
+        for w, op in a.terms
+        for j in _meeting_shifts(op.support, n, region)
+    ]
     return operator_sum(terms, a.site_dim)
 
 

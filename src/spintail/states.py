@@ -1,9 +1,10 @@
 """Translation-invariant product states and factorized expectations.
 
 Expectations of operator sums are computed term by term.  Within a term,
-each distinct block matrix is contracted once against the one-site density
-matrix, leg by leg, and its value raised to the number of blocks that share
-it; the full-volume density matrix is never formed outside test oracles.
+each factor record's matrix is contracted once against the one-site density
+matrix, leg by leg, and its value raised to the record's count, so a
+sitewise product's run costs one contraction at any length; the full-volume
+density matrix is never formed outside test oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .localops import (
     Block,
     LocalOperator,
     OperatorSum,
-    _distinct_blocks,
+    Run,
     _power,
     check_volume,
 )
@@ -65,9 +66,10 @@ def product_state(rho) -> ProductState:
     return ProductState(rho, rho.shape[0])
 
 
-def _block_expectation(blk: Block, rho: np.ndarray, d: int) -> complex:
-    # tr((rho^{(x) k}) B) contracted leg by leg: einsum with integer subscripts
-    k = len(blk.sites)
+def _block_expectation(blk: Block | Run, rho: np.ndarray, d: int) -> complex:
+    # tr((rho^{(x) k}) B) for one copy of the matrix, contracted leg by leg:
+    # einsum with integer subscripts
+    k = blk.width
     tensor = blk.matrix.reshape((d,) * (2 * k))
     operands = [tensor, list(range(2 * k))]
     for t in range(k):
@@ -76,9 +78,11 @@ def _block_expectation(blk: Block, rho: np.ndarray, d: int) -> complex:
 
 
 def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
-    """State value of a sum, factorized over each term's distinct block matrices.
+    """State value of a sum, factorized over each term's factor records.
 
-    A single :class:`LocalOperator` goes in as ``op.as_sum()``.
+    Records multiply in first-site order, each raised to its count by
+    :func:`~spintail.localops._power`.  A single :class:`LocalOperator` goes
+    in as ``op.as_sum()``.
     """
     if state.site_dim != s.site_dim:
         raise ContractViolation("state and operator disagree on site dimension")
@@ -86,8 +90,8 @@ def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
     total = 0j
     for w, op in s.terms:
         val = w * op.scalar
-        for blk, count in _distinct_blocks(op.blocks):
-            val *= _power(_block_expectation(blk, state.rho, state.site_dim), count)
+        for blk in op.blocks:
+            val *= _power(_block_expectation(blk, state.rho, state.site_dim), blk.count)
         total += val
     return total
 

@@ -87,18 +87,36 @@ def random_complex(rng, dim: int) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
+def factor_copies(blocks) -> list:
+    """``(sites, matrix)`` of every factor of an operator, in first-site order.
+
+    A record with ``ranges`` (a run) contributes its one-site matrix once per
+    site, read off the ranges in plain Python; any other record is one
+    factor on its ``sites``.
+    """
+    out = []
+    for b in blocks:
+        if hasattr(b, "ranges"):
+            out += [((x,), b.matrix) for r in b.ranges for x in r]
+        else:
+            out.append((tuple(b.sites), b.matrix))
+    return sorted(out, key=lambda f: f[0][0])
+
+
 def kron_term_dense(scalar, blocks, sites, d: int) -> np.ndarray:
     """``scalar * (x) blocks`` on the ascending ``sites``, one full Kronecker product per term.
 
-    The blocks are folded left to right with an identity on the remaining
+    Runs are taken apart by :func:`factor_copies`, and the factors are
+    folded left to right with an identity on the remaining
     sites, scaled, and their tensor legs permuted into site order -- the
     per-term construction the in-place assembler replaced, kept as its
     bit-exact reference.  Scaling is an explicit ufunc call so that numpy
     never evaluates it in place with the operands swapped.
     """
-    covered = [s for b in blocks for s in b.sites]
+    factors = factor_copies(blocks)
+    covered = [s for f_sites, _ in factors for s in f_sites]
     rest = [s for s in sites if s not in covered]
-    mats = [b.matrix for b in blocks]
+    mats = [m for _, m in factors]
     if rest:
         mats.append(np.eye(d ** len(rest), dtype=complex))
     out = np.multiply(scalar, kron_chain(mats))
@@ -111,25 +129,27 @@ def kron_term_dense(scalar, blocks, sites, d: int) -> np.ndarray:
 
 
 def expectation_per_block(rho: np.ndarray, s) -> complex:
-    """State value of an operator sum in rho^{(x) N}, one contraction per block.
+    """State value of an operator sum in rho^{(x) N}, one contraction per factor.
 
-    Each block's value is tr(rho^{(x) k} B) for its k sites, with the
+    Each factor's value is tr(rho^{(x) k} B) for its k sites, with the
     Kronecker power formed explicitly; a term's value is its weight times its
-    scalar times every block's value, multiplied in block order.  Only the
-    sum's ``terms`` and each operator's ``scalar`` and ``blocks`` are read.
+    scalar times every factor's value, multiplied in site order, a run once
+    per site (:func:`factor_copies`).  Only the sum's ``terms`` and each
+    operator's ``scalar`` and ``blocks`` are read.
     """
     total = 0j
     for w, op in s.terms:
         val = w * op.scalar
-        for b in op.blocks:
-            val *= np.trace(kron_chain([rho] * len(b.sites)) @ b.matrix)
+        for sites, m in factor_copies(op.blocks):
+            val *= np.trace(kron_chain([rho] * len(sites)) @ m)
         total += val
     return complex(total)
 
 
 def norm_exact_per_block(op) -> float:
-    """Operator norm of a product of disjoint blocks: |scalar| times each block's SVD norm."""
+    """Operator norm of a product of disjoint factors: |scalar| times each
+    factor's SVD norm, a run's once per site."""
     out = abs(op.scalar)
-    for b in op.blocks:
-        out *= svd_norm(b.matrix)
+    for _, m in factor_copies(op.blocks):
+        out *= svd_norm(m)
     return float(out)

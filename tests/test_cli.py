@@ -163,6 +163,25 @@ GOLDEN["mutual_complex_seed42.json"] = (
     "json",
 )
 
+# the four sitewise products at up to 4096 sites: complex one-site factors of
+# norm just below 1 in a tilted mixed state, so every value is a long product
+# of complex site values.  Frozen from the implementation that placed one
+# block per site, so they pin the counted-factor records to its bytes.
+_TILTED_RHO = [[[0.965, 0], [0.15, -0.1]], [[0.15, 0.1], [0.035, 0]]]
+_FACTOR_U = [[[0.9319, 0.0093], [0.3026, -0.1974]], [[0.2986, 0.2034], [-0.9319, -0.0093]]]
+_FACTOR_V = [[[0.998, 0.02], [0, 0]], [[0, 0], [0.997, -0.03]]]
+for _kind, _seq in {
+    "uniform_product": {"kind": "uniform-product", "op": _FACTOR_U},
+    "parity_product": {"kind": "parity-product", "odd": _FACTOR_U, "even": _FACTOR_V},
+    "block_product": {"kind": "block-product", "even": _FACTOR_U, "odd": _FACTOR_V},
+    "half_chain": {"kind": "half-chain", "op": _FACTOR_V},
+}.items():
+    GOLDEN[f"expect_{_kind}_seed42.json"] = (
+        dict(EXPECT, schedule=[1, 2, 3, 4, 7, 8, 100, 1023, 1024, 4095, 4096],
+             sequence=_seq, state={"rho": _TILTED_RHO}),
+        "json",
+    )
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name

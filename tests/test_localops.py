@@ -16,6 +16,7 @@ from oracles import (
     SY,
     SZ,
     embed_dense,
+    factor_copies,
     kron_term_dense,
     random_complex,
     random_hermitian,
@@ -1096,6 +1097,30 @@ class TestValidation:
                     blk.matrix[0, 0] = 0
 
 
+def test_every_record_matrix_from_the_public_constructors_is_read_only():
+    # each matrix is frozen once where it is made: checked blocks, products,
+    # commutators, adjoints, permuted copies, and the factors runs share
+    rng = np.random.default_rng(64)
+    f, g = random_complex(rng, 2) / 3, random_complex(rng, 2) / 3
+    two = random_block_op(rng, (1, 3))
+    ops = [two, st.pauli_at(2, 2), st.from_site_factors({1: f, 4: g}), st.gamma_pow(two, 4, 1)]
+    for seq in (st.UniformProduct(f), st.ParityProduct(f, g), st.BlockProduct(f, g),
+                st.HalfChain(g), st.TranslatedToInfinity(f), st.GammaSeq.from_seed(two)):
+        ops += [op for _, op in seq.eval(7).terms]
+        ops += [op for _, op in st.SeqAdjoint(seq).eval(7).terms]
+    made = []
+    for a in ops:
+        made += [a.adjoint(), localops.relabel(a, {s: 8 - s for s in a.support})]
+        for b in ops[:4]:
+            made += [st.product(a, b), st.commutator(a, b)]
+            made += [op for _, op in st.sum_commutator(a.as_sum(), b.as_sum()).terms]
+    assert any(isinstance(blk, localops.Run) for op in made for blk in op.blocks)
+    for op in ops + made:
+        for blk in op.blocks:
+            assert not blk.matrix.flags.writeable, (op, blk)
+    assert not st.TranslatedToInfinity(f).site_op.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # canonical form: decided once, where a matrix is made
 
@@ -1111,12 +1136,17 @@ def assert_canonical(op):
     if op.is_zero:
         assert repr(op.scalar) == "0j" and op.blocks == ()
         return
-    firsts = [blk.sites[0] for blk in op.blocks]
+    firsts = [blk.first for blk in op.blocks]
     assert firsts == sorted(firsts)
-    sites = [s for blk in op.blocks for s in blk.sites]
+    sites = [s for sites, _ in factor_copies(op.blocks) for s in sites]
     assert len(sites) == len(set(sites))
     for blk in op.blocks:
-        assert list(blk.sites) == sorted(set(blk.sites))
+        if isinstance(blk, localops.Run):  # nonempty ascending ranges, two sites or more
+            assert all(blk.ranges) and blk.count >= 2
+            assert all(a[-1] < b[0] for a, b in zip(blk.ranges, blk.ranges[1:]))
+            assert blk.matrix.shape == (op.site_dim, op.site_dim)
+        else:
+            assert list(blk.sites) == sorted(set(blk.sites))
         assert np.count_nonzero(blk.matrix)
         assert not np.array_equal(blk.matrix, np.eye(len(blk.matrix)))
         assert not blk.matrix.flags.writeable

@@ -5,7 +5,7 @@ import spintail as st
 from spintail.cli import _parse_block_lengths, _Problems
 from spintail.sequences import as_schedule, default_block_lengths, make_block_partition
 
-from oracles import I2, SX, SZ, embed_dense, kron_chain, random_complex
+from oracles import I2, SX, SZ, embed_dense, factor_copies, kron_chain, random_complex
 
 
 class TestHalfChain:
@@ -159,18 +159,20 @@ class TestSiteProductStructure:
             assert out.site_dim == d
             ((w, op),) = out.terms
             assert w == 1 and op.scalar == 1
-            expected = {
-                x: mats[k] for x in range(1, n + 1) if (k := expected_pick(x, n)) is not None
-            }
-            assert [b.sites for b in op.blocks] == [(x,) for x in expected]
-            for b in op.blocks:
-                assert np.array_equal(b.matrix, expected[b.sites[0]])
+            picks = {x: k for x in range(1, n + 1) if (k := expected_pick(x, n)) is not None}
+            factors = factor_copies(op.blocks)
+            assert [sites for sites, _ in factors] == [(x,) for x in picks]
+            for (x,), m in factors:
+                assert np.array_equal(m, mats[picks[x]])
+            # one record per factor that occurs, holding every site it sits on
+            assert len(op.blocks) == len(set(picks.values()))
 
     def test_exact_identity_and_zero_factors(self):
         # canonical form: identity sites stay implicit, and one zero site
         # makes the whole product the empty sum
         ((_, op),) = st.ParityProduct(SX, I2).eval(5).terms
-        assert [b.sites for b in op.blocks] == [(1,), (3,), (5,)]
+        (run,) = op.blocks
+        assert run.ranges == (range(1, 6, 2),) and op.support == (1, 3, 5)
         with_zero = st.ParityProduct(SX, np.zeros((2, 2)))
         assert len(with_zero.eval(1).terms) == 1
         assert with_zero.eval(2).is_zero
@@ -184,7 +186,8 @@ class TestSiteProductStructure:
 
     def test_explicit_block_lengths_run_out(self):
         seq = st.BlockProduct(SX, SZ, _explicit_lengths([2, 3]))
-        assert len(seq.eval(5).terms[0][1].blocks) == 5
+        op = seq.eval(5).terms[0][1]
+        assert [b.ranges for b in op.blocks] == [(range(1, 3),), (range(3, 6),)]
         with pytest.raises(st.ContractViolation, match="exhausted"):
             seq.eval(6)
 

@@ -16,6 +16,7 @@ from oracles import (
     random_complex,
     random_hermitian,
     rho_chain,
+    shifted_dense,
     svd_norm,
 )
 
@@ -164,7 +165,7 @@ SHARED = _shared_factor_sequences()
 
 
 class TestSharedFactors:
-    """Each distinct block matrix is evaluated once and raised to its count."""
+    """Each factor record's matrix is evaluated once and raised to its count."""
 
     @pytest.mark.parametrize("seq", [q for _, q in SHARED], ids=[i for i, _ in SHARED])
     def test_matches_per_block_oracle(self, seq):
@@ -201,8 +202,10 @@ class TestSharedFactors:
         for n in (1, 2, 5, 13, 101):
             s, adj = seq.eval(n), st.SeqAdjoint(seq).eval(n)
             for (_, op), (_, op_adj) in zip(s.terms, adj.terms):
-                distinct = len(localops._distinct_blocks(op.blocks))
-                assert len(localops._distinct_blocks(op_adj.blocks)) == distinct
+                # one adjoint per record, on the record's own sites
+                assert [(type(b), b.count, b.first, b.last) for b in op_adj.blocks] == [
+                    (type(b), b.count, b.first, b.last) for b in op.blocks
+                ]
                 ref = norm_exact_per_block(op_adj)
                 assert abs(op_adj.norm_exact() - ref) <= 1e-12 * ref
             ref = expectation_per_block(RHO_TILTED, adj)
@@ -211,7 +214,8 @@ class TestSharedFactors:
     def test_adjoint_of_uniform_product_has_one_factor(self):
         s = st.SeqAdjoint(st.UniformProduct(SX)).eval(4096)
         ((_, op),) = s.terms
-        assert len(localops._distinct_blocks(op.blocks)) == 1
+        (run,) = op.blocks
+        assert isinstance(run, localops.Run) and run.ranges == (range(1, 4097),)
         ref = expectation_per_block(RHO_MINUS, s)
         assert ref == 1 and st.expectation(st.product_state(RHO_MINUS), s, 4096) == ref
         assert op.norm_exact() == pytest.approx(norm_exact_per_block(op), rel=1e-12)
@@ -261,6 +265,113 @@ class TestSharedFactors:
         st.expectation(st.product_state(RHO_TILTED), s, 4096)
         s.terms[0][1].norm_exact()
         assert counts == {"expect": calls, "norm": calls}
+
+
+def _sitewise_products():
+    """(id, sequence): one sequence of each sitewise-product constructor."""
+    rng = np.random.default_rng(29)
+    f, g = _site_factor(rng), _site_factor(rng)
+    return [
+        ("uniform", st.UniformProduct(f)),
+        ("parity", st.ParityProduct(f, g)),
+        ("block", st.BlockProduct(f, g)),
+        ("half_chain", st.HalfChain(g)),
+    ]
+
+
+PRODUCTS = _sitewise_products()
+
+
+def _times_site(m, p, x, n, right):
+    """``m (I (x) p (x) I)`` with ``p`` on site x of n qubits, or ``(I (x) p (x) I) m``."""
+    if right:
+        t = m.reshape(2**n, 2 ** (x - 1), 2, 2 ** (n - x))
+        return np.einsum("iajb,jk->iakb", t, p).reshape(m.shape)
+    t = m.reshape(2 ** (x - 1), 2, 2 ** (n - x), 2**n)
+    return np.einsum("kj,ajbi->akbi", p, t).reshape(m.shape)
+
+
+class TestSitewiseRecords:
+    """Each consumer of a sitewise product's records against plain-numpy oracles:
+    the per-factor values of ``oracles.py`` and the dense trace against rho_chain."""
+
+    @staticmethod
+    def _check(op, dense, rho_n, n):
+        state = st.product_state(RHO_TILTED)
+        s = op.as_sum()
+        got = st.expectation(state, s, n)
+        ref = expectation_per_block(RHO_TILTED, s)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-300)
+        trace = np.einsum("ij,ji->", rho_n, dense)
+        scale = np.einsum("ij,ji->", np.abs(rho_n), np.abs(dense))
+        assert abs(got - trace) <= 1e-12 * scale
+        ref = norm_exact_per_block(op)
+        assert abs(op.norm_exact() - ref) <= 1e-12 * ref
+        if n <= 6:  # a dense SVD per operator costs seconds above six sites
+            assert op.norm_exact() == pytest.approx(svd_norm(dense), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("seq", [q for _, q in PRODUCTS], ids=[i for i, _ in PRODUCTS])
+    def test_consumers_match_oracles(self, seq):
+        rng = np.random.default_rng(31)
+        for n in range(1, 11):
+            ((_, op),) = seq.eval(n).terms
+            sites = range(1, n + 1)
+            dense = kron_term_dense(op.scalar, op.blocks, sites, 2)
+            rho_n = rho_chain(RHO_TILTED, n)
+            self._check(op, dense, rho_n, n)
+            adj = op.adjoint()
+            assert np.array_equal(kron_term_dense(adj.scalar, adj.blocks, sites, 2),
+                                  dense.conj().T)
+            self._check(adj, dense.conj().T, rho_n, n)
+            if n <= 6:  # shifts relabel a run's sites
+                for j in range(n):
+                    moved = st.gamma_pow(op, n, j)
+                    assert np.allclose(kron_term_dense(moved.scalar, moved.blocks, sites, 2),
+                                       shifted_dense(dense, j, 2, n), rtol=0, atol=1e-14)
+            # every site up to six sites, then the ends and the middle
+            for x in sites if n <= 6 else sorted({1, n // 2, n - 1, n}):
+                p = random_complex(rng, 2)
+                probe = st.local_operator(p, (x,))
+                right = _times_site(dense, p, x, n, right=True)
+                left = _times_site(dense, p, x, n, right=False)
+                for got, want in (
+                    (st.product(op, probe), right),
+                    (st.product(probe, op), left),
+                    (st.commutator(op, probe), right - left),
+                ):
+                    assert np.allclose(kron_term_dense(got.scalar, got.blocks, sites, 2), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
+                    self._check(got, want, rho_n, n)
+                    # the probe meets the product only at its own site; elsewhere
+                    # the product's matrices are kept as they are
+                    for b in got.blocks:
+                        if x in b:
+                            assert b.sites == (x,)
+                        else:
+                            assert any(b.matrix is a.matrix for a in op.blocks)
+
+    def test_a_billion_sites_are_never_walked(self, monkeypatch):
+        # expanding a run here would take minutes and gigabytes; fail at once instead
+        def walked(self):
+            raise AssertionError("a run's sites were walked")
+
+        monkeypatch.setattr(localops.Run, "each_site", walked)
+        monkeypatch.setattr(localops.Run, "pieces", walked)
+        n = 10**9
+        s = st.UniformProduct(SX).eval(n)
+        ((_, op),) = s.terms
+        assert [type(b) for b in op.blocks] == [localops.Run] and op.ends == (1, n)
+        assert st.expectation(st.product_state(RHO_MINUS), s, n) == 1  # (-1) ** n
+        assert op.norm_exact() == 1
+        probe = st.pauli_at(3, 1)
+        # sx sz - sz sx = -2i sy on site 1, and sx on every other site
+        for comm in (st.commutator(op, probe), st.sum_commutator(s, probe.as_sum()).terms[0][1]):
+            first, rest = comm.blocks
+            assert first.sites == (1,) and np.array_equal(first.matrix, -2j * SY)
+            assert rest.ranges == (range(2, n + 1),) and rest.matrix is op.blocks[0].matrix
+            assert comm.norm_exact() == 2
+            assert st.expectation(st.product_state(RHO_MINUS), comm.as_sum(), n) == 0
+        assert st.norm(st.sum_commutator(s, probe.as_sum()), n).value == 2
 
 
 class TestAverageVariance:
