@@ -1,4 +1,4 @@
-"""Commutative mirror: trigonometric observables on per-site torus phase spaces.
+"""The commutative side: trigonometric observables on per-site torus phase spaces.
 
 Each site carries a torus T^2 with angle coordinates (q_x, p_x) and canonical
 bracket {q_x, p_x} = 1.  Observables are finite Fourier series
@@ -10,6 +10,10 @@ The sup norm is reported as an interval: the l1 coefficient norm is a
 rigorous upper bound, the maximum over a uniform angle grid a lower bound.
 Bracket traces are classified on the l1 upper bound alone, non-vanishing
 claims included; the grid lower bound feeds no classification.
+
+The shift and sequence code take an observable as they take an operator sum:
+``ClassicalLocalEmbed``, ``ClassicalCyclicAverage`` and ``cyclic_average_eval``
+are ``LocalEmbedSeq``, ``GammaSeq`` and ``gamma_average`` under their classical names.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import numpy as np
 
 from .asymptotics import MIN_POINTS, DecayReport, TracePoint, check_probe, classify_trace
 from .errors import CapacityError, ContractViolation
-from .localops import check_volume, fits_volume, is_integer
-from .sequences import as_schedule
-from .shifts import _meeting_shifts, _site_map
+from .localops import check_volume, is_integer
+from .sequences import GammaSeq, LocalEmbedSeq, as_schedule
+from .shifts import gamma_average
 
 __all__ = [
     "TrigObservable",
@@ -76,15 +80,30 @@ class TrigObservable:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @property
+    def terms(self) -> tuple[tuple[FreqKey, complex], ...]:
+        """The ``(key, coefficient)`` pairs, in order."""
+        return tuple(self.coeffs.items())
+
+    def as_sum(self) -> "TrigObservable":
+        return self
+
     def l1_norm(self) -> float:
         return float(sum(abs(c) for c in self.coeffs.values()))
 
+    # the shift protocol of spintail.shifts, shared with operator sums
     def _moved(self, site_map) -> "TrigObservable":
         """The observable with each factor at site s moved to ``site_map[s]``."""
         return _build(
             (_canonical_key((site_map[s], m, n) for s, m, n in key), c)
             for key, c in self.coeffs.items()
         )
+
+    def _parts(self):
+        return [([s for s, _, _ in key], (key, c)) for key, c in self.coeffs.items()]
+
+    def _of(self, terms) -> "TrigObservable":
+        return _build(terms)
 
     def evaluate(self, angles: dict[tuple[int, str], float]) -> complex:
         """Value at a point; ``angles`` maps (site, "q"|"p") to an angle."""
@@ -205,8 +224,9 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
     point) pairs.  Grids of more than ``GRID_POINT_CAP`` points are refused
     before any evaluation.
     """
-    if grid_points < 8:
-        raise ContractViolation("grids need at least 8 points per angle")
+    if not is_integer(grid_points) or grid_points < 8:
+        raise ContractViolation(f"grids need at least 8 points per angle, got {grid_points!r}")
+    grid_points = int(grid_points)
     upper = f.l1_norm()
     coords = sorted(
         {(s, 0) for key in f.coeffs for s, m, _ in key if m != 0}
@@ -246,46 +266,9 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
     return lower, upper
 
 
-def cyclic_average_eval(f: TrigObservable, n: int, region=None) -> TrigObservable:
-    """(1/N) sum of the cyclic translates in {1, ..., N}; with a ``region``, each
-    term's translates meeting it.
-
-    Coefficients accumulate in ascending shift, and within a shift in the
-    order of ``f``'s terms; with a ``region``, a term is moved only by the
-    shifts carrying its own support onto it.
-    """
-    sup = f.support
-    n = check_volume(n, sup)
-    own = {key: _meeting_shifts([s for s, _, _ in key], n, region) for key in f.coeffs}
-    moved = (
-        TrigObservable({k: c for k, c in f.coeffs.items() if j in own[k]})._moved(
-            _site_map(sup, n, j)
-        )
-        for j in _meeting_shifts(sup, n, region)
-    )
-    return _build(pair for g in moved for pair in g.coeffs.items()).scale(1.0 / n)
-
-
-# The classical sequences: plain evaluation rules N -> TrigObservable.  Like
-# every sequence, each has ``eval(n, region=None)``; only the average reads ``region``.
-
-
-@dataclass
-class ClassicalLocalEmbed:
-    f: TrigObservable
-
-    def eval(self, n: int, region=None) -> TrigObservable:
-        return self.f if fits_volume(self.f.support, check_volume(n)) else TrigObservable({})
-
-
-@dataclass
-class ClassicalCyclicAverage:
-    f: TrigObservable
-
-    def eval(self, n: int, region=None) -> TrigObservable:
-        if fits_volume(self.f.support, check_volume(n)):
-            return cyclic_average_eval(self.f, n, region)
-        return TrigObservable({})  # zero below the support
+ClassicalLocalEmbed = LocalEmbedSeq
+ClassicalCyclicAverage = GammaSeq
+cyclic_average_eval = gamma_average
 
 
 @dataclass

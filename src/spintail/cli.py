@@ -60,7 +60,8 @@ series ``commutator``.  No other local operator takes one.  Classical
 observables are ``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]},
 ...]}`` or the shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site":
 s}``; classical sequences use kinds classical-local | cyclic-average |
-tail-shifted with an ``"f"`` field.
+tail-shifted with an ``"f"`` field.  The first two build ``LocalEmbedSeq`` and
+``GammaSeq`` on the trigonometric seed, which, unlike ``gamma``, is not moved to site 1.
 
 Exit codes: 0 all experiment assertions passed, 2 an assertion failed (a
 check over a report with no series, or an ``assert.series`` that names none,

@@ -349,6 +349,9 @@ class LocalOperator:
     def as_sum(self) -> OperatorSum:
         return OperatorSum(self.site_dim, () if self.is_zero else ((1 + 0j, self),))
 
+    def _moved(self, site_map) -> LocalOperator:
+        return relabel(self, site_map)
+
     def norm_exact(self, dim_cap: int = DENSE_DIM_CAP) -> float:
         """Operator norm, exact via multiplicativity across disjoint factors.
 
@@ -450,6 +453,8 @@ class OperatorSum:
 
     @property
     def support(self) -> tuple[int, ...]:
+        if len(self.terms) == 1:  # no union needed; every shift of a one-term seed asks
+            return self.terms[0][1].support
         return tuple(sorted({s for _, op in self.terms for s in op.support}))
 
     @property
@@ -484,6 +489,16 @@ class OperatorSum:
 
     def as_sum(self) -> OperatorSum:
         return self
+
+    # the shift protocol of spintail.shifts, shared with the classical observables
+    def _moved(self, site_map) -> OperatorSum:
+        return OperatorSum(self.site_dim, tuple((w, relabel(op, site_map)) for w, op in self.terms))
+
+    def _parts(self):
+        return [(op.support, (w, op)) for w, op in self.terms]
+
+    def _of(self, terms) -> OperatorSum:
+        return operator_sum(terms, self.site_dim)
 
     def __repr__(self) -> str:
         ends = "..".join(map(str, dict.fromkeys(self.ends)))

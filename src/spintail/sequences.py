@@ -12,13 +12,13 @@ as a few ranges.  The value holds one record per factor that occurs (a
 :class:`~spintail.localops.Run`, or a one-site block), so evaluating it, and
 its norm, state value and commutator with a probe, cost the same at any N.
 
+:class:`LocalEmbedSeq` and :class:`GammaSeq` also take a trigonometric seed
+(:mod:`spintail.classical`), and read the seed's own zero below its support.
 The one sequence protocol, quantum and classical, is ``eval(n, region=None)``:
-a shift average (:class:`GammaSeq`, the classical ``ClassicalCyclicAverage``)
-returns only its terms meeting ``region``, a probe's support; a sum, scale or
-adjoint passes it to its children; a product and every other kind ignore it.
-The estimators call it on every sequence alike.
-:class:`ObservableSequence` is only the base of the operator-valued kinds,
-which carry a ``site_dim``.  The pointwise combinations are one class,
+a shift average (:class:`GammaSeq`) returns only its terms meeting
+``region``, a probe's support; a sum, scale or adjoint passes it to its
+children; a product and every other kind ignore it.  The estimators call it
+on every sequence alike.  The pointwise combinations are one class,
 :class:`SeqMap`, which applies a function to its children's values at each
 volume; :func:`SeqSum`, :func:`SeqProduct`, :func:`SeqAdjoint` and
 :func:`SeqScale` build it.
@@ -96,17 +96,17 @@ def _bounded_site_op(mat, d) -> np.ndarray:
 
 @dataclass
 class LocalEmbedSeq(ObservableSequence):
-    """A fixed local operator, present once the volume contains its support."""
+    """A fixed local element, present once the volume contains its support."""
 
     seed: LocalOperator
 
-    def __post_init__(self):
-        self.site_dim = self.seed.site_dim
+    @property
+    def site_dim(self) -> int:
+        return self.seed.site_dim
 
     def eval(self, n: int, region=None) -> OperatorSum:
-        if fits_volume(self.seed.support, check_volume(n)):
-            return self.seed.as_sum()
-        return zero_sum(self.site_dim)
+        value = self.seed.as_sum()
+        return value if fits_volume(self.seed.support, check_volume(n)) else value.scale(0)
 
 
 @dataclass
@@ -147,8 +147,9 @@ class GammaSeq(ObservableSequence):
 
     seed: LocalOperator
 
-    def __post_init__(self):
-        self.site_dim = self.seed.site_dim
+    @property
+    def site_dim(self) -> int:
+        return self.seed.site_dim
 
     @classmethod
     def from_seed(cls, seed: LocalOperator) -> "GammaSeq":

@@ -336,13 +336,14 @@ class TestBracketDecay:
 
     def test_large_volumes_build_only_meeting_translates(self):
         # cos q1 cos q2 against cos p1: only the translates landing a seed
-        # site on site 1 (j = 0, 1) are built, at any N; each brackets to 1 / N
+        # site on site 1 (j = 0, 1) are built, at any N, and j = 0 is the
+        # seed itself, so one is moved per point; each brackets to 1 / N
         seq = cl.ClassicalCyclicAverage(cl.cos_q(1) * cl.cos_q(2))
         sched = [2**k for k in range(14, 21)]
         calls, counting = _counting_moves()
         with counting:
             rep = cl.bracket_decay_test(seq, cl.cos_p(1), sched)
-        assert len(calls) == 2 * len(sched)
+        assert len(calls) == len(sched)
         assert [p.value * p.n for p in rep.points] == [2.0] * len(sched)
         assert rep.classification == "vanishing"
 

@@ -1054,8 +1054,8 @@ class TestMainExitCodes:
         assert obj["meta"]["experiment"] == "mutual"
 
 
-def test_trace_mode_names_bound():
-    # the benchmark's --trace mode wraps these module attributes by name
+def _install_tracer():
+    """The benchmark's tracer, installed on the spintail modules."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import tracing
@@ -1067,8 +1067,32 @@ def test_trace_mode_names_bound():
     try:
         tracer.install(cli=cli, asymptotics=asymptotics, sequences=sequences, shifts=shifts,
                        localops=localops, states=states, classical=classical)
+    except BaseException:
+        tracer.uninstall()
+        raise
+    return tracer
+
+
+def test_trace_mode_names_bound():
+    # the benchmark's --trace mode wraps these module attributes by name
+    _install_tracer().uninstall()
+
+
+@pytest.mark.parametrize("golden, cfg, spans", [
+    ("classical_decay_seed42.json", CLASSICAL,
+     {"shifts.gamma_average", "classical.poisson_bracket"}),
+    ("gamma_bound_seed42.json", GAMMA_BOUND, {"shifts.gamma_average"}),
+], ids=["classical-decay", "gamma-bound"])
+def test_traced_run_records_the_shared_average(golden, cfg, spans):
+    # the tracer's hooks read every value they wrap (a sequence value's
+    # terms, a bracket's coefficients); a traced run keeps the golden bytes
+    tracer = _install_tracer()
+    try:
+        report, _ = run(parse_config(json.dumps(cfg)))
     finally:
         tracer.uninstall()
+    assert spans <= {span[0] for span in tracer.spans}
+    assert emit(report, "json") == (DATA / golden).read_bytes()
 
 
 # JSON types of the report schema; a bool is a JSON boolean, never a number

@@ -61,7 +61,7 @@ def test_region_is_read_only_by_shift_averages(name):
     seq, role = KINDS[name]
     for n in (1, 3, 4, 7):
         full = _terms(seq.eval(n))
-        for region in ((1,), (2, 5), (4,), (9,)):
+        for region in ((1,), (2, 5), (4,), (9,), (0,)):
             got = _terms(seq.eval(n, region))
             meeting = [t for t in full if t[2] & set(region)]
             assert [t for t in got if t[2] & set(region)] == meeting, (n, region)
@@ -95,6 +95,8 @@ def test_commutant_builds_only_the_shifts_meeting_each_probe(monkeypatch):
         (res,) = st.commutant_membership(seq, [(label, probe)], sched)
         assert res.passed
         per_point = [calls.count(n) for n in sched]
+        # the average moves its terms through gamma_pow, once per meeting shift
+        assert min(per_point) >= 1, label
         assert max(per_point) <= len(seed.support) * len(probe.support), label
 
 
@@ -128,4 +130,5 @@ def test_combinations_build_only_the_shifts_meeting_each_probe(wrap, monkeypatch
         (res,) = st.commutant_membership(seq, [(label, probe)], sched)
         assert res.passed
         per_point = [calls.count(n) for n in sched]
+        assert min(per_point) >= 1, label
         assert max(per_point) <= 2 * len(seed.support) * len(probe.support), label

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_h
 
 import spintail as st
+import spintail.classical as cl
 from spintail.localops import _op_fingerprint
 from spintail.shifts import is_gamma_invariant
 
@@ -16,6 +17,22 @@ from oracles import (
     shift_average_dense,
     shifted_dense,
 )
+
+
+def _sum_and_observable(rng):
+    """An operator sum and a trigonometric observable, each with a term that wraps."""
+    s = st.operator_sum([
+        (0.5 - 1j, st.local_operator(random_complex(rng, 4), (2, 3))),
+        (2.0, st.from_site_factors({1: random_complex(rng, 2), 5: random_complex(rng, 2)})),
+    ])
+    return s, cl.cos_q(2) * cl.sin_p(3) + cl.cos_p(5) * cl.sin_q(1)
+
+
+def _exact(x):
+    """The terms of an operator, a sum or a trigonometric observable, exactly comparable."""
+    if isinstance(x, cl.TrigObservable):
+        return list(x.coeffs.items())
+    return [(w, _op_fingerprint(op)) for w, op in x.as_sum().terms]
 
 
 class TestGammaPow:
@@ -38,6 +55,12 @@ class TestGammaPow:
         for _ in range(n):
             out = st.gamma_pow(out, n, 1)
         assert np.array_equal(st.dense_matrix(out, n), st.dense_matrix(a, n))
+        # every element kind comes back term for term, bit for bit
+        for x in (a, *_sum_and_observable(rng)):
+            out = x
+            for _ in range(n):
+                out = st.gamma_pow(out, n, 1)
+            assert _exact(out) == _exact(x)
 
     def test_periodicity(self):
         rng = np.random.default_rng(41)
@@ -46,6 +69,8 @@ class TestGammaPow:
         rhs = st.gamma_pow(a, 5, 7)
         assert lhs.support == rhs.support
         assert np.array_equal(lhs.blocks[0].matrix, rhs.blocks[0].matrix)
+        for x in _sum_and_observable(rng):
+            assert _exact(st.gamma_pow(x, 5, 2)) == _exact(st.gamma_pow(x, 5, 7))
 
     def test_matches_permutation_oracle(self):
         # defining action on elementary tensors, via an explicitly built

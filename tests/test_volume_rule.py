@@ -132,6 +132,15 @@ def test_non_integer_classical_site_refused(site):
         cl.trig_term(1, [(1, 1, site)])
 
 
+@pytest.mark.parametrize("points", [8.5, 64.0, True, None])
+def test_non_integer_grid_refused(points):
+    refusal = re.escape(f"grids need at least 8 points per angle, got {points!r}")
+    with pytest.raises(st.ContractViolation, match=refusal):
+        cl.sup_norm_bounds(cl.cos_q(1), grid_points=points)
+    assert cl.sup_norm_bounds(cl.cos_q(1), grid_points=np.int64(8)) == cl.sup_norm_bounds(
+        cl.cos_q(1), grid_points=8)
+
+
 def test_numpy_integers_accepted():
     s = AVERAGE.eval(4)
     assert check_volume(np.int64(4), s) == 4 and type(check_volume(np.int64(4))) is int
