@@ -280,6 +280,7 @@ class TailShifted:
     """
 
     f: TrigObservable
+    site_dim = None  # classical, as every sequence of trigonometric values
 
     def eval(self, n: int, region=None) -> TrigObservable:
         n = check_volume(n)

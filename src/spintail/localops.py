@@ -83,17 +83,18 @@ ITERATIVE_BASIS = 32
 # iterative (the Lanczos kernel on a, since all three sums are self-adjoint;
 # for the real seed, dense / complex kernel / float64 kernel), lowest to
 # highest over three random draws of each seed, at one OpenBLAS thread on a
-# 2-vCPU Intel Xeon VM (numpy 2.4):
+# 2-vCPU Intel Xeon VM (numpy 2.4); rows 64-256 re-timed in one run after the
+# Krylov set-up was cut (host speed drifts up to 2x: compare within a row):
 #
 #   dim  rotated sigma3          rotated sigma1 sigma1   real symmetric two-site
-#    64  0.48-0.53 vs 0.77-0.83  0.55-0.95 vs 0.84-1.0  0.38-0.74 / 2.2-3.6 / 2.0-3.2
-#   128  1.5-1.9   vs 0.83-0.97  1.6-1.7   vs 0.95-1.1  0.90-1.4  / 2.6-5.6 / 2.1-4.3
-#   256  7.1-8.0   vs 0.99-1.1   7.1-7.7   vs 1.2-1.3   3.1-4.6   / 3.5-6.3 / 2.7-4.8
+#    64  0.39-0.40 vs 0.63-0.71  0.36-0.39 vs 0.63-0.66  0.29-0.52 / 3.5-6.2 / 2.8-4.9
+#   128  1.6-1.7   vs 0.74-0.79  1.3-1.4   vs 0.64-0.69  0.88-1.3  / 4.3-5.4 / 4.0-5.1
+#   256  8.4-8.7   vs 0.79-0.92  8.4-9.1   vs 0.85-1.1   3.4-3.5   / 5.4-11  / 4.6-8.1
 #   512  43-48     vs 1.3-1.4    44-45     vs 1.3-2.3   14-20     / 4.3-9.6 / 3.3-7.5
 #  1024  331-334   vs 1.6-1.9    335-429   vs 1.6-2.5   108-118   / 5.2-9.5 / 4.3-7.8
 #
-# The complex seeds cross over between 64 and 128; the real one near 256,
-# where the float64 kernel ties with dense, and it is well past by 512.
+# The complex seeds cross over between 64 and 128; the real one between 256,
+# where dense still leads the float64 kernel, and 512, where it is well past.
 # On these draws both routes agree to 2.5e-14 relative; they differ more only
 # where one start vector does not resolve a tight top pair (an earlier real
 # draw at 1024: 1.5e-10, for a pair 2.4e-10 apart).  DENSE_DIM_CAP, the
@@ -583,45 +584,43 @@ def relabel(op: LocalOperator, site_map) -> LocalOperator:
 _ONE = np.ones((1, 1), dtype=complex)
 
 
-def _digit_offsets(legs, place, d) -> np.ndarray:
-    """Basis-index offsets of every digit string on ``legs``, first leg most significant."""
-    off = np.zeros(1, dtype=np.intp)
-    for s in legs:
-        off = (off[:, None] + np.arange(d) * place[s]).ravel()
-    return off
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy's ``kron`` of two matrices, bit for bit: each entry one product ``a_ij * b_kl``."""
+    return np.multiply(a[:, None, :, None], b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def _assemble(terms, sites, d, dim_cap, dtype=complex) -> np.ndarray:
     """Dense matrix of ``sum w * scalar * (x) blocks`` on the ascending tuple ``sites``.
 
     ``terms`` holds ``(w, scalar, blocks)`` triples, whose runs are expanded
-    here into one-site blocks.  The output is allocated
-    once, as ``dtype``.  Each term adds ``w * (scalar * K)``, with ``K`` the
-    Kronecker product of its blocks, along the diagonal of its spectator
-    sites through basis-index offsets: O(dim * K.shape[0]) work, with no
-    identity factor and no permuted copy.  A float ``dtype`` keeps the real
-    parts, which is exact for terms with an exactly zero imaginary part: a
-    complex product of such factors rounds as the real one.
+    here into one-site blocks.  The output is allocated once, as ``dtype``.
+    Each term adds ``w * (scalar * K)``, with ``K`` the Kronecker product of
+    its blocks, along the diagonal of its spectator sites, at the basis
+    indices of one transpose of the index tensor to the legs (covered,
+    spectators): O(dim * K.shape[0]) work, with no identity factor and no
+    permuted copy.  A float ``dtype`` keeps the real parts, which is exact
+    for terms with an exactly zero imaginary part: a complex product of such
+    factors rounds as the real one.
     """
     dim = d ** len(sites)
     if dim > dim_cap:
         raise CapacityError(
             f"dense materialization at dimension {dim} exceeds cap {dim_cap}"
         )
-    place = {s: d ** (len(sites) - 1 - i) for i, s in enumerate(sites)}
+    index = np.arange(dim).reshape((d,) * len(sites))
     out = np.zeros((dim, dim), dtype=dtype)
     for w, scalar, blocks in terms:
         blocks = _pieces(blocks)
-        covered = [s for b in blocks for s in b.sites]
-        spectators = [s for s in sites if s not in covered]
-        kron = reduce(np.kron, [b.matrix for b in blocks]) if blocks else _ONE
+        covered = [sites.index(s) for b in blocks for s in b.sites]
+        spectators = [i for i in range(len(sites)) if i not in covered]
+        kron = reduce(_kron, [b.matrix for b in blocks]) if blocks else _ONE
         # ufunc calls, not operators: numpy may evaluate ``c * temporary`` in
         # place as ``temporary * c``, and complex products round differently
         # with the operands swapped
         block = np.multiply(w, np.multiply(scalar, kron))
         if out.dtype.kind == "f":
             block = block.real
-        idx = _digit_offsets(covered, place, d)[:, None] + _digit_offsets(spectators, place, d)
+        idx = index.transpose(covered + spectators).reshape(len(block), -1)
         out[idx[:, None], idx[None, :]] += block[:, :, None]
     return out
 
@@ -862,7 +861,7 @@ def _block_step(sites, mat, m, d) -> _Step:
         return _Step(mat.reshape((d,) * (2 * k)), (d,) * m, tuple(s - 1 for s in sites))
     lead, dim, tail = d ** (sites[0] - 1), mat.shape[0], d ** (m - sites[-1])
     if tail == 1 or dim * tail <= _FOLD_TAIL_DIM:
-        return _Step(np.kron(mat, np.eye(tail)).T, (lead, dim * tail), None)
+        return _Step(_kron(mat, np.eye(tail)).T, (lead, dim * tail), None)
     return _Step(mat, (lead, dim, tail), None)
 
 
@@ -965,27 +964,31 @@ def _fits(op: LocalOperator, dense_cap) -> bool:
 
 
 def _norm_bound(terms, dense_cap) -> float:
-    """``sum |w| ||op||``, an upper bound on the norm of the sum of the terms;
-    a block above ``dense_cap`` counts with its Frobenius norm."""
+    """The upper bound on the norm of the sum of the terms that :func:`norm` scales by."""
+    fits = [_fits(op, dense_cap) for _, op in terms]
+    shapes: dict = {}  # shape -> {id: matrix}, each distinct matrix once
+    for b in (b for (_, op), ok in zip(terms, fits) if ok for b in op.blocks):
+        shapes.setdefault(b.matrix.shape, {})[id(b.matrix)] = b.matrix
+    two = {k: x for mats in shapes.values()
+           for k, x in zip(mats, np.linalg.svd(np.stack([*mats.values()]), compute_uv=False)[:, 0])}
     total = 0.0
-    for w, op in terms:
-        if _fits(op, dense_cap):
-            total += abs(w) * op.norm_exact(dense_cap)
-        else:
-            total += abs(w * op.scalar) * math.prod(
-                _power(float(np.linalg.norm(b.matrix)), b.count) for b in op.blocks
-            )
+    for (w, op), ok in zip(terms, fits):
+        each = (_power(float(two[id(b.matrix)] if ok else np.linalg.norm(b.matrix)), b.count)
+                for b in op.blocks)
+        total += abs(w * op.scalar) * math.prod(each)
     return total
 
 
 def _compact_terms(s: OperatorSum):
-    """Relabel the union support to {1..m}; norms are invariant under this.
+    """Relabel the union support to {1..m} if it is not that; norms are invariant under this.
 
     ``m`` is at least 1, so a sum of identity multiples still has a site to act on.
     """
     union = s.support
-    rank = {site: i + 1 for i, site in enumerate(union)}
-    return [(w, relabel(op, rank)) for w, op in s.terms], max(len(union), 1)
+    if union and union[-1] != len(union):
+        rank = {site: i + 1 for i, site in enumerate(union)}
+        return [(w, relabel(op, rank)) for w, op in s.terms], len(union)
+    return s.terms, max(len(union), 1)
 
 
 def _cgs2(basis, w):
@@ -1141,7 +1144,12 @@ def norm(
     float64 for a real sum, and hands it to
     :func:`~spintail.matrices.operator_norm_dense`: ``max |eigvalsh(a)|``
     when the skew defect ``||a - a*||_F`` proves that within 1e-13 relative
-    of the norm, ``sqrt(lambda_max(a* a))`` otherwise.  The iterative path compiles ``a``
+    of the norm, ``sqrt(lambda_max(a* a))`` otherwise.  The iterative path
+    scales ``a`` exactly, by the power of two just above the bound
+    ``sum |w scalar| prod ||block||^count``, to a norm of at most 1, so the
+    kernel's stop test is relative; the bound takes the 2-norms of the
+    distinct block matrices of each shape from one stacked SVD (Frobenius
+    norms in a term with a block above ``dense_cap``).  It compiles ``a``
     into an apply plan (dense windows of neighbouring terms, one GEMM per
     block on a view of the state, no transposes) and decides once, by the
     same skew rule on each step's matrix, which operator the kernel runs:
@@ -1192,8 +1200,6 @@ def norm(
         triples = [(w, op.scalar, op.blocks) for w, op in terms]
         mat = _assemble(triples, tuple(range(1, m + 1)), d, dense_cap, dtype)
         return TracePoint(n, operator_norm_dense(mat, dense_cap))
-    # weights scaled by the power of two just above the norm bound, which is
-    # exact, give a norm at most 1, so the kernel's stop test is relative
     scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
     terms = [(scale * w, op) for w, op in terms]
     plan = _compile_plan(terms, m, d, dtype)

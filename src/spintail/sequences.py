@@ -101,8 +101,8 @@ class LocalEmbedSeq(ObservableSequence):
     seed: LocalOperator
 
     @property
-    def site_dim(self) -> int:
-        return self.seed.site_dim
+    def site_dim(self) -> int | None:
+        return getattr(self.seed, "site_dim", None)  # None: a classical seed
 
     def eval(self, n: int, region=None) -> OperatorSum:
         value = self.seed.as_sum()
@@ -148,8 +148,8 @@ class GammaSeq(ObservableSequence):
     seed: LocalOperator
 
     @property
-    def site_dim(self) -> int:
-        return self.seed.site_dim
+    def site_dim(self) -> int | None:
+        return getattr(self.seed, "site_dim", None)  # None: a classical seed
 
     @classmethod
     def from_seed(cls, seed: LocalOperator) -> "GammaSeq":
@@ -284,7 +284,8 @@ class SeqMap(ObservableSequence):
     With ``regional`` set, ``region`` reaches the children: the terms of a sum,
     a scale or an adjoint meeting it are those of its children's values
     meeting it.  A product's terms meeting it pair factor terms that miss it,
-    so :func:`SeqProduct` evaluates its children whole.
+    so :func:`SeqProduct` evaluates its children whole.  Sums and scales take
+    classical sequences (``site_dim`` None) too; products and adjoints refuse them.
     """
 
     combine: Callable[..., OperatorSum]
@@ -303,12 +304,19 @@ def SeqSum(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
     return SeqMap(lambda n, a, b: a + b, (left, right))
 
 
+def _quantum(name, *seqs) -> None:
+    if classical := [seq for seq in seqs if seq.site_dim is None]:
+        raise ContractViolation(f"{name} takes quantum sequences; {classical[0]!r} is classical")
+
+
 def SeqProduct(left: ObservableSequence, right: ObservableSequence) -> SeqMap:
+    _quantum("SeqProduct", left, right)
     # sum_product is looked up at each evaluation, so a wrapper on it sees the call
     return SeqMap(lambda n, a, b: sum_product(a, b), (left, right), regional=False)
 
 
 def SeqAdjoint(inner: ObservableSequence) -> SeqMap:
+    _quantum("SeqAdjoint", inner)
     return SeqMap(lambda n, a: a.adjoint(), (inner,))
 
 

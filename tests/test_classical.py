@@ -7,6 +7,8 @@ from hypothesis import strategies as st_h
 
 import spintail.classical as cl
 from spintail.errors import CapacityError, ContractViolation
+from spintail.localops import pauli_at
+from spintail.sequences import GammaSeq, SeqAdjoint, SeqProduct, SeqScale, SeqSum
 
 
 def random_trig(rng, sites=(1, 2, 3), n_terms=3):
@@ -388,3 +390,33 @@ class TestObservableAlgebra:
     def test_duplicate_site_rejected(self):
         with pytest.raises(ContractViolation):
             cl.trig_term(1.0, [(1, 1, 0), (1, 0, 1)])
+
+
+class TestCombinators:
+    """The pointwise combinators on classical sequences: a sum and a scale are
+    the observables' ``+`` and ``scale``; a product and an adjoint refuse."""
+
+    def test_scale_and_sum_of_averages(self):
+        a = cl.ClassicalCyclicAverage(cl.cos_q(1))
+        b = cl.ClassicalCyclicAverage(cl.cos_q(1) * cl.sin_p(2))
+        tail = cl.tail_sequence(cl.sin_p(1))
+        for n in (2, 5):
+            assert SeqScale(2.0, a).eval(n).coeffs == a.eval(n).scale(2.0).coeffs
+            assert SeqScale(lambda n: 1 / n, b).eval(n).coeffs == b.eval(n).scale(1 / n).coeffs
+            assert SeqSum(a, b).eval(n).coeffs == (a.eval(n) + b.eval(n)).coeffs
+            assert SeqSum(a, tail).eval(n).coeffs == (a.eval(n) + tail.eval(n)).coeffs
+            # the region reaches the averages, as for operator sums
+            assert SeqSum(a, b).eval(n, (1,)).coeffs == (a.eval(n, (1,)) + b.eval(n, (1,))).coeffs
+        assert SeqScale(2.0, a).site_dim is None
+
+    def test_product_and_adjoint_refuse_by_name(self):
+        quantum = GammaSeq.from_seed(pauli_at(3, 1))
+        for classical in (cl.ClassicalCyclicAverage(cl.cos_q(1)),
+                          SeqScale(2.0, cl.tail_sequence(cl.cos_q(1)))):
+            for build in (lambda: SeqProduct(quantum, classical),
+                          lambda: SeqProduct(classical, quantum),
+                          lambda: SeqAdjoint(classical)):
+                with pytest.raises(ContractViolation, match="classical") as err:
+                    build()
+                assert repr(classical) in str(err.value)
+        assert SeqProduct(quantum, quantum).site_dim == 2

@@ -1054,16 +1054,21 @@ class TestMainExitCodes:
         assert obj["meta"]["experiment"] == "mutual"
 
 
-def _install_tracer():
-    """The benchmark's tracer, installed on the spintail modules."""
+def _tracing():
+    """The benchmark's tracing module, imported from ``bench/``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import tracing
     finally:
         sys.path.pop(0)
+    return tracing
+
+
+def _install_tracer():
+    """The benchmark's tracer, installed on the spintail modules."""
     from spintail import asymptotics, classical, cli, localops, sequences, shifts, states
 
-    tracer = tracing.Tracer()
+    tracer = _tracing().Tracer()
     try:
         tracer.install(cli=cli, asymptotics=asymptotics, sequences=sequences, shifts=shifts,
                        localops=localops, states=states, classical=classical)
@@ -1093,6 +1098,35 @@ def test_traced_run_records_the_shared_average(golden, cfg, spans):
         tracer.uninstall()
     assert spans <= {span[0] for span in tracer.spans}
     assert emit(report, "json") == (DATA / golden).read_bytes()
+
+
+# the "norm rotated s3" case of the benchmark's norm_dense workload at seed 1:
+# the shift average of one Haar-rotated sigma3, complex, so N >= 7 (dim 128)
+# is above the complex crossover and takes the Krylov route
+ROTATED_S3_NORM = {
+    "assert": {"all_converged": True}, "experiment": "norm", "method": "auto",
+    "schedule": [4, 5, 6, 7, 8, 9, 10], "seed": 1,
+    "sequence": {"kind": "gamma", "seed": {"sites": [1], "matrix": [[
+        [[0.40519838940575575, -2.2513868077373707e-18], [-0.5565442282363453, 0.7253087530423109]],
+        [[-0.5565442282363453, -0.7253087530423109], [-0.40519838940575575, 3.189722165138391e-18]],
+    ]]}},
+}
+
+
+def test_traced_krylov_norms_count_as_iterative():
+    # the tracer names a norm's route by its children: a dense eigensolve
+    # directly under the norm span is the dense route, so a Krylov norm's
+    # set-up must not call one
+    tracer = _install_tracer()
+    try:
+        run(parse_config(json.dumps(ROTATED_S3_NORM)))
+    finally:
+        tracer.uninstall()
+    metrics = _tracing().layer_metrics(tracer.spans, tracer.counts, 1.0)
+    krylov = [n for n in ROTATED_S3_NORM["schedule"] if n >= 7]
+    assert metrics["localops.norm_iterative_calls"] == len(krylov)
+    assert metrics["localops.norm_dense_calls"] == len(ROTATED_S3_NORM["schedule"]) - len(krylov)
+    assert metrics["localops.norm_iterations"] > 0
 
 
 # JSON types of the report schema; a bool is a JSON boolean, never a number

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked on the syntax tree of each module.
 
-A module-level import that no code of its module reads, and an ``__all__``
-entry that names nothing, are both left behind when code is deleted.
+A module-level import that no code of its module reads, an ``__all__``
+entry that names nothing, and a private function or class that no code of
+the package names are all left behind when code is deleted.
 ``__init__.py`` imports only to re-export, and ``from __future__`` imports
 are directives, so neither counts.
 """
@@ -62,6 +63,44 @@ def test_checks_catch_what_they_name():
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name, _ in _module_imports(tree) if name not in read] == ["z"]
     assert _all_entries(tree) == ["z", "w"]
+
+
+def _private_definitions(tree):
+    """Names of the module-level private functions and classes of ``tree``."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in tree.body if isinstance(node, kinds)
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _named(tree):
+    """Every name ``tree`` reads, loads as an attribute or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_no_orphaned_private_definitions():
+    # a private helper that no code names is left behind when its caller goes
+    trees = {path.name: _parse(path) for path in SOURCES}
+    named = set().union(*map(_named, trees.values()))
+    orphans = [f"{name}: {fn}" for name, tree in trees.items()
+               for fn in _private_definitions(tree) if fn not in named]
+    assert orphans == [], f"private definitions no code names: {orphans}"
+
+
+def test_orphan_check_catches_an_unnamed_helper():
+    tree = ast.parse(
+        "def _used(): pass\ndef _unused(): pass\nclass _Kept: pass\n"
+        "def __dunder__(): pass\ndef public(): return _used() or x._Kept\n"
+    )
+    assert _private_definitions(tree) == ["_used", "_unused", "_Kept"]
+    assert [fn for fn in _private_definitions(tree) if fn not in _named(tree)] == ["_unused"]
 
 
 # The one sequence protocol is ``eval(n, region=None)``: every ``eval`` a

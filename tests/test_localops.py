@@ -966,6 +966,106 @@ class TestAssembly:
             st.dense_matrix(op, 5), kron_term_dense(op.scalar, op.blocks, tuple(range(1, 6)), 2)
         )
 
+    @pytest.mark.parametrize("d, sites", [(2, (2, 3, 5, 7)), (3, (1, 3, 4, 6))])
+    def test_bit_exact_on_sites_with_gaps(self, d, sites):
+        # the sites themselves, not {1..m}, as an overlap component is densified;
+        # the first and last site make a bond over the gaps, and a run covers
+        # the second and fourth
+        rng = np.random.default_rng(38)
+        factor = localops._read_only(random_complex(rng, d))
+        step = sites[3] - sites[1]
+        run = localops._sitewise(factor, [range(sites[1], sites[3] + 1, step)])
+        run = localops.LocalOperator(d, 0.5j, (run,))
+        assert run.support == sites[1::2] and run.blocks[0].count == 2
+        for _ in range(3):
+            s = random_mixed_sum(rng, d, sites) + st.operator_sum([(0.3 - 1j, run)], d)
+            terms = [(w, op.scalar, op.blocks) for w, op in s.terms]
+            got = localops._assemble(terms, sites, d, st.DENSE_DIM_CAP)
+            assert np.array_equal(got, per_term_kron_sum(s.terms, sites, d))
+
+
+class TestKron:
+    """The broadcast Kronecker product the assembler and the apply plan use."""
+
+    @pytest.mark.parametrize("left, right", [((2, 2), (2, 2)), ((4, 4), (2, 2)),
+                                             ((2, 3), (3, 1)), ((1, 4), (5, 2))])
+    @pytest.mark.parametrize("dtypes", [(float, float), (complex, complex),
+                                        (complex, float), (float, complex)])
+    def test_bit_exact_against_numpy(self, left, right, dtypes):
+        rng = np.random.default_rng(39)
+
+        def draw(shape, dtype):
+            out = rng.normal(size=shape)
+            return out + 1j * rng.normal(size=shape) if dtype is complex else out
+
+        a, b = draw(left, dtypes[0]), draw(right, dtypes[1])
+        got = localops._kron(a, b)
+        assert got.dtype == np.kron(a, b).dtype
+        assert np.array_equal(got, np.kron(a, b))
+
+    def test_unit_and_identity(self):
+        m = random_complex(np.random.default_rng(40), 4)
+        for a, b in ((localops._ONE, m), (m, localops._ONE), (m, np.eye(3)), (m.real, np.eye(2))):
+            assert np.array_equal(localops._kron(a, b), np.kron(a, b))
+
+
+class TestNormBound:
+    """The Krylov scale's bound against its definition: sum |w| ||op||, each
+    term's exact norm, or with a block above ``dense_cap`` the product of the
+    Frobenius norms of all its blocks."""
+
+    @staticmethod
+    def by_definition(terms, dense_cap):
+        total = 0.0
+        for w, op in terms:
+            if localops._fits(op, dense_cap):
+                total += abs(w) * op.norm_exact(dense_cap)
+            else:
+                total += abs(w * op.scalar) * float(
+                    np.prod([np.linalg.norm(b.matrix) ** b.count for b in op.blocks])
+                )
+        return total
+
+    @staticmethod
+    def bound(terms, dense_cap=st.DENSE_DIM_CAP):
+        # outside any dense eigensolve, which the benchmark's tracer reads as the dense route
+        with mock.patch.object(localops, "operator_norm_dense", side_effect=AssertionError):
+            return localops._norm_bound(terms, dense_cap)
+
+    def sums(self):
+        rng = np.random.default_rng(43)
+        contraction = random_complex(rng, 2) / 3
+        runs = st.operator_sum([
+            (2 - 1j, st.UniformProduct(contraction).eval(6).terms[0][1]),
+            (0.5j, st.ParityProduct(contraction, st.pauli(3)).eval(7).terms[0][1]),
+        ])
+        assert max(b.count for _, op in runs.terms for b in op.blocks) > 1
+        return {
+            "shift average": rotated_sigma3_average(rng).eval(9),
+            "two-site average": random_two_site_average(rng).eval(7),
+            "multi-block": random_mixed_sum(rng, 2, (1, 2, 4, 5, 6)),
+            "runs": runs,
+            "d = 3": random_mixed_sum(rng, 3, (1, 2, 3, 5)),
+        }
+
+    def test_equals_sum_of_exact_term_norms(self):
+        sums = self.sums()
+        assert all(any(w.imag for w, _ in sums[k].terms) for k in ("multi-block", "runs", "d = 3"))
+        for label, s in sums.items():
+            want = self.by_definition(s.terms, st.DENSE_DIM_CAP)
+            assert self.bound(s.terms) == pytest.approx(want, rel=1e-12, abs=0), label
+
+    def test_block_above_dense_cap_counts_frobenius(self):
+        rng = np.random.default_rng(44)
+        big = st.product(random_block_op(rng, (1, 2)), random_block_op(rng, (4,)))
+        s = st.operator_sum([(1.5j, big), (0.7, random_block_op(rng, (3,)))])
+        want = self.by_definition(s.terms, 2)
+        assert self.bound(s.terms, 2) == pytest.approx(want, rel=1e-12, abs=0)
+        # both blocks of the large term by Frobenius, which exceeds the 2-norm here
+        frobenius = abs(1.5j * big.scalar) * np.prod([np.linalg.norm(b.matrix) for b in big.blocks])
+        assert want == pytest.approx(frobenius + 0.7 * s.terms[1][1].norm_exact(), rel=1e-12)
+        assert want > self.by_definition(s.terms, st.DENSE_DIM_CAP)
+
 
 class TestConfigurableSiteDimension:
     def test_qutrit_commutator_matches_dense(self):
