@@ -26,6 +26,7 @@ from .errors import ContractViolation
 from .localops import (
     LocalOperator,
     TracePoint,
+    _same_dim,
     fits_volume,
     from_site_factors,
     norm,
@@ -289,9 +290,11 @@ def mutual_commutator_trace(
     When both sequences are single-site observables translated along the same
     site rule, the trace must be the constant one-site commutator norm; that
     reference is attached to each point as its ``bound``, and deviations beyond
-    ``BOUND_SLACK`` are recorded as violations.
+    ``BOUND_SLACK`` are recorded as violations.  Sequences of different site
+    dimensions are refused.
     """
     schedule = as_schedule(schedule)
+    _same_dim(a, c)
     bound = None
     if isinstance(a, TranslatedToInfinity) and isinstance(c, TranslatedToInfinity):
         if all(a.site_at(n) == c.site_at(n) for n in schedule.points):

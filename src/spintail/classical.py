@@ -71,6 +71,7 @@ class TrigObservable:
     """Finite Fourier series over finitely many torus sites."""
 
     coeffs: dict[FreqKey, complex]
+    site_dim = None  # no matrix algebra on its sites: a classical element
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -280,7 +281,7 @@ class TailShifted:
     """
 
     f: TrigObservable
-    site_dim = None  # classical, as every sequence of trigonometric values
+    site_dim = None
 
     def eval(self, n: int, region=None) -> TrigObservable:
         n = check_volume(n)

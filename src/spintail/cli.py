@@ -36,7 +36,7 @@ grammar below), ``probe`` and ``probes`` (local-operator specs, or a
 classical observable), ``observable`` (a single-site local operator) and
 ``state`` (``{"rho": MAT}``, one site's density matrix).
 
-Sequence grammar (a tree of kind tags)::
+Sequence grammar, one for both algebras (a tree of kind tags)::
 
     {"kind": "local", "op": OP}
     {"kind": "translated", "op": MAT, "offset": 0}     # site max(1, N-offset)
@@ -45,6 +45,7 @@ Sequence grammar (a tree of kind tags)::
     {"kind": "parity-product", "odd": MAT, "even": MAT}
     {"kind": "block-product", "even": MAT, "odd": MAT, "lengths": [1,2,3,...]}
     {"kind": "half-chain", "op": MAT}
+    {"kind": "classical-local"|"cyclic-average"|"tail-shifted", "f": TRIG}
     {"kind": "sum"|"product", "left": SEQ, "right": SEQ}
     {"kind": "adjoint", "inner": SEQ}
     {"kind": "scale", "factor": 0.5 | [re, im] | "1/N", "inner": SEQ}
@@ -57,11 +58,15 @@ when it holds exactly one matrix per site; otherwise it is one d^k x d^k
 literal.  A probe spec may also carry a string ``"label"``, which names its
 series in ``commutant``; ``gamma-bound`` accepts one but always names its
 series ``commutator``.  No other local operator takes one.  Classical
-observables are ``{"terms": [{"amplitude": A, "freqs": [[site, m, n], ...]},
-...]}`` or the shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p", "site":
-s}``; classical sequences use kinds classical-local | cyclic-average |
-tail-shifted with an ``"f"`` field.  The first two build ``LocalEmbedSeq`` and
-``GammaSeq`` on the trigonometric seed, which, unlike ``gamma``, is not moved to site 1.
+observables TRIG are ``{"terms": [{"amplitude": A, "freqs": [[site, m, n],
+...]}, ...]}`` or the shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p",
+"site": s}``.  ``classical-local`` and ``cyclic-average`` build
+``LocalEmbedSeq`` and ``GammaSeq`` on TRIG, which, unlike ``gamma``'s seed, is
+not moved to site 1.  A sequence's site dimension is read from its matrices
+(OP acts on qubits), and a sequence of TRIG values has none.  ``sum`` and
+``scale`` take either algebra, ``product`` and ``adjoint`` quantum sequences
+only.  ``classical-decay`` reads a classical sequence, every other kind
+sequences of site dimension 2.
 
 Exit codes: 0 all experiment assertions passed, 2 an assertion failed (a
 check over a report with no series, or an ``assert.series`` that names none,
@@ -81,6 +86,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -106,7 +112,6 @@ from .sequences import (
     GammaSeq,
     HalfChain,
     LocalEmbedSeq,
-    ObservableSequence,
     ParityProduct,
     SeqAdjoint,
     SeqProduct,
@@ -221,21 +226,21 @@ def _parse_local_operator(
     return errors.attempt(path, local_operator, mat, tuple(sites))
 
 
-def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
-    """Build what a ``{"kind": K, ...}`` spec describes, from a table of kinds.
+def _parse_tagged(spec, errors: _Problems, path: str):
+    """Build the sequence a ``{"kind": K, ...}`` spec describes.
 
-    ``kinds`` maps each tag to a constructor and its ``(field, parser)``
-    pairs, with an optional third entry as the field's default; the parsed
-    fields go to the constructor in that order.
+    :data:`_SEQUENCE_KINDS` maps each tag to a constructor and its ``(field,
+    parser)`` pairs, with an optional third entry as the field's default; the
+    parsed fields go to the constructor in that order.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         errors.add(path, "expected an object with a 'kind' tag")
         return None
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in kinds:
-        errors.add(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SEQUENCE_KINDS:
+        errors.add(f"{path}.kind", f"unknown sequence kind {kind!r}")
         return None
-    build, fields = kinds[kind]
+    build, fields = _SEQUENCE_KINDS[kind]
     known = len(errors)
     _unknown_keys(spec, ("kind", *(name for name, *_ in fields)), errors, f"{path}.")
     args = [
@@ -247,8 +252,13 @@ def _parse_tagged(spec, errors: _Problems, path: str, kinds: dict, what: str):
     return errors.attempt(path, build, *args)
 
 
-def _parse_sequence(spec, errors: _Problems, path: str) -> ObservableSequence | None:
-    return _parse_tagged(spec, errors, path, _SEQUENCE_KINDS, "sequence")
+def _parse_sequence(spec, errors: _Problems, path: str, site_dim=...):
+    """The sequence ``spec`` describes, of ``site_dim`` (None: classical; ``...``: any)."""
+    seq = _parse_tagged(spec, errors, path)
+    if seq is None or site_dim in (..., seq.site_dim):
+        return seq
+    errors.add(path, f"expected site dimension {site_dim}, got {seq.site_dim} (None: classical)")
+    return None
 
 
 def _parse_offset(offset, errors: _Problems, path: str):
@@ -284,24 +294,6 @@ def _parse_factor(value, errors: _Problems, path: str):
     if value == "1/N":
         return lambda n: 1.0 / n
     return _parse_scalar(value, errors, path)
-
-
-_SEQUENCE_KINDS = {
-    "local": (LocalEmbedSeq, (("op", _parse_local_operator),)),
-    "translated": (TranslatedToInfinity, (("op", _parse_matrix), ("offset", _parse_offset, 0))),
-    "gamma": (GammaSeq.from_seed, (("seed", _parse_local_operator),)),
-    "uniform-product": (UniformProduct, (("op", _parse_matrix),)),
-    "parity-product": (ParityProduct, (("odd", _parse_matrix), ("even", _parse_matrix))),
-    "block-product": (
-        BlockProduct,
-        (("even", _parse_matrix), ("odd", _parse_matrix), ("lengths", _parse_block_lengths)),
-    ),
-    "half-chain": (HalfChain, (("op", _parse_matrix),)),
-    "sum": (SeqSum, (("left", _parse_sequence), ("right", _parse_sequence))),
-    "product": (SeqProduct, (("left", _parse_sequence), ("right", _parse_sequence))),
-    "adjoint": (SeqAdjoint, (("inner", _parse_sequence),)),
-    "scale": (SeqScale, (("factor", _parse_factor), ("inner", _parse_sequence))),
-}
 
 
 _NAMED_TRIG = {"cos_q": cl.cos_q, "sin_q": cl.sin_q, "cos_p": cl.cos_p, "sin_p": cl.sin_p}
@@ -346,19 +338,29 @@ def _parse_trig(spec, errors: _Problems, path: str):
     return None
 
 
-_CLASSICAL_KINDS = {
-    "classical-local": (cl.ClassicalLocalEmbed, (("f", _parse_trig),)),
-    "cyclic-average": (cl.ClassicalCyclicAverage, (("f", _parse_trig),)),
+_SEQUENCE_KINDS = {
+    "local": (LocalEmbedSeq, (("op", _parse_local_operator),)),
+    "translated": (TranslatedToInfinity, (("op", _parse_matrix), ("offset", _parse_offset, 0))),
+    "gamma": (GammaSeq.from_seed, (("seed", _parse_local_operator),)),
+    "uniform-product": (UniformProduct, (("op", _parse_matrix),)),
+    "parity-product": (ParityProduct, (("odd", _parse_matrix), ("even", _parse_matrix))),
+    "block-product": (
+        BlockProduct,
+        (("even", _parse_matrix), ("odd", _parse_matrix), ("lengths", _parse_block_lengths)),
+    ),
+    "half-chain": (HalfChain, (("op", _parse_matrix),)),
+    "classical-local": (LocalEmbedSeq, (("f", _parse_trig),)),
+    "cyclic-average": (GammaSeq, (("f", _parse_trig),)),
     "tail-shifted": (cl.tail_sequence, (("f", _parse_trig),)),
+    "sum": (SeqSum, (("left", _parse_sequence), ("right", _parse_sequence))),
+    "product": (SeqProduct, (("left", _parse_sequence), ("right", _parse_sequence))),
+    "adjoint": (SeqAdjoint, (("inner", _parse_sequence),)),
+    "scale": (SeqScale, (("factor", _parse_factor), ("inner", _parse_sequence))),
 }
 
 
-def _parse_classical_sequence(spec, errors: _Problems, path: str):
-    return _parse_tagged(spec, errors, path, _CLASSICAL_KINDS, "classical sequence")
-
-
 def _parse_gamma_sequence(spec, errors: _Problems, path: str):
-    seq = _parse_sequence(spec, errors, path)
+    seq = _parse_sequence(spec, errors, path, 2)
     if seq is not None and not isinstance(seq, GammaSeq):
         errors.add(path, "gamma-bound needs a sequence of kind 'gamma'")
     return seq
@@ -474,8 +476,9 @@ class Experiment:
     min_points: int = MIN_POINTS
 
 
-_SEQUENCE = ("sequence", _parse_sequence)
-_SEQUENCE2 = ("sequence2", _parse_sequence)
+_SEQUENCE = ("sequence", partial(_parse_sequence, site_dim=2))
+_SEQUENCE2 = ("sequence2", partial(_parse_sequence, site_dim=2))
+_TRIG_SEQUENCE = ("sequence", partial(_parse_sequence, site_dim=None))
 _STATE = ("state", _parse_state)
 
 EXPERIMENTS = {
@@ -488,9 +491,7 @@ EXPERIMENTS = {
     ),
     "expect": Experiment((_SEQUENCE, _STATE), _run_expect, 1),
     "variance": Experiment((_STATE, ("observable", _parse_variance_seed)), _run_variance, 1),
-    "classical-decay": Experiment(
-        (("sequence", _parse_classical_sequence), ("probe", _parse_trig)), _run_classical_decay
-    ),
+    "classical-decay": Experiment((_TRIG_SEQUENCE, ("probe", _parse_trig)), _run_classical_decay),
     "mutual": Experiment((_SEQUENCE, _SEQUENCE2), _run_mutual, 1),
 }
 

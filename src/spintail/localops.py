@@ -202,11 +202,11 @@ class Block:
 class Run:
     """One one-site matrix on every site of ``ranges``: a sitewise product's factor.
 
-    ``ranges`` holds nonempty ascending ranges, each ending before the next
-    begins, so the run's size (``count``), ends and membership are read off
-    its ranges without walking its sites.  A run has at least two sites; one
-    site is a :class:`Block` (:func:`_sitewise`).  :meth:`pieces` expands it
-    into one-site blocks, which only a dense build needs.
+    ``ranges`` holds its sites as ascending ranges in the normal form of
+    :func:`_ranges`, so the run's size (``count``), ends and membership are
+    read off its ranges without walking its sites.  A run has at least two
+    sites; one site is a :class:`Block` (:func:`_sitewise`).  :meth:`pieces`
+    expands it into one-site blocks, which only a dense build needs.
     """
 
     ranges: tuple[range, ...]
@@ -248,22 +248,26 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 
 def _sitewise(matrix, ranges) -> Block | Run:
     """The one-site ``matrix`` on every site of ``ranges`` (ascending ranges,
-    not all empty): a :class:`Run`, or a :class:`Block` on a single site."""
-    ranges = tuple(r for r in ranges if r)
+    not all empty): a :class:`Run` on their normal form (:func:`_ranges`), or
+    a :class:`Block` on a single site.  Every run is made here."""
+    ranges = _ranges(ranges)
     if len(ranges) == 1 and len(ranges[0]) == 1:
         return Block((ranges[0][0],), matrix)
     return Run(ranges, matrix)
 
 
-def _ranges(sites) -> tuple[range, ...]:
-    """The ascending ``sites`` as ranges, each as long as it can be, from the left."""
+def _ranges(ranges) -> tuple[range, ...]:
+    """The sites of ascending ``ranges`` in normal form: each range as long as it can be, from
+    the left.  A site extends the last range when that holds one site or the site is one step
+    past it.  Replayed per range, on its first site and then on the rest at once (which all
+    extend, or all start one range), the rule walks no site."""
     out: list[range] = []
-    for s in sites:
-        if out and (len(out[-1]) == 1 or s - out[-1][-1] == out[-1].step):
-            last = out[-1]
-            out[-1] = range(last.start, s + 1, s - last[-1])
-        else:
-            out.append(range(s, s + 1))
+    for r in ranges:
+        for part in filter(None, (r[:1], r[1:])):
+            if out and (len(out[-1]) == 1 or part[0] - out[-1][-1] == out[-1].step):
+                out[-1] = range(out[-1].start, part[-1] + 1, part[0] - out[-1][-1])
+            else:
+                out.append(part)
     return tuple(out)
 
 
@@ -564,7 +568,8 @@ def relabel(op: LocalOperator, site_map) -> LocalOperator:
     blocks = []
     for b in op.blocks:
         if isinstance(b, Run):
-            blocks.append(Run(_ranges(sorted(site_map[s] for s in b.each_site())), b.matrix))
+            sites = sorted(site_map[s] for s in b.each_site())
+            blocks.append(_sitewise(b.matrix, [range(s, s + 1) for s in sites]))
             continue
         new = [site_map[s] for s in b.sites]
         sites = tuple(sorted(new))

@@ -21,7 +21,8 @@ children; a product and every other kind ignore it.  The estimators call it
 on every sequence alike.  The pointwise combinations are one class,
 :class:`SeqMap`, which applies a function to its children's values at each
 volume; :func:`SeqSum`, :func:`SeqProduct`, :func:`SeqAdjoint` and
-:func:`SeqScale` build it.
+:func:`SeqScale` build it.  A sequence's ``site_dim`` is read from its
+matrices (None for trigonometric values); a combination's children share one.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .localops import (
     TracePoint,
     _first,
     _read_only,
+    _same_dim,
     _sitewise,
     check_volume,
     fits_volume,
@@ -75,23 +77,18 @@ __all__ = [
 
 
 class ObservableSequence:
-    """Base class; subclasses implement ``eval(n, region=None) -> OperatorSum``."""
-
-    site_dim: int = 2
+    """Base class; subclasses implement ``eval(n, region=None) -> OperatorSum`` and
+    ``site_dim``, the site dimension of their values (None: classical values)."""
 
     def eval(self, n: int, region=None) -> OperatorSum:
         raise NotImplementedError
 
 
-def _bounded_site_op(mat, d) -> np.ndarray:
-    mat = check_finite(mat)
-    if mat.shape != (d, d):
-        raise ContractViolation(f"site operators must be {d}x{d}, got {mat.shape}")
-    if operator_norm_dense(mat) > 1.0 + 1e-12:
-        raise ContractViolation(
-            "product-sequence site operators need norm <= 1 to stay uniformly bounded"
-        )
-    return mat
+def _site_dim(mat) -> int:
+    shape = np.shape(check_finite(mat))
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ContractViolation(f"site operators are square matrices, got shape {shape}")
+    return shape[0]
 
 
 @dataclass
@@ -102,7 +99,7 @@ class LocalEmbedSeq(ObservableSequence):
 
     @property
     def site_dim(self) -> int | None:
-        return getattr(self.seed, "site_dim", None)  # None: a classical seed
+        return self.seed.site_dim
 
     def eval(self, n: int, region=None) -> OperatorSum:
         value = self.seed.as_sum()
@@ -119,11 +116,11 @@ class TranslatedToInfinity(ObservableSequence):
 
     site_op: np.ndarray
     site_rule: Callable[[int], int] | None = None
-    site_dim: int = 2
 
     def __post_init__(self):
         # checked and canonicalized once: eval only moves the factor to its
         # site, and site_op is a read-only copy of the same checked matrix
+        self.site_dim = _site_dim(self.site_op)
         self._factor = from_site_factors({1: self.site_op}, self.site_dim)
         self.site_op = _read_only(check_finite(self.site_op).copy())
 
@@ -149,7 +146,7 @@ class GammaSeq(ObservableSequence):
 
     @property
     def site_dim(self) -> int | None:
-        return getattr(self.seed, "site_dim", None)  # None: a classical seed
+        return self.seed.site_dim
 
     @classmethod
     def from_seed(cls, seed: LocalOperator) -> "GammaSeq":
@@ -174,16 +171,21 @@ class SiteProduct(ObservableSequence):
 
     factors: tuple[np.ndarray, ...]
     runs: Callable[[int], tuple[tuple[range, ...], ...]]
-    site_dim: int = 2
 
     def __post_init__(self):
         # each factor is checked and canonicalized once: an exact zero makes
         # every product it enters zero, an exact identity is None, any other
         # factor is a read-only matrix that eval places as one record
-        ops = [from_site_factors({1: _bounded_site_op(m, self.site_dim)}, self.site_dim)
-               for m in self.factors]
+        if not self.factors:
+            raise ContractViolation("sitewise products need at least one factor")
+        d = self.site_dim = _site_dim(self.factors[0])
+        ops = [from_site_factors({1: m}, d) for m in self.factors]
         self._zeros = frozenset(k for k, op in enumerate(ops) if op.is_zero)
         self.factors = tuple(op.blocks[0].matrix if op.blocks else None for op in ops)
+        if any(m is not None and operator_norm_dense(m) > 1.0 + 1e-12 for m in self.factors):
+            raise ContractViolation(
+                "product-sequence site operators need norm <= 1 to stay uniformly bounded"
+            )
 
     def eval(self, n: int, region=None) -> OperatorSum:
         n = check_volume(n)
@@ -199,16 +201,14 @@ class SiteProduct(ObservableSequence):
         return LocalOperator(self.site_dim, 1 + 0j, tuple(blocks)).as_sum()
 
 
-def UniformProduct(site_op, site_dim: int = 2) -> SiteProduct:
+def UniformProduct(site_op) -> SiteProduct:
     """The same single-site factor on every site of the volume."""
-    return SiteProduct((site_op,), lambda n: ((range(1, n + 1),),), site_dim)
+    return SiteProduct((site_op,), lambda n: ((range(1, n + 1),),))
 
 
-def ParityProduct(odd_op, even_op, site_dim: int = 2) -> SiteProduct:
+def ParityProduct(odd_op, even_op) -> SiteProduct:
     """Sitewise product alternating by site parity; site 1 counts as odd."""
-    return SiteProduct(
-        (odd_op, even_op), lambda n: ((range(1, n + 1, 2),), (range(2, n + 1, 2),)), site_dim
-    )
+    return SiteProduct((odd_op, even_op), lambda n: ((range(1, n + 1, 2),), (range(2, n + 1, 2),)))
 
 
 class _BlockPartition:
@@ -262,19 +262,19 @@ def default_block_lengths(n: int) -> int:
 
 
 def BlockProduct(
-    even_op, odd_op, block_lengths: Callable[[int], int] = default_block_lengths, site_dim: int = 2
+    even_op, odd_op, block_lengths: Callable[[int], int] = default_block_lengths
 ) -> SiteProduct:
     """Sitewise product alternating between blocks of strictly increasing length.
 
     Sites in even-indexed blocks carry ``even_op``, odd-indexed blocks carry
     ``odd_op``.
     """
-    return SiteProduct((even_op, odd_op), make_block_partition(block_lengths).runs, site_dim)
+    return SiteProduct((even_op, odd_op), make_block_partition(block_lengths).runs)
 
 
-def HalfChain(site_op, site_dim: int = 2) -> SiteProduct:
+def HalfChain(site_op) -> SiteProduct:
     """Identity on the left ceil(N/2) sites, a fixed factor on the rest."""
-    return SiteProduct((site_op,), lambda n: ((range(n - n // 2 + 1, n + 1),),), site_dim)
+    return SiteProduct((site_op,), lambda n: ((range(n - n // 2 + 1, n + 1),),))
 
 
 @dataclass
@@ -284,8 +284,9 @@ class SeqMap(ObservableSequence):
     With ``regional`` set, ``region`` reaches the children: the terms of a sum,
     a scale or an adjoint meeting it are those of its children's values
     meeting it.  A product's terms meeting it pair factor terms that miss it,
-    so :func:`SeqProduct` evaluates its children whole.  Sums and scales take
-    classical sequences (``site_dim`` None) too; products and adjoints refuse them.
+    so :func:`SeqProduct` evaluates its children whole.  The children share
+    one ``site_dim``, which the combination takes; sums and scales take
+    classical sequences (``site_dim`` None) too, products and adjoints refuse them.
     """
 
     combine: Callable[..., OperatorSum]
@@ -293,6 +294,8 @@ class SeqMap(ObservableSequence):
     regional: bool = True
 
     def __post_init__(self):
+        for s in self.inner:
+            _same_dim(self.inner[0], s)
         self.site_dim = self.inner[0].site_dim
 
     def eval(self, n: int, region=None) -> OperatorSum:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import spintail as st
@@ -295,6 +296,15 @@ class TestMutualCommutator:
         a = st.TranslatedToInfinity(SX)
         rep = st.mutual_commutator_trace(a, a, [2, 4, 6, 8])
         assert all(p.value == 0.0 for p in rep.points)
+
+    def test_different_site_dimensions_refused(self):
+        # a qubit and a qutrit site operator: refused before the one-site
+        # reference multiplies a 2x2 by a 3x3 matrix
+        a = st.TranslatedToInfinity(SX)
+        c = st.TranslatedToInfinity(np.diag([1, 0.5, 0.2]))
+        assert c.site_dim == 3
+        with pytest.raises(st.ContractViolation, match="site dimensions"):
+            st.mutual_commutator_trace(a, c, [2, 3])
 
     def test_translated_vs_half_chain(self):
         # oracle at N <= 10: the half-chain pattern puts its factor on the

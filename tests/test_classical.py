@@ -420,3 +420,10 @@ class TestCombinators:
                     build()
                 assert repr(classical) in str(err.value)
         assert SeqProduct(quantum, quantum).site_dim == 2
+
+    def test_sum_of_the_two_algebras_refused_when_built(self):
+        quantum = GammaSeq.from_seed(pauli_at(3, 1))
+        classical = cl.ClassicalCyclicAverage(cl.cos_q(1))
+        for left, right in ((quantum, classical), (classical, quantum)):
+            with pytest.raises(ContractViolation, match="site dimensions"):
+                SeqSum(left, right)

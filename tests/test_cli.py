@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -424,6 +425,55 @@ def test_parse_config_returns_or_raises_config_error(where, value):
         parse_config(cfg)
     except ConfigError:
         pass
+
+
+AVERAGE_COS_Q = {"kind": "cyclic-average", "f": {"named": "cos_q", "site": 1}}
+GAMMA_SIGMA3 = GAMMA_BOUND["sequence"]
+
+
+class TestOneSequenceGrammar:
+    """Quantum and classical sequences share one grammar; each sequence field
+    states the site dimension it takes, so the wrong algebra is refused there."""
+
+    @staticmethod
+    def _values(sequence):
+        report, _ = run(parse_config(dict(CLASSICAL, sequence=sequence)))
+        ((_, rep),) = report.series
+        return [p.value for p in rep.points]
+
+    def test_sum_and_scale_of_classical_sequences_run(self):
+        # the bracket of a sum of two equal averages with cos p1 is exactly twice
+        # that of one, and of half an average exactly half
+        alone = self._values(AVERAGE_COS_Q)
+        assert alone == [1 / n for n in CLASSICAL["schedule"]]
+        twice = self._values({"kind": "sum", "left": AVERAGE_COS_Q, "right": AVERAGE_COS_Q})
+        assert twice == [2 * v for v in alone]
+        assert self._values({"kind": "scale", "factor": 0.5, "inner": AVERAGE_COS_Q}) == [
+            0.5 * v for v in alone]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(ALL_KINDS["norm"], sequence=AVERAGE_COS_Q),
+            dict(CLASSICAL, sequence=GAMMA_SIGMA3),
+            dict(CLASSICAL, sequence={"kind": "sum", "left": GAMMA_SIGMA3, "right": AVERAGE_COS_Q}),
+            dict(GAMMA_BOUND, sequence=AVERAGE_COS_Q),
+        ],
+        ids=["classical-in-norm", "gamma-in-classical-decay", "mixed-sum", "classical-gamma-bound"],
+    )
+    def test_wrong_algebra_refused_at_sequence(self, cfg):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert [p.split(":")[0] for p in exc.value.problems] == ["sequence"]
+        assert "site dimension" in exc.value.problems[0]
+
+    def test_docstring_grammar_lists_exactly_the_sequence_kinds(self):
+        # the literal block after "Sequence grammar" in the module docstring
+        block = cli.__doc__.split("Sequence grammar", 1)[1].split("\n\n")[1]
+        tags = set()
+        for alternatives in re.findall(r'"kind": ((?:"[\w-]+"\|?)+)', block):
+            tags.update(re.findall(r'"([\w-]+)"', alternatives))
+        assert tags == set(cli._SEQUENCE_KINDS)
 
 
 class TestLocalOperatorLiterals:

@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 from unittest import mock
 
@@ -982,6 +983,34 @@ class TestAssembly:
             terms = [(w, op.scalar, op.blocks) for w, op in s.terms]
             got = localops._assemble(terms, sites, d, st.DENSE_DIM_CAP)
             assert np.array_equal(got, per_term_kron_sum(s.terms, sites, d))
+
+
+def _ranges_site_by_site(sites) -> tuple[range, ...]:
+    """The ranges' normal form one site at a time: a site extends the last range
+    when that holds one site or the site is one step past it."""
+    out = []
+    for s in sites:
+        if out and (len(out[-1]) == 1 or s - out[-1][-1] == out[-1].step):
+            out[-1] = range(out[-1].start, s + 1, s - out[-1][-1])
+        else:
+            out.append(range(s, s + 1))
+    return tuple(out)
+
+
+def test_range_normal_form_is_the_site_rule():
+    # brute force: every ascending set of sites in 1..8, split every way into
+    # consecutive progressions, with empty ranges around them
+    for mask in range(1, 2**8):
+        sites = [s for s in range(1, 9) if mask >> (s - 1) & 1]
+        want = _ranges_site_by_site(sites)
+        for cuts in itertools.product((False, True), repeat=len(sites) - 1):
+            bounds = [0] + [i for i, cut in enumerate(cuts, 1) if cut] + [len(sites)]
+            chunks = [sites[a:b] for a, b in zip(bounds, bounds[1:])]
+            if any(len(set(np.diff(c))) > 1 for c in chunks):
+                continue
+            ranges = [range(c[0], c[-1] + 1, c[1] - c[0] if len(c) > 1 else 1) for c in chunks]
+            got = localops._ranges([range(0), *ranges, range(9, 9)])
+            assert [tuple(r) for r in got] == [tuple(r) for r in want], ranges
 
 
 class TestKron:

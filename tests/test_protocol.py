@@ -49,6 +49,28 @@ KINDS = {
 }
 
 
+# the site dimension each kind's values have: None for the classical kinds
+SITE_DIMS = {name: None if name.startswith("classical") else 2 for name in KINDS}
+
+
+def test_every_kind_and_element_answers_its_site_dimension():
+    for name, (seq, _) in KINDS.items():
+        assert seq.site_dim == SITE_DIMS[name], name
+    qutrit = st.local_operator(np.diag([1, 0.5, 0.2]), (1,), site_dim=3)
+    elements = [(st.pauli_at(1, 2), 2), (st.pauli_at(1, 2).as_sum(), 2), (qutrit, 3),
+                (qutrit.as_sum(), 3), (cl.cos_q(1), None), (cl.cos_q(1) * cl.sin_p(2), None)]
+    for element, site_dim in elements:
+        assert element.site_dim == site_dim, element
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_values_have_their_kinds_site_dimension(name):
+    seq, _ = KINDS[name]
+    for n in (1, 3, 4, 7):
+        for region in (None, (2,)):
+            assert seq.eval(n, region).site_dim == seq.site_dim, (n, region)
+
+
 def _terms(value):
     """``(weight, term, sites)`` in order, for an operator sum or a trigonometric observable."""
     if isinstance(value, cl.TrigObservable):

@@ -3,7 +3,12 @@ import pytest
 
 import spintail as st
 from spintail.cli import _parse_block_lengths, _Problems
-from spintail.sequences import as_schedule, default_block_lengths, make_block_partition
+from spintail.sequences import (
+    SiteProduct,
+    as_schedule,
+    default_block_lengths,
+    make_block_partition,
+)
 
 from oracles import I2, SX, SZ, embed_dense, factor_copies, kron_chain, random_complex
 
@@ -74,6 +79,20 @@ class TestProducts:
         with pytest.raises(st.ContractViolation):
             st.UniformProduct(1.5 * SZ)
 
+    @pytest.mark.parametrize("factor", [0.5, [0.5, 0.5], np.zeros((2, 3)), np.zeros((2, 2, 2))],
+                             ids=["scalar", "vector", "oblong", "three-axes"])
+    def test_factor_that_is_not_a_square_matrix_refused(self, factor):
+        # the site dimension is read from the factor, so it must be a square matrix
+        for build in (st.UniformProduct, st.HalfChain, st.TranslatedToInfinity,
+                      lambda m: st.BlockProduct(m, SX), lambda m: st.ParityProduct(SX, m)):
+            with pytest.raises(st.ContractViolation):
+                build(factor)
+
+    def test_product_without_factors_refused(self):
+        # no factor to read a site dimension from
+        with pytest.raises(st.ContractViolation, match="at least one factor"):
+            SiteProduct((), lambda n: ())
+
 
 class TestBlockPartition:
     def test_default_prefix(self):
@@ -125,21 +144,21 @@ def _block_index(x, lengths):
 # kind -> (number of factors, builder from (factors, d), the factor index the
 # kind puts at site x of volume n, None for the identity)
 PRODUCT_KINDS = {
-    "uniform": (1, lambda ms, d: st.UniformProduct(*ms, d), lambda x, n: 0),
-    "parity": (2, lambda ms, d: st.ParityProduct(*ms, d), lambda x, n: 0 if x % 2 else 1),
+    "uniform": (1, lambda ms, d: st.UniformProduct(*ms), lambda x, n: 0),
+    "parity": (2, lambda ms, d: st.ParityProduct(*ms), lambda x, n: 0 if x % 2 else 1),
     "block": (
         2,
-        lambda ms, d: st.BlockProduct(*ms, site_dim=d),
+        lambda ms, d: st.BlockProduct(*ms),
         lambda x, n: _block_index(x, [1, 2, 3, 4, 5]) % 2,
     ),
     "block-explicit": (
         2,
-        lambda ms, d: st.BlockProduct(*ms, _explicit_lengths([2, 3, 5, 9]), d),
+        lambda ms, d: st.BlockProduct(*ms, _explicit_lengths([2, 3, 5, 9])),
         lambda x, n: _block_index(x, [2, 3, 5, 9]) % 2,
     ),
     "half-chain": (
         1,
-        lambda ms, d: st.HalfChain(*ms, d),
+        lambda ms, d: st.HalfChain(*ms),
         lambda x, n: 0 if x > (n + 1) // 2 else None,
     ),
 }
