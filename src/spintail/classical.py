@@ -12,8 +12,8 @@ Bracket traces are classified on the l1 upper bound alone, non-vanishing
 claims included; the grid lower bound feeds no classification.
 
 The shift and sequence code take an observable as they take an operator sum:
-``ClassicalLocalEmbed``, ``ClassicalCyclicAverage`` and ``cyclic_average_eval``
-are ``LocalEmbedSeq``, ``GammaSeq`` and ``gamma_average`` under their classical names.
+``ClassicalCyclicAverage`` and ``cyclic_average_eval`` are ``GammaSeq`` and
+``gamma_average`` under their classical names.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from .asymptotics import MIN_POINTS, DecayReport, TracePoint, check_probe, classify_trace
 from .errors import CapacityError, ContractViolation
-from .localops import check_volume, is_integer
-from .sequences import GammaSeq, LocalEmbedSeq, as_schedule
+from .localops import _moved_site, check_volume, is_integer
+from .sequences import GammaSeq, as_schedule
 from .shifts import gamma_average
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "poisson_bracket",
     "sup_norm_bounds",
     "cyclic_average_eval",
-    "ClassicalLocalEmbed",
     "ClassicalCyclicAverage",
     "TailShifted",
     "tail_sequence",
@@ -78,6 +77,10 @@ class TrigObservable:
         return tuple(sorted({s for key in self.coeffs for s, _, _ in key}))
 
     @property
+    def ends(self) -> tuple[int, ...]:
+        return self.support[:1] + self.support[-1:]
+
+    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -93,10 +96,10 @@ class TrigObservable:
         return float(sum(abs(c) for c in self.coeffs.values()))
 
     # the shift protocol of spintail.shifts, shared with operator sums
-    def _moved(self, site_map) -> "TrigObservable":
-        """The observable with each factor at site s moved to ``site_map[s]``."""
+    def _moved(self, moves) -> "TrigObservable":
+        """The observable with its sites moved by the piecewise translation ``moves``."""
         return _build(
-            (_canonical_key((site_map[s], m, n) for s, m, n in key), c)
+            (_canonical_key((_moved_site(moves, s), m, n) for s, m, n in key), c)
             for key, c in self.coeffs.items()
         )
 
@@ -267,7 +270,6 @@ def sup_norm_bounds(f: TrigObservable, grid_points: int = 64) -> tuple[float, fl
     return lower, upper
 
 
-ClassicalLocalEmbed = LocalEmbedSeq
 ClassicalCyclicAverage = GammaSeq
 cyclic_average_eval = gamma_average
 
@@ -286,7 +288,7 @@ class TailShifted:
     def eval(self, n: int, region=None) -> TrigObservable:
         n = check_volume(n)
         sup = self.f.support
-        return self.f._moved({s: s + n + 1 - sup[0] for s in sup}) if sup else self.f
+        return self.f._moved(((sup[0], n + 1 - sup[0]),)) if sup else self.f
 
 
 def tail_sequence(f: TrigObservable) -> TailShifted:

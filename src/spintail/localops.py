@@ -6,9 +6,9 @@ else.  Each factor record is a :class:`Block`, one matrix on a tuple of sites
 (a single block is the ordinary (support, dense matrix) local operator), or a
 :class:`Run`, one one-site matrix repeated on every site of a few ranges, so
 a sitewise product over N sites is one record per distinct factor and its
-norm, state value, adjoint and meeting with a probe cost O(records), not
-O(N).  Runs are expanded into one-site blocks only where a dense matrix is
-built.  Sums of such operators are kept as term lists.
+norm, state value, adjoint, shifts and products read ranges, not its N sites,
+which are expanded into one-site blocks only where a dense matrix is built.
+Sums of such operators are kept as term lists.
 
 Basis convention (bit-exact, relied on by tests and serialized data): site 1
 is the most significant tensor factor, so a basis state with digit ``j_x`` at
@@ -188,14 +188,8 @@ class Block:
         """Sites one copy of the matrix acts on."""
         return len(self.sites)
 
-    def __contains__(self, site) -> bool:
-        return site in self.sites
-
     def each_site(self):
         return self.sites
-
-    def pieces(self) -> tuple[Block, ...]:
-        return (self,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +197,8 @@ class Run:
     """One one-site matrix on every site of ``ranges``: a sitewise product's factor.
 
     ``ranges`` holds its sites as ascending ranges in the normal form of
-    :func:`_ranges`, so the run's size (``count``), ends and membership are
-    read off its ranges without walking its sites.  A run has at least two
+    :func:`_ranges`, so its size (``count``) and ends are read off its ranges,
+    and it is moved and met by range arithmetic.  A run has at least two
     sites; one site is a :class:`Block` (:func:`_sitewise`).  :meth:`pieces`
     expands it into one-site blocks, which only a dense build needs.
     """
@@ -225,10 +219,6 @@ class Run:
     @property
     def count(self) -> int:
         return sum(map(len, self.ranges))
-
-    def __contains__(self, site) -> bool:
-        i = bisect.bisect_right(self.ranges, site, key=_range_start)
-        return i > 0 and site in self.ranges[i - 1]
 
     def each_site(self):
         return itertools.chain.from_iterable(self.ranges)
@@ -271,28 +261,62 @@ def _ranges(ranges) -> tuple[range, ...]:
     return tuple(out)
 
 
-def _without(ranges, sites) -> tuple[range, ...]:
-    """``ranges`` less the ascending ``sites``, each of which they hold."""
-    out, i = [], 0
+def _cut(r: range, site: int) -> tuple[range, range]:
+    """``r`` cut into its sites below ``site`` and the rest."""
+    k = len(range(r.start, site, r.step))
+    return r[:k], r[k:]
+
+
+def _meet(r: range, q: range) -> range:
+    """The sites two ranges share, as one range of step lcm(r.step, q.step), or empty."""
+    g = math.gcd(r.step, q.step)
+    if not (r and q) or (q.start - r.start) % g:
+        return range(0)
+    step = r.step // g * q.step
+    # r's first site congruent to q.start modulo q.step (Chinese remainder theorem)
+    k = (q.start - r.start) // g * pow(r.step // g, -1, q.step // g) % (q.step // g)
+    x, lo = r.start + k * r.step, max(r.start, q.start)
+    return range(x - (x - lo) // step * step, min(r[-1], q[-1]) + 1, step)
+
+
+def _less(r: range, sub: range) -> list[range]:
+    """The sites of ``r`` outside ``sub``, a range of its sites, as ascending ranges."""
+    if not sub:
+        return [r]
+    k, m = (sub.start - r.start) // r.step, sub.step // r.step
+    end = k + (len(sub) - 1) * m
+    # the sites between sub's: none for m = 1, one range for m = 2, else m - 1 at a time
+    gaps = [r[i + 1 : i + m] for i in range(k, end, m)] if m > 2 else [r[k + 1 : end : 2]] * (m - 1)
+    return [r[:k], *gaps, r[end + 1 :]]
+
+
+def _split(ranges, by) -> tuple[tuple[range, ...], tuple[range, ...]]:
+    """``(inside, outside)``: the sites of the ascending ``ranges`` that the ascending ``by``
+    hold and the rest, in normal form.  One merge pass: a range meets only the ranges of
+    ``by`` whose span overlaps its own, so the cost is linear in the ranges in and out."""
+    inside, outside, i = [], [], 0
     for r in ranges:
-        start = r.start
-        while i < len(sites) and sites[i] <= r[-1]:
-            out.append(range(start, sites[i], r.step))
-            start = sites[i] + r.step
+        while i < len(by) and by[i][-1] < r[0]:
             i += 1
-        out.append(range(start, r.stop, r.step))
-    return tuple(r for r in out if r)
-
-
-def _nsites(blocks) -> int:
-    return sum(b.count * b.width for b in blocks)
+        j = i
+        while r and j < len(by) and by[j][0] <= r[-1]:
+            q = by[j]
+            before, r = _cut(r, q[0])
+            span, r = _cut(r, q[-1] + 1)
+            common = _meet(span, q)
+            inside.append(common)
+            outside += [before, *_less(span, common)]
+            j += 1
+        outside.append(r)
+    return _ranges(inside), _ranges(outside)
 
 
 def _pieces(blocks):
     """``blocks`` with each run expanded into one-site blocks, in first-site order."""
     if not any(isinstance(b, Run) for b in blocks):
         return blocks
-    return sorted((p for b in blocks for p in b.pieces()), key=_first)
+    pieces = (p for b in blocks for p in (b.pieces() if isinstance(b, Run) else (b,)))
+    return sorted(pieces, key=_first)
 
 
 _first = operator.attrgetter("first")
@@ -354,8 +378,8 @@ class LocalOperator:
     def as_sum(self) -> OperatorSum:
         return OperatorSum(self.site_dim, () if self.is_zero else ((1 + 0j, self),))
 
-    def _moved(self, site_map) -> LocalOperator:
-        return relabel(self, site_map)
+    def _moved(self, moves) -> LocalOperator:
+        return relabel(self, moves)
 
     def norm_exact(self, dim_cap: int = DENSE_DIM_CAP) -> float:
         """Operator norm, exact via multiplicativity across disjoint factors.
@@ -496,8 +520,8 @@ class OperatorSum:
         return self
 
     # the shift protocol of spintail.shifts, shared with the classical observables
-    def _moved(self, site_map) -> OperatorSum:
-        return OperatorSum(self.site_dim, tuple((w, relabel(op, site_map)) for w, op in self.terms))
+    def _moved(self, moves) -> OperatorSum:
+        return OperatorSum(self.site_dim, tuple((w, relabel(op, moves)) for w, op in self.terms))
 
     def _parts(self):
         return [(op.support, (w, op)) for w, op in self.terms]
@@ -557,21 +581,36 @@ def zero_sum(site_dim: int = 2) -> OperatorSum:
     return OperatorSum(site_dim, ())
 
 
-def relabel(op: LocalOperator, site_map) -> LocalOperator:
-    """Move the factor at each site ``x`` of ``op`` to site ``site_map[x]``.
+def _moved_site(moves, site: int) -> int:
+    """Where the piecewise translation ``moves`` (see :func:`relabel`) carries ``site``."""
+    return site + moves[bisect.bisect_right(moves, (site, math.inf)) - 1][1]
 
-    ``site_map`` is one-to-one on the support, so canonical form is kept.  A
-    block whose sites change order has its tensor legs permuted to match; a
-    run stays one run on the moved sites.
+
+def _shifted(ranges, moves):
+    """The ascending ``ranges`` cut where the pieces of ``moves`` change, each part shifted."""
+    for r in ranges:
+        i = bisect.bisect_right(moves, (r[0], math.inf)) - 1
+        while r:
+            part, r = _cut(r, moves[i + 1][0]) if i + 1 < len(moves) else (r, range(0))
+            yield range(part.start + moves[i][1], part.stop + moves[i][1], part.step)
+            i += 1
+
+
+def relabel(op: LocalOperator, moves) -> LocalOperator:
+    """``op`` with its sites moved by the piecewise translation ``moves``.
+
+    ``moves`` holds ascending ``(start, offset)`` pairs, the first at or below every site:
+    a site from ``start`` up to the next pair's moves by ``offset``.  The move is one-to-one
+    on the support, so canonical form is kept.  A block moves site by site, its tensor legs
+    permuted to match; a run's ranges are cut where the pieces change and each part shifted.
     """
     d = op.site_dim
     blocks = []
     for b in op.blocks:
         if isinstance(b, Run):
-            sites = sorted(site_map[s] for s in b.each_site())
-            blocks.append(_sitewise(b.matrix, [range(s, s + 1) for s in sites]))
+            blocks.append(_sitewise(b.matrix, sorted(_shifted(b.ranges, moves), key=_range_start)))
             continue
-        new = [site_map[s] for s in b.sites]
+        new = [_moved_site(moves, s) for s in b.sites]
         sites = tuple(sorted(new))
         mat = b.matrix
         if list(sites) != new:
@@ -610,7 +649,7 @@ def _assemble(terms, sites, d, dim_cap, dtype=complex) -> np.ndarray:
     dim = d ** len(sites)
     if dim > dim_cap:
         raise CapacityError(
-            f"dense materialization at dimension {dim} exceeds cap {dim_cap}"
+            f"dense materialization at dimension {_dim_text(d, len(sites))} exceeds cap {dim_cap}"
         )
     index = np.arange(dim).reshape((d,) * len(sites))
     out = np.zeros((dim, dim), dtype=dtype)
@@ -642,14 +681,12 @@ def dense_matrix(obj, volume, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
 
 
 def _overlap_components(blocks_a, blocks_b):
-    """Group blocks of two operators by support-overlap connectivity.
-
-    Returns a list of components, each a pair (list of a-blocks, list of
-    b-blocks).  Blocks within one operator are disjoint, so any component with
-    more than one node mixes both operators.
-    """
-    nodes = [("a", b) for b in blocks_a] + [("b", b) for b in blocks_b]
-    parent = list(range(len(nodes)))
+    """Blocks of two operators grouped by support-overlap connectivity, as
+    (a-blocks, b-blocks) pairs in order of each component's first block.  Blocks
+    within one operator are disjoint, so a component of two blocks or more
+    mixes both operators."""
+    nodes = [(0, b) for b in blocks_a] + [(1, b) for b in blocks_b]
+    parent, owner = list(range(len(nodes))), {}
 
     def find(i):
         while parent[i] != i:
@@ -657,79 +694,49 @@ def _overlap_components(blocks_a, blocks_b):
             i = parent[i]
         return i
 
-    site_owner: dict[int, int] = {}
     for i, (_, blk) in enumerate(nodes):
         for s in blk.sites:
-            if s in site_owner:
-                ra, rb = find(site_owner[s]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                site_owner[s] = i
+            parent[find(i)] = find(owner.setdefault(s, i))
     comps: dict[int, tuple[list, list]] = {}
-    for i, (tag, blk) in enumerate(nodes):
-        comp = comps.setdefault(find(i), ([], []))
-        comp[0 if tag == "a" else 1].append(blk)
+    for i, (side, blk) in enumerate(nodes):
+        comps.setdefault(find(i), ([], []))[side].append(blk)
     return list(comps.values())
 
 
-def _common_sites(blocks_a, blocks_b) -> list[int]:
-    """Ascending sites at which records of both lists act.
-
-    Each pair of records whose ends overlap is walked on the one with fewer
-    sites, tested for membership in the other, so a probe of k sites meets a
-    sitewise product in O(k) tests per run; only two runs that overlap are
-    walked site by site.
-    """
-    found: set[int] = set()
-    for x in blocks_a:
-        for y in blocks_b:
-            if x.last < y.first or y.last < x.first:
-                continue
-            small, big = (x, y) if x.count * x.width <= y.count * y.width else (y, x)
-            found.update(s for s in small.each_site() if s in big)
-    return sorted(found)
-
-
-def _take_sites(blocks, sites):
-    """``(nodes, left)`` for the records ``blocks`` and the ascending ``sites``
-    where the other operator acts: ``nodes`` holds the joint blocks and, as
-    one-site blocks, each run's sites among ``sites``, in first-site order;
-    ``left`` holds what remains of each run."""
-    nodes, left = [], []
-    for b in blocks:
-        if isinstance(b, Block):
-            nodes.append(b)
-            continue
-        taken = [s for s in sites if s in b]
-        if not taken:
-            left.append(b)
-            continue
-        nodes += [Block((s,), b.matrix) for s in taken]
-        if remaining := _without(b.ranges, taken):
-            left.append(_sitewise(b.matrix, remaining))
-    nodes.sort(key=_first)
-    return nodes, left
-
-
 def _split_overlaps(blocks_a, blocks_b):
-    """``(shared, rest)``: the overlap components holding blocks of both
-    operators, as (a-blocks, b-blocks) pairs, and every other record, in
-    component order.
-
-    A run joins a component only at the sites where the other operator acts,
-    each as a one-site block; the rest of it stays one record in ``rest``.
+    """``(shared, pairs, rest)``: the overlap components of blocks holding blocks of
+    both operators, as (a-blocks, b-blocks) pairs; ``(ranges, a-matrix, b-matrix)``
+    where two runs meet, one one-site component per site of ``ranges``; every
+    other record.  From a block, a run gives up only the block's own sites, as
+    one-site blocks in its component; what remains of a run stays one record.
     """
-    common = _common_sites(blocks_a, blocks_b)
-    nodes_a, rest = _take_sites(blocks_a, common)
-    nodes_b, left_b = _take_sites(blocks_b, common)
-    shared = []
-    for ablks, bblks in _overlap_components(nodes_a, nodes_b):
-        if ablks and bblks:
-            shared.append((ablks, bblks))
-        else:
-            rest.extend(ablks or bblks)
-    return shared, rest + left_b
+    nodes, pairs, rest = ([], []), [], []
+    for side, (mine, other) in enumerate(((blocks_a, blocks_b), (blocks_b, blocks_a))):
+        for x in mine:
+            if isinstance(x, Block):
+                nodes[side].append(x)
+                continue
+            left = x.ranges
+            for y in other:
+                if isinstance(y, Run):
+                    taken, left = _split(left, y.ranges)
+                    if taken and not side:
+                        pairs.append((taken, x.matrix, y.matrix))
+                else:
+                    taken, left = _split(left, tuple(range(s, s + 1) for s in y.sites))
+                    nodes[side].extend(Block((s,), x.matrix) for r in taken for s in r)
+            if left:
+                rest.append(_sitewise(x.matrix, left))
+    comps = _overlap_components(*(sorted(n, key=_first) for n in nodes))
+    rest += [blk for c in comps if not all(c) for blk in c[0] + c[1]]
+    return [c for c in comps if all(c)], pairs, rest
+
+
+def _overlap_size(shared, pairs) -> tuple[int, int]:
+    """``(components, sites)`` of a :func:`_split_overlaps`, counted on the runs' ranges."""
+    common = sum(len(r) for ranges, _, _ in pairs for r in ranges)
+    sites = sum(len({s for blk in x + y for s in blk.sites}) for x, y in shared)
+    return len(shared) + common, sites + common
 
 
 def _densify(ablks, bblks, d):
@@ -739,50 +746,56 @@ def _densify(ablks, bblks, d):
     return sites, am, _assemble([(1.0, 1.0, bblks)], sites, d, DENSE_DIM_CAP)
 
 
-def _meets(a: LocalOperator, b: LocalOperator) -> bool:
-    """Whether two operators share a site: the cheap test before any overlap split."""
-    return not (a.is_zero or b.is_zero) and bool(_common_sites(a.blocks, b.blocks))
-
-
 def _dim_within(d: int, sites: int, cap: int) -> bool:
     """Whether ``d ** sites <= cap``, without forming a huge power."""
-    return d ** min(sites, cap.bit_length() + 1) <= cap
+    return d ** min(sites, int(cap).bit_length() + 1) <= cap
+
+
+def _dim_text(d: int, sites: int, times: int = 1) -> str:
+    """``times * d**sites``, as that product past 2**64 (Python writes no int of 4300 digits)."""
+    if _dim_within(d, sites, 2**64):
+        return str(times * d**sites)
+    return f"{times} * {d}**{sites}".removeprefix("1 * ")
 
 
 def product(a: LocalOperator, b: LocalOperator) -> LocalOperator:
-    """Operator product; densifies only on support-overlap components."""
+    """Operator product: overlap components of blocks densified, two runs' common sites one run."""
     _same_dim(a, b)
     d, scalar = a.site_dim, a.scalar * b.scalar
     if scalar == 0:
         return zero_op(d)
-    shared, rest = _split_overlaps(a.blocks, b.blocks)
-    new = [_densify(ablks, bblks, d) for ablks, bblks in shared]
-    return _make_op(d, scalar, [Block(sites, _read_only(am @ bm)) for sites, am, bm in new], rest)
+    shared, pairs, rest = _split_overlaps(a.blocks, b.blocks)
+    new = [_sitewise(_read_only(ma @ mb), ranges) for ranges, ma, mb in pairs]
+    new += [Block(s, _read_only(am @ bm)) for s, am, bm in (_densify(*c, d) for c in shared)]
+    return _make_op(d, scalar, new, rest)
 
 
 def commutator(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     """``a b - b a`` as one operator; exactly zero, with no matrix work, for disjoint supports.
 
-    The union of the overlaps is densified; :func:`sum_commutator` states the caps.
+    The union of the overlaps is densified; :func:`sum_commutator` states the caps,
+    which are checked on counted sites before any run's common sites are listed.
     """
     _same_dim(a, b)
-    if not _meets(a, b):
-        return zero_op(a.site_dim)
-    shared, rest = _split_overlaps(a.blocks, b.blocks)
-    mixed_a, mixed_b = ([blk for pair in shared for blk in pair[k]] for k in (0, 1))
-    dim = a.site_dim ** len({s for blk in mixed_a + mixed_b for s in blk.sites})
-    if len(shared) > 1 and dim > DENSE_DIM_CAP:
+    d = a.site_dim
+    shared, pairs, rest = _split_overlaps(a.blocks, b.blocks)
+    if not (shared or pairs):
+        return zero_op(d)
+    parts, union = _overlap_size(shared, pairs)
+    if parts > 1 and not _dim_within(d, union, DENSE_DIM_CAP):
         raise CapacityError(
-            f"commutator overlaps need dimension {dim}, above the cap {DENSE_DIM_CAP}; "
-            "sum_commutator keeps operators that meet on several overlaps as two factored products"
+            f"commutator overlaps need dimension {_dim_text(d, union)}, above the cap "
+            f"{DENSE_DIM_CAP}; sum_commutator keeps operators that meet on several overlaps "
+            "as two factored products"
         )
-    sites, am, bm = _densify(mixed_a, mixed_b, a.site_dim)
+    shared += [([Block((s,), x)], [Block((s,), y)]) for rs, x, y in pairs for r in rs for s in r]
+    sites, am, bm = _densify(*([blk for c in shared for blk in c[k]] for k in (0, 1)), d)
     comm = _read_only(am @ bm - bm @ am)
-    return _make_op(a.site_dim, a.scalar * b.scalar, [Block(sites, comm)], rest)
+    return _make_op(d, a.scalar * b.scalar, [Block(sites, comm)], rest)
 
 
-def _keeps_factored(a: LocalOperator, b: LocalOperator) -> bool:
-    """Whether :func:`sum_commutator` keeps a meeting pair as ``a b`` and ``- b a``.
+def _keeps_factored(d: int, shared, pairs, rest) -> bool:
+    """Whether :func:`sum_commutator` keeps a split meeting pair as ``a b`` and ``- b a``.
 
     Densified, the union U of several separate overlaps costs matrix products
     and a dense eigensolve cubic in U; factored, the router norms the pair on
@@ -791,15 +804,10 @@ def _keeps_factored(a: LocalOperator, b: LocalOperator) -> bool:
     the cap (x^12 against z^12: 21 s and 1.3 GB densified, 30 ms factored,
     one OpenBLAS thread, 2-vCPU Intel Xeon VM).
     """
-    d = a.site_dim
-    joint = _nsites(a.blocks) + _nsites(b.blocks) - len(_common_sites(a.blocks, b.blocks))
-    if _dim_within(d, joint, _AUTO_DENSE_DIM_REAL):
-        return False
-    shared, rest = _split_overlaps(a.blocks, b.blocks)
-    union = joint - _nsites(rest)
-    return len(shared) > 1 and (
-        not _dim_within(d, union, DENSE_DIM_CAP)
-        or (not _dim_within(d, union, _AUTO_DENSE_DIM_REAL) and _dim_within(d, joint, DENSE_DIM_CAP))
+    parts, union = _overlap_size(shared, pairs)
+    joint = union + sum(b.count * b.width for b in rest)
+    return parts > 1 and not _dim_within(d, union, _AUTO_DENSE_DIM_REAL) and (
+        not _dim_within(d, union, DENSE_DIM_CAP) or _dim_within(d, joint, DENSE_DIM_CAP)
     )
 
 
@@ -825,9 +833,10 @@ def sum_commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     terms = []
     for wa, oa in a.terms:
         for wb, ob in b.terms:
-            if not _meets(oa, ob):
+            shared, pairs, rest = _split_overlaps(oa.blocks, ob.blocks)
+            if not (shared or pairs):
                 continue
-            if _keeps_factored(oa, ob):
+            if _keeps_factored(a.site_dim, shared, pairs, rest):
                 terms += [(wa * wb, product(oa, ob)), (-wa * wb, product(ob, oa))]
             else:
                 terms.append((wa * wb, commutator(oa, ob)))
@@ -991,8 +1000,9 @@ def _compact_terms(s: OperatorSum):
     """
     union = s.support
     if union and union[-1] != len(union):
-        rank = {site: i + 1 for i, site in enumerate(union)}
-        return [(w, relabel(op, rank)) for w, op in s.terms], len(union)
+        # one piece per maximal block of consecutive sites
+        moves = [(x, i + 1 - x) for i, x in enumerate(union) if not i or union[i - 1] != x - 1]
+        return [(w, relabel(op, moves)) for w, op in s.terms], len(union)
     return s.terms, max(len(union), 1)
 
 
@@ -1117,6 +1127,16 @@ def _hermitian_phase(plan):
     return None
 
 
+def _check_state(d: int, m: int, copies: int, dtype) -> None:
+    """Refuse a Krylov vector of ``copies * d**m`` amplitudes above ``ITERATIVE_STATE_CAP``."""
+    nbytes = copies * np.dtype(dtype).itemsize
+    if not _dim_within(d, m, ITERATIVE_STATE_CAP // nbytes):
+        raise CapacityError(
+            f"iterative norm needs state vectors of length {_dim_text(d, m, copies)} "
+            f"({_dim_text(d, m, nbytes)} bytes), above the cap of {ITERATIVE_STATE_CAP} bytes"
+        )
+
+
 def norm(
     s,
     volume,
@@ -1191,20 +1211,22 @@ def norm(
             return TracePoint(n, abs(w) * op.norm_exact(dense_cap))
     terms, m = _compact_terms(s)
     d = s.site_dim
-    dim = d**m
     dtype = float if _is_real(terms) else complex
     if method == "auto":
         crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
-        method = "dense" if dim <= min(crossover, dense_cap) else "iterative"
+        method = "dense" if _dim_within(d, m, min(crossover, dense_cap)) else "iterative"
     if method == "dense":
-        if dim > dense_cap:
+        if not _dim_within(d, m, dense_cap):
             raise CapacityError(
-                f"dense norm at dimension {dim} exceeds cap {dense_cap}; "
+                f"dense norm at dimension {_dim_text(d, m)} exceeds cap {dense_cap}; "
                 "use method='iterative'"
             )
         triples = [(w, op.scalar, op.blocks) for w, op in terms]
         mat = _assemble(triples, tuple(range(1, m + 1)), d, dense_cap, dtype)
         return TracePoint(n, operator_norm_dense(mat, dense_cap))
+    # above the cap even in float64 on a, no route fits: refuse before the plan is built
+    if not _dim_within(d, m, ITERATIVE_STATE_CAP // 8):
+        _check_state(d, m, 1, dtype)
     scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
     terms = [(scale * w, op) for w, op in terms]
     plan = _compile_plan(terms, m, d, dtype)
@@ -1216,13 +1238,9 @@ def norm(
             + tuple(step._replace(matrix=step.matrix.astype(complex, copy=False)) for step in c[1:])
             for c in plan
         )
+    _check_state(d, m, 1 if phase else 2, dtype)
+    dim = d**m
     size = dim if phase else 2 * dim
-    nbytes = size * np.dtype(dtype).itemsize
-    if nbytes > ITERATIVE_STATE_CAP:
-        raise CapacityError(
-            f"iterative norm needs state vectors of length {size} ({nbytes} bytes), "
-            f"above the cap of {ITERATIVE_STATE_CAP} bytes"
-        )
     # on the dilation [[0, a], [a*, 0]], whose eigenvalues are +-sigma_i(a)
     adj = () if phase else _compile_plan(
         [(np.conj(w), op.adjoint()) for w, op in terms], m, d, dtype

@@ -69,7 +69,6 @@ __all__ = [
     "SeqProduct",
     "SeqAdjoint",
     "SeqScale",
-    "make_block_partition",
     "VolumeSchedule",
     "as_schedule",
     "seq_norm_trace",
@@ -132,7 +131,7 @@ class TranslatedToInfinity(ObservableSequence):
 
     def eval(self, n: int, region=None) -> OperatorSum:
         n = check_volume(n)
-        return relabel(self._factor, {1: self.site_at(n)}).as_sum()
+        return relabel(self._factor, ((1, self.site_at(n) - 1),)).as_sum()
 
 
 @dataclass
@@ -211,49 +210,28 @@ def ParityProduct(odd_op, even_op) -> SiteProduct:
     return SiteProduct((odd_op, even_op), lambda n: ((range(1, n + 1, 2),), (range(2, n + 1, 2),)))
 
 
-class _BlockPartition:
-    """The map :func:`make_block_partition` returns, growing its blocks as sites ask for them."""
+def _block_runs(rule: Callable[[int], int]):
+    """The ``runs`` of a block-alternating product: the sites of its even- and of its
+    odd-indexed blocks in {1, ..., n}.  Block k covers sites (sum_{i<k} B_i, sum_{i<=k} B_i]
+    for the rule k -> B_k, whose lengths must be strictly increasing positive integers;
+    a violation raises as soon as the offending block is needed."""
+    ends = [0]  # the last site of each block so far, after a 0
 
-    def __init__(self, rule: Callable[[int], int]):
-        self.rule = rule
-        self.boundaries = [0]
-        self.lengths: list[int] = []
-
-    def _cover(self, site: int) -> None:
-        while self.boundaries[-1] < site:
-            k = len(self.lengths)
-            b = self.rule(k)
-            if not is_integer(b) or b <= 0 or (self.lengths and b <= self.lengths[-1]):
+    def runs(n: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
+        while ends[-1] < n:
+            k = len(ends) - 1
+            b, last = rule(k), ends[-1] - ends[-2] if k else 0
+            if not is_integer(b) or b <= last:
                 raise ContractViolation(
                     f"block lengths must be strictly increasing positive integers; "
-                    f"B_{k} = {b} after {self.lengths[-1] if self.lengths else 'start'}"
+                    f"B_{k} = {b} after {last or 'start'}"
                 )
-            self.lengths.append(int(b))
-            self.boundaries.append(self.boundaries[-1] + self.lengths[-1])
-
-    def __call__(self, site: int) -> int:
-        if not is_integer(site) or site < 1:
-            raise ContractViolation(f"sites are >= 1, got {site}")
-        self._cover(site)
-        return bisect.bisect_left(self.boundaries, site) - 1
-
-    def runs(self, n: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
-        """The sites of the even-indexed and of the odd-indexed blocks in {1, ..., n}."""
-        self._cover(n)
-        b = self.boundaries
-        blocks = [range(b[k] + 1, min(b[k + 1], n) + 1) for k in range(bisect.bisect_left(b, n))]
+            ends.append(ends[-1] + int(b))
+        count = bisect.bisect_left(ends, n)
+        blocks = [range(ends[k] + 1, min(ends[k + 1], n) + 1) for k in range(count)]
         return tuple(blocks[0::2]), tuple(blocks[1::2])
 
-
-def make_block_partition(rule: Callable[[int], int]) -> _BlockPartition:
-    """Turn a block-length rule n -> B_n into a total map site -> block index.
-
-    Block n covers sites (sum_{k<n} B_k, sum_{k<=n} B_k].  Lengths must be
-    positive and strictly increasing; violations raise as soon as the
-    offending block is materialized.  The map's ``runs(n)`` gives the sites
-    of the even- and odd-indexed blocks in a volume of n sites, as ranges.
-    """
-    return _BlockPartition(rule)
+    return runs
 
 
 def default_block_lengths(n: int) -> int:
@@ -269,7 +247,7 @@ def BlockProduct(
     Sites in even-indexed blocks carry ``even_op``, odd-indexed blocks carry
     ``odd_op``.
     """
-    return SiteProduct((even_op, odd_op), make_block_partition(block_lengths).runs)
+    return SiteProduct((even_op, odd_op), _block_runs(block_lengths))
 
 
 def HalfChain(site_op) -> SiteProduct:

@@ -7,9 +7,10 @@ a_1 (x) a_2 (x) ... (x) a_N to a_2 (x) ... (x) a_N (x) a_1.
 
 An element is a :class:`~spintail.localops.LocalOperator`, an
 :class:`~spintail.localops.OperatorSum` or a trigonometric observable of
-:mod:`spintail.classical`.  Each moves its sites by ``_moved(site_map)``,
-lists a sum's terms with their sites by ``_parts()`` and sums terms in order
-by ``_of(terms)``, so :func:`gamma_pow` and the one average builder,
+:mod:`spintail.classical`.  Each moves its sites by ``_moved(moves)``, a
+piecewise translation (:func:`~spintail.localops.relabel`), lists a sum's
+terms with their sites by ``_parts()`` and sums terms in order by
+``_of(terms)``, so :func:`gamma_pow` and the one shift average,
 :func:`gamma_average`, serve both algebras.  Given a local region (a probe's
 support), the average builds only the shifts carrying some term onto it, so
 work does not grow with N.
@@ -29,20 +30,15 @@ __all__ = [
 
 
 def gamma_pow(a, volume, j: int):
-    """Apply j cyclic left shifts to any element; pure support relabeling, norm-preserving."""
-    sup = a.support
-    n = check_volume(volume, sup)
+    """Apply j cyclic left shifts to any element, norm-preserving: two translations of its
+    supports, sites 1..j right by n - j and the rest left by j."""
+    n = check_volume(volume, a)
     if not is_integer(j):
         raise ContractViolation(f"shift powers are integers, got {j!r}")
     j = int(j) % n
     if j == 0:
         return a
-    return a._moved(_site_map(sup, n, j))
-
-
-def _site_map(sites, n: int, j: int) -> dict[int, int]:
-    """Where j cyclic left shifts carry each of ``sites`` in a volume of n sites."""
-    return {s: (s - 1 - j) % n + 1 for s in sites}
+    return a._moved(((1, n - j), (j + 1, -j)))
 
 
 def _meeting_shifts(support, n: int, region=None):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st_h
 import spintail.classical as cl
 from spintail.errors import CapacityError, ContractViolation
 from spintail.localops import pauli_at
-from spintail.sequences import GammaSeq, SeqAdjoint, SeqProduct, SeqScale, SeqSum
+from spintail.sequences import GammaSeq, LocalEmbedSeq, SeqAdjoint, SeqProduct, SeqScale, SeqSum
 
 
 def random_trig(rng, sites=(1, 2, 3), n_terms=3):
@@ -314,7 +314,7 @@ class TestTailSequence:
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda f, n: cl.ClassicalLocalEmbed(f).eval(n),
+        lambda f, n: LocalEmbedSeq(f).eval(n),
         lambda f, n: cl.ClassicalCyclicAverage(f).eval(n),
         lambda f, n: cl.TailShifted(f).eval(n),
         cl.cyclic_average_eval,
@@ -357,7 +357,7 @@ class TestBracketDecay:
         assert rep.classification == "vanishing"
 
     def test_local_embed_fails(self):
-        seq = cl.ClassicalLocalEmbed(cl.cos_q(1))
+        seq = LocalEmbedSeq(cl.cos_q(1))
         rep = cl.bracket_decay_test(seq, cl.cos_p(1), [2, 4, 6, 8])
         for p in rep.points:
             assert p.value == pytest.approx(1.0, abs=1e-15)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -1031,6 +1032,20 @@ class TestMainExitCodes:
         ]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_capacity_refusal_at_a_large_volume_is_one_error_line(self, tmp_path, capsys):
+        # 2**20000 has over 4300 digits, which Python will not print in decimal;
+        # the refusal comes before any apply plan is compiled
+        cfg = {"experiment": "norm", "schedule": [20000],
+               "sequence": {"kind": "sum", "left": {"kind": "uniform-product", "op": "pauli1"},
+                            "right": {"kind": "uniform-product", "op": "pauli3"}}}
+        t0 = time.perf_counter()
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: iterative norm needs state vectors of length 2**20000 "
+            "(8 * 2**20000 bytes), above the cap of 134217728 bytes"
+        ]
 
     def test_gamma_bound_refuses_other_sequence_kinds(self, tmp_path, capsys):
         cfg = dict(

@@ -134,3 +134,52 @@ def test_region_check_catches_a_missing_region():
         "class C:\n    def other(self, n): pass\n"
     )
     assert _evals_without_region(tree) == ["B"]
+
+
+# A run is expanded site by site only where a dense matrix is built; every other
+# operation on a sitewise product reads its ranges.  These are the expanding
+# calls, and the functions (by qualified name) that may make them.
+EXPANDING = {"each_site", "pieces", "_pieces"}
+MAY_EXPAND = {"Run.pieces", "_pieces", "_assemble", "_compile_plan", "LocalOperator.support"}
+
+
+def _expanding_calls(tree):
+    """``(function, name)`` for each call of an expanding name, with the qualified
+    name of the function or class body making it (empty at module level)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in EXPANDING:
+                    out.append((".".join(scope), name))
+            visit(child, scope)
+
+    visit(tree, [])
+    return out
+
+
+def test_runs_are_expanded_only_where_a_dense_matrix_is_built():
+    walks = [f"{path.name}: {fn or '<module>'} calls {name}" for path in SOURCES
+             for fn, name in _expanding_calls(_parse(path)) if fn not in MAY_EXPAND]
+    assert walks == [], f"site walks outside a dense build: {walks}"
+
+
+def test_expansion_check_catches_a_site_walk():
+    tree = ast.parse(
+        "class Run:\n    def pieces(self):\n        return self.each_site()\n"
+        "def _assemble(blocks):\n    return _pieces(blocks)\n"
+        "def relabel(op):\n    return [b.each_site() for b in op.blocks]\n"
+        "class Other:\n    def pieces(self):\n        return x.pieces()\n"
+    )
+    assert _expanding_calls(tree) == [
+        ("Run.pieces", "each_site"), ("_assemble", "_pieces"),
+        ("relabel", "each_site"), ("Other.pieces", "pieces"),
+    ]
+    assert [fn for fn, _ in _expanding_calls(tree) if fn not in MAY_EXPAND] == [
+        "relabel", "Other.pieces"]

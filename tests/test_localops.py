@@ -1,4 +1,5 @@
 import itertools
+import time
 from functools import reduce
 from unittest import mock
 
@@ -262,7 +263,7 @@ class TestCommutator:
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_separate_overlaps_stay_factored_below_cap(self, n, monkeypatch):
         # x^N and z^N meet on N one-site overlaps.  Densifying their union would
-        # take a 2^N x 2^N matrix; kept factored, no matrix above 2 x 2 is built.
+        # take a 2^N x 2^N matrix; kept factored, none is assembled above 2 x 2.
         a = st.UniformProduct(st.pauli(1)).eval(n)
         b = st.UniformProduct(st.pauli(3)).eval(n)
         assemble, built = localops._assemble, []
@@ -275,16 +276,17 @@ class TestCommutator:
         with monkeypatch.context() as patch:
             patch.setattr(localops, "_assemble", recording)
             out = st.sum_commutator(a, b)
-        assert built and max(built) == 2
+        assert max(built, default=2) == 2
         assert_factored_pair(out, a.terms[0][1], b.terms[0][1], n)
         assert st.norm(out, n).value == pytest.approx(2.0 if n % 2 else 0.0, rel=0, abs=1e-12)
 
 
 def assert_factored_pair(out, x, z, n):
-    """``out`` is ``x z - z x`` kept as the two products, each of ``n`` one-site blocks."""
+    """``out`` is ``x z - z x`` kept as the two products, each one run on all ``n`` sites."""
     assert [w for w, _ in out.terms] == [1, -1]
     for (_, got), want in zip(out.terms, (st.product(x, z), st.product(z, x))):
-        assert len(got.blocks) == n and all(len(blk.sites) == 1 for blk in got.blocks)
+        (run,) = got.blocks
+        assert isinstance(run, localops.Run) and run.ranges == (range(1, n + 1),)
         assert localops._op_fingerprint(got) == localops._op_fingerprint(want)
 
 
@@ -1013,6 +1015,102 @@ def test_range_normal_form_is_the_site_rule():
             assert [tuple(r) for r in got] == [tuple(r) for r in want], ranges
 
 
+# every nonempty range of sites in 1..12 with step 1..4, one per set of sites
+SMALL_RANGES = list({tuple(r): r for s in range(1, 5) for a in range(1, 13)
+                     for r in (range(a, b + 1, s) for b in range(a, 13))}.values())
+
+
+def _site_sets(rng, count):
+    """``count`` random nonempty sets of sites in 1..12, each as its ascending normal form."""
+    out = []
+    while len(out) < count:
+        sites = [x for x in range(1, 13) if rng.random() < 0.5]
+        if sites:
+            out.append(_ranges_site_by_site(sites))
+    return out
+
+
+def _as_tuples(ranges):
+    return [tuple(r) for r in ranges]
+
+
+def test_cut_against_sets():
+    for r in SMALL_RANGES:
+        for site in range(0, 15):
+            below, rest = localops._cut(r, site)
+            assert list(below) == [x for x in r if x < site]
+            assert list(rest) == [x for x in r if x >= site]
+
+
+def test_meet_against_sets():
+    for r, q in itertools.product(SMALL_RANGES, repeat=2):
+        common = localops._meet(r, q)
+        assert set(common) == set(r) & set(q), (r, q)
+        assert _as_tuples(localops._ranges([common])) == _as_tuples(filter(None, [common]))
+
+
+def test_split_against_sets():
+    # one range by one range, every pair; then random normal forms by random normal forms
+    rng = np.random.default_rng(31)
+    sets = _site_sets(rng, 300)
+    cases = [((r,), (q,)) for r, q in itertools.product(SMALL_RANGES, repeat=2)]
+    cases += list(zip(sets, sets[1:]))
+    for ranges, by in cases:
+        sites, held = set(itertools.chain(*ranges)), set(itertools.chain(*by))
+        inside, outside = localops._split(ranges, by)
+        assert _as_tuples(inside) == _as_tuples(_ranges_site_by_site(sorted(sites & held)))
+        assert _as_tuples(outside) == _as_tuples(_ranges_site_by_site(sorted(sites - held)))
+
+
+def _run_op(ranges, matrix=SX):
+    return localops.LocalOperator(2, 1 + 0j, (localops._sitewise(matrix, ranges),))
+
+
+def test_shifted_runs_land_in_normal_form():
+    # every cyclic shift of every run on sites in 1..12, within every volume that holds it
+    rng = np.random.default_rng(32)
+    runs = [(r,) for r in SMALL_RANGES if len(r) > 1]
+    runs += [s for s in _site_sets(rng, 200) if sum(map(len, s)) > 1]
+    for ranges in runs:
+        sites = list(itertools.chain(*ranges))
+        for n in range(sites[-1], 13):
+            for j in range(n):
+                (moved,) = st.gamma_pow(_run_op(ranges), n, j).blocks
+                want = _ranges_site_by_site(sorted((x - 1 - j) % n + 1 for x in sites))
+                assert _as_tuples(moved.ranges) == _as_tuples(want), (ranges, n, j)
+
+
+def test_compacted_runs_land_in_normal_form():
+    # a run next to a block: compaction moves each maximal block of consecutive
+    # support sites as one piece, onto the ranks of its sites
+    rng = np.random.default_rng(33)
+    runs = [s for s in _site_sets(rng, 300) if sum(map(len, s)) > 1]
+    for ranges, other in zip(runs, rng.integers(1, 16, size=len(runs))):
+        sites = list(itertools.chain(*ranges))
+        if other in sites:
+            continue
+        s = st.operator_sum([(1.0, _run_op(ranges)), (1.0, st.pauli_at(3, int(other)))])
+        rank = {x: i + 1 for i, x in enumerate(s.support)}
+        terms, m = localops._compact_terms(s)
+        assert m == len(rank)
+        (run,) = [b for _, op in terms for b in op.blocks if isinstance(b, localops.Run)]
+        want = _ranges_site_by_site([rank[x] for x in sites])
+        assert _as_tuples(run.ranges) == _as_tuples(want), (ranges, other)
+
+
+def test_refusals_past_the_decimal_digit_limit_are_fast():
+    # Python will not write an int of more than 4300 digits in decimal
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"dimension 2\*\*20000 exceeds cap 4096"):
+        st.dense_matrix(st.pauli_at(1, 1), 20000)
+    s = st.UniformProduct(SX).eval(20000) + st.UniformProduct(SZ).eval(20000)
+    with mock.patch.object(localops, "_compile_plan", side_effect=AssertionError("compiled")):
+        with mock.patch.object(localops, "_norm_bound", side_effect=AssertionError("bounded")):
+            with pytest.raises(CapacityError, match=r"length 2\*\*20000 \(8 \* 2\*\*20000 bytes\)"):
+                st.norm(s, 20000)
+    assert time.perf_counter() - t0 < 1
+
+
 class TestKron:
     """The broadcast Kronecker product the assembler and the apply plan use."""
 
@@ -1239,7 +1337,7 @@ def test_every_record_matrix_from_the_public_constructors_is_read_only():
         ops += [op for _, op in st.SeqAdjoint(seq).eval(7).terms]
     made = []
     for a in ops:
-        made += [a.adjoint(), localops.relabel(a, {s: 8 - s for s in a.support})]
+        made += [a.adjoint(), st.gamma_pow(a, 7, 2)]  # a block on (1, 3) wraps to (6, 1)
         for b in ops[:4]:
             made += [st.product(a, b), st.commutator(a, b)]
             made += [op for _, op in st.sum_commutator(a.as_sum(), b.as_sum()).terms]

@@ -41,7 +41,7 @@ KINDS = {
     "product": (st.SeqProduct(_GAMMA, _TRANSLATED), "ignores"),
     "adjoint": (st.SeqAdjoint(_GAMMA), "passes"),
     "scale": (st.SeqScale(lambda n: 1.0 / n, _GAMMA), "passes"),
-    "classical-local": (cl.ClassicalLocalEmbed(cl.cos_q(2) + cl.sin_p(3)), "ignores"),
+    "classical-local": (st.LocalEmbedSeq(cl.cos_q(2) + cl.sin_p(3)), "ignores"),
     "classical-average": (cl.ClassicalCyclicAverage(cl.cos_q(1) * cl.sin_p(2)), "average"),
     # terms on different supports, {1} and {2}
     "classical-average-mixed": (cl.ClassicalCyclicAverage(cl.cos_q(1) + cl.cos_q(2)), "average"),

@@ -3,12 +3,7 @@ import pytest
 
 import spintail as st
 from spintail.cli import _parse_block_lengths, _Problems
-from spintail.sequences import (
-    SiteProduct,
-    as_schedule,
-    default_block_lengths,
-    make_block_partition,
-)
+from spintail.sequences import SiteProduct, as_schedule
 
 from oracles import I2, SX, SZ, embed_dense, factor_copies, kron_chain, random_complex
 
@@ -96,28 +91,33 @@ class TestProducts:
 
 class TestBlockPartition:
     def test_default_prefix(self):
-        block_of = make_block_partition(default_block_lengths)
-        assert [block_of(x) for x in range(1, 7)] == [0, 1, 1, 2, 2, 2]
+        # blocks [1], [2, 3], [4, 5, 6]: the even-indexed ones, then the odd-indexed ones
+        even, odd = st.BlockProduct(SX, SZ).runs(6)
+        assert [list(r) for r in even] == [[1], [4, 5, 6]]
+        assert [list(r) for r in odd] == [[2, 3]]
 
     def test_site_six_in_even_block(self):
-        block_of = make_block_partition(default_block_lengths)
-        assert block_of(6) == 2
-        assert block_of(6) % 2 == 0  # even-indexed block
+        even, _ = st.BlockProduct(SX, SZ).runs(6)
+        assert 6 in even[-1]
+        ((_, op),) = st.BlockProduct(SX, SZ).eval(6).terms
+        (held,) = [b for b in op.blocks if np.array_equal(b.matrix, SX)]  # the even blocks' factor
+        assert any(6 in r for r in held.ranges)
 
     def test_first_site_of_each_block(self):
-        block_of = make_block_partition(default_block_lengths)
+        even, odd = (set().union(*map(set, r)) for r in st.BlockProduct(SX, SZ).runs(21))
         prefix = 0
         for n in range(6):
             first = 1 + prefix
-            assert block_of(first) == n
+            assert first in (even if n % 2 == 0 else odd)
             if first > 1:
-                assert block_of(first - 1) == n - 1
+                assert first - 1 in (odd if n % 2 == 0 else even)
             prefix += n + 1
 
     def test_non_increasing_rule_rejected(self):
-        block_of = make_block_partition(lambda n: 3)
+        seq = st.BlockProduct(SX, SZ, lambda n: 3)
+        assert seq.eval(3).support == (1, 2, 3)
         with pytest.raises(st.ContractViolation):
-            block_of(4)
+            seq.eval(4)
 
     def test_block_product_assignment(self):
         seq = st.BlockProduct(SX, SZ)

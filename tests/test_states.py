@@ -345,7 +345,7 @@ class TestSitewiseRecords:
                     # the probe meets the product only at its own site; elsewhere
                     # the product's matrices are kept as they are
                     for b in got.blocks:
-                        if x in b:
+                        if x in b.each_site():
                             assert b.sites == (x,)
                         else:
                             assert any(b.matrix is a.matrix for a in op.blocks)
@@ -383,6 +383,31 @@ class TestSitewiseRecords:
             assert comm.norm_exact() == 2
             assert st.expectation(st.product_state(RHO_MINUS), comm.as_sum(), n) == 0
         assert st.norm(st.sum_commutator(s, probe.as_sum()), n).value == 2
+        # a shift moves each range as two translated pieces, which rejoin
+        assert st.gamma_pow(op, n, 12345).blocks[0].ranges == (range(1, n + 1),)
+        odd_z = st.ParityProduct(SZ, SX).eval(n)
+        moved = st.gamma_pow(odd_z, n, 1).terms[0][1].blocks
+        # z moves from the odd sites to the even ones, x from the even to the odd
+        assert [b.ranges for b in moved] == [(range(1, n, 2),), (range(2, n + 1, 2),)]
+        assert [np.array_equal(b.matrix, m) for b, m in zip(moved, (SX, SZ))] == [True, True]
+        # x^N times (z on odd sites, x on even): xz = -i y on the odd sites, and
+        # xx, the identity, on the even ones; <y> = 1 in rho_y, so the value
+        # is (-i)^(N/2) = 1, N/2 being a multiple of 4
+        ((_, prod),) = st.sum_product(s, odd_z).terms
+        (run,) = prod.blocks
+        assert run.ranges == (range(1, n, 2),) and np.array_equal(run.matrix, SX @ SZ)
+        rho_y = 0.5 * (I2 + SY)
+        assert st.expectation(st.product_state(rho_y), st.sum_product(s, odd_z), n) == 1
+        # [x^N, z^N] stays factored, each product one run on all N sites; the
+        # commutator alone names the union's dimension without writing it out
+        z = st.UniformProduct(SZ).eval(n)
+        out = st.sum_commutator(s, z)
+        assert [w for w, _ in out.terms] == [1, -1]
+        for (_, got), m in zip(out.terms, (SX @ SZ, SZ @ SX)):
+            (run,) = got.blocks
+            assert run.ranges == (range(1, n + 1),) and np.array_equal(run.matrix, m)
+        with pytest.raises(st.CapacityError, match=r"dimension 2\*\*1000000000, above"):
+            st.commutator(op, z.terms[0][1])
 
 
 class TestAverageVariance:

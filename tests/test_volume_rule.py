@@ -73,7 +73,7 @@ def test_operators_checked_by_their_ends(first, second, n):
 def test_local_embeddings_vanish_exactly_off_the_volume(support, n):
     op, f = quantum(support), classical(support)
     assert st.LocalEmbedSeq(op).eval(n).is_zero != fits(support, n)
-    assert (cl.ClassicalLocalEmbed(f).eval(n).coeffs == {}) != fits(support, n)
+    assert (st.LocalEmbedSeq(f).eval(n).coeffs == {}) != fits(support, n)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -160,13 +160,13 @@ def test_non_integer_block_site_refused(site):
 
 
 def test_block_partition_refuses_non_integers():
-    block_of = st.sequences.make_block_partition(st.sequences.default_block_lengths)
-    for site in (2.9, 2.0, True):
-        with pytest.raises(st.ContractViolation, match="sites are >= 1"):
-            block_of(site)
-    assert block_of(np.int64(2)) == 1
+    seq = st.BlockProduct(st.pauli(1), st.pauli(3))
+    for n in (2.9, 2.0, True):
+        with pytest.raises(st.ContractViolation, match="volumes have at least one site"):
+            seq.eval(n)
+    assert seq.eval(np.int64(2)).support == (1, 2)
     with pytest.raises(st.ContractViolation, match="strictly increasing positive integers"):
-        st.sequences.make_block_partition(lambda n: n + 1.5)(1)
+        st.BlockProduct(st.pauli(1), st.pauli(3), lambda n: n + 1.5).eval(1)
 
 
 @pytest.mark.parametrize("rule", [lambda n: n - 0.5, lambda n: float(n), lambda n: True])
