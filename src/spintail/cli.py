@@ -22,12 +22,12 @@ matrices a norm builds, and a cap below the crossover moves ``auto`` to
 Lanczos sooner; the ``localops.norm`` docstring states this cap and the ones
 on what products and commutators densify.
 
-A null value counts as absent, for every top-level key and every key of
-``assert`` and ``output``.  A key the kind does not read, or an unknown
-``assert`` or ``output`` key, is a configuration error, and so is an
-unknown key in any nested spec: a sequence, a local operator, a classical
-observable or one of its terms, a state.  ``assert.series`` narrows only
-``classification``; ``all_converged`` and ``max_value`` read every series.
+A null value counts as absent, for every key of every object: the top level,
+``assert``, ``output`` and each nested spec (a sequence, a local operator, a
+classical observable or one of its terms, a state).  A key an object does not
+read is a configuration error at its path, and so is one it requires and
+lacks.  ``assert.series`` narrows only ``classification``; ``all_converged``
+and ``max_value`` read every series.
 
 Each entry of :data:`EXPERIMENTS` names the fields its kind requires, how
 each is parsed, the fewest schedule points it accepts and the handler that
@@ -60,7 +60,7 @@ series in ``commutant``; ``gamma-bound`` accepts one but always names its
 series ``commutator``.  No other local operator takes one.  Classical
 observables TRIG are ``{"terms": [{"amplitude": A, "freqs": [[site, m, n],
 ...]}, ...]}`` or the shorthand ``{"named": "cos_q"|"sin_q"|"cos_p"|"sin_p",
-"site": s}``.  ``classical-local`` and ``cyclic-average`` build
+"site": 1}``.  ``classical-local`` and ``cyclic-average`` build
 ``LocalEmbedSeq`` and ``GammaSeq`` on TRIG, which, unlike ``gamma``'s seed, is
 not moved to site 1.  A sequence's site dimension is read from its matrices
 (OP acts on qubits), and a sequence of TRIG values has none.  ``sum`` and
@@ -81,13 +81,14 @@ SPINTAIL_VERBOSE=1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,7 +105,7 @@ from .asymptotics import (
     vanishing_test,
 )
 from .errors import CapacityError, ConfigError, ContractViolation
-from .localops import NORM_METHODS, LocalOperator, from_site_factors, is_integer, local_operator
+from .localops import NORM_METHODS, from_site_factors, is_integer, local_operator
 from .matrices import DENSE_DIM_CAP, pauli
 from .report import FORMATS, REPORT_SCHEMA, Report, emit
 from .sequences import (
@@ -139,6 +140,89 @@ class _Problems(list):
         except ContractViolation as exc:
             self.add(path, str(exc))
             return None
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A config value valid or not on its own; as a parser it reports an invalid one as None."""
+
+    valid: Callable  # value -> bool
+    problem: str  # the problem of an invalid value; {!r} stands for the value
+    # an assert key's check, (value, label, DecayReport) -> failure or a false value
+    check: Callable | None = None
+    targeted: bool = False  # whether assert.series narrows the check
+
+    def __call__(self, value, errors: _Problems, path: str):
+        if self.valid(value):
+            return value
+        errors.add(path, self.problem.format(value))
+        return None
+
+
+def _one_of(options, **check) -> _Key:
+    return _Key(lambda v: v in options, f"expected {'|'.join(options)}, got {{!r}}", **check)
+
+
+def _raw(value, errors: _Problems, path: str):
+    """A value its object parses together with its other keys."""
+    return value
+
+
+def _unknown_keys(spec: dict, known, errors: _Problems, prefix: str):
+    for name in spec:
+        if name not in known:
+            errors.add(f"{prefix}{name}", f"unknown key; expected one of {', '.join(known)}")
+
+
+def _fields(spec, errors: _Problems, path: str, rows) -> dict | None:
+    """The value of each row's key of the object ``spec``; None if it is no object.
+
+    Every config object is read here, by one rule.  A row is ``(key, parser)``
+    or ``(key, parser, default)``, the default already parsed.  A null member
+    is absent (:func:`_decode` drops it); an absent key takes its default, or
+    is reported required and reads as None; any other key is reported unknown.
+    ``rows`` may be a function of the object giving its rows and the members
+    they read, as a tag picks them (:func:`_tagged`).
+    """
+    if not isinstance(spec, dict):
+        errors.add(path, "expected an object")
+        return None
+    if callable(rows):
+        rows, spec = rows(spec)
+    prefix = f"{path}." if path else ""
+    _unknown_keys(spec, [row[0] for row in rows], errors, prefix)
+    values = {}
+    for row in rows:
+        name = row[0]
+        if name in spec:
+            try:
+                values[name] = row[1](spec[name], errors, prefix + name)
+            except RecursionError:  # a sequence nested past the recursion limit
+                if path:
+                    raise  # reported once, at its top-level key
+                errors.add(name, "nested too deeply")
+        elif len(row) > 2:
+            values[name] = row[2]
+        else:
+            values[name] = None
+            errors.add(prefix + name, "required")
+    return values
+
+
+def _tagged(spec, errors: _Problems, path: str, table: dict, common: tuple):
+    """``(entry, values)`` of a tagged object: the entry of ``table`` its tag names,
+    or None, and the values of the rows after the tag.  Its rows are ``common``, led
+    by the tag's, then those of the entry (a constructor or handler, then its rows);
+    with no such entry, only ``common`` is read."""
+    tag, key = common[0]
+
+    def rows(spec):
+        if key.valid(spec.get(tag)):
+            return (*common, *table[spec[tag]][1]), spec
+        return common, {name: spec[name] for name, *_ in common if name in spec}
+
+    values = _fields(spec, errors, path, rows)
+    return (None, None) if values is None else (table.get(values.pop(tag)), values)
 
 
 def _is_finite(value) -> bool:
@@ -193,18 +277,21 @@ def _is_per_site_list(mat_spec, n_sites: int) -> bool:
     )
 
 
-def _parse_local_operator(
-    spec, errors: _Problems, path: str, keys=("matrix", "sites")
-) -> LocalOperator | None:
-    if not isinstance(spec, dict):
-        errors.add(path, "expected an object with 'matrix' and 'sites'")
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(map(is_integer, value))
+
+
+_OPERATOR = (("matrix", _raw), ("sites", _Key(_integers, "expected a list of integer sites")))
+_PROBE = (*_OPERATOR,
+          ("label", _Key(lambda v: isinstance(v, str), "expected a string, got {!r}"), None))
+
+
+def _parse_local_operator(spec, errors: _Problems, path: str, rows=_OPERATOR):
+    """The local operator a spec of ``rows`` describes: its matrix on its sites."""
+    fields = _fields(spec, errors, path, rows)
+    if fields is None or fields["sites"] is None or fields["matrix"] is None:
         return None
-    _unknown_keys(spec, keys, errors, f"{path}.")
-    sites = spec.get("sites")
-    if not isinstance(sites, list) or not all(is_integer(s) for s in sites):
-        errors.add(f"{path}.sites", "expected a list of integer sites")
-        return None
-    mat_spec = spec.get("matrix")
+    sites, mat_spec = fields["sites"], fields["matrix"]
     if _is_per_site_list(mat_spec, len(sites)):
         # one matrix per site, tensored
         if len(mat_spec) != len(sites):
@@ -226,35 +313,13 @@ def _parse_local_operator(
     return errors.attempt(path, local_operator, mat, tuple(sites))
 
 
-def _parse_tagged(spec, errors: _Problems, path: str):
-    """Build the sequence a ``{"kind": K, ...}`` spec describes.
-
-    :data:`_SEQUENCE_KINDS` maps each tag to a constructor and its ``(field,
-    parser)`` pairs, with an optional third entry as the field's default; the
-    parsed fields go to the constructor in that order.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        errors.add(path, "expected an object with a 'kind' tag")
-        return None
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _SEQUENCE_KINDS:
-        errors.add(f"{path}.kind", f"unknown sequence kind {kind!r}")
-        return None
-    build, fields = _SEQUENCE_KINDS[kind]
+def _parse_sequence(spec, errors: _Problems, path: str, site_dim=...):
+    """The sequence a spec describes, of ``site_dim`` (None: classical; ``...``: any)."""
     known = len(errors)
-    _unknown_keys(spec, ("kind", *(name for name, *_ in fields)), errors, f"{path}.")
-    args = [
-        parse(spec.get(name, *default), errors, f"{path}.{name}")
-        for name, parse, *default in fields
-    ]
+    entry, values = _tagged(spec, errors, path, _SEQUENCE_KINDS, _KIND)
     if len(errors) > known:
         return None
-    return errors.attempt(path, build, *args)
-
-
-def _parse_sequence(spec, errors: _Problems, path: str, site_dim=...):
-    """The sequence ``spec`` describes, of ``site_dim`` (None: classical; ``...``: any)."""
-    seq = _parse_tagged(spec, errors, path)
+    seq = errors.attempt(path, entry[0], *values.values())
     if seq is None or site_dim in (..., seq.site_dim):
         return seq
     errors.add(path, f"expected site dimension {site_dim}, got {seq.site_dim} (None: classical)")
@@ -262,7 +327,7 @@ def _parse_sequence(spec, errors: _Problems, path: str, site_dim=...):
 
 
 def _parse_offset(offset, errors: _Problems, path: str):
-    """Site rule of a translated sequence: site max(1, N - offset), or N itself."""
+    """Site rule of a translated sequence: site max(1, N - offset), or N itself (None)."""
     if not is_integer(offset) or offset < 0:
         errors.add(path, "expected a nonnegative integer")
         return None
@@ -270,15 +335,9 @@ def _parse_offset(offset, errors: _Problems, path: str):
 
 
 def _parse_block_lengths(value, errors: _Problems, path: str):
-    """Block-length rule of a block product: an explicit list, or B_n = n + 1."""
-    if value is None:
-        return default_block_lengths
-    if not (
-        isinstance(value, list)
-        and value
-        and all(is_integer(x) and x > 0 for x in value)
-        and all(a < b for a, b in zip(value, value[1:]))
-    ):
+    """Block-length rule of a block product: an explicit list (by default B_n = n + 1)."""
+    if not (_integers(value) and value and value[0] > 0
+            and all(a < b for a, b in zip(value, value[1:]))):
         errors.add(path, "expected a strictly increasing list of positive integers")
         return None
 
@@ -297,56 +356,54 @@ def _parse_factor(value, errors: _Problems, path: str):
 
 
 _NAMED_TRIG = {"cos_q": cl.cos_q, "sin_q": cl.sin_q, "cos_p": cl.cos_p, "sin_p": cl.sin_p}
+_SITE = _Key(lambda v: is_integer(v) and v >= 1, "expected a positive integer site")
+_NAMED = (("named", _one_of(tuple(_NAMED_TRIG))), ("site", _SITE, 1))
+_FREQS = _Key(lambda v: isinstance(v, list) and all(_integers(f) and len(f) == 3 for f in v),
+              "expected [[site, m, n], ...] of integers")
+_TERM = (("amplitude", _parse_scalar), ("freqs", _FREQS, []))
+
+
+def _parse_terms(value, errors: _Problems, path: str):
+    """The sum of a list of terms; None at the first that fails."""
+    if not isinstance(value, list):
+        errors.add(path, "expected a list of terms")
+        return None
+    out = cl.TrigObservable({})
+    for i, spec in enumerate(value):
+        fields = _fields(spec, errors, f"{path}[{i}]", _TERM)
+        read = fields is not None and None not in fields.values()
+        term = errors.attempt(f"{path}[{i}]", cl.trig_term, *fields.values()) if read else None
+        if term is None:
+            return None
+        out = out + term
+    return out
+
+
+def _trig_rows(spec: dict):
+    """The rows of a classical observable: the shorthand's if the object names
+    one, or gives a site and no terms; the terms' otherwise."""
+    named = "named" in spec or ("site" in spec and "terms" not in spec)
+    return (_NAMED if named else (("terms", _parse_terms),)), spec
 
 
 def _parse_trig(spec, errors: _Problems, path: str):
-    if isinstance(spec, dict) and "named" in spec:
-        _unknown_keys(spec, ("named", "site"), errors, f"{path}.")
-        name = spec["named"]
-        site = spec.get("site", 1)
-        if not isinstance(name, str) or name not in _NAMED_TRIG:
-            errors.add(f"{path}.named", f"unknown observable {name!r}")
-            return None
-        if not is_integer(site) or site < 1:
-            errors.add(f"{path}.site", "expected a positive integer site")
-            return None
-        return _NAMED_TRIG[name](site)
-    if isinstance(spec, dict) and "terms" in spec:
-        _unknown_keys(spec, ("terms",), errors, f"{path}.")
-        if not isinstance(spec["terms"], list):
-            errors.add(f"{path}.terms", "expected a list of terms")
-            return None
-        out = cl.TrigObservable({})
-        for i, term in enumerate(spec["terms"]):
-            if not isinstance(term, dict):
-                errors.add(f"{path}.terms[{i}]", "expected an object")
-                return None
-            _unknown_keys(term, ("amplitude", "freqs"), errors, f"{path}.terms[{i}].")
-            amp = _parse_scalar(term.get("amplitude"), errors, f"{path}.terms[{i}].amplitude")
-            freqs = term.get("freqs", [])
-            if not isinstance(freqs, list) or not all(
-                isinstance(f, list) and len(f) == 3 and all(map(is_integer, f)) for f in freqs
-            ):
-                errors.add(f"{path}.terms[{i}].freqs", "expected [[site, m, n], ...] of integers")
-                return None
-            term = errors.attempt(f"{path}.terms[{i}]", cl.trig_term, amp, list(map(tuple, freqs)))
-            if term is None:
-                return None
-            out = out + term
-        return out
-    errors.add(path, "expected {'terms': [...]} or {'named': ..., 'site': ...}")
-    return None
+    fields = _fields(spec, errors, path, _trig_rows)
+    if fields is None or None in fields.values():
+        return None
+    return _NAMED_TRIG[fields["named"]](fields["site"]) if "named" in fields else fields["terms"]
 
 
+# each kind's constructor, then the rows whose values it takes in order
 _SEQUENCE_KINDS = {
     "local": (LocalEmbedSeq, (("op", _parse_local_operator),)),
-    "translated": (TranslatedToInfinity, (("op", _parse_matrix), ("offset", _parse_offset, 0))),
+    "translated": (TranslatedToInfinity, (("op", _parse_matrix), ("offset", _parse_offset, None))),
     "gamma": (GammaSeq.from_seed, (("seed", _parse_local_operator),)),
     "uniform-product": (UniformProduct, (("op", _parse_matrix),)),
     "parity-product": (ParityProduct, (("odd", _parse_matrix), ("even", _parse_matrix))),
     "block-product": (
         BlockProduct,
-        (("even", _parse_matrix), ("odd", _parse_matrix), ("lengths", _parse_block_lengths)),
+        (("even", _parse_matrix), ("odd", _parse_matrix),
+         ("lengths", _parse_block_lengths, default_block_lengths)),
     ),
     "half-chain": (HalfChain, (("op", _parse_matrix),)),
     "classical-local": (LocalEmbedSeq, (("f", _parse_trig),)),
@@ -357,6 +414,7 @@ _SEQUENCE_KINDS = {
     "adjoint": (SeqAdjoint, (("inner", _parse_sequence),)),
     "scale": (SeqScale, (("factor", _parse_factor), ("inner", _parse_sequence))),
 }
+_KIND = (("kind", _one_of(tuple(_SEQUENCE_KINDS))),)
 
 
 def _parse_gamma_sequence(spec, errors: _Problems, path: str):
@@ -373,23 +431,16 @@ def _parse_variance_seed(spec, errors: _Problems, path: str):
     return op
 
 
-def _op_label(spec: dict, op: LocalOperator) -> str:
-    if isinstance(spec.get("label"), str):
-        return spec["label"]
+def _parse_probe(spec, errors: _Problems, path: str):
+    op = _parse_local_operator(spec, errors, path, _PROBE)
+    if op is None:
+        return None
+    if "label" in spec:
+        return spec["label"], op
     sites = ",".join(map(str, op.support)) or "scalar"
     names = [spec["matrix"]] if isinstance(spec["matrix"], str) else spec["matrix"]
-    if all(isinstance(m, str) for m in names):
-        return f"{'*'.join(names)}@{sites}"
-    return f"op@{sites}"
-
-
-def _parse_probe(spec, errors: _Problems, path: str):
-    op = _parse_local_operator(spec, errors, path, ("matrix", "sites", "label"))
-    label = spec.get("label") if isinstance(spec, dict) else None
-    if label is not None and not isinstance(label, str):
-        errors.add(f"{path}.label", f"expected a string, got {label!r}")
-        return None
-    return None if op is None else (_op_label(spec, op), op)
+    name = "*".join(names) if all(isinstance(m, str) for m in names) else "op"
+    return f"{name}@{sites}", op
 
 
 def _parse_probes(spec, errors: _Problems, path: str):
@@ -400,11 +451,8 @@ def _parse_probes(spec, errors: _Problems, path: str):
 
 
 def _parse_state(spec, errors: _Problems, path: str):
-    if not isinstance(spec, dict) or "rho" not in spec:
-        errors.add(path, "expected {'rho': row-major matrix}")
-        return None
-    _unknown_keys(spec, ("rho",), errors, f"{path}.")
-    rho = _parse_matrix(spec["rho"], errors, f"{path}.rho")
+    fields = _fields(spec, errors, path, (("rho", _parse_matrix),))
+    rho = fields and fields["rho"]
     return None if rho is None else errors.attempt(f"{path}.rho", product_state, rho)
 
 
@@ -462,17 +510,13 @@ def _run_mutual(config, warnings, sequence, sequence2):
     return [("commutator", config.estimate(mutual_commutator_trace, sequence, sequence2))]
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """One experiment kind: the config fields it reads, and how it runs."""
+class Experiment(NamedTuple):
+    """One experiment kind: how it runs, the fields it reads, its fewest schedule points."""
 
-    # config fields as (name, parser) or (name, parser, default): the parser
-    # maps (spec, errors, path) -> value; only a field with a default may be
-    # left out
-    fields: tuple[tuple, ...]
     # (config, warnings, **parsed fields) -> list of (label, DecayReport) series
     handler: Callable
-    # the fewest schedule points; kinds that accept a single volume take 1
+    # config fields as rows of _fields, after the keys every kind reads
+    fields: tuple[tuple, ...]
     min_points: int = MIN_POINTS
 
 
@@ -482,45 +526,23 @@ _TRIG_SEQUENCE = ("sequence", partial(_parse_sequence, site_dim=None))
 _STATE = ("state", _parse_state)
 
 EXPERIMENTS = {
-    "norm": Experiment((_SEQUENCE,), _run_norm, 1),
-    "decay": Experiment((_SEQUENCE,), _run_decay),
-    "equiv": Experiment((_SEQUENCE, _SEQUENCE2), _run_equiv),
-    "commutant": Experiment((_SEQUENCE, ("probes", _parse_probes, None)), _run_commutant),
+    "norm": Experiment(_run_norm, (_SEQUENCE,), 1),
+    "decay": Experiment(_run_decay, (_SEQUENCE,)),
+    "equiv": Experiment(_run_equiv, (_SEQUENCE, _SEQUENCE2)),
+    "commutant": Experiment(_run_commutant, (_SEQUENCE, ("probes", _parse_probes, None))),
     "gamma-bound": Experiment(
-        (("sequence", _parse_gamma_sequence), ("probe", _parse_probe)), _run_gamma_bound
+        _run_gamma_bound, (("sequence", _parse_gamma_sequence), ("probe", _parse_probe))
     ),
-    "expect": Experiment((_SEQUENCE, _STATE), _run_expect, 1),
-    "variance": Experiment((_STATE, ("observable", _parse_variance_seed)), _run_variance, 1),
-    "classical-decay": Experiment((_TRIG_SEQUENCE, ("probe", _parse_trig)), _run_classical_decay),
-    "mutual": Experiment((_SEQUENCE, _SEQUENCE2), _run_mutual, 1),
+    "expect": Experiment(_run_expect, (_SEQUENCE, _STATE), 1),
+    "variance": Experiment(_run_variance, (_STATE, ("observable", _parse_variance_seed)), 1),
+    "classical-decay": Experiment(_run_classical_decay, (_TRIG_SEQUENCE, ("probe", _parse_trig))),
+    "mutual": Experiment(_run_mutual, (_SEQUENCE, _SEQUENCE2), 1),
 }
 
 
 # ---------------------------------------------------------------------------
-# the keys every kind reads, one row each: parse_config validates from the
-# row, run checks from it, and a flag overrides the key it names
-
-
-@dataclass(frozen=True)
-class _Key:
-    """A config key valid or not on its own; as a parser it reports an invalid value."""
-
-    valid: Callable  # value -> bool
-    problem: str  # the problem of an invalid value; {!r} stands for the value
-    default: object = None  # the value of an absent key
-    # an assert key's check, (value, label, DecayReport) -> failure or a false value
-    check: Callable | None = None
-    targeted: bool = False  # whether assert.series narrows the check
-
-    def __call__(self, value, errors: _Problems, path: str):
-        if not self.valid(value):
-            errors.add(path, self.problem.format(value))
-        return value
-
-
-def _one_of(options, default=None, **check) -> _Key:
-    problem = f"expected {'|'.join(options)}, got {{!r}}"
-    return _Key(lambda v: v in options, problem, default, **check)
+# the keys every kind reads: parse_config validates from their rows, run
+# checks from the assert rows, and a flag overrides the key it names
 
 
 def _failing_at(label: str, what: str, ns: list[int]):
@@ -541,50 +563,40 @@ def _over_cap(cap, label, rep):
     return _failing_at(label, f"value above {float(cap)}", over)
 
 
+# the keys of the top-level keys that hold an object, as {key: (parser, default)}
 _ASSERT = {
-    "classification": _one_of(CLASSIFICATIONS, check=_misclassified, targeted=True),
-    "series": _Key(lambda v: isinstance(v, str), "expected a series label, got {!r}"),
-    "all_converged": _Key(
-        lambda v: isinstance(v, bool), "expected true or false, got {!r}", False, check=_unconverged
+    "classification": (_one_of(CLASSIFICATIONS, check=_misclassified, targeted=True), None),
+    "series": (_Key(lambda v: isinstance(v, str), "expected a series label, got {!r}"), None),
+    "all_converged": (
+        _Key(lambda v: isinstance(v, bool), "expected true or false, got {!r}", check=_unconverged),
+        False,
     ),
-    "max_value": _Key(_is_finite, "expected a finite number, got {!r}", check=_over_cap),
+    "max_value": (_Key(_is_finite, "expected a finite number, got {!r}", check=_over_cap), None),
 }
 _OUTPUT = {
-    "format": _one_of(FORMATS, "json"),
-    "path": _Key(lambda v: isinstance(v, str), "expected a file path, got {!r}"),
+    "format": (_one_of(FORMATS), "json"),
+    "path": (_Key(lambda v: isinstance(v, str), "expected a file path, got {!r}"), None),
 }
-# the top-level keys that hold an object of keys
 _SECTIONS = {"assert": _ASSERT, "output": _OUTPUT}
 
-
-def _unknown_keys(spec: dict, known, errors: _Problems, prefix: str = ""):
-    for name in spec:
-        if name not in known:
-            errors.add(f"{prefix}{name}", f"unknown key; expected one of {', '.join(known)}")
-
-
-def _section(keys: dict):
-    """Parser and default of a section: its value maps each key to the key's value or default."""
-    def parse(spec, errors: _Problems, path: str):
-        if not isinstance(spec, dict):
-            errors.add(path, "expected an object")
-            return None
-        _unknown_keys(spec, keys, errors, f"{path}.")
-        return {
-            name: key(spec[name], errors, f"{path}.{name}") if name in spec else key.default
-            for name, key in keys.items()
-        }
-
-    return parse, parse({}, None, "")
-
-
-# (name, parser, default) rows, as in Experiment.fields
+# the rows of the keys every kind may leave out
 _CONFIG_FIELDS = (
     ("method", _one_of(NORM_METHODS), "auto"),
     ("seed", _Key(lambda v: is_integer(v) and v >= 0, "expected a nonnegative integer"), 0),
     ("dense_cap", _Key(lambda v: is_integer(v) and v >= 2, "expected an integer >= 2"),
      DENSE_DIM_CAP),
-    *((name, *_section(keys)) for name, keys in _SECTIONS.items()),
+    *(
+        (name, partial(_fields, rows=[(key, *row) for key, row in keys.items()]),
+         {key: default for key, (_, default) in keys.items()})
+        for name, keys in _SECTIONS.items()
+    ),
+)
+
+
+_COMMON = (
+    ("experiment", _one_of(tuple(EXPERIMENTS))),
+    ("schedule", _Key(_integers, "expected a list of integers")),
+    *_CONFIG_FIELDS,
 )
 # each `run` flag: the config key it sets, as problems name it, and its argparse options
 _FLAGS = {
@@ -616,61 +628,41 @@ class ExperimentConfig:
         )
 
 
-def _decode(text: str):
-    """The JSON value of a config's text; raises :class:`ConfigError` if there is none."""
+def _present(pairs) -> dict:
+    """An object's members, less the null ones, which count as absent."""
+    return {name: value for name, value in dict(pairs).items() if value is not None}
+
+
+def _decode(text):
+    """The JSON value of a config's text (or of a value's), less every null member
+    of every object; raises :class:`ConfigError` if there is none."""
     try:
-        return json.loads(text)
-    # bad JSON, an integer too long to convert, or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
+        text = text if isinstance(text, str) else json.dumps(text)
+        return json.loads(text, object_pairs_hook=_present)
+    # bad JSON or a value it cannot hold, a too long integer, or nesting too deep
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
 
 
 def parse_config(text_or_dict) -> ExperimentConfig:
-    """Validate a config; raises :class:`ConfigError` listing every problem."""
-    errors = _Problems()
-    raw = text_or_dict if isinstance(text_or_dict, dict) else _decode(text_or_dict)
+    """Validate a config, text or the value of its text; raises
+    :class:`ConfigError` listing every problem."""
+    raw = _decode(text_or_dict)
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
-    # null means absent, at the top level and in every section
-    raw = {name: value for name, value in raw.items() if value is not None}
-    for name in _SECTIONS:
-        if isinstance(raw.get(name), dict):
-            raw[name] = {key: value for key, value in raw[name].items() if value is not None}
-
-    kind = raw.get("experiment")
-    experiment = EXPERIMENTS.get(kind) if isinstance(kind, str) else None
-    if experiment is None:
-        errors.add("experiment", f"unknown kind {kind!r}; one of {', '.join(EXPERIMENTS)}")
-
-    schedule = None
-    pts = raw.get("schedule")
-    if not isinstance(pts, list) or not all(is_integer(p) for p in pts):
-        errors.add("schedule", "expected a list of integers")
-    else:
-        schedule = errors.attempt("schedule", VolumeSchedule, tuple(pts))
+    errors = _Problems()
+    experiment, values = _tagged(raw, errors, "", EXPERIMENTS, _COMMON)
+    schedule = values.pop("schedule")
+    if schedule is not None:
+        schedule = errors.attempt("schedule", VolumeSchedule, tuple(schedule))
     if schedule and experiment and len(schedule.points) < experiment.min_points:
+        kind = raw["experiment"]
         errors.add("schedule", f"{kind} experiments need at least {experiment.min_points} points")
-
-    rows = _CONFIG_FIELDS + (experiment.fields if experiment else ())
-    values = {}
-    for name, parse, *default in rows:
-        if name in raw:
-            try:
-                values[name] = parse(raw[name], errors, name)
-            except RecursionError:  # a sequence nested past the recursion limit
-                errors.add(name, "nested too deeply")
-        elif default:
-            values[name] = default[0]
-        else:
-            errors.add(name, f"required for {kind!r} experiments")
-    if experiment is not None:
-        _unknown_keys(raw, ("experiment", "schedule", *(row[0] for row in rows)), errors)
-
     if errors:
         raise ConfigError(errors)
-    values["fields"] = {name: values.pop(name) for name, *_ in experiment.fields}
-    values.update({f"out_{name}": value for name, value in values.pop("output").items()})
-    return ExperimentConfig(kind, schedule, raw, assert_spec=values.pop("assert"), **values)
+    method, seed, dense_cap, assert_spec, output = (values.pop(r[0]) for r in _CONFIG_FIELDS)
+    return ExperimentConfig(raw["experiment"], schedule, raw, method, seed, dense_cap,
+                            assert_spec, output["format"], output["path"], values)
 
 
 def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
@@ -688,8 +680,8 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     if target is not None and all(label != target for label, _ in series):
         failures.append(f"assert.series: no series labeled {target!r}")
     checks = [
-        (key, spec[name]) for name, key in _ASSERT.items()
-        if key.check and spec[name] != key.default
+        (key, spec[name]) for name, (key, default) in _ASSERT.items()
+        if key.check and spec[name] != default
     ]
     # a check over no series at all would pass without looking at anything
     if checks and not series:
@@ -712,15 +704,12 @@ def run(config: ExperimentConfig) -> tuple[Report, list[str]]:
     return Report(meta, list(config.schedule.points), series), failures
 
 
-def _override(raw: dict, path: str, value):
-    """Set the config key at dotted ``path``; an absent or null section becomes
-    an object, and any other non-object is left for :func:`parse_config` to refuse."""
-    section, _, name = path.rpartition(".")
-    if section and raw.get(section) is None:
-        raw[section] = {}
-    owner = raw[section] if section else raw
-    if isinstance(owner, dict):
-        owner[name] = value
+def _override(raw, path: str, value):
+    """Set the key at dotted ``path`` of a decoded config; an absent section
+    becomes an object, and a non-object is left for :func:`parse_config` to refuse."""
+    *section, name = path.split(".")
+    with contextlib.suppress(AttributeError, TypeError):  # no object to set the key in
+        (raw.setdefault(section[0], {}) if section else raw)[name] = value
 
 
 def main(argv=None) -> int:
@@ -757,7 +746,7 @@ def main(argv=None) -> int:
     try:
         raw = _decode(text)
         for path, _ in _FLAGS.values():
-            if getattr(args, path, None) is not None and isinstance(raw, dict):
+            if getattr(args, path, None) is not None:
                 _override(raw, path, getattr(args, path))
         config = parse_config(raw)
     except ConfigError as exc:

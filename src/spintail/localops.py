@@ -218,7 +218,7 @@ class Run:
 
     @property
     def count(self) -> int:
-        return sum(map(len, self.ranges))
+        return sum(map(_size, self.ranges))
 
     def each_site(self):
         return itertools.chain.from_iterable(self.ranges)
@@ -236,12 +236,17 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _size(r: range) -> int:
+    """The sites of ``r``; ``len`` refuses a range of more than ``sys.maxsize`` sites."""
+    return (r[-1] - r[0]) // r.step + 1 if r else 0
+
+
 def _sitewise(matrix, ranges) -> Block | Run:
     """The one-site ``matrix`` on every site of ``ranges`` (ascending ranges,
     not all empty): a :class:`Run` on their normal form (:func:`_ranges`), or
     a :class:`Block` on a single site.  Every run is made here."""
     ranges = _ranges(ranges)
-    if len(ranges) == 1 and len(ranges[0]) == 1:
+    if len(ranges) == 1 and _size(ranges[0]) == 1:
         return Block((ranges[0][0],), matrix)
     return Run(ranges, matrix)
 
@@ -254,7 +259,7 @@ def _ranges(ranges) -> tuple[range, ...]:
     out: list[range] = []
     for r in ranges:
         for part in filter(None, (r[:1], r[1:])):
-            if out and (len(out[-1]) == 1 or part[0] - out[-1][-1] == out[-1].step):
+            if out and (_size(out[-1]) == 1 or part[0] - out[-1][-1] == out[-1].step):
                 out[-1] = range(out[-1].start, part[-1] + 1, part[0] - out[-1][-1])
             else:
                 out.append(part)
@@ -263,7 +268,7 @@ def _ranges(ranges) -> tuple[range, ...]:
 
 def _cut(r: range, site: int) -> tuple[range, range]:
     """``r`` cut into its sites below ``site`` and the rest."""
-    k = len(range(r.start, site, r.step))
+    k = _size(range(r.start, site, r.step))
     return r[:k], r[k:]
 
 
@@ -284,7 +289,7 @@ def _less(r: range, sub: range) -> list[range]:
     if not sub:
         return [r]
     k, m = (sub.start - r.start) // r.step, sub.step // r.step
-    end = k + (len(sub) - 1) * m
+    end = k + (_size(sub) - 1) * m
     # the sites between sub's: none for m = 1, one range for m = 2, else m - 1 at a time
     gaps = [r[i + 1 : i + m] for i in range(k, end, m)] if m > 2 else [r[k + 1 : end : 2]] * (m - 1)
     return [r[:k], *gaps, r[end + 1 :]]
@@ -734,7 +739,7 @@ def _split_overlaps(blocks_a, blocks_b):
 
 def _overlap_size(shared, pairs) -> tuple[int, int]:
     """``(components, sites)`` of a :func:`_split_overlaps`, counted on the runs' ranges."""
-    common = sum(len(r) for ranges, _, _ in pairs for r in ranges)
+    common = sum(_size(r) for ranges, _, _ in pairs for r in ranges)
     sites = sum(len({s for blk in x + y for s in blk.sites}) for x, y in shared)
     return len(shared) + common, sites + common
 
@@ -1159,12 +1164,13 @@ def norm(
     Intel Xeon, one BLAS thread), and refuses a larger one, naming the
     iterative route.
     Both paths first compact the sum onto its union support, which leaves
-    the norm unchanged, and read off the compacted terms once whether the
-    sum is real: every weight, scalar and block matrix with an exactly zero
-    imaginary part (:func:`_is_real`).  ``"auto"`` is a router on measured
-    speed: it takes dense only up to the crossover of the sum's dtype,
-    ``_AUTO_DENSE_DIM_COMPLEX`` (64) or ``_AUTO_DENSE_DIM_REAL`` (256), or up
-    to ``dense_cap`` when that is lower, and Lanczos above.
+    the norm unchanged, and read off its terms once whether the sum is real:
+    every weight, scalar and block matrix with an exactly zero imaginary
+    part (:func:`_is_real`); a sum whose largest term is too large is
+    refused first.  ``"auto"`` is a router on measured speed: it takes dense
+    only up to the crossover of the sum's dtype, ``_AUTO_DENSE_DIM_COMPLEX``
+    (64) or ``_AUTO_DENSE_DIM_REAL`` (256), or up to ``dense_cap`` when that
+    is lower, and Lanczos above.
     The dense path assembles the compacted sum in one ``dim x dim`` array,
     float64 for a real sum, and hands it to
     :func:`~spintail.matrices.operator_norm_dense`: ``max |eigvalsh(a)|``
@@ -1209,9 +1215,13 @@ def norm(
         w, op = s.terms[0]
         if _fits(op, dense_cap):  # a larger block falls through to the router
             return TracePoint(n, abs(w) * op.norm_exact(dense_cap))
-    terms, m = _compact_terms(s)
     d = s.site_dim
-    dtype = float if _is_real(terms) else complex
+    dtype = float if _is_real(s.terms) else complex
+    # a term's records are disjoint, so the largest term bounds the compacted size from
+    # below: past the route's cap, the checks below refuse on it, listing no site
+    least = max(sum(b.count * b.width for b in op.blocks) for _, op in s.terms)
+    cap = dense_cap if method == "dense" else ITERATIVE_STATE_CAP // 8
+    terms, m = _compact_terms(s) if _dim_within(d, least, cap) else ((), least)
     if method == "auto":
         crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
         method = "dense" if _dim_within(d, m, min(crossover, dense_cap)) else "iterative"

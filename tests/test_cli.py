@@ -236,6 +236,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("{nope")
 
+    def test_value_json_cannot_hold_is_a_config_error(self):
+        # a config given as a value is read as the JSON text it stands for
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(ALL_KINDS["norm"], schedule=np.array([2, 4])))
+        assert [p.split(" (")[0] for p in exc.value.problems] == ["config: not valid JSON"]
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_integer_too_long_for_json(self, command, tmp_path, capsys):
         # json refuses integer literals of more than 4300 digits with a ValueError
@@ -475,6 +481,138 @@ class TestOneSequenceGrammar:
         for alternatives in re.findall(r'"kind": ((?:"[\w-]+"\|?)+)', block):
             tags.update(re.findall(r'"([\w-]+)"', alternatives))
         assert tags == set(cli._SEQUENCE_KINDS)
+
+
+# The grammar's one rule, object by object: each case is a valid config, the
+# path of one object in it, and that object's required and optional keys.
+_UNIFORM = {"kind": "uniform-product", "op": "pauli1"}
+_COS_Q = {"named": "cos_q", "site": 1}
+_NORM = {"experiment": "norm", "schedule": [2, 3]}
+_SEQUENCE_SPECS = {
+    "local": ({"kind": "local", "op": {"matrix": "pauli1", "sites": [1]}}, ()),
+    "translated": ({"kind": "translated", "op": "pauli1", "offset": 1}, ("offset",)),
+    "gamma": (GAMMA_SIGMA3, ()),
+    "uniform-product": (_UNIFORM, ()),
+    "parity-product": ({"kind": "parity-product", "odd": "pauli1", "even": "pauli3"}, ()),
+    "block-product": ({"kind": "block-product", "even": "pauli1", "odd": "pauli3",
+                       "lengths": [1, 2, 3]}, ("lengths",)),
+    "half-chain": ({"kind": "half-chain", "op": "pauli3"}, ()),
+    "classical-local": ({"kind": "classical-local", "f": _COS_Q}, ()),
+    "cyclic-average": ({"kind": "cyclic-average", "f": _COS_Q}, ()),
+    "tail-shifted": ({"kind": "tail-shifted", "f": _COS_Q}, ()),
+    "sum": ({"kind": "sum", "left": _UNIFORM, "right": GAMMA_SIGMA3}, ()),
+    "product": ({"kind": "product", "left": _UNIFORM, "right": GAMMA_SIGMA3}, ()),
+    "adjoint": ({"kind": "adjoint", "inner": _UNIFORM}, ()),
+    "scale": ({"kind": "scale", "factor": [0, 0.5], "inner": _UNIFORM}, ()),
+}
+_TERMS = {"terms": [{"amplitude": [1, 0.5], "freqs": [[1, 0, 1], [2, 1, 0]]}]}
+_OBJECTS = {
+    # name: (config, path of the object, its optional keys)
+    "top_level": (dict(ALL_KINDS["norm"], method="dense", dense_cap=256, **{
+        "assert": {"max_value": 2}, "output": {"format": "json"}}), (),
+        ("method", "seed", "dense_cap", "assert", "output")),
+    "assert": (dict(ALL_KINDS["norm"], **{"assert": {
+        "classification": "bounded_nonvanishing", "series": "norm", "all_converged": True,
+        "max_value": 2}}), ("assert",), ("classification", "series", "all_converged", "max_value")),
+    "output": (dict(ALL_KINDS["norm"], output={"format": "csv", "path": "r.csv"}), ("output",),
+               ("format", "path")),
+    **{
+        f"sequence_{kind}": (dict(CLASSICAL if spec.get("f") else _NORM, sequence=spec),
+                             ("sequence",), optional)
+        for kind, (spec, optional) in _SEQUENCE_SPECS.items()
+    },
+    "local_operator": (ALL_KINDS["variance"], ("observable",), ()),
+    "probe": (dict(GAMMA_BOUND, probe={"matrix": "pauli1", "sites": [1], "label": "x"}),
+              ("probe",), ("label",)),
+    "state": (EXPECT, ("state",), ()),
+    "trig_named": (dict(CLASSICAL, probe={"named": "sin_p", "site": 2}), ("probe",), ("site",)),
+    "trig_terms": (dict(CLASSICAL, probe=_TERMS), ("probe",), ()),
+    "term": (dict(CLASSICAL, probe=_TERMS), ("probe", "terms", 0), ("freqs",)),
+}
+
+
+def _object_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def _with(cfg, path, members):
+    """A copy of ``cfg`` whose object at ``path`` sets (or, for ``...``, drops) ``members``."""
+    cfg = copy.deepcopy(cfg)
+    obj = _object_at(cfg, path)
+    for key, value in members.items():
+        if value is ...:
+            obj.pop(key)
+        else:
+            obj[key] = value
+    return cfg
+
+
+def _report(cfg):
+    report, failures = run(parse_config(cfg))
+    return emit(report, "json"), failures
+
+
+def _series(cfg):
+    return json.loads(_report(cfg)[0])["series"]
+
+
+def _problems(cfg):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(cfg)
+    return exc.value.problems
+
+
+def _one_rule_cases():
+    for name, (cfg, path, optional) in _OBJECTS.items():
+        yield pytest.param(cfg, path, "unknown", "zz", id=f"{name}-unknown")
+        for key in _object_at(cfg, path):
+            for how in (("null_optional",) if key in optional else ("null", "missing")):
+                yield pytest.param(cfg, path, how, key, id=f"{name}-{how}-{key}")
+
+
+@pytest.mark.parametrize("cfg, path, how, key", list(_one_rule_cases()))
+def test_one_rule_for_every_object(cfg, path, how, key):
+    """An unknown key is one problem at its path; a null optional key parses as
+    if absent; a required key null or missing is one problem at its path."""
+    _report(cfg)  # the case itself is valid
+    at = _dotted((*path, key))
+    if how == "unknown":
+        (problem,) = _problems(_with(cfg, path, {key: 1}))
+        assert problem.startswith(f"{at}: unknown key; ")
+        # a null member is absent, unknown or not
+        assert _report(_with(cfg, path, {key: None})) == _report(cfg)
+    elif how == "null_optional":
+        assert _report(_with(cfg, path, {key: None})) == _report(_with(cfg, path, {key: ...}))
+    else:
+        (problem,) = _problems(_with(cfg, path, {key: None if how == "null" else ...}))
+        assert problem == f"{at}: required"
+
+
+def test_nested_nulls_read_as_their_defaults():
+    # the offset reads as 0 (site N), the site as 1 and the frequencies as []
+    translated = {"kind": "translated", "op": "pauli1"}
+    for cfg, default in [
+        (dict(_NORM, sequence=dict(translated, offset=None)), dict(_NORM, sequence=translated)),
+        (dict(CLASSICAL, probe={"named": "cos_p", "site": None}),
+         dict(CLASSICAL, probe={"named": "cos_p", "site": 1})),
+        (dict(CLASSICAL, probe={"terms": [{"amplitude": 2, "freqs": None}]}),
+         dict(CLASSICAL, probe={"terms": [{"amplitude": 2, "freqs": []}]})),
+    ]:
+        assert _series(cfg) == _series(default)
+
+
+def test_echo_drops_null_members_at_every_depth():
+    cfg = dict(CLASSICAL, method=None, sequence={
+        "kind": "cyclic-average", "f": {"named": "cos_q", "site": None}, "g": None})
+    report, _ = run(parse_config(cfg))
+    assert report.meta["echo"] == dict(CLASSICAL, sequence={
+        "kind": "cyclic-average", "f": {"named": "cos_q"}})
 
 
 class TestLocalOperatorLiterals:
@@ -1046,6 +1184,14 @@ class TestMainExitCodes:
             "error: iterative norm needs state vectors of length 2**20000 "
             "(8 * 2**20000 bytes), above the cap of 134217728 bytes"
         ]
+
+    def test_volume_past_the_index_range_runs(self, tmp_path, capsys):
+        # a schedule point above sys.maxsize, where len() refuses a range of sites
+        cfg = {"experiment": "norm", "schedule": [2, 10**20],
+               "sequence": {"kind": "uniform-product", "op": "pauli1"}}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        (series,) = json.loads(capsys.readouterr().out)["series"]
+        assert [(p["n"], p["value"]) for p in series["points"]] == [(2, 1.0), (10**20, 1.0)]
 
     def test_gamma_bound_refuses_other_sequence_kinds(self, tmp_path, capsys):
         cfg = dict(

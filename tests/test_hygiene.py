@@ -9,6 +9,7 @@ are directives, so neither counts.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -143,9 +144,9 @@ EXPANDING = {"each_site", "pieces", "_pieces"}
 MAY_EXPAND = {"Run.pieces", "_pieces", "_assemble", "_compile_plan", "LocalOperator.support"}
 
 
-def _expanding_calls(tree):
-    """``(function, name)`` for each call of an expanding name, with the qualified
-    name of the function or class body making it (empty at module level)."""
+def _scoped_calls(tree):
+    """``(function, name, call)`` for each call in ``tree``, with the qualified name
+    of the function or class body making it (empty at module level)."""
     out = []
 
     def visit(node, scope):
@@ -156,12 +157,16 @@ def _expanding_calls(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "attr", getattr(func, "id", None))
-                if name in EXPANDING:
-                    out.append((".".join(scope), name))
+                out.append((".".join(scope), name, child))
             visit(child, scope)
 
     visit(tree, [])
     return out
+
+
+def _expanding_calls(tree):
+    """``(function, name)`` for each call of an expanding name."""
+    return [(fn, name) for fn, name, _ in _scoped_calls(tree) if name in EXPANDING]
 
 
 def test_runs_are_expanded_only_where_a_dense_matrix_is_built():
@@ -183,3 +188,60 @@ def test_expansion_check_catches_a_site_walk():
     ]
     assert [fn for fn, _ in _expanding_calls(tree) if fn not in MAY_EXPAND] == [
         "relabel", "Other.pieces"]
+
+
+# Every config object is read by one function, ``cli._fields``: only it tests
+# whether a value is an object and reports the keys its rows do not read.
+# ``parse_config`` refuses a non-object top level once, before any is read.
+CLI = next(path for path in SOURCES if path.name == "cli.py")
+OBJECT_READS = {("_fields", "isinstance"): 1, ("_fields", "_unknown_keys"): 1,
+                ("parse_config", "isinstance"): 1}
+
+
+def _object_reads(tree):
+    """``(function, name)`` for each call of ``_unknown_keys`` and each
+    ``isinstance`` test against ``dict``, alone or in a tuple of types."""
+    out = []
+    for fn, name, call in _scoped_calls(tree):
+        types = call.args[1:2]
+        if types and isinstance(types[0], ast.Tuple):
+            types = types[0].elts
+        if name == "_unknown_keys" or (
+            name == "isinstance" and any(getattr(t, "id", None) == "dict" for t in types)
+        ):
+            out.append((fn, name))
+    return out
+
+
+def _extra_object_reads(tree):
+    reads = Counter(_object_reads(tree))
+    return sorted(f"{fn or '<module>'} calls {name}" for (fn, name), count in reads.items()
+                  if count > OBJECT_READS.get((fn, name), 0))
+
+
+def test_config_objects_are_read_by_one_function():
+    extra = _extra_object_reads(_parse(CLI))
+    assert extra == [], f"config objects read outside cli._fields: {extra}"
+
+
+def test_object_read_check_catches_a_second_reader():
+    tree = ast.parse(
+        "def _fields(spec, rows):\n"
+        "    if not isinstance(spec, dict): return None\n"
+        "    _unknown_keys(spec, rows)\n"
+        "def parse_config(raw):\n"
+        "    if not isinstance(raw, dict): raise ValueError\n"
+        "    if isinstance(raw.get('x'), dict): pass\n"
+        "def _parse_state(spec):\n"
+        "    if isinstance(spec, (list, dict)): _unknown_keys(spec, ('rho',))\n"
+        "    return isinstance(spec, list)\n"
+    )
+    assert _object_reads(tree) == [
+        ("_fields", "isinstance"), ("_fields", "_unknown_keys"),
+        ("parse_config", "isinstance"), ("parse_config", "isinstance"),
+        ("_parse_state", "isinstance"), ("_parse_state", "_unknown_keys"),
+    ]
+    assert _extra_object_reads(tree) == [
+        "_parse_state calls _unknown_keys", "_parse_state calls isinstance",
+        "parse_config calls isinstance",
+    ]

@@ -1111,6 +1111,24 @@ def test_refusals_past_the_decimal_digit_limit_are_fast():
     assert time.perf_counter() - t0 < 1
 
 
+def test_a_sum_of_products_is_refused_without_listing_a_site(monkeypatch):
+    # one term's records bound the compacted size from below, so a sum no route
+    # holds is refused before its union support is listed
+    def walked(self):
+        raise AssertionError("a run's sites were walked")
+
+    monkeypatch.setattr(localops.Run, "each_site", walked)
+    n = 10**30
+    s = st.UniformProduct(SX).eval(n) + st.UniformProduct(SZ).eval(n)
+    iterative = rf"length 2\*\*{n} \(8 \* 2\*\*{n} bytes\)"
+    t0 = time.perf_counter()
+    for method, refusal in [("auto", iterative), ("iterative", iterative),
+                            ("dense", rf"dimension 2\*\*{n} exceeds cap 4096")]:
+        with pytest.raises(CapacityError, match=refusal):
+            st.norm(s, n, method)
+    assert time.perf_counter() - t0 < 1
+
+
 class TestKron:
     """The broadcast Kronecker product the assembler and the apply plan use."""
 

@@ -408,6 +408,24 @@ class TestSitewiseRecords:
             assert run.ranges == (range(1, n + 1),) and np.array_equal(run.matrix, m)
         with pytest.raises(st.CapacityError, match=r"dimension 2\*\*1000000000, above"):
             st.commutator(op, z.terms[0][1])
+        # past sys.maxsize sites, where len() refuses a range, range arithmetic still holds
+        n = 10**30
+        s, z, odd_z = (seq.eval(n) for seq in (
+            st.UniformProduct(SX), st.UniformProduct(SZ), st.ParityProduct(SZ, SX)))
+        ((_, op),) = s.terms
+        assert op.norm_exact() == 1 and st.norm(s, n).value == 1
+        assert st.expectation(st.product_state(RHO_MINUS), s, n) == 1
+        assert st.norm(odd_z, n).value == 1
+        assert st.gamma_pow(op, n, 12345).blocks[0].ranges == (range(1, n + 1),)
+        moved = st.gamma_pow(odd_z, n, 1).terms[0][1].blocks
+        assert [b.ranges for b in moved] == [(range(1, n, 2),), (range(2, n + 1, 2),)]
+        ((_, prod),) = st.sum_product(s, odd_z).terms
+        assert [b.ranges for b in prod.blocks] == [(range(1, n, 2),)]
+        # N/2 is a multiple of 4 here too
+        assert st.expectation(st.product_state(rho_y), st.sum_product(s, odd_z), n) == 1
+        out = st.sum_commutator(s, z)
+        assert [w for w, _ in out.terms] == [1, -1]
+        assert [got.blocks[0].ranges for _, got in out.terms] == [(range(1, n + 1),)] * 2
 
 
 class TestAverageVariance:
