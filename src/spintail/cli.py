@@ -168,10 +168,13 @@ def _raw(value, errors: _Problems, path: str):
     return value
 
 
-def _unknown_keys(spec: dict, known, errors: _Problems, prefix: str):
+def _unknown_keys(spec: dict, known, errors: _Problems, prefix: str, at: int):
+    """Report the members of ``spec`` not in ``known``, inserted at ``errors[at]``."""
+    unknown = _Problems()
     for name in spec:
         if name not in known:
-            errors.add(f"{prefix}{name}", f"unknown key; expected one of {', '.join(known)}")
+            unknown.add(f"{prefix}{name}", f"unknown key; expected one of {', '.join(known)}")
+    errors[at:at] = unknown
 
 
 def _fields(spec, errors: _Problems, path: str, rows) -> dict | None:
@@ -190,11 +193,11 @@ def _fields(spec, errors: _Problems, path: str, rows) -> dict | None:
     if callable(rows):
         rows, spec = rows(spec)
     prefix = f"{path}." if path else ""
-    _unknown_keys(spec, [row[0] for row in rows], errors, prefix)
-    values = {}
+    values, at, read = {}, len(errors), 0
     for row in rows:
         name = row[0]
         if name in spec:
+            read += 1
             try:
                 values[name] = row[1](spec[name], errors, prefix + name)
             except RecursionError:  # a sequence nested past the recursion limit
@@ -206,6 +209,8 @@ def _fields(spec, errors: _Problems, path: str, rows) -> dict | None:
         else:
             values[name] = None
             errors.add(prefix + name, "required")
+    if read < len(spec):  # a member no row reads, reported before the values' problems
+        _unknown_keys(spec, [row[0] for row in rows], errors, prefix, at)
     return values
 
 
@@ -364,19 +369,19 @@ _TERM = (("amplitude", _parse_scalar), ("freqs", _FREQS, []))
 
 
 def _parse_terms(value, errors: _Problems, path: str):
-    """The sum of a list of terms; None at the first that fails."""
+    """The sum of a list of terms; None, with every failing term's problems, if any fails."""
     if not isinstance(value, list):
         errors.add(path, "expected a list of terms")
         return None
-    out = cl.TrigObservable({})
+    terms = []
     for i, spec in enumerate(value):
         fields = _fields(spec, errors, f"{path}[{i}]", _TERM)
         read = fields is not None and None not in fields.values()
         term = errors.attempt(f"{path}[{i}]", cl.trig_term, *fields.values()) if read else None
-        if term is None:
-            return None
-        out = out + term
-    return out
+        terms.append(term)
+    if any(term is None for term in terms):
+        return None
+    return sum(terms, cl.TrigObservable({}))
 
 
 def _trig_rows(spec: dict):

@@ -1132,6 +1132,47 @@ def _hermitian_phase(plan):
     return None
 
 
+def _decoupled_norm(terms, d: int, cap: int, dtype) -> float | None:
+    """The norm of a Kronecker sum, or None when ``terms`` are not one.
+
+    The ``(w, op)`` pairs ``terms``, sorted by their ends, are swept into groups on
+    disjoint site intervals.  With two groups or more, each on an interval of at
+    most ``cap`` states (read off the ends, so no site is listed) and with no term
+    on no site, each group is assembled on its interval.  If ``phase`` times every
+    group matrix is self-adjoint, for one ``phase`` of 1 or 1j (the skew rule of
+    :func:`~spintail.matrices.is_self_adjoint`), the sum's spectrum is every sum of
+    one eigenvalue per group (Horn and Johnson, *Topics in Matrix Analysis*, 1991,
+    Thm 4.4.5), so its norm is ``max(|sum lambda_min|, |sum lambda_max|)``, taken
+    from one stacked ``eigvalsh`` per group shape.
+    """
+    ends = [op.ends for _, op in terms]
+    if () in ends:
+        return None
+    groups: list = []  # [first, last, (w, scalar, blocks) triples]
+    for i in sorted(range(len(terms)), key=ends.__getitem__):
+        (first, last), (w, op) = ends[i], terms[i]
+        if groups and first <= groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], last)
+        else:
+            groups.append([first, last, []])
+        if not _dim_within(d, groups[-1][1] - groups[-1][0] + 1, cap):
+            return None
+        groups[-1][2].append((w, op.scalar, op.blocks))
+    if len(groups) < 2:
+        return None
+    mats = [_assemble(g[2], tuple(range(g[0], g[1] + 1)), d, cap, dtype) for g in groups]
+    for phase in (1, 1j):
+        if all(is_self_adjoint(phase * m) for m in mats):
+            break
+    else:
+        return None
+    shapes: dict = {}
+    for m in mats:
+        shapes.setdefault(m.shape, []).append(phase * m)
+    eig = np.concatenate([np.linalg.eigvalsh(np.stack(ms))[:, [0, -1]] for ms in shapes.values()])
+    return max(abs(math.fsum(eig[:, 0])), abs(math.fsum(eig[:, 1])))
+
+
 def _check_state(d: int, m: int, copies: int, dtype) -> None:
     """Refuse a Krylov vector of ``copies * d**m`` amplitudes above ``ITERATIVE_STATE_CAP``."""
     nbytes = copies * np.dtype(dtype).itemsize
@@ -1199,9 +1240,17 @@ def norm(
     on the dilation.
     A single term whose blocks all fit in ``dense_cap`` is the exact product
     of its per-block dense norms, for every method; a larger one goes to the
-    router.  An iterative norm that has not converged within
-    ``ITERATIVE_MAX_ITER`` applies is reported via the ``converged`` flag,
-    never as a silent wrong answer; ``iterations`` counts the applies.
+    router.  Under ``"auto"`` only, a sum whose terms fall into two or more
+    groups on disjoint site intervals is a Kronecker sum (:func:`_decoupled_norm`):
+    when every group spans at most the dtype's crossover (or ``dense_cap``, if
+    lower), has no term on no site, and is self-adjoint up to one phase (1 or
+    1j) shared by all groups, its norm is ``max(|sum lambda_min|, |sum
+    lambda_max|)`` over the groups' extreme eigenvalues, exact at any volume,
+    with ``iterations`` 0, and traced as ``exact`` (no dense eigensolve of the
+    whole sum, no Krylov apply); every other sum keeps the route above.
+    An iterative norm that has not converged within ``ITERATIVE_MAX_ITER``
+    applies is reported via the ``converged`` flag, never as a silent wrong
+    answer; ``iterations`` counts the applies.
     """
     s = s.as_sum()
     n = check_volume(volume, s)
@@ -1217,14 +1266,19 @@ def norm(
             return TracePoint(n, abs(w) * op.norm_exact(dense_cap))
     d = s.site_dim
     dtype = float if _is_real(s.terms) else complex
+    crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
+    crossover = min(crossover, dense_cap)
+    if method == "auto":
+        value = _decoupled_norm(s.terms, d, crossover, dtype)
+        if value is not None:
+            return TracePoint(n, value)
     # a term's records are disjoint, so the largest term bounds the compacted size from
     # below: past the route's cap, the checks below refuse on it, listing no site
     least = max(sum(b.count * b.width for b in op.blocks) for _, op in s.terms)
     cap = dense_cap if method == "dense" else ITERATIVE_STATE_CAP // 8
     terms, m = _compact_terms(s) if _dim_within(d, least, cap) else ((), least)
     if method == "auto":
-        crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
-        method = "dense" if _dim_within(d, m, min(crossover, dense_cap)) else "iterative"
+        method = "dense" if _dim_within(d, m, crossover) else "iterative"
     if method == "dense":
         if not _dim_within(d, m, dense_cap):
             raise CapacityError(

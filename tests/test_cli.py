@@ -391,6 +391,20 @@ class TestParseConfig:
             parse_config(cfg)
         assert [p.split(":")[0] for p in exc.value.problems] == [field]
 
+    def test_every_bad_term_is_reported(self, tmp_path, capsys):
+        # a bad term does not hide the problems of the terms after it
+        terms = [{"freqs": [[1, 0, 1]]},
+                 {"amplitude": 1, "freqs": [[1, 0, 1]]},
+                 {"amplitude": 1, "freqs": [[0, 1, 0]]}]
+        cfg = dict(CLASSICAL, probe={"terms": terms})
+        paths = ["probe.terms[0].amplitude", "probe.terms[2]"]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert [p.split(":")[0] for p in exc.value.problems] == paths
+        assert main(["validate", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1].strip() for line in err] == paths
+
 
 # every value a JSON document can hold
 JSON_VALUES = hst.recursive(
@@ -1311,16 +1325,18 @@ def test_traced_run_records_the_shared_average(golden, cfg, spans):
     assert emit(report, "json") == (DATA / golden).read_bytes()
 
 
-# the "norm rotated s3" case of the benchmark's norm_dense workload at seed 1:
-# the shift average of one Haar-rotated sigma3, complex, so N >= 7 (dim 128)
-# is above the complex crossover and takes the Krylov route
-ROTATED_S3_NORM = {
+# the "norm rotated s1s1" case of the benchmark's norm_dense workload at seed 1:
+# the shift average of one Haar-rotated sigma1 on each of two sites, complex and
+# connected by its wrap bond, so N >= 7 (dim 128) is above the complex crossover
+# and takes the Krylov route
+_ROTATED_S1 = [
+    [[0.8869988415130227, -5.9912143413543335e-18], [0.04713534921373625, -0.45935967825774]],
+    [[0.047135349213736286, 0.45935967825774], [-0.8869988415130227, 5.90029627912415e-18]],
+]
+ROTATED_S1S1_NORM = {
     "assert": {"all_converged": True}, "experiment": "norm", "method": "auto",
     "schedule": [4, 5, 6, 7, 8, 9, 10], "seed": 1,
-    "sequence": {"kind": "gamma", "seed": {"sites": [1], "matrix": [[
-        [[0.40519838940575575, -2.2513868077373707e-18], [-0.5565442282363453, 0.7253087530423109]],
-        [[-0.5565442282363453, -0.7253087530423109], [-0.40519838940575575, 3.189722165138391e-18]],
-    ]]}},
+    "sequence": {"kind": "gamma", "seed": {"sites": [1, 2], "matrix": [_ROTATED_S1] * 2}},
 }
 
 
@@ -1330,13 +1346,13 @@ def test_traced_krylov_norms_count_as_iterative():
     # set-up must not call one
     tracer = _install_tracer()
     try:
-        run(parse_config(json.dumps(ROTATED_S3_NORM)))
+        run(parse_config(json.dumps(ROTATED_S1S1_NORM)))
     finally:
         tracer.uninstall()
     metrics = _tracing().layer_metrics(tracer.spans, tracer.counts, 1.0)
-    krylov = [n for n in ROTATED_S3_NORM["schedule"] if n >= 7]
+    krylov = [n for n in ROTATED_S1S1_NORM["schedule"] if n >= 7]
     assert metrics["localops.norm_iterative_calls"] == len(krylov)
-    assert metrics["localops.norm_dense_calls"] == len(ROTATED_S3_NORM["schedule"]) - len(krylov)
+    assert metrics["localops.norm_dense_calls"] == len(ROTATED_S1S1_NORM["schedule"]) - len(krylov)
     assert metrics["localops.norm_iterations"] > 0
 
 

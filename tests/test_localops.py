@@ -48,9 +48,18 @@ def random_two_site_average(rng):
     return st.GammaSeq.from_seed(random_block_op(rng, (1, 2)))
 
 
-def tiny_rotated_sigma3_average(rng):
-    """The rotated-sigma3 shift average scaled to norm 1e-6."""
-    return st.SeqScale(1e-6, rotated_sigma3_average(rng))
+def rotated_sigma1_sigma1_average(rng):
+    """Shift average of ``(u SX u*) (x) (u SX u*)`` on two sites for a random unitary
+    ``u``: complex and self-adjoint, with norm 1 at every volume, and connected
+    from N = 3 on by its wrap bond, so no volume splits it into decoupled groups."""
+    u, _ = np.linalg.qr(random_complex(rng, 2))
+    r = u @ SX @ u.conj().T
+    return st.GammaSeq.from_seed(st.from_site_factors({1: r, 2: r}))
+
+
+def tiny_rotated_sigma1_sigma1_average(rng):
+    """The rotated sigma1 sigma1 shift average scaled to norm 1e-6."""
+    return st.SeqScale(1e-6, rotated_sigma1_sigma1_average(rng))
 
 
 def compiled_apply(s, v, n, adjoint=False):
@@ -500,7 +509,8 @@ class TestNorm:
             st.norm(s, 7, "dense", dense_cap=16)
 
     @pytest.mark.parametrize(
-        "average", [rotated_sigma3_average, real_two_site_average, tiny_rotated_sigma3_average]
+        "average",
+        [rotated_sigma1_sigma1_average, real_two_site_average, tiny_rotated_sigma1_sigma1_average],
     )
     def test_auto_routes_on_compacted_dimension(self, average):
         seq = average(np.random.default_rng(41))
@@ -520,7 +530,7 @@ class TestNorm:
     def test_dense_cap_below_crossover_wins(self):
         # dimension 2^n is below the (complex) crossover but above the cap
         n = localops._AUTO_DENSE_DIM_COMPLEX.bit_length() - 2
-        s = rotated_sigma3_average(np.random.default_rng(42)).eval(n)
+        s = rotated_sigma1_sigma1_average(np.random.default_rng(42)).eval(n)
         auto = st.norm(s, n, dense_cap=2 ** (n - 1))
         assert auto == st.norm(s, n, "iterative") and auto.iterations > 0
         with pytest.raises(CapacityError, match="iterative"):
@@ -899,7 +909,7 @@ class TestRealArithmetic:
 
     def test_auto_crossover_follows_dtype(self):
         # dimension 128 is above the complex crossover, 256 at the real one
-        complex_sum = rotated_sigma3_average(np.random.default_rng(41)).eval(7)
+        complex_sum = rotated_sigma1_sigma1_average(np.random.default_rng(41)).eval(7)
         assert st.norm(complex_sum, 7).iterations > 0
         real_sum = real_two_site_average(np.random.default_rng(41)).eval(8)
         assert st.norm(real_sum, 8).iterations == 0
@@ -1127,6 +1137,91 @@ def test_a_sum_of_products_is_refused_without_listing_a_site(monkeypatch):
         with pytest.raises(CapacityError, match=refusal):
             st.norm(s, n, method)
     assert time.perf_counter() - t0 < 1
+
+
+@st_h.composite
+def decoupled_sums(draw):
+    """``(s, n)``: 2-4 groups of 1-3 adjacent sites, one or two sites apart, ending at N <= 10.
+    Each group holds a random block on all its sites and one on its first site,
+    real or complex, and all are self-adjoint or all anti-self-adjoint."""
+    widths = draw(st_h.lists(st_h.integers(1, 3), min_size=2, max_size=4)
+                  .filter(lambda ws: sum(ws) + len(ws) - 1 <= 10))
+    gaps = draw(st_h.lists(st_h.integers(1, 2), min_size=len(widths) - 1,
+                           max_size=len(widths) - 1))
+    if sum(widths) + sum(gaps) > 10:
+        gaps = [1] * len(gaps)
+    real, phase = draw(st_h.booleans()), draw(st_h.sampled_from([1, 1j]))
+    rng = np.random.default_rng(draw(st_h.integers(0, 2**32 - 1)))
+
+    def block(sites):
+        dim = 2 ** len(sites)
+        m = rng.normal(size=(dim, dim)) if real else random_complex(rng, dim)
+        m = m + m.conj().T if phase == 1 else m - m.conj().T
+        return st.local_operator(m, sites)
+
+    terms, first = [], draw(st_h.integers(1, 11 - sum(widths) - sum(gaps)))
+    for width, gap in zip(widths, gaps + [0]):
+        sites = tuple(range(first, first + width))
+        terms += [(rng.normal(), block(sites)), (rng.normal(), block(sites[:1]))]
+        first += width + gap
+    return st.operator_sum(terms), first - 1
+
+
+def fallback_sums():
+    """``name -> (s, n)``: complex sums that are not Kronecker sums of two or more groups
+    that are self-adjoint up to one shared phase, each with at least two terms on sites."""
+    rng = np.random.default_rng(63)
+    hermitian = [st.local_operator(random_hermitian(rng, 2), (x,)) for x in (1, 5)]
+    sigma_plus = st.local_operator(np.array([[0, 1], [0, 0]]), (3,))
+    wrap = st.from_site_factors({1: random_hermitian(rng, 2), 8: random_hermitian(rng, 2)})
+    wide = st.local_operator(random_hermitian(rng, 2**7), tuple(range(1, 8)))
+    anti = st.local_operator(1j * random_hermitian(rng, 2), (5,))
+    bond = st.local_operator(random_hermitian(rng, 4), (1, 2))
+    one = st.local_operator([[1.0]], ())
+    return {
+        "sigma_plus": (st.operator_sum([(0.5, hermitian[0]), (0.7, sigma_plus)]), 3),
+        "no_site": (st.operator_sum([(0.5, hermitian[0]), (0.7, hermitian[1]), (0.2, one)]), 5),
+        "wrap_bond": (st.operator_sum(
+            [(0.5, wrap)] + [(0.1, st.pauli_at(3, x)) for x in range(2, 8)]), 8),
+        "above_crossover": (st.operator_sum([(0.5, wide), (0.7, st.pauli_at(1, 9))]), 9),
+        "mixed_phases": (st.operator_sum([(0.5, hermitian[0]), (0.7, anti)]), 5),
+        "one_group": (st.operator_sum([(0.5, hermitian[0]), (0.7, bond)]), 3),
+    }
+
+
+class TestDecoupledNorm:
+    """``auto``'s route for a sum of groups on disjoint sites (a Kronecker sum)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(decoupled_sums())
+    def test_matches_dense(self, case):
+        s, n = case
+        # neither the dense eigensolve nor the Krylov kernel runs
+        with mock.patch.object(localops, "operator_norm_dense", side_effect=AssertionError):
+            auto = st.norm(s, n)
+        assert auto.converged and auto.iterations == 0
+        assert auto.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [64, 10**4])
+    def test_rotated_sigma3_average_past_every_cap(self, n):
+        s = rotated_sigma3_average(np.random.default_rng(62)).eval(n)
+        res = st.norm(s, n)
+        assert res.converged and res.iterations == 0
+        assert res.value == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(fallback_sums()))
+    def test_fallbacks_keep_the_router(self, name):
+        s, n = fallback_sums()[name]
+        m = len(s.support) or 1
+        route = "dense" if 2**m <= localops._AUTO_DENSE_DIM_COMPLEX else "iterative"
+        with mock.patch.object(
+            localops, "operator_norm_dense", wraps=localops.operator_norm_dense
+        ) as spy:
+            auto = st.norm(s, n)
+        assert spy.called == (route == "dense")
+        routed = st.norm(s, n, route)
+        assert auto == routed and auto.iterations == routed.iterations
+        assert (auto.iterations > 0) == (route == "iterative")
 
 
 class TestKron:
