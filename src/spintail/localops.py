@@ -80,25 +80,34 @@ ITERATIVE_BASIS = 32
 # for a complex sum and for a real one (:func:`_is_real`: every weight, scalar
 # and block with an exactly zero imaginary part); above it, and above
 # dense_cap, auto takes Lanczos.  Best-of-5 milliseconds per norm, dense vs
-# iterative (the Lanczos kernel on a, since all three sums are self-adjoint;
-# for the real seed, dense / complex kernel / float64 kernel), lowest to
-# highest over three random draws of each seed, at one OpenBLAS thread on a
-# 2-vCPU Intel Xeon VM (numpy 2.4); rows 64-256 re-timed in one run after the
-# Krylov set-up was cut (host speed drifts up to 2x: compare within a row):
+# iterative, lowest to highest over three random draws of each shift average,
+# at one OpenBLAS thread on a 2-vCPU Intel Xeon VM (numpy 2.4), with the
+# kernel testing its Ritz pairs every few applies (host speed drifts up to 2x:
+# compare within a row).  Complex: rotated sigma3 and rotated sigma1
+# sigma1 run on a, a random complex two-site seed on the dilation; real: a
+# random two-site seed that is symmetric (on a, in float64), antisymmetric (on
+# i a, complex) or neither (on the dilation, in float64):
 #
-#   dim  rotated sigma3          rotated sigma1 sigma1   real symmetric two-site
-#    64  0.39-0.40 vs 0.63-0.71  0.36-0.39 vs 0.63-0.66  0.29-0.52 / 3.5-6.2 / 2.8-4.9
-#   128  1.6-1.7   vs 0.74-0.79  1.3-1.4   vs 0.64-0.69  0.88-1.3  / 4.3-5.4 / 4.0-5.1
-#   256  8.4-8.7   vs 0.79-0.92  8.4-9.1   vs 0.85-1.1   3.4-3.5   / 5.4-11  / 4.6-8.1
-#   512  43-48     vs 1.3-1.4    44-45     vs 1.3-2.3   14-20     / 4.3-9.6 / 3.3-7.5
-#  1024  331-334   vs 1.6-1.9    335-429   vs 1.6-2.5   108-118   / 5.2-9.5 / 4.3-7.8
+#   dim  rotated sigma3        rotated sigma1 sigma1  complex two-site
+#    64  0.68-0.71 vs 0.93-1.0  0.73-0.80 vs 1.1      0.87-0.94 vs 6.5-8.4
+#   128  2.1-2.2   vs 0.90-0.96 2.2       vs 0.87-0.90 2.2-3.1  vs 4.4-10
+#   256  7.8-8.7   vs 0.67-1.1  7.6-7.8   vs 0.64-0.66 10       vs 5.6-8.8
+#   512  46-47     vs 0.88-0.94 46-49     vs 0.74-0.81 64-66    vs 7.5-11
 #
-# The complex seeds cross over between 64 and 128; the real one between 256,
-# where dense still leads the float64 kernel, and 512, where it is well past.
-# On these draws both routes agree to 2.5e-14 relative; they differ more only
-# where one start vector does not resolve a tight top pair (an earlier real
-# draw at 1024: 1.5e-10, for a pair 2.4e-10 apart).  DENSE_DIM_CAP, the
-# memory cap, is a separate limit.
+#   dim  symmetric             antisymmetric         neither
+#    64  0.32-0.36 vs 1.5-2.3  0.29-0.42 vs 1.8-2.3  0.30-0.46 vs 4.1-7.0
+#   128  0.77-1.1  vs 1.5-3.2  0.80-1.0  vs 2.1-3.0  0.84-1.0  vs 3.0-5.3
+#   256  3.0-3.1   vs 1.9-3.8  3.1       vs 2.7-3.1  3.4-3.5   vs 3.7-6.9
+#   512  14        vs 2.2-5.2  16-17     vs 3.3-4.3  17        vs 4.7-10
+#
+# At 1024 Lanczos leads by 10-300x on every seed.  The complex seeds cross over
+# between 64 and 128 (the dilation's near 256).  The real ones split by route:
+# at 256 Lanczos led on 5 of the 6 self-adjoint draws, and dense on the 3
+# dilation draws, by 1.1-2x, so the real crossover stays at 256 until one
+# crossover per route can weigh both.  On these draws both routes agree to
+# 1e-13 relative, except where one start vector does not resolve a tight top
+# pair (a symmetric draw at 1024: 2.2e-10, for a pair 2.4e-10 apart).
+# DENSE_DIM_CAP, the memory cap, is a separate limit.
 _AUTO_DENSE_DIM_COMPLEX = 64
 _AUTO_DENSE_DIM_REAL = 256
 
@@ -134,6 +143,14 @@ _FOLD_TAIL_DIM = 32
 # residual is at most this, which only matters for a sum that cancels to a
 # norm below about 1e-5 of its bound.
 _ROUNDING_RESIDUAL = 64 * float(np.finfo(float).eps)
+# Applies between two Ritz tests of the Krylov kernel, away from the tests it
+# must make.  One pass of the benchmark's norm_dense workload (seed 1: six
+# Lanczos norms at dims 512 and 1024) runs 79 applies and 22 tests with a gap
+# of 4, against 78 and 78 when every apply is tested, and its kernel time falls
+# from 7.5 to 5.6 ms (best of 15, one OpenBLAS thread, 2-vCPU Intel Xeon VM).
+# A gap of 3 is no faster (80 applies, 28 tests), nor is a schedule that
+# extrapolates the residuals' decay to place each test (78 and 26, 5.5 ms).
+_TEST_GAP = 4
 
 
 def fits_volume(support, n: int) -> bool:
@@ -1033,22 +1050,24 @@ def _power_iteration_norm(apply, dim, rng, dtype=complex):
     Lanczos with full reorthogonalization, one vector at a time: each basis
     row in turn is applied, orthogonalized against the whole basis and
     appended, so the coefficients form ``T = Q* A Q``.  It starts from one
-    random vector.  After each apply the Ritz pairs at both ends of the
-    spectrum of the applied part are tested; the residual norm of a pair
-    ``(theta, y)`` is ``||T[done:size, :done] y||``.  With ``theta`` the end
-    of larger ``|theta|``, convergence needs its residual to be at most
-    ``ITERATIVE_TOL * |theta|``, which puts ``theta`` that close to an
-    eigenvalue, or at most the rounding level of one apply once :func:`norm`
-    has scaled ``a`` to a norm bound of at most 1 (``_ROUNDING_RESIDUAL``);
-    and the other end ``theta'`` must pass the same test or be bounded below,
-    ``|theta'| + res' < |theta|``.
+    random vector.  The Ritz pairs at both ends of the spectrum of the
+    applied part are tested (an ``eigh`` of ``T[:done, :done]``) after every
+    ``_TEST_GAP``-th apply, and always before a restart, which needs the
+    Ritz vectors, at an exhausted space and at the last apply.  The residual
+    norm of a pair ``(theta, y)`` is ``||T[done:size, :done] y||``.  With
+    ``theta`` the end of larger ``|theta|``, convergence needs its residual
+    to be at most ``ITERATIVE_TOL * |theta|``, which puts ``theta`` that
+    close to an eigenvalue, or at most the rounding level of one apply once
+    :func:`norm` has scaled ``a`` to a norm bound of at most 1
+    (``_ROUNDING_RESIDUAL``); and the other end ``theta'`` must pass the
+    same test or be bounded below, ``|theta'| + res' < |theta|``.
     When the basis of ``ITERATIVE_BASIS`` vectors is full and cannot hold the
     whole space, it restarts thick (Wu and Simon, SIAM J. Matrix Anal. Appl.
     22, 2000) before the next apply: the ``(ITERATIVE_BASIS - 1) // 2`` Ritz
-    vectors of largest ``|theta|``, from either end, replace the applied
-    part, ``T`` becomes ``diag(theta)`` with the coupling rows
-    ``T[done:size, :done] Y`` of the vectors not yet applied, and no Ritz
-    vector is applied again.
+    vectors of largest ``|theta|``, from either end, of the test just before
+    it replace the applied part, ``T`` becomes ``diag(theta)`` with the
+    coupling rows ``T[done:size, :done] Y`` of the vectors not yet applied,
+    and no Ritz vector is applied again.
     A Ritz value lies inside the spectrum, so the value does not exceed the
     norm beyond rounding.  One start vector cannot resolve a cluster
     narrower than about ``ITERATIVE_TOL * |theta|``, and the value may then
@@ -1093,6 +1112,10 @@ def _power_iteration_norm(apply, dim, rng, dtype=complex):
             np.divide(w, beta, out=q[size])
             t[size, done - 1] = beta
             size += 1
+        # a restart needs the Ritz vectors, and the loop ends on an exhausted space
+        # or at the last apply: test there, and elsewhere every _TEST_GAP applies
+        if applies % _TEST_GAP and done < size != cap and applies < ITERATIVE_MAX_ITER:
+            continue
         vals, vecs = np.linalg.eigh(t[:done, :done])
         top, other = (0, -1) if abs(vals[0]) > abs(vals[-1]) else (-1, 0)
         theta = abs(float(vals[top]))
@@ -1132,18 +1155,27 @@ def _hermitian_phase(plan):
     return None
 
 
+def _moved_down(b: Block | Run, first: int) -> tuple:
+    """A block's sites, or a run's ranges, less ``first``."""
+    if isinstance(b, Run):
+        return tuple(range(r.start - first, r.stop - first, r.step) for r in b.ranges)
+    return tuple(x - first for x in b.sites)
+
+
 def _decoupled_norm(terms, d: int, cap: int, dtype) -> float | None:
     """The norm of a Kronecker sum, or None when ``terms`` are not one.
 
     The ``(w, op)`` pairs ``terms``, sorted by their ends, are swept into groups on
     disjoint site intervals.  With two groups or more, each on an interval of at
     most ``cap`` states (read off the ends, so no site is listed) and with no term
-    on no site, each group is assembled on its interval.  If ``phase`` times every
+    on no site, each distinct group is assembled on its interval once (translates
+    of one group, as in a shift average, are one group).  If ``phase`` times every
     group matrix is self-adjoint, for one ``phase`` of 1 or 1j (the skew rule of
     :func:`~spintail.matrices.is_self_adjoint`), the sum's spectrum is every sum of
     one eigenvalue per group (Horn and Johnson, *Topics in Matrix Analysis*, 1991,
-    Thm 4.4.5), so its norm is ``max(|sum lambda_min|, |sum lambda_max|)``, taken
-    from one stacked ``eigvalsh`` per group shape.
+    Thm 4.4.5), so its norm is ``max(|sum lambda_min|, |sum lambda_max|)``, the
+    extremes taken from one stacked ``eigvalsh`` per distinct group shape and
+    summed over every group by ``math.fsum``.
     """
     ends = [op.ends for _, op in terms]
     if () in ends:
@@ -1160,16 +1192,28 @@ def _decoupled_norm(terms, d: int, cap: int, dtype) -> float | None:
         groups[-1][2].append((w, op.scalar, op.blocks))
     if len(groups) < 2:
         return None
-    mats = [_assemble(g[2], tuple(range(g[0], g[1] + 1)), d, cap, dtype) for g in groups]
+    # a group's key: its width, and its weights, scalars and block matrices with
+    # their sites relative to its first; translates, as in a shift average, share it
+    keys = [
+        (last - first, tuple(
+            (w, scalar, tuple((_moved_down(b, first), id(b.matrix)) for b in blocks))
+            for w, scalar, blocks in triples
+        ))
+        for first, last, triples in groups
+    ]
+    mats = {k: _assemble(g[2], tuple(range(g[0], g[1] + 1)), d, cap, dtype)
+            for k, g in dict(zip(keys, groups)).items()}
     for phase in (1, 1j):
-        if all(is_self_adjoint(phase * m) for m in mats):
+        if all(is_self_adjoint(phase * m) for m in mats.values()):
             break
     else:
         return None
     shapes: dict = {}
-    for m in mats:
-        shapes.setdefault(m.shape, []).append(phase * m)
-    eig = np.concatenate([np.linalg.eigvalsh(np.stack(ms))[:, [0, -1]] for ms in shapes.values()])
+    for k, m in mats.items():
+        shapes.setdefault(m.shape, {})[k] = phase * m
+    extremes = {k: e for ms in shapes.values()
+                for k, e in zip(ms, np.linalg.eigvalsh(np.stack([*ms.values()]))[:, [0, -1]])}
+    eig = np.array([extremes[k] for k in keys])
     return max(abs(math.fsum(eig[:, 0])), abs(math.fsum(eig[:, 1])))
 
 

@@ -1402,6 +1402,43 @@ def test_iterative_norm_matches_oracle_property(seed, kind):
     assert res.value == pytest.approx(svd_norm(st.dense_matrix(s, n)), rel=1e-9)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st_h.integers(0, 2**32 - 1), st_h.sampled_from([1, 1j, None]), st_h.booleans(),
+       st_h.integers(6, 7))
+def test_scheduled_ritz_tests_property(seed, phase, real, n):
+    # a random two-site shift average on a (phase 1), on i a (phase 1j) or on
+    # the dilation (None), real or complex: the kernel tests its Ritz pairs only
+    # every few applies, stops within ITERATIVE_TOL of the dense norm, and,
+    # cut off before it can stop, reports a value that is still a Ritz value
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(4, 4)) if real else random_complex(rng, 4)
+    if phase is not None:
+        m = m + m.conj().T if phase == 1 else m - m.conj().T
+    s = st.GammaSeq.from_seed(st.local_operator(m, (1, 2))).eval(n)
+    dense = st.norm(s, n, "dense").value
+    phases, hermitian_phase = [], localops._hermitian_phase
+
+    def spy(plan):
+        phases.append(hermitian_phase(plan))
+        return phases[-1]
+
+    with mock.patch.object(localops, "_hermitian_phase", spy), \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        res = st.norm(s, n, "iterative")
+    assert phases == [phase] and res.converged
+    assert res.value == pytest.approx(dense, rel=localops.ITERATIVE_TOL, abs=0)
+    if res.iterations >= 20:
+        assert 2 * eigh.call_count <= res.iterations
+    with mock.patch.object(localops, "ITERATIVE_MAX_ITER", res.iterations // 2):
+        cut = st.norm(s, n, "iterative")
+        with mock.patch.object(localops, "_TEST_GAP", 1):  # a test after every apply
+            every = st.norm(s, n, "iterative")
+    assert not cut.converged and cut.iterations == res.iterations // 2
+    assert cut.value <= dense * (1 + 1e-12)
+    # the last apply is tested, so the value is the one a test after every apply gives
+    assert cut == every
+
+
 class TestValidation:
     def test_volume_must_be_positive(self):
         with pytest.raises(ContractViolation):
