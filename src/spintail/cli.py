@@ -75,7 +75,8 @@ bound violated at N in [...]``), 1 configuration or runtime error, or a bad
 command line (an unknown flag, or a flag value argparse refuses, after the
 usage message on stderr).  Identical
 (config, seed) pairs produce byte-identical JSON; wall-times go to stderr with
-SPINTAIL_VERBOSE=1.
+SPINTAIL_VERBOSE=1, each point's line ending with the route of a norm point
+(``TracePoint.route``).
 """
 
 from __future__ import annotations
@@ -788,7 +789,8 @@ def main(argv=None) -> int:
             )
         for label, rep in report.series:
             for p in rep.points:
-                print(f"[timing] {label} N={p.n}: {p.seconds:.4f}s", file=sys.stderr)
+                line = f"[timing] {label} N={p.n}: {p.seconds:.4f}s {p.route}"
+                print(line.rstrip(), file=sys.stderr)
 
     if failures:
         for f in failures:

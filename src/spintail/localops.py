@@ -982,9 +982,11 @@ def _run_plan(plan, v: np.ndarray, out: np.ndarray, scratch) -> None:
 class TracePoint:
     """One volume of a trace, the only per-point record from :func:`norm` to the
     report.  ``bound`` is the envelope or reference the value is checked against,
-    if any; ``seconds`` (wall-clock) and ``iterations`` (applies of the operator
-    the Krylov kernel runs: ``a``, ``i a`` or the dilation) never reach the
-    report and are ignored by equality."""
+    if any; ``seconds`` (wall-clock), ``iterations`` (applies of the operator
+    the Krylov kernel runs: ``a``, ``i a`` or the dilation) and ``route`` (the
+    :func:`norm` route that made the point: ``exact``, ``decoupled``, ``dense``,
+    ``lanczos-a``, ``lanczos-ia`` or ``lanczos-dilation``; empty on a point no
+    norm made) never reach the report and are ignored by equality."""
 
     n: int
     value: float
@@ -992,6 +994,7 @@ class TracePoint:
     bound: float | None = None
     seconds: float = field(default=0.0, compare=False)
     iterations: int = field(default=0, compare=False)
+    route: str = field(default="", compare=False)
 
 
 def _fits(op: LocalOperator, dense_cap) -> bool:
@@ -1162,8 +1165,8 @@ def _moved_down(b: Block | Run, first: int) -> tuple:
     return tuple(x - first for x in b.sites)
 
 
-def _decoupled_norm(terms, d: int, cap: int, dtype) -> float | None:
-    """The norm of a Kronecker sum, or None when ``terms`` are not one.
+def _decoupled_norm(terms, n: int, d: int, cap: int, dtype) -> TracePoint | None:
+    """The ``decoupled`` point of a Kronecker sum, or None when ``terms`` are not one.
 
     The ``(w, op)`` pairs ``terms``, sorted by their ends, are swept into groups on
     disjoint site intervals.  With two groups or more, each on an interval of at
@@ -1171,11 +1174,16 @@ def _decoupled_norm(terms, d: int, cap: int, dtype) -> float | None:
     on no site, each distinct group is assembled on its interval once (translates
     of one group, as in a shift average, are one group).  If ``phase`` times every
     group matrix is self-adjoint, for one ``phase`` of 1 or 1j (the skew rule of
-    :func:`~spintail.matrices.is_self_adjoint`), the sum's spectrum is every sum of
-    one eigenvalue per group (Horn and Johnson, *Topics in Matrix Analysis*, 1991,
-    Thm 4.4.5), so its norm is ``max(|sum lambda_min|, |sum lambda_max|)``, the
-    extremes taken from one stacked ``eigvalsh`` per distinct group shape and
-    summed over every group by ``math.fsum``.
+    :func:`~spintail.matrices.is_self_adjoint`) shared by all groups, the sum's
+    spectrum is every sum of one eigenvalue per group (Horn and Johnson, *Topics
+    in Matrix Analysis*, 1991, Thm 4.4.5), so its norm is
+    ``max(|sum lambda_min|, |sum lambda_max|)``, the extremes taken from one
+    stacked ``eigvalsh`` per distinct group shape and summed over every group by
+    ``math.fsum``.  That is exact at any volume, with ``iterations`` 0: no dense
+    eigensolve of the whole sum and no Krylov apply, so the benchmark's tracer
+    counts the point as ``exact``.  :func:`norm` tries this under ``"auto"``
+    only, with ``cap`` the crossover of the sum's dtype (or ``dense_cap``, if
+    lower); every other sum keeps the router.
     """
     ends = [op.ends for _, op in terms]
     if () in ends:
@@ -1214,7 +1222,8 @@ def _decoupled_norm(terms, d: int, cap: int, dtype) -> float | None:
     extremes = {k: e for ms in shapes.values()
                 for k, e in zip(ms, np.linalg.eigvalsh(np.stack([*ms.values()]))[:, [0, -1]])}
     eig = np.array([extremes[k] for k in keys])
-    return max(abs(math.fsum(eig[:, 0])), abs(math.fsum(eig[:, 1])))
+    return TracePoint(n, max(abs(math.fsum(eig[:, 0])), abs(math.fsum(eig[:, 1]))),
+                      route="decoupled")
 
 
 def _check_state(d: int, m: int, copies: int, dtype) -> None:
@@ -1227,111 +1236,62 @@ def _check_state(d: int, m: int, copies: int, dtype) -> None:
         )
 
 
-def norm(
-    s,
-    volume,
-    method: str = "auto",
-    *,
-    dense_cap: int = DENSE_DIM_CAP,
-    seed: int = 7,
-) -> TracePoint:
-    """Operator norm of a sum (or single operator), as the volume's :class:`TracePoint`.
+def _dense_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype) -> TracePoint:
+    """The ``dense`` point of the compacted ``(w, op)`` pairs ``terms`` on sites
+    ``1..m``.
 
-    ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
-    (matrix-free thick-restart Lanczos, deterministic seeded start), or
-    ``"auto"``.  Products densify each overlap component, and commutators
-    the union of their overlaps, each up to ``DENSE_DIM_CAP``;
-    :func:`sum_commutator` keeps a pair that meets on several overlaps as two
-    factored products when their union is too large to densify cheaply
-    (:func:`_keeps_factored`).  ``dense_cap`` (default 4096) caps only the
-    matrices a norm builds: ``"dense"`` accepts dimensions up to it, where the
+    It assembles them in one ``dim x dim`` array, float64 for a real sum, and
+    hands it to :func:`~spintail.matrices.operator_norm_dense`:
+    ``max |eigvalsh(a)|`` when the skew defect ``||a - a*||_F`` proves that
+    within 1e-13 relative of the norm, ``sqrt(lambda_max(a* a))`` otherwise.
+    It accepts dimensions up to ``dense_cap`` (default 4096), where the
     eigensolve took 5.5 s for a real sum and 25-30 s for a complex one (2-vCPU
     Intel Xeon, one BLAS thread), and refuses a larger one, naming the
     iterative route.
-    Both paths first compact the sum onto its union support, which leaves
-    the norm unchanged, and read off its terms once whether the sum is real:
-    every weight, scalar and block matrix with an exactly zero imaginary
-    part (:func:`_is_real`); a sum whose largest term is too large is
-    refused first.  ``"auto"`` is a router on measured speed: it takes dense
-    only up to the crossover of the sum's dtype, ``_AUTO_DENSE_DIM_COMPLEX``
-    (64) or ``_AUTO_DENSE_DIM_REAL`` (256), or up to ``dense_cap`` when that
-    is lower, and Lanczos above.
-    The dense path assembles the compacted sum in one ``dim x dim`` array,
-    float64 for a real sum, and hands it to
-    :func:`~spintail.matrices.operator_norm_dense`: ``max |eigvalsh(a)|``
-    when the skew defect ``||a - a*||_F`` proves that within 1e-13 relative
-    of the norm, ``sqrt(lambda_max(a* a))`` otherwise.  The iterative path
-    scales ``a`` exactly, by the power of two just above the bound
+    """
+    if not _dim_within(d, m, dense_cap):
+        raise CapacityError(
+            f"dense norm at dimension {_dim_text(d, m)} exceeds cap {dense_cap}; "
+            "use method='iterative'"
+        )
+    triples = [(w, op.scalar, op.blocks) for w, op in terms]
+    mat = _assemble(triples, tuple(range(1, m + 1)), d, dense_cap, dtype)
+    return TracePoint(n, operator_norm_dense(mat, dense_cap), route="dense")
+
+
+def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: int) -> TracePoint:
+    """The Krylov point of the compacted ``(w, op)`` pairs ``terms`` on sites
+    ``1..m``: matrix-free thick-restart Lanczos from a start vector seeded by
+    ``(seed, n, len(terms))``.
+
+    It scales ``a`` exactly, by the power of two just above the bound
     ``sum |w scalar| prod ||block||^count``, to a norm of at most 1, so the
     kernel's stop test is relative; the bound takes the 2-norms of the
     distinct block matrices of each shape from one stacked SVD (Frobenius
     norms in a term with a block above ``dense_cap``).  It compiles ``a``
     into an apply plan (dense windows of neighbouring terms, one GEMM per
     block on a view of the state, no transposes) and decides once, by the
-    same skew rule on each step's matrix, which operator the kernel runs:
-    ``a`` itself when every step is self-adjoint; ``i a`` when every chain's
-    lead step is anti-self-adjoint and its other steps self-adjoint (as for
-    commutators of self-adjoint sums); otherwise the self-adjoint dilation
-    ``[[0, a], [a*, 0]]`` on vectors of length ``2 dim``, whose eigenvalues
-    are the singular values of ``a`` and their negatives, for which it
-    compiles ``a*`` too.  Every array the norm builds (dense matrix, plan,
-    kernel vectors) is of the sum's dtype, except on ``i a``, which is
-    complex: a real sum there turns its plan complex once.  On every route
-    the norm is the larger ``|theta|`` of the two ends of the spectrum, from
-    one random start vector.  The path holds about 36 of the kernel's vectors
-    at its peak, and ``ITERATIVE_STATE_CAP`` bounds the bytes of one: 2**23
-    qubit states for a complex sum, 2**24 for a real one off ``i a``, halved
-    on the dilation.
-    A single term whose blocks all fit in ``dense_cap`` is the exact product
-    of its per-block dense norms, for every method; a larger one goes to the
-    router.  Under ``"auto"`` only, a sum whose terms fall into two or more
-    groups on disjoint site intervals is a Kronecker sum (:func:`_decoupled_norm`):
-    when every group spans at most the dtype's crossover (or ``dense_cap``, if
-    lower), has no term on no site, and is self-adjoint up to one phase (1 or
-    1j) shared by all groups, its norm is ``max(|sum lambda_min|, |sum
-    lambda_max|)`` over the groups' extreme eigenvalues, exact at any volume,
-    with ``iterations`` 0, and traced as ``exact`` (no dense eigensolve of the
-    whole sum, no Krylov apply); every other sum keeps the route above.
-    An iterative norm that has not converged within ``ITERATIVE_MAX_ITER``
-    applies is reported via the ``converged`` flag, never as a silent wrong
-    answer; ``iterations`` counts the applies.
+    same skew rule on each step's matrix (:func:`_hermitian_phase`), which
+    operator the kernel runs, and names it in ``route``:
+    ``lanczos-a``, on ``a`` itself, when every step is self-adjoint;
+    ``lanczos-ia``, on ``i a``, when every chain's lead step is
+    anti-self-adjoint and its other steps self-adjoint (as for commutators of
+    self-adjoint sums); otherwise ``lanczos-dilation``, on the self-adjoint
+    dilation ``[[0, a], [a*, 0]]`` on vectors of length ``2 dim``, whose
+    eigenvalues are the singular values of ``a`` and their negatives, for
+    which it compiles ``a*`` too.  Every array it builds (plan, kernel
+    vectors) is of the sum's dtype, except on ``i a``, which is complex: a
+    real sum there turns its plan complex once.  On every route the norm is
+    the larger ``|theta|`` of the two ends of the spectrum, from one random
+    start vector.  The path holds about 36 of the kernel's vectors at its
+    peak, and ``ITERATIVE_STATE_CAP`` bounds the bytes of one: 2**23 qubit
+    states for a complex sum, 2**24 for a real one off ``i a``, halved on the
+    dilation; a sum above it even in float64 on ``a`` is refused before its
+    plan is built.
+    A norm that has not converged within ``ITERATIVE_MAX_ITER`` applies is
+    reported via the ``converged`` flag, never as a silent wrong answer;
+    ``iterations`` counts the applies.
     """
-    s = s.as_sum()
-    n = check_volume(volume, s)
-    if method not in NORM_METHODS:
-        raise ContractViolation(f"unknown norm method {method!r}")
-    if seed < 0:
-        raise ContractViolation(f"norm seeds are nonnegative integers, got {seed}")
-    if s.is_zero:
-        return TracePoint(n, 0.0)
-    if len(s.terms) == 1:
-        w, op = s.terms[0]
-        if _fits(op, dense_cap):  # a larger block falls through to the router
-            return TracePoint(n, abs(w) * op.norm_exact(dense_cap))
-    d = s.site_dim
-    dtype = float if _is_real(s.terms) else complex
-    crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
-    crossover = min(crossover, dense_cap)
-    if method == "auto":
-        value = _decoupled_norm(s.terms, d, crossover, dtype)
-        if value is not None:
-            return TracePoint(n, value)
-    # a term's records are disjoint, so the largest term bounds the compacted size from
-    # below: past the route's cap, the checks below refuse on it, listing no site
-    least = max(sum(b.count * b.width for b in op.blocks) for _, op in s.terms)
-    cap = dense_cap if method == "dense" else ITERATIVE_STATE_CAP // 8
-    terms, m = _compact_terms(s) if _dim_within(d, least, cap) else ((), least)
-    if method == "auto":
-        method = "dense" if _dim_within(d, m, crossover) else "iterative"
-    if method == "dense":
-        if not _dim_within(d, m, dense_cap):
-            raise CapacityError(
-                f"dense norm at dimension {_dim_text(d, m)} exceeds cap {dense_cap}; "
-                "use method='iterative'"
-            )
-        triples = [(w, op.scalar, op.blocks) for w, op in terms]
-        mat = _assemble(triples, tuple(range(1, m + 1)), d, dense_cap, dtype)
-        return TracePoint(n, operator_norm_dense(mat, dense_cap))
     # above the cap even in float64 on a, no route fits: refuse before the plan is built
     if not _dim_within(d, m, ITERATIVE_STATE_CAP // 8):
         _check_state(d, m, 1, dtype)
@@ -1348,14 +1308,13 @@ def norm(
         )
     _check_state(d, m, 1 if phase else 2, dtype)
     dim = d**m
-    size = dim if phase else 2 * dim
     # on the dilation [[0, a], [a*, 0]], whose eigenvalues are +-sigma_i(a)
     adj = () if phase else _compile_plan(
         [(np.conj(w), op.adjoint()) for w, op in terms], m, d, dtype
     )
     chained = any(len(chain) > 1 for chain in plan + adj)
     scratch = [np.empty(dim, dtype=dtype) for _ in range(1 + chained)]
-    out = np.empty(size, dtype=dtype)
+    out = np.empty(dim if phase else 2 * dim, dtype=dtype)
 
     def apply(v):
         # the result is overwritten by the next call
@@ -1367,5 +1326,72 @@ def norm(
         return out
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    value, converged, applies = _power_iteration_norm(apply, size, rng, dtype)
-    return TracePoint(n, value / scale, converged, iterations=applies)
+    value, converged, applies = _power_iteration_norm(apply, len(out), rng, dtype)
+    route = "lanczos-a" if phase == 1 else "lanczos-ia" if phase else "lanczos-dilation"
+    return TracePoint(n, value / scale, converged, iterations=applies, route=route)
+
+
+def norm(
+    s,
+    volume,
+    method: str = "auto",
+    *,
+    dense_cap: int = DENSE_DIM_CAP,
+    seed: int = 7,
+) -> TracePoint:
+    """Operator norm of a sum (or single operator), as the volume's :class:`TracePoint`.
+
+    ``method`` is ``"dense"`` (exact eigensolve), ``"iterative"``
+    (matrix-free Lanczos, deterministic seeded start), or ``"auto"``, a
+    router on measured speed.  Products densify each overlap component, and
+    commutators the union of their overlaps, each up to ``DENSE_DIM_CAP``;
+    :func:`sum_commutator` keeps a pair that meets on several overlaps as two
+    factored products when their union is too large to densify cheaply
+    (:func:`_keeps_factored`).  ``dense_cap`` (default 4096) caps only the
+    matrices a norm builds.  The routes, in the order tried, each named in
+    the point's ``route``:
+
+    - ``exact``, for every method: the zero sum, and a single term whose
+      blocks all fit in ``dense_cap``, the product of its per-block dense
+      norms (:meth:`LocalOperator.norm_exact`); a larger one goes on.
+    - ``decoupled``, under ``"auto"`` only: a Kronecker sum
+      (:func:`_decoupled_norm`).
+    - A sum whose largest term alone is too large for the method's route is
+      refused from that term, before any site is listed.  Every other sum is
+      compacted onto its union support, which leaves the norm unchanged, and
+      read off once whether it is real: every weight, scalar and block matrix
+      with an exactly zero imaginary part (:func:`_is_real`).
+    - ``dense`` (:func:`_dense_norm`), under ``"dense"``, and under ``"auto"``
+      up to the crossover of the sum's dtype, ``_AUTO_DENSE_DIM_COMPLEX``
+      (64) or ``_AUTO_DENSE_DIM_REAL`` (256), or up to ``dense_cap`` when that
+      is lower.
+    - ``lanczos-a``, ``lanczos-ia`` or ``lanczos-dilation``
+      (:func:`_lanczos_norm`), under ``"iterative"``, and under ``"auto"``
+      above that crossover.
+    """
+    s = s.as_sum()
+    n = check_volume(volume, s)
+    if method not in NORM_METHODS:
+        raise ContractViolation(f"unknown norm method {method!r}")
+    if seed < 0:
+        raise ContractViolation(f"norm seeds are nonnegative integers, got {seed}")
+    if s.is_zero:
+        return TracePoint(n, 0.0, route="exact")
+    if len(s.terms) == 1:
+        w, op = s.terms[0]
+        if _fits(op, dense_cap):  # a larger block falls through to the router
+            return TracePoint(n, abs(w) * op.norm_exact(dense_cap), route="exact")
+    d = s.site_dim
+    dtype = float if _is_real(s.terms) else complex
+    crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
+    crossover = min(crossover, dense_cap)
+    if method == "auto" and (point := _decoupled_norm(s.terms, n, d, crossover, dtype)):
+        return point
+    # a term's records are disjoint, so the largest term bounds the compacted size from
+    # below: past the route's cap, the routes refuse on it, listing no site
+    least = max(sum(b.count * b.width for b in op.blocks) for _, op in s.terms)
+    cap = dense_cap if method == "dense" else ITERATIVE_STATE_CAP // 8
+    terms, m = _compact_terms(s) if _dim_within(d, least, cap) else ((), least)
+    if method == "dense" or method == "auto" and _dim_within(d, m, crossover):
+        return _dense_norm(terms, n, m, d, dense_cap, dtype)
+    return _lanczos_norm(terms, n, m, d, dense_cap, dtype, seed)

@@ -10,6 +10,8 @@ are equal, so comparing two trees is one command per tree and a ``diff``::
 
 Run from the root of a checkout; the package comes from its ``src``.  This is
 a script, not a test: pytest collects only ``test_*.py``.
+``tests/test_bench_cases.py::test_report_digests_unchanged`` runs it and
+compares its output with ``tests/data/report_digests.tsv``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ a pass traced by the benchmark's ``--trace 1`` tracer, whose norm metrics read
 the points ``localops.norm`` returns.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from spintail import asymptotics, classical, cli, localops, sequences, shifts, s
 from spintail.cli import parse_config, run
 from spintail.report import emit
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 try:
     import check
     import tracing
@@ -63,3 +65,18 @@ def test_traced_pass_matches_and_counts_every_norm(workload):
     assert sum(metrics[f"localops.norm_{r}_calls"] for r in routes) == norms
     assert metrics["localops.gram_applies"] == metrics["localops.norm_iterations"]
     assert metrics["localops.norm_unconverged"] == 0
+
+
+def test_report_digests_unchanged(tmp_path):
+    """Every report of benchmark seeds 1 to 3 has the bytes it had when
+    ``tests/data/report_digests.tsv`` was written by ``tests/report_digests.py``.
+
+    Regenerate that file only in a change that moves report bytes under the
+    ROADMAP's rule for intended byte changes, or in a benchmark change that
+    changes the cases.  The script runs in a child process, so it takes its
+    one BLAS thread before numpy loads, as the benchmark does.
+    """
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "report_digests.py")],
+                          capture_output=True, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "data" / "report_digests.tsv").read_bytes()

@@ -1097,7 +1097,14 @@ class TestMainExitCodes:
         for s in series:
             for p in s["points"]:
                 prefix = f"[timing] {s['label']} N={p['n']}: "
-                assert sum(line.startswith(prefix) for line in err) == 1, prefix
+                lines = [line for line in err if line.startswith(prefix)]
+                assert len(lines) == 1, prefix
+                # the seconds, then the route of a norm point; no route on any other
+                tail = lines[0][len(prefix):].split()[1:]
+                if kind == "norm":  # a shift average of a one-site seed
+                    assert tail == ["decoupled"]
+                elif kind in ("classical-decay", "expect", "variance"):
+                    assert tail == []
 
     def test_validate_ok(self, tmp_path, capsys):
         code = main(["validate", write_config(tmp_path, GAMMA_BOUND)])
