@@ -925,7 +925,12 @@ def _compile_plan(terms, m: int, d: int, dtype=complex) -> tuple[tuple[_Step, ..
     support; larger multi-block terms keep their blocks as a chain, because a
     block on sites that are not contiguous takes the slower tensordot route
     (the two one-site factors of a wrap bond {1, m} take 75 us as a chain at
-    N = 14, and 235 us as one block on {1, m}).
+    N = 14, and 235 us as one block on {1, m}).  Summed per support, terms
+    that are self-adjoint only together give one self-adjoint step, which the
+    phase rule of :func:`_hermitian_phase` reads step by step: in ``a*a`` of
+    a self-adjoint two-site average, neither ``op_i op_j`` nor ``op_j op_i``
+    is self-adjoint, but their sum on the shared support is (as one-step
+    chains they sent ``a*a`` at N = 8..10 to the dilation).
     Every step matrix is ``dtype``: windows and summed terms are assembled in
     it, and chain matrices cast once (a float keeps the real parts).
     """
@@ -974,6 +979,24 @@ def _run_plan(plan, v: np.ndarray, out: np.ndarray, scratch) -> None:
             out += src
 
 
+def _square(step: _Step) -> np.ndarray:
+    """The matrix of ``step`` as a square matrix, the one the step applies or its transpose."""
+    k = math.isqrt(step.matrix.size)
+    return step.matrix.reshape(k, k)
+
+
+def _adjoint_plan(plan):
+    """The plan of ``a*`` from the plan of ``a``: each step's square matrix
+    conjugate-transposed, in the same chains and order.  A chain's steps act
+    on disjoint sites, so they commute, and its lead step then carries the
+    conjugated weight."""
+
+    def step_adjoint(s):
+        return s._replace(matrix=np.ascontiguousarray(_square(s).conj().T).reshape(s.matrix.shape))
+
+    return tuple(tuple(map(step_adjoint, chain)) for chain in plan)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -1002,14 +1025,20 @@ def _fits(op: LocalOperator, dense_cap) -> bool:
     return all(b.matrix.shape[0] <= dense_cap for b in op.blocks)
 
 
+def _stacked(solve, mats: dict) -> dict:
+    """``{key: row}`` for the dict ``mats``, the row of ``solve`` on its matrix:
+    ``solve`` runs once per shape, on that shape's matrices stacked."""
+    shapes: dict = {}
+    for k, m in mats.items():
+        shapes.setdefault(m.shape, {})[k] = m
+    return {k: x for ms in shapes.values() for k, x in zip(ms, solve(np.stack([*ms.values()])))}
+
+
 def _norm_bound(terms, dense_cap) -> float:
     """The upper bound on the norm of the sum of the terms that :func:`norm` scales by."""
     fits = [_fits(op, dense_cap) for _, op in terms]
-    shapes: dict = {}  # shape -> {id: matrix}, each distinct matrix once
-    for b in (b for (_, op), ok in zip(terms, fits) if ok for b in op.blocks):
-        shapes.setdefault(b.matrix.shape, {})[id(b.matrix)] = b.matrix
-    two = {k: x for mats in shapes.values()
-           for k, x in zip(mats, np.linalg.svd(np.stack([*mats.values()]), compute_uv=False)[:, 0])}
+    mats = {id(b.matrix): b.matrix for (_, op), ok in zip(terms, fits) if ok for b in op.blocks}
+    two = _stacked(lambda x: np.linalg.svd(x, compute_uv=False)[:, 0], mats)
     total = 0.0
     for (w, op), ok in zip(terms, fits):
         each = (_power(float(two[id(b.matrix)] if ok else np.linalg.norm(b.matrix)), b.count)
@@ -1139,23 +1168,25 @@ def _is_real(terms) -> bool:
     )
 
 
-def _hermitian_phase(plan):
-    """``1`` when every step of ``plan`` is self-adjoint, so the sum it compiles
-    is; ``1j`` when ``1j`` times the sum is, because every chain's lead step
-    is anti-self-adjoint and its other steps self-adjoint; ``None`` otherwise.
-    A step is self-adjoint when its matrix, taken as a square matrix, passes
-    :func:`~spintail.matrices.is_self_adjoint`."""
-
-    def passes(step, phase=1):
-        k = math.isqrt(step.matrix.size)
-        return is_self_adjoint(phase * step.matrix.reshape(k, k))
-
-    if not all(passes(step) for chain in plan for step in chain[1:]):
-        return None
+def _phase(mats):
+    """``1``, or else ``1j``, when that phase times every matrix of the collection
+    ``mats`` passes :func:`~spintail.matrices.is_self_adjoint`; ``None`` when
+    neither does."""
     for phase in (1, 1j):
-        if all(passes(chain[0], phase) for chain in plan):
+        if all(is_self_adjoint(phase * m) for m in mats):
             return phase
     return None
+
+
+def _hermitian_phase(plan):
+    """The phase that makes the sum ``plan`` compiles self-adjoint, read off its
+    steps' square matrices (:func:`_square`) by :func:`_phase`: the phase of
+    the chains' lead steps when every other step is self-adjoint (``1`` when
+    every step is, ``1j`` when every lead step is anti-self-adjoint), and
+    ``None`` otherwise.  The lead step carries a chain's weight, and the
+    steps of a chain commute, so ``1j`` times the chain is then self-adjoint."""
+    rest = _phase([_square(step) for chain in plan for step in chain[1:]])
+    return _phase([_square(chain[0]) for chain in plan]) if rest == 1 else None
 
 
 def _moved_down(b: Block | Run, first: int) -> tuple:
@@ -1173,17 +1204,17 @@ def _decoupled_norm(terms, n: int, d: int, cap: int, dtype) -> TracePoint | None
     most ``cap`` states (read off the ends, so no site is listed) and with no term
     on no site, each distinct group is assembled on its interval once (translates
     of one group, as in a shift average, are one group).  If ``phase`` times every
-    group matrix is self-adjoint, for one ``phase`` of 1 or 1j (the skew rule of
-    :func:`~spintail.matrices.is_self_adjoint`) shared by all groups, the sum's
-    spectrum is every sum of one eigenvalue per group (Horn and Johnson, *Topics
-    in Matrix Analysis*, 1991, Thm 4.4.5), so its norm is
-    ``max(|sum lambda_min|, |sum lambda_max|)``, the extremes taken from one
-    stacked ``eigvalsh`` per distinct group shape and summed over every group by
-    ``math.fsum``.  That is exact at any volume, with ``iterations`` 0: no dense
-    eigensolve of the whole sum and no Krylov apply, so the benchmark's tracer
-    counts the point as ``exact``.  :func:`norm` tries this under ``"auto"``
-    only, with ``cap`` the crossover of the sum's dtype (or ``dense_cap``, if
-    lower); every other sum keeps the router.
+    group matrix is self-adjoint, for one ``phase`` of 1 or 1j shared by all
+    groups (:func:`_phase`), the sum's spectrum is every sum of one eigenvalue
+    per group (Horn and Johnson, *Topics in Matrix Analysis*, 1991, Thm 4.4.5),
+    so its norm is ``max(|sum lambda_min|, |sum lambda_max|)``, the extremes
+    taken from one stacked ``eigvalsh`` per distinct group shape
+    (:func:`_stacked`) and summed over every group by ``math.fsum``.  That is
+    exact at any volume, with ``iterations`` 0: no dense eigensolve of the
+    whole sum and no Krylov apply, so the benchmark's tracer counts the point
+    as ``exact``.  :func:`norm` tries this under ``"auto"`` only, with ``cap``
+    the crossover of the sum's dtype (or ``dense_cap``, if lower); every other
+    sum keeps the router.
     """
     ends = [op.ends for _, op in terms]
     if () in ends:
@@ -1211,16 +1242,9 @@ def _decoupled_norm(terms, n: int, d: int, cap: int, dtype) -> TracePoint | None
     ]
     mats = {k: _assemble(g[2], tuple(range(g[0], g[1] + 1)), d, cap, dtype)
             for k, g in dict(zip(keys, groups)).items()}
-    for phase in (1, 1j):
-        if all(is_self_adjoint(phase * m) for m in mats.values()):
-            break
-    else:
+    if (phase := _phase(mats.values())) is None:
         return None
-    shapes: dict = {}
-    for k, m in mats.items():
-        shapes.setdefault(m.shape, {})[k] = phase * m
-    extremes = {k: e for ms in shapes.values()
-                for k, e in zip(ms, np.linalg.eigvalsh(np.stack([*ms.values()]))[:, [0, -1]])}
+    extremes = _stacked(lambda x: np.linalg.eigvalsh(phase * x)[:, [0, -1]], mats)
     eig = np.array([extremes[k] for k in keys])
     return TracePoint(n, max(abs(math.fsum(eig[:, 0])), abs(math.fsum(eig[:, 1]))),
                       route="decoupled")
@@ -1278,10 +1302,12 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
     anti-self-adjoint and its other steps self-adjoint (as for commutators of
     self-adjoint sums); otherwise ``lanczos-dilation``, on the self-adjoint
     dilation ``[[0, a], [a*, 0]]`` on vectors of length ``2 dim``, whose
-    eigenvalues are the singular values of ``a`` and their negatives, for
-    which it compiles ``a*`` too.  Every array it builds (plan, kernel
-    vectors) is of the sum's dtype, except on ``i a``, which is complex: a
-    real sum there turns its plan complex once.  On every route the norm is
+    eigenvalues are the singular values of ``a`` and their negatives.  It
+    compiles one plan on every route: ``i a`` applies it and multiplies the
+    result by ``1j`` in place, and the dilation applies it and its adjoint
+    (:func:`_adjoint_plan`).  Every array it builds (plan, kernel vectors) is
+    of the sum's dtype, except on ``i a``, which is complex: a real sum there
+    casts its plan to complex once.  On every route the norm is
     the larger ``|theta|`` of the two ends of the spectrum, from one random
     start vector.  The path holds about 36 of the kernel's vectors at its
     peak, and ``ITERATIVE_STATE_CAP`` bounds the bytes of one: 2**23 qubit
@@ -1301,18 +1327,13 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
     phase = _hermitian_phase(plan)
     if phase == 1j:  # run on i a, which is complex whatever the dtype of a
         dtype = complex
-        plan = tuple(
-            (c[0]._replace(matrix=1j * c[0].matrix),)
-            + tuple(step._replace(matrix=step.matrix.astype(complex, copy=False)) for step in c[1:])
-            for c in plan
-        )
+        plan = tuple(tuple(s._replace(matrix=s.matrix.astype(complex, copy=False)) for s in c)
+                     for c in plan)
     _check_state(d, m, 1 if phase else 2, dtype)
     dim = d**m
     # on the dilation [[0, a], [a*, 0]], whose eigenvalues are +-sigma_i(a)
-    adj = () if phase else _compile_plan(
-        [(np.conj(w), op.adjoint()) for w, op in terms], m, d, dtype
-    )
-    chained = any(len(chain) > 1 for chain in plan + adj)
+    adj = () if phase else _adjoint_plan(plan)
+    chained = any(len(chain) > 1 for chain in plan)
     scratch = [np.empty(dim, dtype=dtype) for _ in range(1 + chained)]
     out = np.empty(dim if phase else 2 * dim, dtype=dtype)
 
@@ -1320,6 +1341,8 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
         # the result is overwritten by the next call
         if phase:
             _run_plan(plan, v, out, scratch)
+            if phase == 1j:
+                np.multiply(out, 1j, out=out)
         else:
             _run_plan(plan, v[dim:], out[:dim], scratch)
             _run_plan(adj, v[:dim], out[dim:], scratch)

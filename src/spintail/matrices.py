@@ -30,7 +30,8 @@ DENSE_DIM_CAP = 4096
 
 # is_self_adjoint holds when the skew defect ||a - a*||_F is at most this
 # multiple of max |a_ij|; operator_norm_dense then takes its self-adjoint
-# route, and localops.norm decides its Krylov route by it, step by step.
+# route.  In localops its one reader is _phase, which decides the Krylov route
+# from a plan's steps and the decoupled route's phase from its group matrices.
 _SELF_ADJOINT_RTOL = 1e-13
 
 # entries per row tile when scanning a dense matrix for its skew defect

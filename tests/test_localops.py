@@ -63,10 +63,10 @@ def tiny_rotated_sigma1_sigma1_average(rng):
 
 
 def compiled_apply(s, v, n, adjoint=False):
-    """The compiled apply plan of ``s`` (or of its adjoint) run on a flat state of
-    ``n`` sites; returns ``(plan, result)``."""
-    terms = s.adjoint().terms if adjoint else s.terms
-    plan = localops._compile_plan(terms, n, s.site_dim)
+    """The compiled apply plan of ``s`` (or the adjoint plan derived from it) run on
+    a flat state of ``n`` sites; returns ``(plan, result)``."""
+    plan = localops._compile_plan(s.terms, n, s.site_dim)
+    plan = localops._adjoint_plan(plan) if adjoint else plan
     out, scratch = np.empty_like(v), [np.empty_like(v), np.empty_like(v)]
     localops._run_plan(plan, v, out, scratch)
     return plan, out
@@ -104,15 +104,6 @@ def random_hermitian_sum(rng, supports, d=2, product_form=()):
         )
         terms.append((rng.normal(), op))
     return st.operator_sum(terms, d)
-
-
-def norm_and_plans(s, n):
-    """The iterative norm of ``s`` and the number of apply plans it compiled:
-    one on ``a`` or ``i a``, two (``a`` and ``a*``) on the dilation
-    ``[[0, a], [a*, 0]]``."""
-    with mock.patch.object(localops, "_compile_plan", wraps=localops._compile_plan) as spy:
-        res = st.norm(s, n, "iterative")
-    return res, spy.call_count
 
 
 def right_cyclic(mat):
@@ -449,6 +440,33 @@ class TestApplyPlan:
         plan, _ = compiled_apply(s, np.ones(d**n, dtype=complex), n)
         assert localops._hermitian_phase(plan) is None
 
+    def test_real_adjoint_plan_matches_dense_oracle(self):
+        # the complex plan's adjoint is test_matches_dense_oracle[adjoint_plan-*];
+        # this is the float64 plan, whose adjoint keeps its dtype.  At n = 10 the
+        # plan holds a window of neighbouring terms, the sum of two one-block
+        # terms on the wrap bond {1, 10} (a step on sites that are not
+        # contiguous), a two-block chain, and contiguous steps both folded with
+        # their tail and batched over it (tails past _FOLD_TAIL_DIM)
+        n = 10
+        rng = np.random.default_rng(84)
+        supports = [(3,), (4,), (1, n), (1, n), tuple(range(1, 6)), tuple(range(6, n + 1))]
+        terms = [(1.0, st.local_operator(rng.normal(size=(2 ** len(x),) * 2), x)) for x in supports]
+        pair = st.from_site_factors({2: rng.normal(size=(2, 2)), 9: rng.normal(size=(2, 2))})
+        s = st.operator_sum(terms + [(0.5, pair)])
+        plan = localops._compile_plan(s.terms, n, 2, float)
+        steps = [step for chain in plan for step in chain]
+        assert {len(step.shape) for step in steps if step.axes is None} == {2, 3}
+        assert any(step.axes for step in steps) and sorted(map(len, plan))[-2:] == [1, 2]
+        adjoint = localops._adjoint_plan(plan)
+        assert {step.matrix.dtype for chain in adjoint for step in chain} == {np.dtype(float)}
+        dense = st.dense_matrix(s, n).conj().T
+        for _ in range(3):
+            v = rng.normal(size=2**n)
+            out, scratch = np.empty_like(v), [np.empty_like(v), np.empty_like(v)]
+            localops._run_plan(adjoint, v, out, scratch)
+            want = dense @ v
+            assert np.abs(out - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_terms_on_one_support_merge(self):
         s = random_sum(np.random.default_rng(80), [(9, 10)] * 3 + [(4,)] * 2)
         plan, _ = compiled_apply(s, np.ones(2**10, dtype=complex), 10)
@@ -594,8 +612,8 @@ class TestNorm:
             st.GammaSeq.from_seed(st.local_operator(m, (1,))).eval(10) for m in (h, h + gap * k)
         )
         s = st.operator_sum(list(a.terms) + [(-w, op) for w, op in b.terms])
-        res, plans = norm_and_plans(s, 10)
-        assert plans == 1 and res.converged and res.iterations > 1
+        res = st.norm(s, 10, "iterative")
+        assert res.route == "lanczos-a" and res.converged and res.iterations > 1
         assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-9 + 1e-15 / gap)
 
     def test_unconverged_flag(self, monkeypatch):
@@ -642,8 +660,8 @@ class TestNorm:
             [(1.0, st.local_operator(right_cyclic(d), (1, 2, 3))) for d in (d1, d2)]
         )
         dense = st.norm(s, 3, "dense").value
-        res, plans = norm_and_plans(s, 3)
-        assert plans == 2
+        res = st.norm(s, 3, "iterative")
+        assert res.route == "lanczos-dilation"
         assert (not res.converged) or abs(res.value - dense) <= 1e-8
 
     def test_near_degenerate_top_pair(self):
@@ -678,8 +696,8 @@ class TestNorm:
                 (1e-3, st.product(cyclic, st.local_operator(h, (11,)))),
             ]
         )
-        res, plans = norm_and_plans(s, 11)
-        assert plans == 2 and res.converged
+        res = st.norm(s, 11, "iterative")
+        assert res.route == "lanczos-dilation" and res.converged
         exact = 1.0 + 1e-3 * np.linalg.eigvalsh(h)[-1]
         assert res.value == pytest.approx(exact, rel=1e-9, abs=0)
 
@@ -701,8 +719,8 @@ class TestNorm:
         u, _ = np.linalg.qr(random_complex(np.random.default_rng(38), 2))
         seed = u @ SZ @ np.diag([1.0, np.exp(1j * np.pi / 3)]) @ u.conj().T
         seq = st.GammaSeq.from_seed(st.local_operator(seed, (1,)))
-        res, plans = norm_and_plans(seq.eval(n), n)
-        assert plans == 2 and res.converged and res.iterations > 12
+        res = st.norm(seq.eval(n), n, "iterative")
+        assert res.route == "lanczos-dilation" and res.converged and res.iterations > 12
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [9, 10])
@@ -720,10 +738,11 @@ class TestNorm:
         # dimension 2: one vector and its image span the space on a, and on
         # the dilation (norm 1 + |c| for c = 0.7j) the basis is cut to its 4
         # states
-        for c, plans, expected in [(0.7, 1, np.sqrt(1.49)), (0.7j, 2, 1.7)]:
+        cases = [(0.7, "lanczos-a", np.sqrt(1.49)), (0.7j, "lanczos-dilation", 1.7)]
+        for c, route, expected in cases:
             s = st.operator_sum([(1.0, st.pauli_at(1, 1)), (c, st.pauli_at(3, 1))])
-            res, compiled = norm_and_plans(s, 1)
-            assert compiled == plans and res.converged
+            res = st.norm(s, 1, "iterative")
+            assert res.route == route and res.converged
             assert res.value == pytest.approx(expected, rel=1e-12)
 
     def test_other_end_must_converge_or_be_bounded(self):
@@ -761,21 +780,22 @@ class TestNorm:
             localops, "_compile_plan", lambda *args: compiled.append(1) or compile_plan(*args)
         )
         monkeypatch.setattr(localops, "_power_iteration_norm", counted)
-        # one plan for a Hermitian a, one for a real anti-self-adjoint a, whose
-        # float plan turns complex for i a, or one for a and one for a* on the
-        # dilation, however many times the kernel applies it
+        # one plan for a Hermitian a, for a real anti-self-adjoint a, whose
+        # float plan turns complex for i a, and for a on the dilation, which
+        # derives the plan of a* from it, however many times the kernel applies it
         real = real_two_site_average(np.random.default_rng(45)).eval(9)
         sigma1 = st.GammaSeq.from_seed(st.pauli_at(1, 1)).eval(9)
         cases = [
-            (real, 1),
-            (st.sum_commutator(real, sigma1), 1),
-            (random_two_site_average(np.random.default_rng(45)).eval(9), 2),
+            (real, "lanczos-a"),
+            (st.sum_commutator(real, sigma1), "lanczos-ia"),
+            (random_two_site_average(np.random.default_rng(45)).eval(9), "lanczos-dilation"),
         ]
-        for s, plans in cases:
+        for s, route in cases:
             compiled.clear()
             applies.clear()
             res = st.norm(s, 9, "iterative")
-            assert res.converged and len(applies) > 2 and len(compiled) == plans
+            assert res.converged and len(applies) > 2 and len(compiled) == 1
+            assert res.route == route
 
     def test_state_cap_named(self, monkeypatch):
         monkeypatch.setattr(localops, "ITERATIVE_STATE_CAP", 64)
@@ -890,8 +910,8 @@ class TestRealArithmetic:
     def test_real_dilation_runs_in_float64(self):
         seed = st.local_operator(np.random.default_rng(48).normal(size=(4, 4)), (1, 2))
         s = st.GammaSeq.from_seed(seed).eval(10)
-        (res, dtypes), (_, plans) = norm_and_basis_dtypes(s, 10), norm_and_plans(s, 10)
-        assert plans == 2 and res.converged and dtypes == {FLOAT}
+        res, dtypes = norm_and_basis_dtypes(s, 10)
+        assert res.route == "lanczos-dilation" and res.converged and dtypes == {FLOAT}
         assert res.value == pytest.approx(st.norm(s, 10, "dense").value, rel=1e-12, abs=0)
 
     def test_plan_steps_take_the_kernel_dtype(self, monkeypatch):
@@ -1410,13 +1430,13 @@ def test_iterative_norm_matches_oracle_property(seed, kind):
     supports = [(x,) for x in range(1, n + 1)] + bonds + [(1, n)]
     if kind == "general":
         s = random_sum(rng, supports, product_form=[(1, n)])
-        expected_plans = 2
     else:
         s = random_hermitian_sum(rng, supports, product_form=[(1, n)])
-        s, expected_plans = (s.scale(1j) if kind == "anti_hermitian" else s), 1
+        s = s.scale(1j) if kind == "anti_hermitian" else s
     with mock.patch.object(localops, "ITERATIVE_BASIS", 8):
-        res, plans = norm_and_plans(s, n)
-    assert plans == expected_plans and res.converged and res.iterations > 8
+        res = st.norm(s, n, "iterative")
+    route = {"hermitian": "lanczos-a", "anti_hermitian": "lanczos-ia"}.get(kind, "lanczos-dilation")
+    assert res.route == route and res.converged and res.iterations > 8
     assert res.value == pytest.approx(svd_norm(st.dense_matrix(s, n)), rel=1e-9)
 
 
@@ -1454,9 +1474,9 @@ def test_scheduled_ritz_tests_property(seed, phase, real, n):
 @pytest.mark.parametrize("n", [8, 9, 10])
 @pytest.mark.parametrize("self_adjoint", [True, False])
 def test_c_star_identity_across_routes(self_adjoint, n):
-    # ||a|| on a or the dilation, ||i a|| on i a or the dilation, and
-    # ||a* a|| = ||a||^2, each against the dense norm of a; fixed seeds, since a
-    # random draw can hold a top pair too tight for one start vector
+    # ||a|| on a or the dilation, ||i a|| on i a or the dilation, ||a*|| = ||a||
+    # and ||a* a|| = ||a||^2, each against the dense norm of a; fixed seeds,
+    # since a random draw can hold a top pair too tight for one start vector
     rng = np.random.default_rng(n)
     m = random_complex(rng, 4)
     if self_adjoint:
@@ -1465,7 +1485,7 @@ def test_c_star_identity_across_routes(self_adjoint, n):
     dense = st.norm(a, n, "dense").value
     # a* a of a non-normal a is self-adjoint, but its chains pair only as
     # adjoints, so the rule on the plan sends it to the dilation
-    cases = [(a, 1, "lanczos-a"), (a.scale(1j), 1, "lanczos-ia"),
+    cases = [(a, 1, "lanczos-a"), (a.scale(1j), 1, "lanczos-ia"), (a.adjoint(), 1, "lanczos-a"),
              (st.sum_product(a.adjoint(), a), 2, "lanczos-a")]
     for s, power, route in cases:
         res = st.norm(s, n, "iterative")
