@@ -1073,20 +1073,24 @@ def _cgs2(basis, w):
     return coeffs, float(np.linalg.norm(w))
 
 
-def _power_iteration_norm(apply, dim, rng, dtype=complex):
-    """Largest ``|eigenvalue|`` of the self-adjoint operator ``apply`` on
-    vectors of length ``dim`` and type ``dtype``, by thick-restart Lanczos.
+def _power_iteration_norm(apply, dim, rng, dtype, phase):
+    """Largest ``|eigenvalue|`` of the operator ``apply`` on vectors of length
+    ``dim`` and type ``dtype``, by thick-restart Lanczos, where ``phase`` (1 or
+    1j) times the operator is self-adjoint.  A unit phase changes neither the
+    Krylov spaces nor the absolute values of eigenvalues and residuals, so
+    ``apply`` runs as it is and the phase enters only the small eigensolves.
     For ``float`` the operator is real symmetric, and the basis, ``T`` and
     the start vector (``dim`` standard normal draws) are float64.
 
     Lanczos with full reorthogonalization, one vector at a time: each basis
     row in turn is applied, orthogonalized against the whole basis and
-    appended, so the coefficients form ``T = Q* A Q``.  It starts from one
-    random vector.  The Ritz pairs at both ends of the spectrum of the
-    applied part are tested (an ``eigh`` of ``T[:done, :done]``) after every
-    ``_TEST_GAP``-th apply, and always before a restart, which needs the
-    Ritz vectors, at an exhausted space and at the last apply.  The residual
-    norm of a pair ``(theta, y)`` is ``||T[done:size, :done] y||``.  With
+    appended, so the coefficients form ``T = Q* A Q``, and ``phase * T`` is
+    Hermitian.  It starts from one random vector.  The Ritz pairs at both
+    ends of the spectrum of the applied part are tested (an ``eigh`` of
+    ``phase * T[:done, :done]``) after every ``_TEST_GAP``-th apply, and
+    always before a restart, which needs the Ritz vectors, at an exhausted
+    space and at the last apply.  The residual norm of a pair
+    ``(theta, y)`` is ``||T[done:size, :done] y||``.  With
     ``theta`` the end of larger ``|theta|``, convergence needs its residual
     to be at most ``ITERATIVE_TOL * |theta|``, which puts ``theta`` that
     close to an eigenvalue, or at most the rounding level of one apply once
@@ -1097,9 +1101,9 @@ def _power_iteration_norm(apply, dim, rng, dtype=complex):
     whole space, it restarts thick (Wu and Simon, SIAM J. Matrix Anal. Appl.
     22, 2000) before the next apply: the ``(ITERATIVE_BASIS - 1) // 2`` Ritz
     vectors of largest ``|theta|``, from either end, of the test just before
-    it replace the applied part, ``T`` becomes ``diag(theta)`` with the
-    coupling rows ``T[done:size, :done] Y`` of the vectors not yet applied,
-    and no Ritz vector is applied again.
+    it replace the applied part, ``T`` becomes ``diag(theta / phase)`` with
+    the coupling rows ``T[done:size, :done] Y`` of the vectors not yet
+    applied, and no Ritz vector is applied again.
     A Ritz value lies inside the spectrum, so the value does not exceed the
     norm beyond rounding.  One start vector cannot resolve a cluster
     narrower than about ``ITERATIVE_TOL * |theta|``, and the value may then
@@ -1108,7 +1112,7 @@ def _power_iteration_norm(apply, dim, rng, dtype=complex):
     came back 1.5e-10 low).
     Returns ``(value, converged, applies)``.  (The name predates the Lanczos
     kernel; ``bench/tracing.py`` wraps it by name and counts the calls of
-    its first argument, so ``dtype`` comes last.)
+    its first argument, so ``apply`` comes first.)
     """
     cap = min(ITERATIVE_BASIS, dim)
     keep = (ITERATIVE_BASIS - 1) // 2
@@ -1132,7 +1136,7 @@ def _power_iteration_norm(apply, dim, rng, dtype=complex):
             for i in range(size - done):  # row by row: a block copy would overlap
                 q[keep + i] = q[done + i]
             t[:] = 0.0
-            t[:keep, :keep] = np.diag(vals[pick])
+            t[:keep, :keep] = np.diag(vals[pick] / phase)
             t[keep : keep + size - done, :keep] = coupling
             size, done = keep + size - done, keep
         w = apply(q[done])
@@ -1148,7 +1152,7 @@ def _power_iteration_norm(apply, dim, rng, dtype=complex):
         # or at the last apply: test there, and elsewhere every _TEST_GAP applies
         if applies % _TEST_GAP and done < size != cap and applies < ITERATIVE_MAX_ITER:
             continue
-        vals, vecs = np.linalg.eigh(t[:done, :done])
+        vals, vecs = np.linalg.eigh(phase * t[:done, :done])
         top, other = (0, -1) if abs(vals[0]) > abs(vals[-1]) else (-1, 0)
         theta = abs(float(vals[top]))
         best = max(best, theta)
@@ -1290,24 +1294,28 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
 
     It scales ``a`` exactly, by the power of two just above the bound
     ``sum |w scalar| prod ||block||^count``, to a norm of at most 1, so the
-    kernel's stop test is relative; the bound takes the 2-norms of the
-    distinct block matrices of each shape from one stacked SVD (Frobenius
-    norms in a term with a block above ``dense_cap``).  It compiles ``a``
-    into an apply plan (dense windows of neighbouring terms, one GEMM per
-    block on a view of the state, no transposes) and decides once, by the
-    same skew rule on each step's matrix (:func:`_hermitian_phase`), which
-    operator the kernel runs, and names it in ``route``:
+    kernel's stop test is relative and its 2-norms, which square without
+    scaling, neither overflow nor underflow (unscaled, a sum of norm 1e200 or
+    1e-200 ends its space after one apply); the bound takes the 2-norms of
+    the distinct block matrices of each shape from one stacked SVD
+    (Frobenius norms in a term with a block above ``dense_cap``).  It
+    compiles ``a`` into an apply plan (dense windows of neighbouring terms,
+    one GEMM per block on a view of the state, no transposes) and decides
+    once, by the same skew rule on each step's matrix
+    (:func:`_hermitian_phase`), which operator the kernel runs, and names it
+    in ``route``:
     ``lanczos-a``, on ``a`` itself, when every step is self-adjoint;
     ``lanczos-ia``, on ``i a``, when every chain's lead step is
     anti-self-adjoint and its other steps self-adjoint (as for commutators of
     self-adjoint sums); otherwise ``lanczos-dilation``, on the self-adjoint
     dilation ``[[0, a], [a*, 0]]`` on vectors of length ``2 dim``, whose
     eigenvalues are the singular values of ``a`` and their negatives.  It
-    compiles one plan on every route: ``i a`` applies it and multiplies the
-    result by ``1j`` in place, and the dilation applies it and its adjoint
-    (:func:`_adjoint_plan`).  Every array it builds (plan, kernel vectors) is
-    of the sum's dtype, except on ``i a``, which is complex: a real sum there
-    casts its plan to complex once.  On every route the norm is
+    compiles one plan on every route: ``i a`` applies it as it is, the phase
+    ``1j`` entering only the kernel's small eigensolves
+    (:func:`_power_iteration_norm`), and the dilation applies it and its
+    adjoint (:func:`_adjoint_plan`).  Every array it builds (plan, kernel
+    vectors) is of the sum's dtype, except on ``i a``, which is complex: a
+    real sum there casts its plan to complex once.  On every route the norm is
     the larger ``|theta|`` of the two ends of the spectrum, from one random
     start vector.  The path holds about 36 of the kernel's vectors at its
     peak, and ``ITERATIVE_STATE_CAP`` bounds the bytes of one: 2**23 qubit
@@ -1341,15 +1349,13 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
         # the result is overwritten by the next call
         if phase:
             _run_plan(plan, v, out, scratch)
-            if phase == 1j:
-                np.multiply(out, 1j, out=out)
         else:
             _run_plan(plan, v[dim:], out[:dim], scratch)
             _run_plan(adj, v[:dim], out[dim:], scratch)
         return out
 
     rng = np.random.default_rng((seed, n, len(terms)))
-    value, converged, applies = _power_iteration_norm(apply, len(out), rng, dtype)
+    value, converged, applies = _power_iteration_norm(apply, len(out), rng, dtype, phase or 1)
     route = "lanczos-a" if phase == 1 else "lanczos-ia" if phase else "lanczos-dilation"
     return TracePoint(n, value / scale, converged, iterations=applies, route=route)
 
@@ -1396,7 +1402,7 @@ def norm(
     n = check_volume(volume, s)
     if method not in NORM_METHODS:
         raise ContractViolation(f"unknown norm method {method!r}")
-    if seed < 0:
+    if not (is_integer(seed) and seed >= 0):
         raise ContractViolation(f"norm seeds are nonnegative integers, got {seed}")
     if s.is_zero:
         return TracePoint(n, 0.0, route="exact")

@@ -537,10 +537,11 @@ class TestNorm:
 
     @pytest.mark.parametrize("method", ["dense", "iterative", "auto"])
     def test_negative_seed_refused(self, method):
+        # and any seed that is not an integer, a bool included
         multi = rotated_sigma3_average(np.random.default_rng(61)).eval(5)
-        for s in (multi, st.pauli_at(1, 2)):
+        for s, seed in itertools.product((multi, st.pauli_at(1, 2)), (-3, 1.5, None, True)):
             with pytest.raises(ContractViolation, match="seed"):
-                st.norm(s, 5, method, seed=-3)
+                st.norm(s, 5, method, seed=seed)
 
     def test_dense_capacity_error_mentions_iterative(self):
         s = st.operator_sum(
@@ -753,7 +754,7 @@ class TestNorm:
             [[1.0], -(1.0 + 1e-5) + 1e-4 * np.arange(100), np.linspace(-0.5, 0.5, 200)]
         )
         value, converged, applies = localops._power_iteration_norm(
-            lambda v: diag * v, len(diag), np.random.default_rng(0)
+            lambda v: diag * v, len(diag), np.random.default_rng(0), complex, 1
         )
         assert converged and applies > localops.ITERATIVE_BASIS
         assert value == pytest.approx(1.0 + 1e-5, rel=1e-9)
@@ -829,6 +830,13 @@ class TestNorm:
         assert res.converged and res.value == pytest.approx(st.norm(raising, 4, "dense").value)
         with pytest.raises(CapacityError, match="above the cap of 256 bytes"):
             st.norm(raising.scale(1j), 4, "iterative")
+        # a real antisymmetric sum runs on i a, which is complex: dimension 16
+        # fits and 32 does not
+        flip = [(1.0, st.local_operator([[0, 1.0], [-1.0, 0]], (x,))) for x in range(1, 6)]
+        res = st.norm(st.operator_sum(flip[:4]), 4, "iterative")
+        assert res.route == "lanczos-ia" and res.value == pytest.approx(4.0, rel=1e-12)
+        with pytest.raises(CapacityError, match=r"length 32 \(512 bytes\), above the cap of 256"):
+            st.norm(st.operator_sum(flip), 5, "iterative")
 
     def test_compaction_beats_volume_cap(self):
         # union support is small, so dense works even when d^N would not
@@ -1471,26 +1479,61 @@ def test_scheduled_ritz_tests_property(seed, phase, real, n):
     assert cut == every
 
 
-@pytest.mark.parametrize("n", [8, 9, 10])
-@pytest.mark.parametrize("self_adjoint", [True, False])
-def test_c_star_identity_across_routes(self_adjoint, n):
-    # ||a|| on a or the dilation, ||i a|| on i a or the dilation, ||a*|| = ||a||
-    # and ||a* a|| = ||a||^2, each against the dense norm of a; fixed seeds,
-    # since a random draw can hold a top pair too tight for one start vector
+@pytest.mark.parametrize("real, self_adjoint, n", [
+    pytest.param(real, self_adjoint, n, id=f"{'real-' * real}{self_adjoint}-{n}")
+    for real in (False, True) for self_adjoint in (True, False) for n in (8, 9, 10)
+])
+def test_c_star_identity_across_routes(real, self_adjoint, n):
+    # ||a|| on a or the dilation, ||i a|| on i a or a, ||a*|| = ||a|| and
+    # ||a* a|| = ||a||^2, each against the dense norm of a; fixed seeds, since
+    # a random draw can hold a top pair too tight for one start vector.  A
+    # complex seed that is not self-adjoint is general, a real one
+    # antisymmetric, so that a real a runs on i a, which is complex
     rng = np.random.default_rng(n)
-    m = random_complex(rng, 4)
+    m = rng.normal(size=(4, 4)) if real else random_complex(rng, 4)
     if self_adjoint:
         m = m + m.conj().T
+    elif real:
+        m = m - m.T
     a = st.GammaSeq.from_seed(st.local_operator(m, (1, 2))).eval(n)
     dense = st.norm(a, n, "dense").value
-    # a* a of a non-normal a is self-adjoint, but its chains pair only as
-    # adjoints, so the rule on the plan sends it to the dilation
-    cases = [(a, 1, "lanczos-a"), (a.scale(1j), 1, "lanczos-ia"), (a.adjoint(), 1, "lanczos-a"),
-             (st.sum_product(a.adjoint(), a), 2, "lanczos-a")]
-    for s, power, route in cases:
-        res = st.norm(s, n, "iterative")
-        assert res.converged and res.route == (route if self_adjoint else "lanczos-dilation")
+    # routes and kernel dtypes of a, i a, a* and a* a.  a* a is self-adjoint,
+    # but when a is not, its chains pair only as adjoints, so the rule on the
+    # plan sends it to the dilation
+    a_dtype = FLOAT if real and self_adjoint else COMPLEX
+    routes = {
+        (False, True): ("lanczos-a", "lanczos-ia", "lanczos-a", "lanczos-a"),
+        (False, False): ("lanczos-dilation",) * 4,
+        (True, True): ("lanczos-a", "lanczos-ia", "lanczos-a", "lanczos-a"),
+        (True, False): ("lanczos-ia", "lanczos-a", "lanczos-ia", "lanczos-dilation"),
+    }[real, self_adjoint]
+    cases = [(a, 1, a_dtype), (a.scale(1j), 1, COMPLEX), (a.adjoint(), 1, a_dtype),
+             (st.sum_product(a.adjoint(), a), 2, FLOAT if real else COMPLEX)]
+    for (s, power, dtype), route in zip(cases, routes):
+        res, dtypes = norm_and_basis_dtypes(s, n)
+        assert res.converged and res.route == route and dtypes == {dtype}
         assert res.value == pytest.approx(dense**power, rel=localops.ITERATIVE_TOL, abs=0)
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_krylov_norm_of_huge_and_tiny_sums(factor):
+    # the kernel's 2-norms square without scaling, so it runs a scaled to a
+    # norm bound below 1: unscaled, ||a|| = 1e200 overflows them and 1e-200
+    # underflows them, and either ends the space after one apply with the
+    # Rayleigh quotient of the start vector reported as converged
+    rng = np.random.default_rng(9)
+    symmetric = rng.normal(size=(4, 4))
+    cases = [
+        (symmetric + symmetric.T, "lanczos-a"),
+        (symmetric - symmetric.T, "lanczos-ia"),
+        (random_complex(rng, 4), "lanczos-dilation"),
+    ]
+    for m, route in cases:
+        a = st.GammaSeq.from_seed(st.local_operator(m, (1, 2))).eval(8)
+        dense = st.norm(a, 8, "dense").value
+        res = st.norm(a.scale(factor), 8, "iterative")
+        assert res.converged and res.route == route and res.iterations > 2
+        assert res.value == pytest.approx(factor * dense, rel=localops.ITERATIVE_TOL, abs=0)
 
 
 class TestValidation:
