@@ -28,7 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .matrices import DENSE_DIM_CAP, adjoint, check_finite, is_self_adjoint, operator_norm_dense
+from .matrices import (
+    DENSE_DIM_CAP,
+    _unit_scale,
+    adjoint,
+    check_finite,
+    is_self_adjoint,
+    operator_norm_dense,
+)
 
 __all__ = [
     "Block",
@@ -57,11 +64,11 @@ __all__ = [
 # result of an apply, one or two dim-length scratch vectors for the apply
 # plan, and the Gram-Schmidt temporaries.  Tracemalloc at N = 14 and 16, in
 # kernel vectors, on a: real symmetric two-site shift average (which
-# restarts) 36.3 and 36.1 in complex arithmetic, 36.4 and 36.1 in float64,
+# restarts) 35.3 and 35.1 in complex arithmetic and in float64,
 # rotated sigma3 35.2 and 35.0, rotated sigma1 sigma1 (whose wrap bond is a
 # two-step chain) 36.2 and 36.0; on the dilation, the last two seeds with
 # each factor times diag(1, exp(i pi / 3)) 34.6 and 34.5, and 35.2 and 35.1,
-# and a random complex two-site average 34.7 and 34.6.  So about 4.5 GiB at
+# and a random complex two-site average 34.7 and 34.5.  So about 4.5 GiB at
 # the cap, in either dtype.
 ITERATIVE_STATE_CAP = 2**27
 # the ``method`` values :func:`norm` accepts
@@ -870,31 +877,35 @@ def sum_commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 #
 # An iterative norm applies the same sum hundreds of times, so it compiles the
 # sum once into a plan: a tuple of chains, each a tuple of steps run in order,
-# whose results are summed.  Coefficients are folded into the blocks.  On a
-# contiguous support a step is one GEMM on a view of the flat state, with no
-# transpose.
+# whose results are summed.  Coefficients are folded into the blocks.  Every
+# step is one GEMM: on a contiguous support on a view of the flat state, with no
+# transpose, and on any other support on a copy whose legs a permutation fixed
+# at compile time puts in order.
 
 
 class _Step(NamedTuple):
-    """One block of a plan: ``matrix`` applied to the ``shape`` view of a flat state.
+    """One block of a plan: the square ``matrix`` applied to the ``shape`` view of a flat state.
 
     On a contiguous support with ``lead`` states before it, ``D`` on it and
     ``tail`` after it, ``shape`` is ``(lead, D * tail)`` and ``matrix`` is
     ``kron(M, I_tail).T``, or ``shape`` is ``(lead, D, tail)`` and ``matrix``
-    is ``M``; ``axes`` is None.  On any other support ``axes`` holds the tensor
-    legs of its sites, ``shape`` is ``(d,) * m`` and ``matrix`` is ``M`` as a
-    ``(d,) * 2k`` tensor.
+    is ``M``; ``perm`` is None.  On any other support ``matrix`` is ``M``,
+    ``shape`` is ``(d,) * m`` and ``perm`` orders the state's legs: its own
+    sites' legs first, then the others in site order.
     """
 
     matrix: np.ndarray
     shape: tuple[int, ...]
-    axes: tuple[int, ...] | None
+    perm: tuple[int, ...] | None
 
 
 def _block_step(sites, mat, m, d) -> _Step:
-    k = len(sites)
-    if sites[-1] - sites[0] + 1 != k:
-        return _Step(mat.reshape((d,) * (2 * k)), (d,) * m, tuple(s - 1 for s in sites))
+    """The :class:`_Step` of the square ``mat`` on ``sites`` of a state on the
+    sites {1..m} of dimension ``d``; a permuted one when ``sites`` are not
+    contiguous."""
+    if sites[-1] - sites[0] + 1 != len(sites):
+        own = [s - 1 for s in sites]
+        return _Step(mat, (d,) * m, tuple(own + [i for i in range(m) if i not in own]))
     lead, dim, tail = d ** (sites[0] - 1), mat.shape[0], d ** (m - sites[-1])
     if tail == 1 or dim * tail <= _FOLD_TAIL_DIM:
         return _Step(_kron(mat, np.eye(tail)).T, (lead, dim * tail), None)
@@ -902,17 +913,18 @@ def _block_step(sites, mat, m, d) -> _Step:
 
 
 def _apply_block(step: _Step, src: np.ndarray, dst: np.ndarray) -> None:
-    """``dst = step src`` for flat state vectors ``src`` and ``dst``."""
-    mat, shape, axes = step
-    if axes is None:
-        if len(shape) == 2:
-            np.matmul(src.reshape(shape), mat, out=dst.reshape(shape))
-        else:
-            np.matmul(mat, src.reshape(shape), out=dst.reshape(shape))
-        return
-    k = len(axes)
-    out = np.tensordot(mat, src.reshape(shape), axes=(list(range(k, 2 * k)), list(axes)))
-    dst.reshape(shape)[...] = np.moveaxis(out, range(k), axes)
+    """``dst = step src`` for flat state vectors ``src`` and ``dst``, which are
+    distinct: a permuted step copies ``src`` into ``dst`` with the legs in
+    ``perm`` order, multiplies that by ``matrix`` and writes the product back
+    through the same permuted view of ``dst``."""
+    mat, shape, perm = step
+    if perm is not None:
+        dst.reshape(shape)[...] = src.reshape(shape).transpose(perm)
+        dst.reshape(shape).transpose(perm)[...] = (mat @ dst.reshape(len(mat), -1)).reshape(shape)
+    elif len(shape) == 2:
+        np.matmul(src.reshape(shape), mat, out=dst.reshape(shape))
+    else:
+        np.matmul(mat, src.reshape(shape), out=dst.reshape(shape))
 
 
 def _compile_plan(terms, m: int, d: int, dtype=complex) -> tuple[tuple[_Step, ...], ...]:
@@ -923,14 +935,16 @@ def _compile_plan(terms, m: int, d: int, dtype=complex) -> tuple[tuple[_Step, ..
     still spans at most ``_WINDOW_DIM`` states, and each window is assembled
     into one block on its sites.  Larger one-block terms are summed per
     support; larger multi-block terms keep their blocks as a chain, because a
-    block on sites that are not contiguous takes the slower tensordot route
-    (the two one-site factors of a wrap bond {1, m} take 75 us as a chain at
-    N = 14, and 235 us as one block on {1, m}).  Summed per support, terms
-    that are self-adjoint only together give one self-adjoint step, which the
-    phase rule of :func:`_hermitian_phase` reads step by step: in ``a*a`` of
-    a self-adjoint two-site average, neither ``op_i op_j`` nor ``op_j op_i``
-    is self-adjoint, but their sum on the shared support is (as one-step
-    chains they sent ``a*a`` at N = 8..10 to the dilation).
+    product too long to assemble needs one.  For short ones either form costs
+    about the same: the two one-site factors of a wrap bond {1, m} take 132 us
+    as a chain at N = 14 and 122 us as one permuted step on {1, m} (complex,
+    best of 5 x 100, one BLAS thread, 2-vCPU Intel Xeon).  Summed per
+    support, terms that are self-adjoint only together give one self-adjoint
+    step, which the phase rule of :func:`_hermitian_phase` reads step by
+    step: in ``a*a`` of a self-adjoint two-site average, neither
+    ``op_i op_j`` nor ``op_j op_i`` is self-adjoint, but their sum on the
+    shared support is (as one-step chains they sent ``a*a`` at N = 8..10 to
+    the dilation).
     Every step matrix is ``dtype``: windows and summed terms are assembled in
     it, and chain matrices cast once (a float keeps the real parts).
     """
@@ -979,20 +993,14 @@ def _run_plan(plan, v: np.ndarray, out: np.ndarray, scratch) -> None:
             out += src
 
 
-def _square(step: _Step) -> np.ndarray:
-    """The matrix of ``step`` as a square matrix, the one the step applies or its transpose."""
-    k = math.isqrt(step.matrix.size)
-    return step.matrix.reshape(k, k)
-
-
 def _adjoint_plan(plan):
-    """The plan of ``a*`` from the plan of ``a``: each step's square matrix
+    """The plan of ``a*`` from the plan of ``a``: each step's matrix
     conjugate-transposed, in the same chains and order.  A chain's steps act
     on disjoint sites, so they commute, and its lead step then carries the
     conjugated weight."""
 
     def step_adjoint(s):
-        return s._replace(matrix=np.ascontiguousarray(_square(s).conj().T).reshape(s.matrix.shape))
+        return s._replace(matrix=np.ascontiguousarray(s.matrix.conj().T))
 
     return tuple(tuple(map(step_adjoint, chain)) for chain in plan)
 
@@ -1184,13 +1192,13 @@ def _phase(mats):
 
 def _hermitian_phase(plan):
     """The phase that makes the sum ``plan`` compiles self-adjoint, read off its
-    steps' square matrices (:func:`_square`) by :func:`_phase`: the phase of
+    steps' matrices by :func:`_phase`: the phase of
     the chains' lead steps when every other step is self-adjoint (``1`` when
     every step is, ``1j`` when every lead step is anti-self-adjoint), and
     ``None`` otherwise.  The lead step carries a chain's weight, and the
     steps of a chain commute, so ``1j`` times the chain is then self-adjoint."""
-    rest = _phase([_square(step) for chain in plan for step in chain[1:]])
-    return _phase([_square(chain[0]) for chain in plan]) if rest == 1 else None
+    rest = _phase([step.matrix for chain in plan for step in chain[1:]])
+    return _phase([chain[0].matrix for chain in plan]) if rest == 1 else None
 
 
 def _moved_down(b: Block | Run, first: int) -> tuple:
@@ -1293,14 +1301,17 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
     ``(seed, n, len(terms))``.
 
     It scales ``a`` exactly, by the power of two just above the bound
-    ``sum |w scalar| prod ||block||^count``, to a norm of at most 1, so the
+    ``sum |w scalar| prod ||block||^count`` (at most ``2**1000``, for a
+    subnormal bound; :func:`~spintail.matrices._unit_scale`), to a norm of
+    at most 1, so the
     kernel's stop test is relative and its 2-norms, which square without
     scaling, neither overflow nor underflow (unscaled, a sum of norm 1e200 or
     1e-200 ends its space after one apply); the bound takes the 2-norms of
     the distinct block matrices of each shape from one stacked SVD
     (Frobenius norms in a term with a block above ``dense_cap``).  It
     compiles ``a`` into an apply plan (dense windows of neighbouring terms,
-    one GEMM per block on a view of the state, no transposes) and decides
+    one GEMM per block, on a view of the state or, for a block on sites that
+    are not contiguous, on a copy with the block's legs first) and decides
     once, by the same skew rule on each step's matrix
     (:func:`_hermitian_phase`), which operator the kernel runs, and names it
     in ``route``:
@@ -1329,7 +1340,7 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
     # above the cap even in float64 on a, no route fits: refuse before the plan is built
     if not _dim_within(d, m, ITERATIVE_STATE_CAP // 8):
         _check_state(d, m, 1, dtype)
-    scale = math.ldexp(1.0, -math.frexp(_norm_bound(terms, dense_cap))[1])
+    scale = _unit_scale(_norm_bound(terms, dense_cap))
     terms = [(scale * w, op) for w, op in terms]
     plan = _compile_plan(terms, m, d, dtype)
     phase = _hermitian_phase(plan)

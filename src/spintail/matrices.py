@@ -8,6 +8,8 @@ every ``localops.Block``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
@@ -76,22 +78,32 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex).conj().T
 
 
+def _unit_scale(x: float) -> float:
+    """``2**-e`` for ``e`` the exponent of ``x``, which takes ``x`` into [1/2, 1):
+    at most ``2**1000``, for a subnormal ``x``, and 1 for ``x = 0``."""
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1000))
+
+
 def _skew_defect_and_max(a: np.ndarray) -> tuple[float, float]:
-    """``(||a - a*||_F, max |a_ij|)``, accumulated over row tiles of ``a``.
+    """``(||a - a*||_F, max |a_ij|)``, over row tiles of ``a``.
 
     Each tile holds at most ``_TILE_ENTRIES`` entries, so no temporary is
-    as large as ``a``.
+    as large as ``a``.  One pass finds ``max |a_ij|``, and a second sums the
+    squares of ``a - a*`` times the :func:`_unit_scale` of that maximum, a
+    power of two, so the defect neither overflows nor underflows where ``a``
+    does not.
     """
     n = a.shape[0]
     step = max(1, _TILE_ENTRIES // n)
+    tiles = [slice(i, i + step) for i in range(0, n, step)]
+    amax = max(float(np.abs(a[t]).max()) for t in tiles)
+    scale = _unit_scale(amax)
     defect2 = 0.0
-    amax = 0.0
-    for i in range(0, n, step):
-        rows = a[i : i + step]
-        amax = max(amax, float(np.abs(rows).max()))
-        diff = rows - a[:, i : i + step].conj().T
+    for t in tiles:
+        diff = a[t] - a[:, t].conj().T
+        diff *= scale
         defect2 += float(np.vdot(diff, diff).real)
-    return float(np.sqrt(defect2)), amax
+    return math.sqrt(defect2) / scale, amax
 
 
 def is_self_adjoint(a: np.ndarray) -> bool:
@@ -115,7 +127,9 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
       ``||a - a*||_F <= _SELF_ADJOINT_RTOL * max |a_ij|``, which bounds its
       relative error by 1e-13 beyond the eigensolver's own rounding;
     * Gram: ``sqrt(lambda_max(a* a))`` by a Hermitian eigensolve of the Gram
-      product, cheaper than a full SVD.
+      product, cheaper than a full SVD.  The product squares the entries, so
+      when ``max |a_ij|`` is outside [2**-500, 2**500], ``a`` is first scaled
+      by its :func:`_unit_scale`, a power of two, and the root divided by it.
     """
     a = np.asarray(a)
     if a.dtype != np.float64:
@@ -129,8 +143,14 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
         )
     if a.dtype.kind == "c" and not np.any(a.imag):
         a = a.real
-    if is_self_adjoint(a):
+    defect, amax = _skew_defect_and_max(a)
+    if defect <= _SELF_ADJOINT_RTOL * amax:
         eig = np.linalg.eigvalsh(a)
         return float(max(abs(eig[0]), abs(eig[-1])))
+    # a scaled copy costs one more matrix; inside [2**-500, 2**500] the product
+    # stays in range (entries at most n amax**2, top eigenvalue at least amax**2)
+    scale = 1.0 if 2.0**-500 < amax < 2.0**500 else _unit_scale(amax)
+    if scale != 1.0:
+        a = scale * a
     top = np.linalg.eigvalsh(a.conj().T @ a)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.sqrt(max(top, 0.0))) / scale

@@ -7,7 +7,10 @@ per case.  The benchmark's Krylov norms all run on ``a`` itself, so the last
 lines, under the workload ``routes``, come from fixed ``norm`` configs at
 N = 9 and 10 under ``method: iterative`` that reach the other Krylov routes:
 ``i a`` of a complex and of a real antisymmetric sum, and the dilation of a
-complex and of a real sum.  Two checkouts give the same reports
+complex and of a real sum, each seed on sites [1, 2]; then ``a`` of a real
+symmetric and the dilation of a complex sum, each seed on sites [1, 6].
+Those two seeds span 64 states, so every step of their apply plans is a
+block on sites that are not contiguous.  Two checkouts give the same reports
 exactly when their outputs are equal, so comparing two trees is one command
 per tree and a ``diff``::
 
@@ -48,9 +51,9 @@ def route_cases() -> dict:
     real = rng.normal(size=(4, 4))
     general = real + 1j * rng.normal(size=(4, 4))
 
-    def average(m) -> dict:
+    def average(m, sites=(1, 2)) -> dict:
         rows = [[[float(x.real), float(x.imag)] for x in row] for row in m]
-        return {"kind": "gamma", "seed": {"matrix": rows, "sites": [1, 2]}}
+        return {"kind": "gamma", "seed": {"matrix": rows, "sites": list(sites)}}
 
     sequences = {
         "lanczos-ia complex": {"kind": "scale", "factor": [0, 1],
@@ -58,6 +61,8 @@ def route_cases() -> dict:
         "lanczos-dilation complex": average(general),
         "lanczos-dilation real": average(real),
         "lanczos-ia real": average(real - real.T),
+        "lanczos-a real on [1, 6]": average(real + real.T, (1, 6)),
+        "lanczos-dilation complex on [1, 6]": average(general, (1, 6)),
     }
     return {
         label: json.dumps({"experiment": "norm", "schedule": [9, 10], "method": "iterative",

@@ -294,8 +294,10 @@ class TestParseConfig:
             ({"matrix": ["pauli1", "pauli3"], "sites": [1, 2]},
              "variance seeds act on at most one site"),
             ({"matrix": [[0, 1], [0, 0]], "sites": [1]}, "variance seeds must be self-adjoint"),
+            # i times the identity
+            ({"matrix": [[[0, 1]]], "sites": []}, "variance seeds must be self-adjoint"),
         ],
-        ids=["two_sites", "not_hermitian"],
+        ids=["two_sites", "not_hermitian", "imaginary_identity"],
     )
     def test_variance_seed_checked_at_parse(self, observable, problem, tmp_path, capsys):
         path = write_config(tmp_path, dict(ALL_KINDS["variance"], observable=observable))

@@ -79,11 +79,14 @@ def apply_sum(s, v, n):
 
 def random_sum(rng, supports, d=2, product_form=()):
     """Random complex weights times random operators on ``supports`` (``()`` is
-    a multiple of the identity); the supports listed in ``product_form`` get
-    one random block per site."""
+    a multiple of the identity, and a tuple of site tuples the product of one
+    block on each); the supports listed in ``product_form`` get one random
+    block per site."""
     terms = []
     for sites in supports:
-        if sites in product_form:
+        if sites and isinstance(sites[0], tuple):
+            op = reduce(st.product, [random_block_op(rng, b, d) for b in sites])
+        elif sites in product_form:
             factors = st.from_site_factors({x: random_complex(rng, d) for x in sites}, site_dim=d)
             op = st.product(random_block_op(rng, (), d), factors)  # a scalar other than 1
         else:
@@ -98,6 +101,8 @@ def random_hermitian_sum(rng, supports, d=2, product_form=()):
     terms = []
     for sites in supports:
         blocks = [(x,) for x in sites] if sites in product_form else [sites]
+        if sites and isinstance(sites[0], tuple):
+            blocks = sites
         op = reduce(
             st.product,
             [st.local_operator(random_hermitian(rng, d ** len(b)), b, site_dim=d) for b in blocks],
@@ -406,6 +411,8 @@ PLAN_CASES = {
         8, 2, [(8,), (7, 8), (6, 7, 8), (5, 6, 7, 8), (4, 5, 6, 7), (3, 4, 5, 6), (2, 3, 4, 5)], ()
     ),
     "one_site_volume": (1, 2, [(1,), (1,), ()], ()),
+    # a chain of three blocks on sites that are not contiguous, each a permuted step
+    "scattered_chain": (9, 2, [((1, 4), (2, 7), (6, 9)), ((1, 4), (6, 9)), (2, 3), (5,)], ()),
 }
 
 
@@ -445,18 +452,22 @@ class TestApplyPlan:
         # this is the float64 plan, whose adjoint keeps its dtype.  At n = 10 the
         # plan holds a window of neighbouring terms, the sum of two one-block
         # terms on the wrap bond {1, 10} (a step on sites that are not
-        # contiguous), a two-block chain, and contiguous steps both folded with
-        # their tail and batched over it (tails past _FOLD_TAIL_DIM)
+        # contiguous), a two-block chain, a two-block chain of blocks on sites
+        # that are not contiguous, and contiguous steps both folded with their
+        # tail and batched over it (tails past _FOLD_TAIL_DIM)
         n = 10
         rng = np.random.default_rng(84)
         supports = [(3,), (4,), (1, n), (1, n), tuple(range(1, 6)), tuple(range(6, n + 1))]
         terms = [(1.0, st.local_operator(rng.normal(size=(2 ** len(x),) * 2), x)) for x in supports]
         pair = st.from_site_factors({2: rng.normal(size=(2, 2)), 9: rng.normal(size=(2, 2))})
-        s = st.operator_sum(terms + [(0.5, pair)])
+        scattered = st.product(st.local_operator(rng.normal(size=(4, 4)), (1, 4)),
+                               st.local_operator(rng.normal(size=(4, 4)), (6, 9)))
+        s = st.operator_sum(terms + [(0.5, pair), (-0.75, scattered)])
         plan = localops._compile_plan(s.terms, n, 2, float)
         steps = [step for chain in plan for step in chain]
-        assert {len(step.shape) for step in steps if step.axes is None} == {2, 3}
-        assert any(step.axes for step in steps) and sorted(map(len, plan))[-2:] == [1, 2]
+        assert {len(step.shape) for step in steps if step.perm is None} == {2, 3}
+        assert any(step.perm for step in steps) and sorted(map(len, plan))[-3:] == [1, 2, 2]
+        assert any(len(chain) == 2 and all(step.perm for step in chain) for chain in plan)
         adjoint = localops._adjoint_plan(plan)
         assert {step.matrix.dtype for chain in adjoint for step in chain} == {np.dtype(float)}
         dense = st.dense_matrix(s, n).conj().T
@@ -1252,6 +1263,19 @@ class TestDecoupledNorm:
         assert auto.converged and auto.route == "decoupled"
         assert auto.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        "seq, m, n", [(st.UniformProduct(SZ), 3, 8), (st.HalfChain(SX), 6, 12)],
+        ids=["uniform", "half_chain"],
+    )
+    def test_groups_of_runs(self, seq, m, n):
+        # a sitewise product is one Run per factor, so the group keys read its ranges
+        a = seq.eval(m)
+        s = a + st.gamma_pow(a, n, n // 2)
+        assert any(isinstance(b, localops.Run) for _, op in s.terms for b in op.blocks)
+        auto = st.norm(s, n)
+        assert auto.converged and auto.route == "decoupled"
+        assert auto.value == pytest.approx(st.norm(s, n, "dense").value, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n", [64, 10**4])
     def test_rotated_sigma3_average_past_every_cap(self, n):
         s = rotated_sigma3_average(np.random.default_rng(62)).eval(n)
@@ -1515,12 +1539,13 @@ def test_c_star_identity_across_routes(real, self_adjoint, n):
         assert res.value == pytest.approx(dense**power, rel=localops.ITERATIVE_TOL, abs=0)
 
 
-@pytest.mark.parametrize("factor", [1e200, 1e-200])
+@pytest.mark.parametrize("factor", [1e200, 1e-200, 1e-310])
 def test_krylov_norm_of_huge_and_tiny_sums(factor):
     # the kernel's 2-norms square without scaling, so it runs a scaled to a
     # norm bound below 1: unscaled, ||a|| = 1e200 overflows them and 1e-200
     # underflows them, and either ends the space after one apply with the
-    # Rayleigh quotient of the start vector reported as converged
+    # Rayleigh quotient of the start vector reported as converged; a
+    # subnormal bound (1e-310) takes the largest scale, 2**1000
     rng = np.random.default_rng(9)
     symmetric = rng.normal(size=(4, 4))
     cases = [
@@ -1536,6 +1561,23 @@ def test_krylov_norm_of_huge_and_tiny_sums(factor):
         assert res.value == pytest.approx(factor * dense, rel=localops.ITERATIVE_TOL, abs=0)
 
 
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_dense_norm_of_huge_and_tiny_sums(factor):
+    # the skew scan and the Gram route square the entries, so both scale a by a
+    # power of two first: unscaled, 1e200 raised LinAlgError, and at 1e-200 the
+    # scan read a defect of 0 and took the self-adjoint route, 1.153x high
+    z = random_complex(np.random.default_rng(9), 4)
+    a = st.GammaSeq.from_seed(st.local_operator(z, (1, 2))).eval(8)
+    res = st.norm(a.scale(factor), 8, "dense")
+    assert res.route == "dense"
+    assert res.value == pytest.approx(factor * st.norm(a, 8, "dense").value, rel=1e-12, abs=0)
+    block = st.local_operator(z, (1, 2))
+    assert st.local_operator(z * factor, (1, 2)).norm_exact() == pytest.approx(
+        factor * block.norm_exact(), rel=1e-12, abs=0)
+    for x in (1.7e308, 5e-324):  # the extremes of the exponent range
+        assert localops.operator_norm_dense(np.array([[0, x], [0, 0]])) == x
+
+
 class TestValidation:
     def test_volume_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -1544,6 +1586,10 @@ class TestValidation:
     def test_block_dimension_checked(self):
         with pytest.raises(ContractViolation):
             st.local_operator(np.eye(3), (1,))
+
+    def test_unknown_norm_method_refused(self):
+        with pytest.raises(ContractViolation, match="unknown norm method 'bogus'"):
+            st.norm(st.pauli_at(3, 1).as_sum(), 2, "bogus")
 
     def test_nan_rejected(self):
         bad = np.array([[np.nan, 0], [0, 1]])

@@ -67,6 +67,11 @@ class TestProductStateValidation:
         with pytest.raises(st.ContractViolation, match="positive"):
             st.product_state(bad)
 
+    def test_site_dimension_must_match_the_sum(self):
+        qutrits = st.product_state(np.eye(3) / 3)
+        with pytest.raises(st.ContractViolation, match="disagree on site dimension"):
+            st.expectation(qutrits, st.pauli_at(3, 1).as_sum(), 2)
+
 
 class TestExpectation:
     def test_identity_normalization(self):
