@@ -18,6 +18,7 @@ site ``x`` of a volume of ``N`` sites has index ``sum_x j_x * d**(N - x)``.
 from __future__ import annotations
 
 import bisect
+import cmath
 import itertools
 import math
 import operator
@@ -33,8 +34,8 @@ from .matrices import (
     _unit_scale,
     adjoint,
     check_finite,
-    is_self_adjoint,
     operator_norm_dense,
+    self_adjoint_phase,
 )
 
 __all__ = [
@@ -940,11 +941,11 @@ def _compile_plan(terms, m: int, d: int, dtype=complex) -> tuple[tuple[_Step, ..
     as a chain at N = 14 and 122 us as one permuted step on {1, m} (complex,
     best of 5 x 100, one BLAS thread, 2-vCPU Intel Xeon).  Summed per
     support, terms that are self-adjoint only together give one self-adjoint
-    step, which the phase rule of :func:`_hermitian_phase` reads step by
-    step: in ``a*a`` of a self-adjoint two-site average, neither
-    ``op_i op_j`` nor ``op_j op_i`` is self-adjoint, but their sum on the
-    shared support is (as one-step chains they sent ``a*a`` at N = 8..10 to
-    the dilation).
+    step, which the phase rule of :func:`_hermitian_phase`
+    (:func:`~spintail.matrices.self_adjoint_phase`) reads step by step: in
+    ``a*a`` of a self-adjoint two-site average, neither ``op_i op_j`` nor
+    ``op_j op_i`` is self-adjoint, but their sum on the shared support is (as
+    one-step chains they sent ``a*a`` at N = 8..10 to the dilation).
     Every step matrix is ``dtype``: windows and summed terms are assembled in
     it, and chain matrices cast once (a float keeps the real parts).
     """
@@ -1017,7 +1018,9 @@ class TracePoint:
     the Krylov kernel runs: ``a``, ``i a`` or the dilation) and ``route`` (the
     :func:`norm` route that made the point: ``exact``, ``decoupled``, ``dense``,
     ``lanczos-a``, ``lanczos-ia`` or ``lanczos-dilation``; empty on a point no
-    norm made) never reach the report and are ignored by equality."""
+    norm made) never reach the report and are ignored by equality.  A value
+    or bound that is not finite, an overflow of finite inputs, is refused,
+    naming N, so every report stays strict JSON."""
 
     n: int
     value: float
@@ -1026,6 +1029,11 @@ class TracePoint:
     seconds: float = field(default=0.0, compare=False)
     iterations: int = field(default=0, compare=False)
     route: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.value) and cmath.isfinite(self.bound or 0)):
+            raise ContractViolation(f"the point at N = {self.n} is not finite: "
+                                    f"value {self.value}, bound {self.bound}")
 
 
 def _fits(op: LocalOperator, dense_cap) -> bool:
@@ -1180,25 +1188,16 @@ def _is_real(terms) -> bool:
     )
 
 
-def _phase(mats):
-    """``1``, or else ``1j``, when that phase times every matrix of the collection
-    ``mats`` passes :func:`~spintail.matrices.is_self_adjoint`; ``None`` when
-    neither does."""
-    for phase in (1, 1j):
-        if all(is_self_adjoint(phase * m) for m in mats):
-            return phase
-    return None
-
-
 def _hermitian_phase(plan):
     """The phase that makes the sum ``plan`` compiles self-adjoint, read off its
-    steps' matrices by :func:`_phase`: the phase of
-    the chains' lead steps when every other step is self-adjoint (``1`` when
-    every step is, ``1j`` when every lead step is anti-self-adjoint), and
-    ``None`` otherwise.  The lead step carries a chain's weight, and the
-    steps of a chain commute, so ``1j`` times the chain is then self-adjoint."""
-    rest = _phase([step.matrix for chain in plan for step in chain[1:]])
-    return _phase([chain[0].matrix for chain in plan]) if rest == 1 else None
+    steps' matrices by :func:`~spintail.matrices.self_adjoint_phase`, which
+    scans each matrix in place: the phase of the chains' lead steps when every
+    other step is self-adjoint (``1`` when every step is, ``1j`` when every
+    lead step is anti-self-adjoint), and ``None`` otherwise.  The lead step
+    carries a chain's weight, and the steps of a chain commute, so ``1j``
+    times the chain is then self-adjoint."""
+    rest = self_adjoint_phase([step.matrix for chain in plan for step in chain[1:]])
+    return self_adjoint_phase([chain[0].matrix for chain in plan]) if rest == 1 else None
 
 
 def _moved_down(b: Block | Run, first: int) -> tuple:
@@ -1216,11 +1215,12 @@ def _decoupled_norm(terms, n: int, d: int, cap: int, dtype) -> TracePoint | None
     most ``cap`` states (read off the ends, so no site is listed) and with no term
     on no site, each distinct group is assembled on its interval once (translates
     of one group, as in a shift average, are one group).  If ``phase`` times every
-    group matrix is self-adjoint, for one ``phase`` of 1 or 1j shared by all
-    groups (:func:`_phase`), the sum's spectrum is every sum of one eigenvalue
-    per group (Horn and Johnson, *Topics in Matrix Analysis*, 1991, Thm 4.4.5),
-    so its norm is ``max(|sum lambda_min|, |sum lambda_max|)``, the extremes
-    taken from one stacked ``eigvalsh`` per distinct group shape
+    group matrix is self-adjoint, for one ``phase`` of 1 or 1j shared by all groups
+    (:func:`~spintail.matrices.self_adjoint_phase`, which reads each group matrix
+    in place), the sum's spectrum is every sum of one eigenvalue per group (Horn
+    and Johnson, *Topics in Matrix Analysis*, 1991, Thm 4.4.5), so its norm is
+    ``max(|sum lambda_min|, |sum lambda_max|)``, the extremes taken from one
+    stacked ``eigvalsh`` per distinct group shape
     (:func:`_stacked`) and summed over every group by ``math.fsum``.  That is
     exact at any volume, with ``iterations`` 0: no dense eigensolve of the
     whole sum and no Krylov apply, so the benchmark's tracer counts the point
@@ -1254,7 +1254,7 @@ def _decoupled_norm(terms, n: int, d: int, cap: int, dtype) -> TracePoint | None
     ]
     mats = {k: _assemble(g[2], tuple(range(g[0], g[1] + 1)), d, cap, dtype)
             for k, g in dict(zip(keys, groups)).items()}
-    if (phase := _phase(mats.values())) is None:
+    if (phase := self_adjoint_phase(mats.values())) is None:
         return None
     extremes = _stacked(lambda x: np.linalg.eigvalsh(phase * x)[:, [0, -1]], mats)
     eig = np.array([extremes[k] for k in keys])
@@ -1340,7 +1340,10 @@ def _lanczos_norm(terms, n: int, m: int, d: int, dense_cap: int, dtype, seed: in
     # above the cap even in float64 on a, no route fits: refuse before the plan is built
     if not _dim_within(d, m, ITERATIVE_STATE_CAP // 8):
         _check_state(d, m, 1, dtype)
-    scale = _unit_scale(_norm_bound(terms, dense_cap))
+    bound = _norm_bound(terms, dense_cap)
+    if not math.isfinite(bound):
+        raise ContractViolation(f"the norm bound of the sum at N = {n} is not finite: {bound}")
+    scale = _unit_scale(bound)
     terms = [(scale * w, op) for w, op in terms]
     plan = _compile_plan(terms, m, d, dtype)
     phase = _hermitian_phase(plan)
@@ -1425,13 +1428,16 @@ def norm(
     dtype = float if _is_real(s.terms) else complex
     crossover = _AUTO_DENSE_DIM_REAL if dtype is float else _AUTO_DENSE_DIM_COMPLEX
     crossover = min(crossover, dense_cap)
-    if method == "auto" and (point := _decoupled_norm(s.terms, n, d, crossover, dtype)):
-        return point
-    # a term's records are disjoint, so the largest term bounds the compacted size from
-    # below: past the route's cap, the routes refuse on it, listing no site
-    least = max(sum(b.count * b.width for b in op.blocks) for _, op in s.terms)
-    cap = dense_cap if method == "dense" else ITERATIVE_STATE_CAP // 8
-    terms, m = _compact_terms(s) if _dim_within(d, least, cap) else ((), least)
-    if method == "dense" or method == "auto" and _dim_within(d, m, crossover):
-        return _dense_norm(terms, n, m, d, dense_cap, dtype)
-    return _lanczos_norm(terms, n, m, d, dense_cap, dtype, seed)
+    # a matrix that overflows where a route assembles it is refused where it is
+    # read (matrices._phase_scan) or from its norm bound (_lanczos_norm), unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "auto" and (point := _decoupled_norm(s.terms, n, d, crossover, dtype)):
+            return point
+        # a term's records are disjoint, so the largest term bounds the compacted size
+        # from below: past the route's cap, the routes refuse on it, listing no site
+        least = max(sum(b.count * b.width for b in op.blocks) for _, op in s.terms)
+        cap = dense_cap if method == "dense" else ITERATIVE_STATE_CAP // 8
+        terms, m = _compact_terms(s) if _dim_within(d, least, cap) else ((), least)
+        if method == "dense" or method == "auto" and _dim_within(d, m, crossover):
+            return _dense_norm(terms, n, m, d, dense_cap, dtype)
+        return _lanczos_norm(terms, n, m, d, dense_cap, dtype, seed)

@@ -30,40 +30,31 @@ from .errors import CapacityError, ContractViolation
 #   4096       31                  7.0                  41
 DENSE_DIM_CAP = 4096
 
-# is_self_adjoint holds when the skew defect ||a - a*||_F is at most this
-# multiple of max |a_ij|; operator_norm_dense then takes its self-adjoint
-# route.  In localops its one reader is _phase, which decides the Krylov route
-# from a plan's steps and the decoupled route's phase from its group matrices.
+# p a, for a phase p of 1 or 1j, is self-adjoint when its defect
+# ||p a - (p a)*||_F is at most this multiple of max |a_ij|; _phase_scan is the
+# one place that compares it.  operator_norm_dense then takes its self-adjoint
+# route, and in localops self_adjoint_phase decides the Krylov route from a
+# plan's steps and the decoupled route's phase from its group matrices.
 _SELF_ADJOINT_RTOL = 1e-13
 
-# entries per row tile when scanning a dense matrix for its skew defect
+# entries per row tile when scanning a dense matrix for its defect
 _TILE_ENTRIES = 2**15
 
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
+_PAULI = {1: [[0, 1], [1, 0]], 2: [[0, -1j], [1j, 0]], 3: [[1, 0], [0, -1]], "identity": np.eye(2)}
 
 
 def pauli(kind) -> np.ndarray:
-    """Return a standard 2x2 Pauli matrix.
+    """Return a standard 2x2 Pauli matrix, a new read-only array.
 
-    ``kind`` is 1, 2, 3 or the string ``"identity"``.
+    ``kind`` is 1, 2, 3 or the string ``"identity"``, looked up in one table
+    (so ``1.0``, ``True`` and numpy integers select as the integer they equal).
     """
-    if kind == 1:
-        return _frozen(_SIGMA1)
-    if kind == 2:
-        return _frozen(_SIGMA2)
-    if kind == 3:
-        return _frozen(_SIGMA3)
-    if kind == "identity":
-        return _frozen(np.eye(2))
-    raise ContractViolation(f"unknown Pauli kind: {kind!r}")
+    try:
+        out = np.array(_PAULI[kind], dtype=complex)
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ContractViolation(f"unknown Pauli kind: {kind!r}") from None
+    out.flags.writeable = False
+    return out
 
 
 def check_finite(a: np.ndarray) -> np.ndarray:
@@ -84,32 +75,45 @@ def _unit_scale(x: float) -> float:
     return math.ldexp(1.0, min(-math.frexp(x)[1], 1000))
 
 
-def _skew_defect_and_max(a: np.ndarray) -> tuple[float, float]:
-    """``(||a - a*||_F, max |a_ij|)``, over row tiles of ``a``.
+def _phase_scan(a: np.ndarray, phase) -> tuple[bool, float]:
+    """``(phase * a is self-adjoint, max |a_ij|)`` for a square ``a`` and a
+    ``phase`` of 1 or 1j, over row tiles of ``a``.
 
+    ``phase * a`` is self-adjoint when its defect, ``||a - a*||_F`` for 1
+    and ``||a + a*||_F = ||1j a - (1j a)*||_F`` for 1j, is at most
+    ``_SELF_ADJOINT_RTOL * max |a_ij|``; no phase-scaled copy is formed.
     Each tile holds at most ``_TILE_ENTRIES`` entries, so no temporary is
-    as large as ``a``.  One pass finds ``max |a_ij|``, and a second sums the
-    squares of ``a - a*`` times the :func:`_unit_scale` of that maximum, a
-    power of two, so the defect neither overflows nor underflows where ``a``
-    does not.
+    as large as ``a``.  One pass finds ``max |a_ij|`` and refuses an entry
+    that is not finite, and a second sums the squares of the defect times
+    the :func:`_unit_scale` of that maximum, a power of two, so the defect
+    neither overflows nor underflows where ``a`` does not.
     """
     n = a.shape[0]
     step = max(1, _TILE_ENTRIES // n)
     tiles = [slice(i, i + step) for i in range(0, n, step)]
-    amax = max(float(np.abs(a[t]).max()) for t in tiles)
+    amax = 0.0
+    for t in tiles:  # numpy's max, unlike Python's, keeps a NaN, of a tile or its initial value
+        amax = float(np.abs(a[t]).max(initial=amax))
+    if not math.isfinite(amax):
+        raise ContractViolation("matrix entries must be finite (no NaN/Inf)")
     scale = _unit_scale(amax)
     defect2 = 0.0
     for t in tiles:
-        diff = a[t] - a[:, t].conj().T
+        diff = a[t] - a[:, t].conj().T if phase == 1 else a[t] + a[:, t].conj().T
         diff *= scale
         defect2 += float(np.vdot(diff, diff).real)
-    return math.sqrt(defect2) / scale, amax
+    return math.sqrt(defect2) / scale <= _SELF_ADJOINT_RTOL * amax, amax
 
 
-def is_self_adjoint(a: np.ndarray) -> bool:
-    """Whether ``||a - a*||_F <= _SELF_ADJOINT_RTOL * max |a_ij|`` for a square ``a``."""
-    defect, amax = _skew_defect_and_max(a)
-    return defect <= _SELF_ADJOINT_RTOL * amax
+def self_adjoint_phase(mats):
+    """``1``, or else ``1j``, when that phase times every matrix of the
+    collection ``mats`` is self-adjoint (:func:`_phase_scan`); ``None`` when
+    neither is.  ``mats`` is read once per phase, so it is a list or a view,
+    not an iterator."""
+    for phase in (1, 1j):
+        if all(_phase_scan(m, phase)[0] for m in mats):
+            return phase
+    return None
 
 
 def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
@@ -117,7 +121,9 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
 
     A matrix whose imaginary part is exactly zero is handled in float64, where
     the eigensolve costs about a quarter of the complex one; a float64 matrix
-    is taken as it is, with no complex copy.  Then one of two routes:
+    is taken as it is, with no complex copy.  An entry that is not finite is
+    refused by the scan of :func:`_phase_scan`, before any eigensolve.  Then
+    one of two routes:
 
     * self-adjoint: ``max(|lambda_min|, |lambda_max|)`` of ``eigvalsh(a)``,
       with no Gram product.  ``eigvalsh`` reads only the lower triangle, so it
@@ -143,8 +149,8 @@ def operator_norm_dense(a: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> float:
         )
     if a.dtype.kind == "c" and not np.any(a.imag):
         a = a.real
-    defect, amax = _skew_defect_and_max(a)
-    if defect <= _SELF_ADJOINT_RTOL * amax:
+    self_adjoint, amax = _phase_scan(a, 1)
+    if self_adjoint:
         eig = np.linalg.eigvalsh(a)
         return float(max(abs(eig[0]), abs(eig[-1])))
     # a scaled copy costs one more matrix; inside [2**-500, 2**500] the product

@@ -9,6 +9,7 @@ density matrix is never formed outside test oracles.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,8 @@ def expectation(state: ProductState, s: OperatorSum, volume) -> complex:
         for blk in op.blocks:
             val *= _power(_block_expectation(blk, state.rho, state.site_dim), blk.count)
         total += val
+    if not cmath.isfinite(total):
+        raise ContractViolation(f"the state value of the sum is not finite: {total}")
     return total
 
 

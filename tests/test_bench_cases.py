@@ -8,6 +8,7 @@ a pass traced by the benchmark's ``--trace 1`` tracer, whose norm metrics read
 the points ``localops.norm`` returns.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,28 @@ def test_traced_pass_matches_and_counts_every_norm(workload):
     assert sum(metrics[f"localops.norm_{r}_calls"] for r in routes) == norms
     assert metrics["localops.gram_applies"] == metrics["localops.norm_iterations"]
     assert metrics["localops.norm_unconverged"] == 0
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON, refusing ``NaN``, ``Infinity`` and ``-Infinity``."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_seed_one_reports_are_strict_json(workload):
+    # a value that is not finite is refused, never written as NaN or Infinity
+    for case in workloads.generate(workload, 1):
+        _strict_json(_execute(case.text)[1])
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests" / "data").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_golden_reports_are_strict_json(path):
+    _strict_json(path.read_text())
 
 
 def test_report_digests_unchanged(tmp_path):

@@ -121,6 +121,13 @@ ALL_KINDS = {
 
 CLASSICAL = ALL_KINDS["classical-decay"]
 
+
+def _overflowing(sequence):
+    """``sequence`` scaled by 1e300 twice: every number finite, every weight not."""
+    return {"kind": "scale", "factor": 1e300,
+            "inner": {"kind": "scale", "factor": 1e300, "inner": sequence}}
+
+
 # report bytes frozen under tests/data, one config per kind; the commutant
 # config lists a probe beyond the smallest volume so its skip warning is frozen
 GOLDEN = {
@@ -1249,6 +1256,36 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {problem}"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "cfg, problem",
+        [
+            (
+                {"experiment": "norm", "schedule": [2, 3],
+                 "sequence": _overflowing(ALL_KINDS["norm"]["sequence"])},
+                "matrix entries must be finite (no NaN/Inf)",
+            ),
+            (
+                dict(CLASSICAL, schedule=[4, 6, 8, 10],
+                     sequence=_overflowing(CLASSICAL["sequence"])),
+                "the point at N = 4 is not finite: value nan, bound None",
+            ),
+            (
+                dict(EXPECT, schedule=[1, 2, 3, 4], sequence=_overflowing(EXPECT["sequence"])),
+                "the state value of the sum is not finite: (nan+nanj)",
+            ),
+        ],
+        ids=["norm", "classical-decay", "expect"],
+    )
+    def test_overflow_is_refused_not_reported(self, cfg, problem, tmp_path, capsys):
+        # every number of the config is finite, but the weights it builds are not
+        out = tmp_path / "r.json"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {problem}"]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_block_product_lengths_default_to_n_plus_one(self, tmp_path):
         rho = np.array([[0.9, 0.2], [0.2, 0.1]])  # <sigma1> = 0.4, <sigma3> = 0.8

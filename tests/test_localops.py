@@ -1578,6 +1578,56 @@ def test_dense_norm_of_huge_and_tiny_sums(factor):
         assert localops.operator_norm_dense(np.array([[0, x], [0, 0]])) == x
 
 
+@pytest.mark.parametrize("method", ["auto", "iterative"])
+def test_commutant_closed_under_sum_product_and_adjoint(method):
+    # the commutant's closure under +, . and * at the level of norms: with
+    # c(x) = ||[x, p]||, c(a + b) <= c(a) + c(b), c(a b) <= ||a|| c(b) + c(a) ||b||
+    # and c(x*) = c(x), since [x*, p] = -[x, p]* for a self-adjoint probe p
+    # (a* is a, so (a b)* = b a is the case that moves).  Routes are checked
+    # against each other, with no dense reference: under auto the exact,
+    # decoupled and dense routes (Krylov for a and a b at N = 8), under
+    # iterative lanczos-a, lanczos-ia and the dilation
+    tol = localops.ITERATIVE_TOL
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        pair, one, probe = (st.local_operator(random_hermitian(rng, 2**len(sites)), sites)
+                            for sites in [(1, 2), (1,), (1,)])
+        probe = probe.as_sum()
+        for n in (4, 6, 8):
+            a, b = st.gamma_average(pair, n), st.gamma_average(one, n)
+            ab = a * b
+            size = {k: st.norm(x, n, method).value for k, x in [("a", a), ("b", b)]}
+            c = {k: st.norm(st.sum_commutator(x, probe), n, method).value for k, x in [
+                ("a", a), ("b", b), ("a+b", a + b), ("ab", ab), ("a*", a.adjoint()),
+                ("(ab)*", ab.adjoint())]}
+            assert c["a+b"] <= (c["a"] + c["b"]) * (1 + tol), (seed, n)
+            assert c["ab"] <= (size["a"] * c["b"] + c["a"] * size["b"]) * (1 + tol), (seed, n)
+            assert c["a*"] == pytest.approx(c["a"], rel=tol, abs=0), (seed, n)
+            assert c["(ab)*"] == pytest.approx(c["ab"], rel=tol, abs=0), (seed, n)
+
+
+HUGE = 1e200 * np.array([[1, 2], [2, -1]])
+
+
+@pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: st.operator_sum([(1e200, st.local_operator(HUGE, (1,))), (1.0, st.pauli_at(1, 2))]),
+        lambda: st.gamma_average(st.pauli_at(3, 1), 2).scale(1e300).scale(1e300),
+        lambda: st.local_operator(HUGE, (1,)).as_sum().scale(1e200),
+    ],
+    ids=["weight_times_matrix", "weight", "one_term"],
+)
+def test_norm_that_overflows_is_refused(make, method):
+    # every input is finite, but the sum is not: its weight times its matrix
+    # overflows in the kernel, its weight overflowed when it was scaled, or the
+    # product of its norms overflows.  Each was a LinAlgError, a value of 0
+    # flagged unconverged, or inf; each is now refused, naming what is not finite
+    with pytest.raises(ContractViolation, match="not finite|must be finite"):
+        st.norm(make(), 2, method)
+
+
 class TestValidation:
     def test_volume_must_be_positive(self):
         with pytest.raises(ContractViolation):

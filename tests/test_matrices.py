@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,13 @@ from spintail.localops import (
     pauli_at,
     product,
 )
-from spintail.matrices import adjoint, operator_norm_dense, pauli
+from spintail.matrices import (
+    _SELF_ADJOINT_RTOL,
+    adjoint,
+    operator_norm_dense,
+    pauli,
+    self_adjoint_phase,
+)
 
 from oracles import SX, SY, SZ, svd_norm
 
@@ -195,3 +203,77 @@ def test_norm_multiplicative_on_kron(a, b):
     lhs = operator_norm_dense(np.kron(a, b))
     rhs = operator_norm_dense(a) * operator_norm_dense(b)
     assert lhs == pytest.approx(rhs, abs=1e-8, rel=1e-8)
+
+
+def _reference_phase(mats):
+    """The phase rule written out: ``p * a`` formed for p = 1, then 1j, and its
+    Frobenius defect ``||p a - (p a)*||_F`` taken on the defect times a power of
+    two that brings ``max |a_ij|`` near 1 (at most ``2**1000``, for a subnormal
+    maximum), divided back, and compared with ``_SELF_ADJOINT_RTOL * max |a_ij|``."""
+    for p in (1, 1j):
+        ok = True
+        for a in mats:
+            b = p * a
+            amax = np.abs(a).max()
+            e = 2.0 ** min(-int(np.frexp(amax)[1]), 1000)
+            ok = ok and np.linalg.norm((b - b.conj().T) * e) / e <= _SELF_ADJOINT_RTOL * amax
+        if ok:
+            return p
+    return None
+
+
+@st.composite
+def phase_collections(draw):
+    """One to three square matrices of one size n in {1, 2, 4, 8, 16, 64, 200},
+    each real or complex, self-adjoint, skew or general, perturbed by 0 to
+    1e-12 relative around the 1e-13 threshold and scaled by 1, 1e200, 1e-200
+    or 1e-310; a zero matrix joins a quarter of them.  Entries come from a
+    drawn numpy seed, so no perturbation lands on the threshold exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 4, 8, 16, 64, 200]))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        real = draw(st.booleans())
+        m, k = (rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
+                for _ in range(2))
+        a = draw(st.sampled_from([m + m.conj().T, m - m.conj().T, m]))
+        rel = draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 5e-14, 1e-13, 2e-13, 1e-12]))
+        a = a + rel * rng.uniform(0.5, 1.5) * np.abs(a).max() * k
+        mats.append(a * draw(st.sampled_from([1.0, 1e200, 1e-200, 1e-310])))
+    if draw(st.integers(0, 3)) == 0:
+        mats.insert(draw(st.integers(0, len(mats))), np.zeros((n, n)))
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_collections())
+def test_self_adjoint_phase_matches_reference(mats):
+    assert self_adjoint_phase(mats) == _reference_phase(mats)
+
+
+def test_self_adjoint_phase_copies_no_matrix():
+    # a 1024 x 1024 complex skew matrix holds 16 MB; the scan reads it in
+    # tiles, with no phase-scaled copy (the copy alone would be 16 MB)
+    rng = np.random.default_rng(16)
+    m = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    skew = m - m.conj().T
+    tracemalloc.start()
+    try:
+        phase = self_adjoint_phase([skew])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phase == 1j
+    assert peak < skew.nbytes / 4
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.nan, 1)])
+def test_non_finite_matrix_refused_before_lapack(monkeypatch, entry):
+    # 512 x 512 complex is scanned in eight row tiles; the entry sits in the last
+    a = np.eye(512, dtype=complex)
+    a[500, 3] = entry
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: pytest.fail("LAPACK called"))
+    with pytest.raises(ContractViolation, match="finite"):
+        operator_norm_dense(a)
+    with pytest.raises(ContractViolation, match="finite"):
+        self_adjoint_phase([np.eye(512), a])

@@ -142,6 +142,13 @@ class TestExpectation:
         with pytest.raises(st.ContractViolation):
             st.expectation(state, st.pauli_at(3, 9).as_sum(), 4)
 
+    def test_overflow_is_refused(self):
+        # finite factors, but the weight overflows: a state value of nan+nanj
+        # is refused, not returned
+        s = st.pauli_at(3, 1).as_sum().scale(1e300).scale(1e300)
+        with pytest.raises(st.ContractViolation, match="not finite"):
+            st.expectation(st.product_state(RHO_UP06), s, 2)
+
 
 def _site_factor(rng, scale=0.9):
     """A random complex one-site matrix of operator norm ``scale``."""
